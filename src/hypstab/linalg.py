@@ -1,6 +1,6 @@
 """Exact rational matrices, ranks, and linear coordinate changes.
 
-Everything here is exact: determinants and inverses use Gaussian elimination
+Everything here is exact: determinants use Gaussian elimination
 over :class:`~fractions.Fraction`, ranks use fraction-free (Bareiss)
 elimination on integer-scaled rows.  Matrices are immutable.
 """
@@ -49,12 +49,6 @@ class RationalMatrix:
             rows[k][j] = 1
         return RationalMatrix.from_rows(rows)
 
-    @staticmethod
-    def swap(size: int, a: int, b: int) -> "RationalMatrix":
-        images = list(range(size))
-        images[a], images[b] = images[b], images[a]
-        return RationalMatrix.permutation(images)
-
     @property
     def nrows(self) -> int:
         return len(self.rows)
@@ -67,14 +61,8 @@ class RationalMatrix:
     def is_square(self) -> bool:
         return self.nrows == self.ncols
 
-    def entry(self, i: int, j: int) -> Fraction:
-        return self.rows[i][j]
-
     def column(self, j: int) -> tuple[Fraction, ...]:
         return tuple(row[j] for row in self.rows)
-
-    def transpose(self) -> "RationalMatrix":
-        return RationalMatrix(tuple(zip(*self.rows)))
 
     def __matmul__(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.ncols != other.nrows:
@@ -86,12 +74,6 @@ class RationalMatrix:
                 for row in self.rows
             )
         )
-
-    def apply_to_vector(self, v: Sequence) -> tuple[Fraction, ...]:
-        vec = [Fraction(x) for x in v]
-        if len(vec) != self.ncols:
-            raise MatrixError("vector length mismatch")
-        return tuple(sum(a * b for a, b in zip(row, vec)) for row in self.rows)
 
     def determinant(self) -> Fraction:
         if not self.is_square:
@@ -115,28 +97,6 @@ class RationalMatrix:
                 for c in range(col, size):
                     m[r][c] -= factor * m[col][c]
         return det
-
-    @property
-    def is_invertible(self) -> bool:
-        return self.is_square and self.determinant() != 0
-
-    def inverse(self) -> "RationalMatrix":
-        if not self.is_square:
-            raise MatrixError("inverse of a non-square matrix")
-        size = self.nrows
-        m = [list(row) + [Fraction(int(i == j)) for j in range(size)] for i, row in enumerate(self.rows)]
-        for col in range(size):
-            pivot = next((r for r in range(col, size) if m[r][col] != 0), None)
-            if pivot is None:
-                raise MatrixError("matrix is singular")
-            m[col], m[pivot] = m[pivot], m[col]
-            inv = 1 / m[col][col]
-            m[col] = [x * inv for x in m[col]]
-            for r in range(size):
-                if r != col and m[r][col] != 0:
-                    factor = m[r][col]
-                    m[r] = [a - factor * b for a, b in zip(m[r], m[col])]
-        return RationalMatrix.from_rows([row[size:] for row in m])
 
     def to_strings(self) -> list[list[str]]:
         return [[str(x) for x in row] for row in self.rows]

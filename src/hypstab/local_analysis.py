@@ -64,10 +64,6 @@ class ProjectivePoint:
         return [str(c) for c in self.coords]
 
 
-def last_coordinate_point(n: int) -> ProjectivePoint:
-    return ProjectivePoint.make([0] * n + [1])
-
-
 def chart_at(f: HomogeneousPoly, p: ProjectivePoint) -> AffinePoly:
     """Affine chart of ``f`` centred at ``p`` (p relocated to [0:...:0:1])."""
     if p.n != f.n:

@@ -450,27 +450,6 @@ def format_poly(f: HomogeneousPoly | AffinePoly) -> str:
     return format_terms(f.terms)
 
 
-def partial_derivative(f, j: int):
-    """Formal partial derivative; works on both polynomial kinds."""
-    return f.partial_derivative(j)
-
-
-def evaluate(f, point) -> Fraction:
-    """Exact evaluation at rational coordinates; works on both kinds."""
-    return f.evaluate(point)
-
-
 def dehomogenize_at_last(f: HomogeneousPoly) -> AffinePoly:
     """Affine chart x_n = 1: drop the last exponent of every monomial."""
     return AffinePoly.make(f.n, [(exp[:-1], c) for exp, c in f.terms])
-
-
-def rehomogenize_last(a: AffinePoly, d: int) -> HomogeneousPoly:
-    """Inverse of :func:`dehomogenize_at_last` at degree ``d``."""
-    terms = []
-    for exp, c in a.terms:
-        missing = d - sum(exp)
-        if missing < 0:
-            raise PolyError(f"term {exp} exceeds degree {d}")
-        terms.append((exp + (missing,), c))
-    return HomogeneousPoly.make(a.nvars, d, terms)

@@ -28,7 +28,7 @@ from .linalg import RationalMatrix, apply_linear_change, matrix_moving_point_las
 from .local_analysis import ProjectivePoint
 from .polynomials import Exponent, HomogeneousPoly
 from .torus import TorusDecision, torus_destabilize
-from .verdicts import Status
+from .verdicts import InternalConsistencyError, Status
 from .weights import WeightError, WeightVector, membership, weight_inequality_filter
 
 _CATALOG_BOUND = 4
@@ -188,7 +188,7 @@ def search_destabilization(
         if witness is not None:
             cert = Certificate(sigma, witness.reduced(), strict=True)
             if verify_certificate(f, cert).status != Status.NOT_SEMISTABLE:
-                raise RuntimeError("strict certificate failed final re-verification")
+                raise InternalConsistencyError("strict certificate failed final re-verification")
             outcome.strict = cert
             outcome.frames.append(FrameRecord(strategy, index, True, None))
             return outcome
@@ -204,7 +204,7 @@ def search_destabilization(
             if witness is not None:
                 cert = Certificate(sigma, witness.reduced(), strict=False)
                 if verify_certificate(f, cert).status != Status.NOT_STABLE:
-                    raise RuntimeError("non-strict certificate failed final re-verification")
+                    raise InternalConsistencyError("non-strict certificate failed final re-verification")
                 outcome.nonstrict = cert
         outcome.frames.append(FrameRecord(strategy, index, strict_feasible, nonstrict_feasible))
     return outcome

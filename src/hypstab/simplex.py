@@ -12,13 +12,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+from .verdicts import InternalConsistencyError
+
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
 
-class SimplexError(RuntimeError):
-    """Internal solver failure; never expected on well-formed input."""
+class SimplexError(InternalConsistencyError):
+    """Internal solver or LP-certificate failure; never expected on
+    well-formed input."""
 
 
 @dataclass
@@ -137,8 +140,3 @@ def solve_lp(A: Iterable[Iterable], b: Sequence, c: Sequence) -> LPResult:
     objective = sum((ci * xi for ci, xi in zip(obj, x)), Fraction(0))
     return LPResult(OPTIMAL, x, objective)
 
-
-def find_feasible(A: Iterable[Iterable], b: Sequence, nvars: int) -> list[Fraction] | None:
-    """A feasible point of ``A x = b, x >= 0``, or None."""
-    result = solve_lp(A, b, [Fraction(0)] * nvars)
-    return result.x if result.status == OPTIMAL else None

@@ -4,21 +4,27 @@ The question: does some nonzero integer vector ``r`` with ``sum(r) == 0``
 pair positively (strict) or non-negatively (non-strict) with every support
 monomial of ``f``?
 
-Both modes are decided in the small barycentric space.  Strict feasibility
-is scale-invariant and dualizes to: the centroid ``(d/(n+1), ..., d/(n+1))``
-of the degree simplex lies in the convex hull of the support; when it does
-not, the Farkas certificate of that small LP is exactly a strictly
-destabilizing weight vector.  The non-strict question asks whether a
-polyhedral cone contains a nonzero vector; it is decided by ``2(n+1)``
-probes that pin one coordinate to +-1, each solved through its
-(n+1)-row dual system, with the probe witness recovered from the dual's
-Farkas certificate.
+Let ``c = (d/(n+1), ..., d/(n+1))`` be the centroid of the degree simplex.
+For zero-sum ``r`` the pairing ``r.i`` equals ``r.(i - c)``, so both modes
+are questions about the matrix ``A`` whose columns are the shifted support
+monomials ``i - c`` (scaled by ``n + 1`` to integers).  Each mode is decided
+by one zero-cost LP over the n+1 rows of ``A``:
 
-Infeasible answers carry a barycentric certificate: convex weights over
-support monomials averaging to the centroid.  In the non-strict case the
-weights are strictly positive and the shifted monomials span the full
-sum-zero hyperplane, which forces the cone to be trivial.  Witnesses and
-certificates are re-verified before being returned.
+- strict: ``A lam = 0``, ``sum(lam) = 1``, ``lam >= 0``, i.e. the centroid
+  lies in the convex hull of the support;
+- non-strict: ``A mu = -A 1``, ``mu >= 0``, i.e. ``lam = 1 + mu`` is a
+  strictly positive solution of ``A lam = 0``.  By Stiemke's alternative it
+  exists exactly when no ``r`` pairs non-negatively with every column and
+  positively with one.  A nonzero zero-sum ``r`` orthogonal to every column
+  is ruled out first by a nullspace test, so a feasible LP means the cone
+  is trivial.
+
+A feasible LP gives the barycentric certificate: convex weights over support
+monomials averaging to the centroid, strictly positive in the non-strict
+case.  An infeasible LP gives a Farkas vector ``y``; the projection of
+``-y`` (its rows of ``A``) onto the zero-sum hyperplane, scaled to
+integers, is the destabilizing witness.  Witnesses and certificates are
+re-verified before being returned.
 
 A brute-force enumeration oracle over a box of integer vectors is provided
 as an independent cross-check; it shares no code path with the LP.
@@ -34,6 +40,7 @@ import numpy as np
 from .linalg import nullspace_vector, rational_rank
 from .polynomials import Exponent, HomogeneousPoly
 from .simplex import INFEASIBLE, OPTIMAL, SimplexError, solve_lp
+from .verdicts import InternalConsistencyError
 from .weights import WeightVector, membership
 
 BarycentricCertificate = tuple[tuple[Exponent, Fraction], ...]
@@ -74,16 +81,15 @@ def _integer_weight(values) -> WeightVector:
     return WeightVector(tuple(ints))
 
 
-def _barycentric_system(support, n: int, d: int):
-    """Equality system: lambda >= 0, sum lambda = 1, sum lambda_i * i = centroid."""
-    c = _centroid(n, d)
-    N = len(support)
-    A = [[Fraction(1)] * N]
-    b = [Fraction(1)]
-    for j in range(n + 1):
-        A.append([Fraction(exp[j]) for exp in support])
-        b.append(c[j])
-    return A, b
+def _shifted_rows(support, n: int, d: int) -> list[list[int]]:
+    """Rows of ``A``: its columns are ``(n + 1) * (i - c)`` over the support."""
+    return [[(n + 1) * exp[j] - d for exp in support] for j in range(n + 1)]
+
+
+def _farkas_witness(y) -> WeightVector:
+    """Project ``-y`` onto the zero-sum hyperplane and scale to integers."""
+    shift = sum(y) / len(y)
+    return _integer_weight([shift - v for v in y])
 
 
 def _verify_barycentric(support, lambdas, n: int, d: int, positive: bool) -> None:
@@ -113,30 +119,6 @@ def _corner_certificate(support, n: int, d: int) -> BarycentricCertificate | Non
     return None
 
 
-def _strict_witness_from_farkas(y, n: int) -> list[Fraction]:
-    """Turn a Farkas certificate of the barycentric system into a strictly
-    destabilizing rational vector: project the negated coordinate part onto
-    the zero-sum hyperplane."""
-    coord = y[1:]
-    shift = sum(coord) / (n + 1)
-    return [shift - v for v in coord]
-
-
-def _probe_dual_system(support, n: int, k: int, sign: int):
-    """Dual of the probe {r.i >= 0 for all i, sum r = 0, r_k = sign}: the
-    system {sum mu_i * i + alpha * 1 = -sign * e_k, mu >= 0, alpha free} over
-    n+1 coordinate rows.  The probe is feasible iff this is infeasible, and
-    then the Farkas vector y yields the probe witness r = -y."""
-    N = len(support)
-    A = []
-    b = []
-    for j in range(n + 1):
-        row = [Fraction(exp[j]) for exp in support] + [Fraction(1), Fraction(-1)]
-        A.append(row)
-        b.append(Fraction(-sign if j == k else 0))
-    return A, b, N + 2
-
-
 def torus_destabilize(f: HomogeneousPoly, strict: bool) -> TorusDecision:
     """Decide destabilizability of ``f`` by a diagonal torus in the given
     coordinates; total function over nonzero polynomials."""
@@ -156,59 +138,37 @@ def torus_destabilize(f: HomogeneousPoly, strict: bool) -> TorusDecision:
         )
         return TorusDecision(False, strict, certificate=corner_cert)
 
+    rows = _shifted_rows(support, n, d)
     if strict:
-        A, b = _barycentric_system(support, n, d)
-        result = solve_lp(A, b, [Fraction(0)] * len(support))
-        if result.status == OPTIMAL:
-            lambdas = result.x
-            _verify_barycentric(support, lambdas, n, d, positive=False)
-            cert = tuple((exp, lam) for exp, lam in zip(support, lambdas) if lam != 0)
-            return TorusDecision(False, True, certificate=cert)
-        if result.status != INFEASIBLE:
-            raise SimplexError("barycentric system cannot be unbounded")
-        witness = _integer_weight(_strict_witness_from_farkas(result.farkas, n))
-        if not membership(f, witness, strict=True):
-            raise SimplexError("strict witness failed re-verification")
-        return TorusDecision(True, True, witness=witness)
-
-    # Degenerate fast path: a nonzero zero-sum vector orthogonal to the whole
-    # support gives every monomial weight 0.
-    flat = nullspace_vector(list(support) + [[1] * (n + 1)])
-    if flat is not None:
-        witness = _integer_weight(flat)
-        if not membership(f, witness, strict=False):
-            raise SimplexError("orthogonal witness failed re-verification")
-        return TorusDecision(True, False, witness=witness)
-
-    for k in range(n + 1):
-        for sign in (1, -1):
-            A, b, nvars = _probe_dual_system(support, n, k, sign)
-            result = solve_lp(A, b, [Fraction(0)] * nvars)
-            if result.status == OPTIMAL:
-                continue  # probe infeasible; try the next pinned coordinate
-            if result.status != INFEASIBLE:
-                raise SimplexError("probe dual cannot be unbounded")
-            witness = _integer_weight([-v for v in result.farkas])
+        A = [[1] * len(support)] + rows
+        b = [1] + [0] * (n + 1)
+    else:
+        # Degenerate fast path: a nonzero zero-sum vector orthogonal to the
+        # whole support gives every monomial weight 0.  Ruling it out first
+        # is what makes a strictly positive solution prove the cone trivial.
+        flat = nullspace_vector(list(support) + [[1] * (n + 1)])
+        if flat is not None:
+            witness = _integer_weight(flat)
             if not membership(f, witness, strict=False):
-                raise SimplexError("non-strict witness failed re-verification")
+                raise SimplexError("orthogonal witness failed re-verification")
             return TorusDecision(True, False, witness=witness)
+        A = rows
+        b = [-sum(row) for row in rows]
 
-    # The cone is trivial: build a strictly positive barycentric certificate
-    # by maximizing each weight over the small polytope and averaging.
-    A, b = _barycentric_system(support, n, d)
-    N = len(support)
-    total = [Fraction(0)] * N
-    for t in range(N):
-        cost = [Fraction(0)] * N
-        cost[t] = Fraction(-1)
-        result = solve_lp(A, b, cost)
-        if result.status != OPTIMAL or result.x[t] == 0:
-            raise SimplexError("trivial cone without strictly positive certificate")
-        for j in range(N):
-            total[j] += result.x[j]
-    lambdas = [v / N for v in total]
-    _verify_barycentric(support, lambdas, n, d, positive=True)
-    return TorusDecision(False, False, certificate=tuple(zip(support, lambdas)))
+    result = solve_lp(A, b, [0] * len(support))
+    if result.status == INFEASIBLE:
+        witness = _farkas_witness(result.farkas[-(n + 1):])
+        if not membership(f, witness, strict):
+            raise SimplexError("Farkas witness failed re-verification")
+        return TorusDecision(True, strict, witness=witness)
+    if result.status != OPTIMAL:
+        raise SimplexError("a zero-cost LP cannot be unbounded")
+    weights = result.x if strict else [1 + v for v in result.x]
+    total = sum(weights)
+    lambdas = [w / total for w in weights]
+    _verify_barycentric(support, lambdas, n, d, positive=not strict)
+    cert = tuple((exp, lam) for exp, lam in zip(support, lambdas) if lam != 0)
+    return TorusDecision(False, strict, certificate=cert)
 
 
 def enumerate_weight_oracle(f: HomogeneousPoly, bound: int, strict: bool) -> WeightVector | None:
@@ -245,6 +205,6 @@ def enumerate_weight_oracle(f: HomogeneousPoly, bound: int, strict: bool) -> Wei
         if hits.size:
             candidate = WeightVector(tuple(int(v) for v in rs[hits[0]]))
             if not membership(f, candidate, strict):
-                raise RuntimeError("oracle produced a non-member; enumeration bug")
+                raise InternalConsistencyError("oracle produced a non-member; enumeration bug")
             return candidate
     return None

@@ -59,17 +59,6 @@ class WeightVector:
             g = gcd(g, abs(v))
         return self if g <= 1 else WeightVector(tuple(v // g for v in self.r))
 
-    def sorted_descending(self) -> "WeightVector":
-        return WeightVector(tuple(sorted(self.r, reverse=True)))
-
-    def sorting_permutation(self) -> tuple[int, ...]:
-        """Images p with sorted[k] = r[j] for p[j] = k (stable order)."""
-        order = sorted(range(len(self.r)), key=lambda j: (-self.r[j], j))
-        images = [0] * len(self.r)
-        for k, j in enumerate(order):
-            images[j] = k
-        return tuple(images)
-
     def last_nonnegative_index(self) -> int:
         """Largest t with r_t >= 0; requires sorted order."""
         self._require_sorted()

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from hypstab.cli import EXIT_INPUT, EXIT_OK, main
+from hypstab.cli import EXIT_INPUT, EXIT_INTERNAL, EXIT_OK, main
 
 
 @pytest.fixture
@@ -74,6 +74,16 @@ class TestAnalyze:
         assert code == EXIT_OK
         report = json.loads(out)
         assert report["profile"]["provenance"]["s"] == "user-asserted"
+
+    def test_lp_witness_failure_exits_internal(self, capsys, poly_file, monkeypatch):
+        # No sorted catalog vector destabilizes this form, so its witness
+        # comes from the torus LP; a failed re-check is an internal fault.
+        monkeypatch.setattr("hypstab.torus.membership", lambda *args, **kwargs: False)
+        path = poly_file("x1*x2^2 + x2^3")
+        code, _, err = run(capsys, ["analyze", path, "--budget", "1"])
+        assert code == EXIT_INTERNAL
+        assert "internal consistency failure" in err
+        assert "Traceback" not in err
 
 
 class TestExample:

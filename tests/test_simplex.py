@@ -3,7 +3,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from hypstab.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, find_feasible, solve_lp
+from hypstab.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, solve_lp
 
 
 def test_simple_optimum():
@@ -74,7 +74,3 @@ def test_negative_rhs_normalization():
     assert result.status == OPTIMAL
     assert result.x[0] == 2
 
-
-def test_find_feasible():
-    assert find_feasible([[1, 1]], [1], 2) is not None
-    assert find_feasible([[1, 1]], [-1], 2) is None

@@ -66,6 +66,35 @@ class TestNonStrictMode:
         }
         assert_decision_verifies(corpus["fermat_cubic"], decision)
 
+    @pytest.mark.parametrize(
+        "text, nonstrict_feasible",
+        [
+            # Klein quartic: no pure powers, so no corner certificate.
+            ("x0^3*x1 + x1^3*x2 + x2^3*x0", False),
+            # The centroid is the monomial x0*x1*x2 on the hull's boundary;
+            # (1, 0, -1) is in the cone but no vector is orthogonal to all.
+            ("x0*x1*x2 + x0^3 + x1^3", True),
+        ],
+    )
+    def test_one_lp_per_decision(self, monkeypatch, text, nonstrict_feasible):
+        import hypstab.torus
+
+        calls = []
+        solve_lp = hypstab.torus.solve_lp
+
+        def counting_solve_lp(*args):
+            calls.append(args)
+            return solve_lp(*args)
+
+        monkeypatch.setattr(hypstab.torus, "solve_lp", counting_solve_lp)
+        f = parse_poly(text, 2)
+        for strict, feasible in ((True, False), (False, nonstrict_feasible)):
+            calls.clear()
+            decision = torus_destabilize(f, strict)
+            assert len(calls) == 1
+            assert decision.feasible == feasible
+            assert_decision_verifies(f, decision)
+
     def test_zero_poly_rejected(self):
         from hypstab import HomogeneousPoly
 

@@ -27,14 +27,6 @@ class TestWeightVector:
     def test_sorted_flags(self):
         assert WeightVector((3, 1, -4)).is_sorted
         assert not WeightVector((1, 3, -4)).is_sorted
-        assert WeightVector((1, 3, -4)).sorted_descending() == WeightVector((3, 1, -4))
-
-    def test_sorting_permutation_consistent(self):
-        r = WeightVector((1, 3, -4))
-        images = r.sorting_permutation()
-        sorted_r = r.sorted_descending()
-        for j, k in enumerate(images):
-            assert sorted_r[k] == r[j]
 
     def test_last_index_accessors(self):
         r = WeightVector((3, 1, 0, -4))
