@@ -12,9 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
 from math import gcd, lcm
 
+import numpy as np
+
+from .grid import box_blocks
 from .linalg import apply_linear_change, matrix_moving_point_last, rational_rank
 from .polynomials import (
     AffinePoly,
@@ -23,6 +25,7 @@ from .polynomials import (
     PolyError,
     dehomogenize_at_last,
 )
+from .verdicts import InternalConsistencyError
 from .weights import WeightVector
 
 
@@ -225,9 +228,11 @@ def analyze_point(f: HomogeneousPoly, p: ProjectivePoint) -> LocalData:
 class ScanResult:
     """Singular-point scan output.
 
-    ``points`` is exact (every listed point has vanishing gradient, checked
-    in rational arithmetic).  ``field_counts`` is heuristic evidence only: a
-    count of gradient zeros over each finite field, or None when a field was
+    ``points`` is exact: every canonical rational point (integer, gcd one,
+    first nonzero coordinate positive) of height <= ``height_bound`` with
+    vanishing gradient, sorted by coordinates, each re-checked in rational
+    arithmetic.  ``field_counts`` is heuristic evidence only: a count of
+    gradient zeros over each finite field, or None when a field was
     skipped.  Neither proves anything about singular points outside the
     height bound or with irrational coordinates.
     """
@@ -248,29 +253,89 @@ class ScanResult:
 _FIELD_SCAN_LIMIT = 200_000
 
 
-def _count_field_singular(partials_int: list[dict[Exponent, int]], nvars: int, p: int) -> int | None:
+def _is_prime(p: int) -> bool:
+    """Miller-Rabin with the first twelve prime bases: exact below 3.3e24,
+    a strong probable-prime test above."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if p < 2:
+        return False
+    if p in bases:
+        return True
+    if any(p % b == 0 for b in bases):
+        return False
+    odd, twos = p - 1, 0
+    while odd % 2 == 0:
+        odd, twos = odd // 2, twos + 1
+    for b in bases:
+        x = pow(b, odd, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(twos - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _cleared_partials(partials) -> tuple[list[Exponent], list[list[int]]]:
+    """The partials, each with its denominators cleared, as a monomial list
+    and a (monomial x partial) integer coefficient table."""
+    cleared = []
+    for poly in partials:
+        terms = poly.terms
+        denom = lcm(*(c.denominator for _, c in terms)) if terms else 1
+        cleared.append({exp: int(c * denom) for exp, c in terms})
+    monomials = sorted({exp for poly in cleared for exp in poly})
+    return monomials, [[poly.get(exp, 0) for poly in cleared] for exp in monomials]
+
+
+def _block_dtype(bound: int):
+    """Block dtype for an evaluation whose values never exceed ``bound`` in
+    absolute value: int64 below 2**63, Python ints (``object``) otherwise."""
+    return np.int64 if bound < 2**63 else object
+
+
+def _scan_dtype(monomials: list[Exponent], table: list[list[int]], height_bound: int):
+    """Block dtype for the rational scan: a partial with cleared coefficients
+    c_j is bounded by sum |c_j| * h^(d-1) on the box of height h."""
+    degree = max((sum(exp) for exp in monomials), default=0)
+    column_sums = [sum(abs(c) for c in col) for col in zip(*table)]
+    return _block_dtype(max(column_sums, default=0) * height_bound**degree)
+
+
+def _gradient_vanishes(block, exps, coeffs, modulus: int | None = None):
+    """Rows of ``block`` at which every partial vanishes (mod ``modulus`` when
+    given, reducing after each product).  ``exps`` lists the monomials of the
+    partials, ``coeffs`` (monomial x partial) their coefficients; the block
+    is evaluated in the dtype of ``coeffs``."""
+    values = np.ones((len(block), len(exps)), dtype=coeffs.dtype)
+    for j, col in enumerate(block.astype(coeffs.dtype, copy=False).T):
+        powers = [np.ones_like(col)]
+        for _ in range(int(exps[:, j].max(initial=0))):
+            powers.append(powers[-1] * col)
+            if modulus:
+                powers[-1] %= modulus
+        values *= np.stack(powers, axis=1)[:, exps[:, j]]
+        if modulus:
+            values %= modulus
+    sums = values @ coeffs
+    if modulus:
+        sums %= modulus
+    return (sums == 0).all(axis=1)
+
+
+def _count_field_singular(exps, table, nvars: int, p: int) -> int | None:
     reps = sum(p**k for k in range(nvars))
     if reps > _FIELD_SCAN_LIMIT:
         return None
-    reduced = [{exp: c % p for exp, c in poly.items()} for poly in partials_int]
+    dtype = _block_dtype(len(exps) * (p - 1) ** 2)
+    coeffs = np.array([[c % p for c in row] for row in table], dtype=dtype).reshape(len(exps), nvars)
     count = 0
     for k in range(nvars):
-        for tail in product(range(p), repeat=nvars - k - 1):
-            point = (0,) * k + (1,) + tail
-            for poly in reduced:
-                total = 0
-                for exp, c in poly.items():
-                    if c == 0:
-                        continue
-                    v = c
-                    for x, e in zip(point, exp):
-                        if e:
-                            v = v * pow(x, e, p) % p
-                    total = (total + v) % p
-                if total != 0:
-                    break
-            else:
-                count += 1
+        for block in box_blocks(range(p), nvars - k - 1, (0,) * k + (1,)):
+            count += int(_gradient_vanishes(block, exps, coeffs, p).sum())
     return count
 
 
@@ -278,36 +343,45 @@ def scan_singular_points(
     f: HomogeneousPoly, height_bound: int, field_sizes: tuple[int, ...] = ()
 ) -> ScanResult:
     """All rational projective points of height <= bound with vanishing
-    gradient (exact), plus heuristic singular counts over finite fields."""
+    gradient (exact), plus heuristic singular counts over finite fields.
+
+    Only canonical points are enumerated: for each k, coordinates 0..k-1 are
+    0, coordinate k is in 1..h and the rest range over [-h, h]; rows with
+    gcd != 1 are dropped.  The partials, with denominators cleared once, are
+    evaluated on blocks of at most ``grid.BLOCK_ROWS`` rows in int64 when
+    max_j sum |c_j| * h^(d-1) < 2^63 and in Python ints otherwise.  Every hit
+    is re-checked in rational arithmetic.  Field sizes must be primes.
+    """
     if height_bound < 1:
         raise ValueError("height bound must be >= 1")
     if f.is_zero:
         raise PolyError("cannot scan the zero polynomial")
+    for prime in field_sizes:
+        if not _is_prime(prime):
+            raise ValueError(f"field size {prime} is not a prime")
     nvars = f.n + 1
     partials = [f.partial_derivative(j) for j in range(nvars)]
+    monomials, table = _cleared_partials(partials)
+    exps = np.array(monomials, dtype=np.int64).reshape(len(monomials), nvars)
+    dtype = _scan_dtype(monomials, table, height_bound)
+    coeffs = np.array(table, dtype=dtype).reshape(len(monomials), nvars)
 
     found = []
-    for coords in product(range(-height_bound, height_bound + 1), repeat=nvars):
-        if all(c == 0 for c in coords):
-            continue
-        g = 0
-        for c in coords:
-            g = gcd(g, abs(c))
-        if g != 1:
-            continue
-        if next(c for c in coords if c != 0) < 0:
-            continue
-        if all(p.evaluate(coords) == 0 for p in partials):
-            found.append(ProjectivePoint(coords))
+    box = range(-height_bound, height_bound + 1)
+    for k in range(nvars):
+        for a in range(1, height_bound + 1):
+            for block in box_blocks(box, nvars - k - 1, (0,) * k + (a,)):
+                block = block[np.gcd.reduce(block, axis=1) == 1]
+                for row in block[_gradient_vanishes(block, exps, coeffs)]:
+                    coords = tuple(int(c) for c in row)
+                    if any(p.evaluate(coords) != 0 for p in partials):
+                        raise InternalConsistencyError(
+                            f"integer scan found {coords}, where the gradient does not vanish"
+                        )
+                    found.append(ProjectivePoint(coords))
     found.sort(key=lambda p: p.coords)
 
-    field_counts: dict[int, int | None] = {}
-    if field_sizes:
-        partials_int = []
-        for p in partials:
-            denom = lcm(*(c.denominator for _, c in p.terms)) if p.terms else 1
-            partials_int.append({exp: int(c * denom) for exp, c in p.terms})
-        for prime in field_sizes:
-            field_counts[prime] = _count_field_singular(partials_int, nvars, prime)
-
+    field_counts = {
+        prime: _count_field_singular(exps, table, nvars, prime) for prime in field_sizes
+    }
     return ScanResult(tuple(found), height_bound, field_counts)

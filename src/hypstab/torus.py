@@ -37,6 +37,7 @@ from math import gcd, lcm
 
 import numpy as np
 
+from .grid import box_blocks
 from .linalg import nullspace_vector, rational_rank
 from .polynomials import Exponent, HomogeneousPoly
 from .simplex import INFEASIBLE, OPTIMAL, SimplexError, solve_lp
@@ -176,25 +177,15 @@ def enumerate_weight_oracle(f: HomogeneousPoly, bound: int, strict: bool) -> Wei
     zero sum, returning the lexicographically first member of the weight
     cone, else None.
 
-    Independent of the LP path; intended for small n.  The scan is
-    vectorized per leading coordinate, preserving lexicographic order.
+    Independent of the LP path; intended for small n.  The scan runs over
+    the blocks of ``grid.box_blocks``, which keep lexicographic order.
     """
     if bound < 1:
         raise ValueError("bound must be >= 1")
     if f.is_zero:
         raise ValueError("cannot destabilize the zero polynomial")
-    n = f.n
     supp = np.array(f.support(), dtype=np.int64)
-    values = np.arange(-bound, bound + 1, dtype=np.int64)
-    if n == 1:
-        free_grid = np.zeros((1, 0), dtype=np.int64)
-    else:
-        mesh = np.meshgrid(*([values] * (n - 1)), indexing="ij")
-        free_grid = np.stack([m.reshape(-1) for m in mesh], axis=1)
-
-    for r0 in range(-bound, bound + 1):
-        first = np.full((free_grid.shape[0], 1), r0, dtype=np.int64)
-        rs = np.concatenate([first, free_grid], axis=1)
+    for rs in box_blocks(range(-bound, bound + 1), f.n):
         last = -rs.sum(axis=1, keepdims=True)
         rs = np.concatenate([rs, last], axis=1)
         ok = np.abs(last[:, 0]) <= bound

@@ -66,6 +66,14 @@ class TestAnalyze:
         code, _, err = run(capsys, ["analyze", "/nonexistent/file.poly"])
         assert code == EXIT_INPUT
 
+    @pytest.mark.parametrize("size", ["0", "4"])
+    def test_non_prime_field_is_input_error(self, capsys, poly_file, size):
+        path = poly_file("x0^2*x2 + x1^3")
+        code, _, err = run(capsys, ["analyze", path, "--fields", size, "--budget", "2"])
+        assert code == EXIT_INPUT
+        assert f"field size {size} is not a prime" in err
+        assert "Traceback" not in err
+
     def test_user_asserted_s(self, capsys, poly_file):
         path = poly_file("x1^2*x2 - x0^2*x2 - x0^3")
         code, out, _ = run(

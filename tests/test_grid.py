@@ -1,0 +1,56 @@
+"""The shared box enumerator and the weight oracle's lexicographic order."""
+from __future__ import annotations
+
+import random
+from itertools import product
+
+import numpy as np
+import pytest
+
+from hypstab import enumerate_weight_oracle
+from hypstab.grid import BLOCK_ROWS, box_blocks
+
+from conftest import random_support_poly
+
+
+@pytest.mark.parametrize(
+    "values, width, head",
+    [
+        (range(-3, 4), 6, (1,)),  # scan, n = 6: tiles of 7^4 rows
+        (range(-3, 4), 2, (0, 0, 2)),
+        (range(7), 0, (0, 0, 0, 1)),  # field count, empty tail
+        (range(3), 7, ()),  # 3^7 rows, tile of 3^7 > cap / 2
+        (range(-200, 201), 2, ()),  # oracle, n = 2: ten prefixes per block
+        (range(5000), 1, ()),  # more values than the cap
+    ],
+)
+def test_blocks_match_product(values, width, head):
+    blocks = list(box_blocks(values, width, head))
+    assert all(b.dtype == np.int64 for b in blocks)
+    assert all(len(b) <= BLOCK_ROWS for b in blocks)
+    rows = [tuple(int(v) for v in row) for b in blocks for row in b]
+    assert rows == [head + t for t in product(values, repeat=width)]
+
+
+def _oracle_reference(f, bound, strict):
+    """First zero-sum vector in lexicographic order whose pairing with every
+    support monomial is >= 1 (strict) or >= 0."""
+    least = 1 if strict else 0
+    for head in product(range(-bound, bound + 1), repeat=f.n):
+        r = head + (-sum(head),)
+        if abs(r[-1]) > bound or not any(r):
+            continue
+        if all(sum(a * b for a, b in zip(r, exp)) >= least for exp in f.support()):
+            return r
+    return None
+
+
+def test_oracle_first_hit_is_lexicographic():
+    rng = random.Random(5)
+    for _ in range(8):
+        f = random_support_poly(rng, 2, rng.choice([3, 4]))
+        for strict in (True, False):
+            # Bound 40: 81 x 81 vectors, in two blocks.
+            witness = enumerate_weight_oracle(f, 40, strict)
+            expected = _oracle_reference(f, 40, strict)
+            assert (witness.r if witness else None) == expected, (f.terms, strict)

@@ -2,8 +2,13 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
+from math import gcd, lcm
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hypstab import (
     ProjectivePoint,
@@ -20,10 +25,16 @@ from hypstab import (
     rank_of_q,
     scan_singular_points,
 )
-from hypstab.local_analysis import PointError, is_cone, tangent_cone_at
-from hypstab.polynomials import AffinePoly
+from hypstab.local_analysis import (
+    PointError,
+    _cleared_partials,
+    _scan_dtype,
+    is_cone,
+    tangent_cone_at,
+)
+from hypstab.polynomials import AffinePoly, HomogeneousPoly
 
-from conftest import random_cone_member, random_sorted_weights
+from conftest import degree_monomials, random_cone_member, random_sorted_weights
 
 
 def P(*coords):
@@ -220,6 +231,93 @@ class TestScan:
         scan = scan_singular_points(f, 2, field_sizes=(5,))
         assert len(scan.points) >= 3  # a line's worth of small points
         assert scan.field_counts[5] == 5 + 1  # P^1 over F_5
+
+
+def _reference_scan(f, height_bound, primes):
+    """The scan as a per-point loop: Fraction partials over the whole box,
+    and each field's gradient zeros counted one point at a time."""
+    nvars = f.n + 1
+    partials = [f.partial_derivative(j) for j in range(nvars)]
+    points = []
+    for coords in product(range(-height_bound, height_bound + 1), repeat=nvars):
+        if not any(coords) or gcd(*coords) != 1 or next(c for c in coords if c) < 0:
+            continue
+        if all(p.evaluate(coords) == 0 for p in partials):
+            points.append(coords)
+    counts = {}
+    for p in primes:
+        reduced = []
+        for poly in partials:
+            denom = lcm(*(c.denominator for _, c in poly.terms)) if poly.terms else 1
+            reduced.append({exp: int(c * denom) % p for exp, c in poly.terms})
+        count = 0
+        for k in range(nvars):
+            for tail in product(range(p), repeat=nvars - k - 1):
+                point = (0,) * k + (1,) + tail
+                for poly in reduced:
+                    total = 0
+                    for exp, c in poly.items():
+                        v = c
+                        for x, e in zip(point, exp):
+                            v = v * pow(x, e, p) % p
+                        total = (total + v) % p
+                    if total != 0:
+                        break
+                else:
+                    count += 1
+        counts[p] = count
+    return sorted(points), counts
+
+
+def _dtype_for(f, height_bound):
+    partials = [f.partial_derivative(j) for j in range(f.n + 1)]
+    return _scan_dtype(*_cleared_partials(partials), height_bound)
+
+
+class TestScanReference:
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_points_and_counts_match_reference(self, data):
+        n = data.draw(st.integers(min_value=1, max_value=3))
+        d = data.draw(st.integers(min_value=2, max_value=4))
+        h = data.draw(st.integers(min_value=1, max_value=2))
+        monomials = data.draw(
+            st.lists(st.sampled_from(degree_monomials(n, d)), min_size=1, max_size=4, unique=True)
+        )
+        coeffs = data.draw(
+            st.lists(
+                st.fractions(min_value=-9, max_value=9, max_denominator=6).filter(
+                    lambda c: c.denominator > 1
+                ),
+                min_size=len(monomials),
+                max_size=len(monomials),
+            )
+        )
+        f = HomogeneousPoly.make(n, d, dict(zip(monomials, coeffs)))
+        scan = scan_singular_points(f, h, field_sizes=(2, 3, 5))
+        points, counts = _reference_scan(f, h, (2, 3, 5))
+        assert [p.coords for p in scan.points] == points
+        assert scan.field_counts == counts
+
+    def test_object_dtype_above_int64(self):
+        f = HomogeneousPoly.make(2, 3, {(2, 0, 1): 10000000000000000000, (0, 3, 0): 1})
+        assert _dtype_for(f, 2) is object
+        scan = scan_singular_points(f, 2, field_sizes=(3,))
+        assert ([p.coords for p in scan.points], scan.field_counts) == _reference_scan(f, 2, (3,))
+
+    def test_int64_just_below_bound(self):
+        # Partials c*x1 and c*x0: the bound is c * h^1 with h = 1.
+        c = 2**63 - 1
+        f = HomogeneousPoly.make(2, 2, {(1, 1, 0): c})
+        assert _dtype_for(f, 1) is np.int64
+        assert _dtype_for(HomogeneousPoly.make(2, 2, {(1, 1, 0): c + 1}), 1) is object
+        scan = scan_singular_points(f, 1)
+        assert [p.coords for p in scan.points] == _reference_scan(f, 1, ())[0] == [(0, 0, 1)]
+
+    @pytest.mark.parametrize("size", [0, 1, 4, 9, -2])
+    def test_non_prime_field_rejected(self, corpus, size):
+        with pytest.raises(ValueError, match="not a prime"):
+            scan_singular_points(corpus["f2"], 1, field_sizes=(size,))
 
 
 class TestAnalyzePoint:
