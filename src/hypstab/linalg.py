@@ -1,8 +1,12 @@
 """Exact rational matrices, ranks, and linear coordinate changes.
 
-Everything here is exact: determinants use Gaussian elimination
-over :class:`~fractions.Fraction`, ranks use fraction-free (Bareiss)
-elimination on integer-scaled rows.  Matrices are immutable.
+Everything here is exact.  Matrices hold :class:`~fractions.Fraction`
+entries and are immutable; determinants use Gaussian elimination over
+``Fraction``.  The kernels of the frame search run on Python integers and
+build ``Fraction`` values only for their results: ranks use fraction-free
+(Bareiss) elimination and nullspaces fraction-free Gauss-Jordan elimination
+on integer-scaled rows, and coordinate changes expand the integer-scaled
+polynomial under the integer-scaled matrix.
 """
 from __future__ import annotations
 
@@ -11,7 +15,8 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
-from .polynomials import Exponent, HomogeneousPoly, PolyError
+from .polynomials import HomogeneousPoly
+from .verdicts import InternalConsistencyError
 
 
 class MatrixError(ValueError):
@@ -135,29 +140,36 @@ def integer_rank(rows: list[list[int]]) -> int:
     return rank
 
 
+def scaled_integers(values: Iterable[Fraction], scale: int) -> list[int]:
+    """``scale * v`` for each v, where every denominator divides ``scale``."""
+    return [v.numerator * (scale // v.denominator) for v in values]
+
+
+def primitive_row(row: Iterable) -> list[int]:
+    """The positive multiple of a rational row with coprime integer entries
+    (a zero row stays zero)."""
+    fracs = [Fraction(x) for x in row]
+    return _primitive(scaled_integers(fracs, lcm(*(f.denominator for f in fracs))))
+
+
+def _primitive(ints: list[int]) -> list[int]:
+    content = gcd(*ints)
+    return [v // content for v in ints] if content > 1 else ints
+
+
 def rational_rank(rows: Iterable[Iterable]) -> int:
     """Rank over Q; rows are scaled to integers first (rank-preserving)."""
-    scaled = []
-    for row in rows:
-        fracs = [Fraction(x) for x in row]
-        denom = lcm(*(f.denominator for f in fracs)) if fracs else 1
-        ints = [int(f * denom) for f in fracs]
-        content = 0
-        for v in ints:
-            content = gcd(content, abs(v))
-        if content > 1:
-            ints = [v // content for v in ints]
-        scaled.append(ints)
-    return integer_rank(scaled)
+    return integer_rank([primitive_row(row) for row in rows])
 
 
 def nullspace_vector(rows: Iterable[Iterable]) -> list[Fraction] | None:
     """One nontrivial rational solution of ``rows . x = 0``, or None.
 
-    Plain Gaussian elimination over Fraction; returns the solution with the
-    first free variable set to 1 (deterministic).
+    Fraction-free Gauss-Jordan elimination on integer-scaled rows, each
+    updated row divided by its content; returns the solution with the first
+    free variable set to 1 (deterministic).
     """
-    m = [[Fraction(x) for x in row] for row in rows]
+    m = [primitive_row(row) for row in rows]
     if not m:
         return None
     ncols = len(m[0])
@@ -168,12 +180,12 @@ def nullspace_vector(rows: Iterable[Iterable]) -> list[Fraction] | None:
         if pivot is None:
             continue
         m[row], m[pivot] = m[pivot], m[row]
-        inv = 1 / m[row][col]
-        m[row] = [v * inv for v in m[row]]
+        pivot_row = m[row]
+        p = pivot_row[col]
         for r in range(len(m)):
-            if r != row and m[r][col] != 0:
-                factor = m[r][col]
-                m[r] = [a - factor * b for a, b in zip(m[r], m[row])]
+            factor = m[r][col]
+            if r != row and factor != 0:
+                m[r] = _primitive([p * a - factor * b for a, b in zip(m[r], pivot_row)])
         pivots.append((row, col))
         row += 1
         if row == len(m):
@@ -185,7 +197,7 @@ def nullspace_vector(rows: Iterable[Iterable]) -> list[Fraction] | None:
     x = [Fraction(0)] * ncols
     x[free] = Fraction(1)
     for r, c in pivots:
-        x[c] = -m[r][free]
+        x[c] = Fraction(-m[r][free], m[r][c])
     return x
 
 
@@ -211,6 +223,11 @@ def apply_linear_change(f: HomogeneousPoly, sigma: RationalMatrix) -> Homogeneou
 
     The action satisfies ``apply(apply(f, tau), sigma) == apply(f, sigma @ tau)``
     and the identity matrix acts trivially.
+
+    The expansion runs on integers: ``fden * f`` and ``sden * sigma`` are
+    integral for the lcms of their denominators, each exponent tuple is packed
+    base ``d + 1`` into one int (no carries, since every exponent is at most
+    ``d``), and the sum is divided by ``fden * sden**d`` once at the end.
     """
     size = f.n + 1
     if not sigma.is_square or sigma.nrows != size:
@@ -218,34 +235,47 @@ def apply_linear_change(f: HomogeneousPoly, sigma: RationalMatrix) -> Homogeneou
     if sigma.determinant() == 0:
         raise MatrixError("coordinate change must be invertible")
 
-    def unit(k: int) -> Exponent:
-        return tuple(int(i == k) for i in range(size))
-
+    base = f.d + 1
+    place = [base**k for k in range(size)]
+    fden = lcm(*(c.denominator for _, c in f.terms))
+    sden = lcm(*(v.denominator for row in sigma.rows for v in row))
     forms = []
     for j in range(size):
-        col = sigma.column(j)
-        forms.append(HomogeneousPoly.make(f.n, 1, {unit(k): col[k] for k in range(size) if col[k] != 0}))
+        col = scaled_integers(sigma.column(j), sden)
+        forms.append({place[k]: v for k, v in enumerate(col) if v})
 
-    one = HomogeneousPoly.make(f.n, 0, {tuple([0] * size): Fraction(1)})
-    powers: dict[tuple[int, int], HomogeneousPoly] = {}
+    powers: dict[tuple[int, int], dict[int, int]] = {}
 
-    def form_power(j: int, t: int) -> HomogeneousPoly:
-        if t == 0:
-            return one
+    def form_power(j: int, t: int) -> dict[int, int]:
         key = (j, t)
         if key not in powers:
-            powers[key] = form_power(j, t - 1) * forms[j]
+            powers[key] = forms[j] if t == 1 else _packed_product(form_power(j, t - 1), forms[j])
         return powers[key]
 
-    acc: dict[Exponent, Fraction] = {}
-    for exp, coeff in f.terms:
-        prod = one
+    acc: dict[int, int] = {}
+    coeffs = scaled_integers((c for _, c in f.terms), fden)
+    for (exp, _), coeff in zip(f.terms, coeffs):
+        prod = {0: coeff}
         for j, t in enumerate(exp):
             if t:
-                prod = prod * form_power(j, t)
-        for e, c in prod.terms:
-            acc[e] = acc.get(e, Fraction(0)) + coeff * c
-    result = HomogeneousPoly.make(f.n, f.d, acc)
+                prod = _packed_product(prod, form_power(j, t))
+        for key, c in prod.items():
+            acc[key] = acc.get(key, 0) + c
+
+    scale = fden * sden**f.d
+    terms = {
+        tuple(key // p % base for p in place): Fraction(c, scale) for key, c in acc.items() if c
+    }
+    result = HomogeneousPoly.make(f.n, f.d, terms)
     if result.is_zero and not f.is_zero:
-        raise PolyError("invertible change of coordinates produced zero polynomial")
+        raise InternalConsistencyError("invertible change of coordinates produced zero polynomial")
     return result
+
+
+def _packed_product(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
+    out: dict[int, int] = {}
+    for ka, ca in a.items():
+        for kb, cb in b.items():
+            k = ka + kb
+            out[k] = out.get(k, 0) + ca * cb
+    return out

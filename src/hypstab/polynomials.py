@@ -205,11 +205,6 @@ class AffinePoly:
                 return c
         return Fraction(0)
 
-    def total_degree(self) -> int:
-        if self.is_zero:
-            return 0
-        return max(sum(e) for e, _ in self.terms)
-
     def min_degree(self) -> int:
         if self.is_zero:
             raise PolyError("zero polynomial has no minimal degree")

@@ -1,17 +1,27 @@
-"""Exact two-phase simplex over the rationals with Bland's pivoting rule.
+"""Exact two-phase simplex with Bland's pivoting rule, pivoted fraction-free.
 
 Solves ``min c.x  subject to  A x = b, x >= 0`` in exact arithmetic.  Bland's
 rule (lowest eligible index enters, ties in the ratio test broken by lowest
-basic index) guarantees termination; the problems solved here are tiny, so
-exactness costs nothing noticeable.  The solver carries no shared state and
+basic index) guarantees termination.  The solver carries no shared state and
 is safe for concurrent use.
+
+The tableau is held as Python integers over one common denominator ``D > 0``
+(Edmonds 1967; Bareiss 1968).  A pivot on ``(r, c)`` with ``p = T[r][c]`` sets
+``T[i][j] <- (T[i][j] * p - T[i][c] * T[r][j]) / D`` for every row but ``r``
+and then ``D <- p``.  By Sylvester's identity every entry stays an integer
+multiple of a minor of the integer-scaled input, so each division is exact.
+``T / D`` is at every step the tableau the same pivots give over the
+rationals, so results are converted to :class:`~fractions.Fraction` only
+when they are returned.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm, prod
 from typing import Iterable, Sequence
 
+from .linalg import scaled_integers
 from .verdicts import InternalConsistencyError
 
 OPTIMAL = "optimal"
@@ -35,40 +45,58 @@ class LPResult:
     status is infeasible."""
 
 
-def _pivot(rows: list[list[Fraction]], cost: list[Fraction], basis: list[int], r: int, c: int) -> None:
-    pivot_val = rows[r][c]
-    rows[r] = [v / pivot_val for v in rows[r]]
-    for i, row in enumerate(rows):
-        if i != r and row[c] != 0:
+class _Tableau:
+    """Constraint rows, then the cost row, as integers over ``den``; the
+    last column is the right-hand side."""
+
+    def __init__(self, rows: list[list[int]], cost: list[int], basis: list[int], den: int):
+        self.rows = rows + [cost]
+        self.basis = basis
+        self.den = den
+
+    @property
+    def cost(self) -> list[int]:
+        return self.rows[-1]
+
+    def pivot(self, r: int, c: int) -> None:
+        pivot_row = self.rows[r]
+        p, den = pivot_row[c], self.den
+        for i, row in enumerate(self.rows):
+            if i == r:
+                continue
             factor = row[c]
-            rows[i] = [a - factor * b for a, b in zip(row, rows[r])]
-    if cost[c] != 0:
-        factor = cost[c]
-        for j in range(len(cost)):
-            cost[j] -= factor * rows[r][j]
-    basis[r] = c
+            if factor:
+                self.rows[i] = [(a * p - factor * b) // den for a, b in zip(row, pivot_row)]
+            elif p != den:
+                self.rows[i] = [a * p // den for a in row]
+        self.basis[r] = c
+        self.den = p
+        if p < 0:
+            self.rows = [[-v for v in row] for row in self.rows]
+            self.den = -p
 
-
-def _iterate(rows: list[list[Fraction]], cost: list[Fraction], basis: list[int], ncols: int) -> str:
-    while True:
-        entering = next((j for j in range(ncols) if cost[j] < 0), None)
-        if entering is None:
-            return OPTIMAL
-        best_ratio = None
-        leaving = None
-        for i, row in enumerate(rows):
-            if row[entering] > 0:
-                ratio = row[-1] / row[entering]
-                if (
-                    best_ratio is None
-                    or ratio < best_ratio
-                    or (ratio == best_ratio and basis[i] < basis[leaving])
-                ):
-                    best_ratio = ratio
-                    leaving = i
-        if leaving is None:
-            return UNBOUNDED
-        _pivot(rows, cost, basis, leaving, entering)
+    def run(self, ncols: int) -> str:
+        """Bland's rule over the first ``ncols`` columns."""
+        while True:
+            cost = self.cost
+            entering = next((j for j in range(ncols) if cost[j] < 0), None)
+            if entering is None:
+                return OPTIMAL
+            leaving = None
+            for i, row in enumerate(self.rows[:-1]):
+                a = row[entering]
+                if a > 0:
+                    if leaving is None:
+                        leaving = i
+                        continue
+                    # row[-1] / a against the best ratio, cross-multiplied.
+                    best = self.rows[leaving]
+                    lhs, rhs = row[-1] * best[entering], best[-1] * a
+                    if lhs < rhs or (lhs == rhs and self.basis[i] < self.basis[leaving]):
+                        leaving = i
+            if leaving is None:
+                return UNBOUNDED
+            self.pivot(leaving, entering)
 
 
 def solve_lp(A: Iterable[Iterable], b: Sequence, c: Sequence) -> LPResult:
@@ -81,62 +109,66 @@ def solve_lp(A: Iterable[Iterable], b: Sequence, c: Sequence) -> LPResult:
     if len(rhs) != m or any(len(row) != nv for row in rows):
         raise SimplexError("inconsistent LP dimensions")
 
-    flips = [False] * m
-    for i in range(m):
-        if rhs[i] < 0:
-            rows[i] = [-v for v in rows[i]]
-            rhs[i] = -rhs[i]
-            flips[i] = True
+    flips = [v < 0 for v in rhs]
+    # Row i scaled by its own denominator lcm s_i is an integer row; the
+    # rational tableau [A | I | b] times prod(s_i) is integral, and from that
+    # start every fraction-free division is exact.  A common lcm is not
+    # enough once two rows share a prime in their denominators.
+    den = prod(lcm(*(v.denominator for v in row), r.denominator) for row, r in zip(rows, rhs))
 
     # Phase 1: minimize the sum of one artificial variable per row.
     total = nv + m
-    tableau = [
-        rows[i] + [Fraction(int(k == i)) for k in range(m)] + [rhs[i]] for i in range(m)
-    ]
-    basis = [nv + i for i in range(m)]
-    cost = [Fraction(0)] * nv + [Fraction(1)] * m + [Fraction(0)]
-    for row in tableau:
-        for j in range(total + 1):
-            cost[j] -= row[j]
+    tableau = []
+    for i in range(m):
+        row = scaled_integers(rows[i] + [rhs[i]], den)
+        if flips[i]:
+            row = [-v for v in row]
+        tableau.append(row[:nv] + [den if k == i else 0 for k in range(m)] + row[nv:])
+    cost = [-sum(col) for col in zip(*tableau)] if m else [0] * (total + 1)
+    cost[nv:total] = [0] * m
+    t = _Tableau(tableau, cost, [nv + i for i in range(m)], den)
 
-    status = _iterate(tableau, cost, basis, total)
-    if status != OPTIMAL:
+    if t.run(total) != OPTIMAL:
         raise SimplexError("phase 1 cannot be unbounded")
-    if -cost[-1] != 0:
+    if t.cost[-1] != 0:
         # Farkas certificate from the phase-1 duals: the reduced cost of the
         # i-th artificial column is 1 - y_i; undo the rhs sign flips.
-        farkas = [
-            (-(1 - cost[nv + i]) if flips[i] else (1 - cost[nv + i])) for i in range(m)
-        ]
+        farkas = []
+        for i in range(m):
+            y = Fraction(t.den - t.cost[nv + i], t.den)
+            farkas.append(-y if flips[i] else y)
         return LPResult(INFEASIBLE, farkas=farkas)
 
     # Drive remaining artificial variables out of the basis; drop redundant rows.
     keep: list[int] = []
     for i in range(m):
-        if basis[i] >= nv:
-            col = next((j for j in range(nv) if tableau[i][j] != 0), None)
+        if t.basis[i] >= nv:
+            col = next((j for j in range(nv) if t.rows[i][j] != 0), None)
             if col is None:
                 continue  # redundant constraint
-            _pivot(tableau, cost, basis, i, col)
+            t.pivot(i, col)
         keep.append(i)
-    tableau = [tableau[i][:nv] + [tableau[i][-1]] for i in keep]
-    basis = [basis[i] for i in keep]
 
-    # Phase 2: original objective.
-    cost2 = list(obj) + [Fraction(0)]
-    for i, row in enumerate(tableau):
-        if cost2[basis[i]] != 0:
-            factor = cost2[basis[i]]
-            for j in range(nv + 1):
-                cost2[j] -= factor * row[j]
+    # Phase 2: original objective.  Scaling the tableau by the objective's
+    # denominator lcm keeps the reduced costs integral.
+    scale = lcm(*(v.denominator for v in obj))
+    scaled_obj = scaled_integers(obj, scale)
+    rows2 = [t.rows[i][:nv] + [t.rows[i][-1]] for i in keep]
+    basis = [t.basis[i] for i in keep]
+    cost2 = [v * t.den for v in scaled_obj] + [0]
+    for i, row in enumerate(rows2):
+        factor = scaled_obj[basis[i]]
+        if factor:
+            cost2 = [a - factor * v for a, v in zip(cost2, row)]
+    if scale != 1:
+        rows2 = [[v * scale for v in row] for row in rows2]
+    t = _Tableau(rows2, cost2, basis, t.den * scale)
 
-    status = _iterate(tableau, cost2, basis, nv)
-    if status == UNBOUNDED:
+    if t.run(nv) == UNBOUNDED:
         return LPResult(UNBOUNDED)
 
     x = [Fraction(0)] * nv
-    for i, row in enumerate(tableau):
-        x[basis[i]] = row[-1]
+    for i, row in enumerate(t.rows[:-1]):
+        x[t.basis[i]] = Fraction(row[-1], t.den)
     objective = sum((ci * xi for ci, xi in zip(obj, x)), Fraction(0))
     return LPResult(OPTIMAL, x, objective)
-

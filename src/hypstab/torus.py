@@ -33,12 +33,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 
 import numpy as np
 
 from .grid import box_blocks
-from .linalg import nullspace_vector, rational_rank
+from .linalg import integer_rank, nullspace_vector, primitive_row, scaled_integers
 from .polynomials import Exponent, HomogeneousPoly
 from .simplex import INFEASIBLE, OPTIMAL, SimplexError, solve_lp
 from .verdicts import InternalConsistencyError
@@ -66,20 +66,8 @@ class TorusDecision:
         return out
 
 
-def _centroid(n: int, d: int) -> tuple[Fraction, ...]:
-    return tuple(Fraction(d, n + 1) for _ in range(n + 1))
-
-
 def _integer_weight(values) -> WeightVector:
-    values = [Fraction(v) for v in values]
-    denom = lcm(*(v.denominator for v in values))
-    ints = [int(v * denom) for v in values]
-    g = 0
-    for v in ints:
-        g = gcd(g, abs(v))
-    if g > 1:
-        ints = [v // g for v in ints]
-    return WeightVector(tuple(ints))
+    return WeightVector(tuple(primitive_row(values)))
 
 
 def _shifted_rows(support, n: int, d: int) -> list[list[int]]:
@@ -94,18 +82,20 @@ def _farkas_witness(y) -> WeightVector:
 
 
 def _verify_barycentric(support, lambdas, n: int, d: int, positive: bool) -> None:
-    c = _centroid(n, d)
-    if sum(lambdas) != 1:
+    """Check in integers, with the weights scaled by their denominator lcm L:
+    they sum to L, have the right signs, and ``(n + 1) * sum(w * exp_j)``
+    is ``d * L`` for every j, i.e. they average the support to the centroid."""
+    scale = lcm(*(l.denominator for l in lambdas))
+    weights = scaled_integers(lambdas, scale)
+    if sum(weights) != scale:
         raise SimplexError("barycentric weights do not sum to 1")
-    if any(l < 0 for l in lambdas) or (positive and any(l == 0 for l in lambdas)):
+    if any(w < 0 for w in weights) or (positive and any(w == 0 for w in weights)):
         raise SimplexError("barycentric weights have wrong signs")
     for j in range(n + 1):
-        if sum(l * exp[j] for l, exp in zip(lambdas, support)) != c[j]:
+        if (n + 1) * sum(w * exp[j] for w, exp in zip(weights, support)) != d * scale:
             raise SimplexError("barycentric combination misses the centroid")
-    if positive:
-        shifted = [[Fraction(e) - cj for e, cj in zip(exp, c)] for exp in support]
-        if rational_rank(shifted) != n:
-            raise SimplexError("shifted support does not span the direction space")
+    if positive and integer_rank(_shifted_rows(support, n, d)) != n:
+        raise SimplexError("shifted support does not span the direction space")
 
 
 def _corner_certificate(support, n: int, d: int) -> BarycentricCertificate | None:

@@ -22,10 +22,6 @@ class Status(enum.Enum):
     def is_positive(self) -> bool:
         return self in (Status.STABLE, Status.SEMISTABLE)
 
-    @property
-    def is_negative(self) -> bool:
-        return self in (Status.NOT_STABLE, Status.NOT_SEMISTABLE)
-
 
 _POSITIVE_STRENGTH = {Status.INCONCLUSIVE: 0, Status.SEMISTABLE: 1, Status.STABLE: 2}
 

@@ -35,7 +35,6 @@ from hypstab import (
 from hypstab.cli import EXIT_OK, main
 from hypstab.linalg import apply_linear_change, rational_rank
 from hypstab.local_analysis import ProjectivePoint
-from hypstab.torus import _centroid
 
 from conftest import (
     CORPUS_TEXTS,
@@ -226,7 +225,7 @@ def _verify_decision(f, decision):
     cert = decision.certificate
     assert sum(lam for _, lam in cert) == 1
     assert all(lam >= 0 for _, lam in cert)
-    centroid = _centroid(n, d)
+    centroid = [Fraction(d, n + 1)] * (n + 1)
     for j in range(n + 1):
         assert sum(lam * exp[j] for exp, lam in cert) == centroid[j]
     if not decision.strict:

@@ -93,6 +93,16 @@ class TestAnalyze:
         assert "internal consistency failure" in err
         assert "Traceback" not in err
 
+    def test_transform_to_zero_exits_internal(self, capsys, poly_file, monkeypatch):
+        # An invertible change cannot map a nonzero form to zero, so no input
+        # reaches this; force it by expanding every product to nothing.
+        monkeypatch.setattr("hypstab.linalg._packed_product", lambda a, b: {})
+        path = poly_file("x0^2*x2 + x1^3")
+        code, _, err = run(capsys, ["analyze", path, "--budget", "1"])
+        assert code == EXIT_INTERNAL
+        assert "produced zero polynomial" in err
+        assert "Traceback" not in err
+
 
 class TestExample:
     def test_fn(self, capsys):

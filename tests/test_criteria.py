@@ -244,5 +244,4 @@ class TestMonotonicity:
         # Positive and negative statuses never coexist in combined output by
         # construction; spot-check the lattice helpers.
         assert positive_strength(Status.STABLE) > positive_strength(Status.SEMISTABLE)
-        assert Status.STABLE.is_positive and not Status.STABLE.is_negative
-        assert Status.NOT_SEMISTABLE.is_negative
+        assert Status.STABLE.is_positive and not Status.NOT_SEMISTABLE.is_positive

@@ -1,0 +1,51 @@
+"""Saved ``analyze --no-timestamp --json`` reports, compared byte for byte.
+
+The inputs are the four smooth hypersurfaces of the benchmark and three
+disguised singular ones (a base form under an integer change U*P).  The
+reports pin the whole pipeline at the CLI defaults: scan, criteria, frame
+search, torus LP and certificate.
+"""
+from __future__ import annotations
+
+from pathlib import Path
+
+import pytest
+
+from hypstab.cli import EXIT_OK, main
+
+GOLDEN = Path(__file__).parent / "data" / "golden"
+
+INPUTS = {
+    "fermat-quintic-surface": "x0^5 + x1^5 + x2^5 + x3^5",
+    "cyclic-cubic-surface": "x0^2*x1 + x1^2*x2 + x2^2*x3 + x3^2*x0",
+    "fermat-cubic-threefold": "x0^3 + x1^3 + x2^3 + x3^3 + x4^3",
+    "klein-quartic": "x0^3*x1 + x1^3*x2 + x2^3*x0",
+    # fn (n = 3) disguised: its strict certificate comes from the Farkas
+    # vector of an infeasible strict torus LP, in the second frame.
+    "fn3-disguised-strict": (
+        "x0^3 + x1^3 - 2*x1^2*x2 + 3*x1^2*x3 + 3*x1*x2^2 - 6*x1*x2*x3 + 3*x1*x3^2"
+        " - x2^3 + 3*x2^2*x3 - 3*x2*x3^2 + x3^3"
+    ),
+    # gn (n = 2) disguised: strict certificate from the Farkas path after
+    # point frames and permutations.
+    "gn2-disguised-strict": (
+        "-x0^3*x1 + 2*x0^3*x2 + x0^2*x1^2 - 4*x0^2*x1*x2 + x0^2*x2^2"
+        " + 2*x0*x1^2*x2 - 2*x0*x1*x2^2 + x1^2*x2^2"
+    ),
+    # fn (n = 3) under another change: no strict certificate within the
+    # budget, a non-strict one from the Farkas path of the non-strict LP.
+    "fn3-disguised-nonstrict": (
+        "2*x0^3 + 3*x0^2*x1 + 2*x0*x1^2 + 2*x0*x1*x2 - x0*x2^2 + x1^3 + x1^2*x2"
+        " + x1^2*x3 - 2*x1*x2^2 - 2*x1*x2*x3 + x2^3 + x2^2*x3"
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INPUTS))
+def test_report_matches_golden(capsys, tmp_path, name):
+    path = tmp_path / f"{name}.poly"
+    path.write_text(INPUTS[name] + "\n")
+    code = main(["analyze", str(path), "--no-timestamp", "--json", "-"])
+    out = capsys.readouterr().out
+    assert code == EXIT_OK
+    assert out.encode() == (GOLDEN / f"{name}.json").read_bytes()

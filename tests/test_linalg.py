@@ -1,17 +1,24 @@
-"""Exact matrix operations and fraction-free rank."""
+"""Exact matrix operations, fraction-free rank, nullspace and coordinate
+changes."""
 from __future__ import annotations
 
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from hypstab import RationalMatrix
+from hypstab import HomogeneousPoly, RationalMatrix
 from hypstab.linalg import (
     MatrixError,
+    apply_linear_change,
     integer_rank,
     matrix_moving_point_last,
+    nullspace_vector,
     rational_rank,
 )
+
+from conftest import degree_monomials
 
 
 class TestRationalMatrix:
@@ -79,3 +86,121 @@ class TestPointMove:
     def test_zero_vector_rejected(self):
         with pytest.raises(MatrixError):
             matrix_moving_point_last([0, 0, 0])
+
+
+# --- differential tests against the Fraction implementations ---------------
+#
+# Copies of the Fraction code that the integer kernels replaced; results must
+# be exactly equal.
+
+
+def reference_nullspace_vector(rows):
+    m = [[Fraction(x) for x in row] for row in rows]
+    if not m:
+        return None
+    ncols = len(m[0])
+    pivots = []
+    row = 0
+    for col in range(ncols):
+        pivot = next((r for r in range(row, len(m)) if m[r][col] != 0), None)
+        if pivot is None:
+            continue
+        m[row], m[pivot] = m[pivot], m[row]
+        inv = 1 / m[row][col]
+        m[row] = [v * inv for v in m[row]]
+        for r in range(len(m)):
+            if r != row and m[r][col] != 0:
+                factor = m[r][col]
+                m[r] = [a - factor * b for a, b in zip(m[r], m[row])]
+        pivots.append((row, col))
+        row += 1
+        if row == len(m):
+            break
+    pivot_cols = {c for _, c in pivots}
+    free = next((c for c in range(ncols) if c not in pivot_cols), None)
+    if free is None:
+        return None
+    x = [Fraction(0)] * ncols
+    x[free] = Fraction(1)
+    for r, c in pivots:
+        x[c] = -m[r][free]
+    return x
+
+
+def reference_apply_linear_change(f, sigma):
+    size = f.n + 1
+
+    def unit(k):
+        return tuple(int(i == k) for i in range(size))
+
+    forms = []
+    for j in range(size):
+        col = sigma.column(j)
+        forms.append(HomogeneousPoly.make(f.n, 1, {unit(k): col[k] for k in range(size) if col[k] != 0}))
+    one = HomogeneousPoly.make(f.n, 0, {tuple([0] * size): Fraction(1)})
+    acc = {}
+    for exp, coeff in f.terms:
+        prod = one
+        for j, t in enumerate(exp):
+            for _ in range(t):
+                prod = prod * forms[j]
+        for e, c in prod.terms:
+            acc[e] = acc.get(e, Fraction(0)) + coeff * c
+    return HomogeneousPoly.make(f.n, f.d, acc)
+
+
+def rationals(bound, max_den):
+    return st.builds(Fraction, st.integers(-bound, bound), st.integers(1, max_den))
+
+
+@st.composite
+def low_rank_matrices(draw):
+    """Integer or rational matrices, often taller than wide, whose rows are
+    combinations of at most ``rank`` random rows."""
+    ncols = draw(st.integers(1, 6))
+    nrows = draw(st.integers(1, 8))
+    max_den = draw(st.sampled_from([1, 5]))
+    entries = rationals(4, max_den)
+    base = [draw(st.lists(entries, min_size=ncols, max_size=ncols))
+            for _ in range(draw(st.integers(1, min(nrows, ncols + 1))))]
+    rows = []
+    for _ in range(nrows):
+        coeffs = draw(st.lists(st.integers(-2, 2), min_size=len(base), max_size=len(base)))
+        rows.append([sum(c * row[j] for c, row in zip(coeffs, base)) for j in range(ncols)])
+    return rows
+
+
+@given(low_rank_matrices())
+@settings(max_examples=200, deadline=None)
+def test_nullspace_matches_fraction_elimination(rows):
+    x = nullspace_vector(rows)
+    assert x == reference_nullspace_vector(rows)
+    if x is not None:
+        assert all(sum(a * v for a, v in zip(row, x)) == 0 for row in rows)
+    assert (x is None) == (rational_rank(rows) == len(rows[0]))
+
+
+@st.composite
+def invertible_matrices(draw, size):
+    rows = [draw(st.lists(rationals(3, 4), min_size=size, max_size=size)) for _ in range(size)]
+    sigma = RationalMatrix.from_rows(rows)
+    assume(sigma.determinant() != 0)
+    return sigma
+
+
+@st.composite
+def forms_and_changes(draw):
+    n = draw(st.integers(1, 4))
+    d = draw(st.integers(1, 5))
+    support = draw(st.lists(st.sampled_from(degree_monomials(n, d)), min_size=1, max_size=5, unique=True))
+    f = HomogeneousPoly.make(n, d, {e: draw(rationals(5, 6).filter(bool)) for e in support})
+    return f, draw(invertible_matrices(n + 1)), draw(invertible_matrices(n + 1))
+
+
+@given(forms_and_changes())
+@settings(max_examples=60, deadline=None)
+def test_linear_change_matches_fraction_expansion(case):
+    f, sigma, tau = case
+    g = apply_linear_change(f, sigma)
+    assert g == reference_apply_linear_change(f, sigma)
+    assert apply_linear_change(g, tau) == apply_linear_change(f, tau @ sigma)

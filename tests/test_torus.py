@@ -2,11 +2,14 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
 from hypstab import enumerate_weight_oracle, membership, parse_poly, torus_destabilize
 from hypstab.linalg import rational_rank
+from hypstab.simplex import SimplexError
+from hypstab.torus import _verify_barycentric
 
 from conftest import random_support_poly
 
@@ -174,3 +177,56 @@ class TestAgreement:
             witness = enumerate_weight_oracle(f, 40, strict)
             assert decision.feasible == (witness is not None), f.terms
             assert_decision_verifies(f, decision)
+
+
+class TestVerifyBarycentric:
+    """The integer check of barycentric certificates accepts what the LP
+    returns and rejects each way a certificate can be wrong."""
+
+    @staticmethod
+    def certificates(rng):
+        for _ in range(40):
+            n = rng.choice([2, 3])
+            f = random_support_poly(rng, n, rng.choice([3, 4]))
+            for strict in (True, False):
+                decision = torus_destabilize(f, strict)
+                if not decision.feasible:
+                    support = [exp for exp, _ in decision.certificate]
+                    lambdas = [lam for _, lam in decision.certificate]
+                    yield support, lambdas, n, f.d, not strict
+
+    def test_accepts_lp_certificates(self, rng):
+        seen = {True: 0, False: 0}
+        for support, lambdas, n, d, positive in self.certificates(rng):
+            _verify_barycentric(support, lambdas, n, d, positive)
+            seen[positive] += 1
+        assert seen[True] and seen[False]
+
+    def test_rejects_weights_moved_by_one_over_l(self, rng):
+        transfers = 0
+        for support, lambdas, n, d, positive in self.certificates(rng):
+            step = Fraction(1, lcm(*(lam.denominator for lam in lambdas)))
+            with pytest.raises(SimplexError, match="sum to 1"):
+                _verify_barycentric(support, [lambdas[0] + step] + lambdas[1:], n, d, positive)
+            if len(lambdas) > 1 and lambdas[0] > step:
+                moved = [lambdas[0] - step, lambdas[1] + step] + lambdas[2:]
+                with pytest.raises(SimplexError, match="centroid"):
+                    _verify_barycentric(support, moved, n, d, positive)
+                transfers += 1
+        assert transfers
+
+    def test_zero_weight_rejected_only_when_positive(self):
+        support = [(3, 0, 0), (0, 3, 0), (0, 0, 3), (2, 1, 0)]
+        third = Fraction(1, 3)
+        lambdas = [third, third, third, Fraction(0)]
+        _verify_barycentric(support, lambdas, 2, 3, positive=False)
+        with pytest.raises(SimplexError, match="signs"):
+            _verify_barycentric(support, lambdas, 2, 3, positive=True)
+
+    def test_rank_deficient_support_rejected_when_positive(self):
+        # (2,1,0) and (0,1,2) average to the centroid (1,1,1) but span a line.
+        support = [(2, 1, 0), (0, 1, 2)]
+        half = Fraction(1, 2)
+        _verify_barycentric(support, [half, half], 2, 3, positive=False)
+        with pytest.raises(SimplexError, match="span"):
+            _verify_barycentric(support, [half, half], 2, 3, positive=True)
