@@ -1,13 +1,17 @@
 """Analysis pipeline and machine-readable reports.
 
 The analyze pipeline: scan for rational singular points, compute local
-invariants at found and supplied points, build a singularity profile (with
-per-field provenance: user-asserted, verified-at-points, or heuristic), run
-every sufficient criterion, then search for destabilization certificates.
+invariants at found and supplied points; when none is singular and no s is
+asserted, try to prove smoothness modulo a prime (:mod:`.modp`); build a
+singularity profile (with per-field provenance: user-asserted, exact,
+verified-at-points, or heuristic), run every sufficient criterion, then
+search for destabilization certificates.  A proven ``Stable`` skips the
+search: no certificate of either kind can exist (Hilbert-Mumford).
+
 Negative claims always carry an exactly verified certificate; positive
-claims inherit the profile's provenance.  A verified certificate beats a
-profile-based positive claim, and the conflict is surfaced in the report
-rather than silently resolved.
+claims inherit the profile's basis, reported as ``basis``.  A verified
+certificate beats a profile-based positive claim, and the conflict is
+surfaced in the report rather than silently resolved.
 """
 from __future__ import annotations
 
@@ -24,11 +28,12 @@ from .local_analysis import (
     is_cone,
     scan_singular_points,
 )
+from .modp import SmoothnessProof, prove_smooth
 from .polynomials import HomogeneousPoly, format_poly
 from .search import SearchConfig, SearchOutcome, search_destabilization
 from .verdicts import Reason, StabilityVerdict, Status
 
-SCHEMA = "hypstab-report/1"
+SCHEMA = "hypstab-report/2"
 
 
 @dataclass
@@ -50,7 +55,10 @@ class AnalysisReport:
     cone_free: bool | None
     criteria: StabilityVerdict
     search_outcome: SearchOutcome
+    search_budget: int
+    search_skipped: str | None
     status: Status
+    basis: str
     reasons: list[Reason]
     conflicts: list[str]
     seed: int
@@ -72,7 +80,9 @@ class AnalysisReport:
             "cone_free": self.cone_free,
             "criteria": self.criteria.to_json(),
             "search": {
-                "budget": self.search_outcome.frames_tried,
+                "budget": self.search_budget,
+                "frames_tried": self.search_outcome.frames_tried,
+                "skipped": self.search_skipped,
                 "strict_certificate": (
                     self.search_outcome.strict.to_json() if self.search_outcome.strict else None
                 ),
@@ -84,6 +94,7 @@ class AnalysisReport:
                 "frames": [fr.to_json() for fr in self.search_outcome.frames],
             },
             "status": self.status.value,
+            "basis": self.basis,
             "reasons": [r.to_json() for r in self.reasons],
             "conflicts": list(self.conflicts),
         }
@@ -113,7 +124,9 @@ class AnalysisReport:
         )
         lines.append("criteria verdict: " + str(self.criteria).replace("\n", "\n  "))
         so = self.search_outcome
-        if so.strict:
+        if self.search_skipped:
+            lines.append(f"search skipped: {self.search_skipped}")
+        elif so.strict:
             lines.append(f"strict certificate found: r = {so.strict.r}")
         elif so.nonstrict:
             lines.append(
@@ -124,17 +137,23 @@ class AnalysisReport:
             lines.append(f"no certificate found within budget ({so.frames_tried} frames)")
         for c in self.conflicts:
             lines.append(f"CONFLICT: {c}")
-        lines.append(f"status: {self.status.value}")
+        lines.append(f"status: {self.status.value} ({self.basis})")
         return "\n".join(lines)
 
 
 def build_profile(
-    singular: list[LocalData], n: int, d: int, s_user: int | None
-) -> tuple[SingularityProfile, bool | None]:
-    """Profile and tangent-cone summary from analyzed singular points.
+    singular: list[LocalData],
+    n: int,
+    d: int,
+    s_user: int | None,
+    proof: SmoothnessProof | None,
+) -> tuple[SingularityProfile, bool | None, str]:
+    """Profile, tangent-cone summary and basis from analyzed singular points.
 
-    Everything not asserted by the user is tagged heuristic: the scan only
-    sees rational points of bounded height.
+    A smoothness proof makes s = -1 (and so delta = 1) exact.  Everything
+    else not asserted by the user is tagged heuristic: the scan only sees
+    rational points of bounded height.  The basis is the weakest tag among
+    the data: ``exact-bound``, ``asserted`` or ``heuristic``.
     """
     provenance = {}
     if not singular:
@@ -142,9 +161,17 @@ def build_profile(
             raise ValueError(
                 f"--s {s_user} asserted but no singular points were found to analyze"
             )
-        provenance["s"] = "user-asserted" if s_user is not None else "heuristic"
-        provenance["delta"] = provenance["s"]
-        return SingularityProfile(n, d, -1, 1, provenance=provenance), None
+        if s_user is not None:
+            provenance["s"] = provenance["delta"] = "user-asserted"
+            basis = "asserted"
+        elif proof is not None:
+            provenance["s"] = str(proof)
+            provenance["delta"] = "exact (smooth)"
+            basis = "exact-bound"
+        else:
+            provenance["s"] = provenance["delta"] = "heuristic"
+            basis = "heuristic"
+        return SingularityProfile(n, d, -1, 1, provenance=provenance), None, basis
 
     if s_user == -1:
         raise ValueError("--s -1 (smooth) asserted but singular points were found")
@@ -165,23 +192,25 @@ def build_profile(
     worst = [p for p in singular if p.multiplicity == delta]
     if worst:
         cone_free = all(not is_cone(p.tangent_cone) for p in worst)
-    return SingularityProfile(n, d, s, delta, rank, provenance=provenance), cone_free
+    profile = SingularityProfile(n, d, s, delta, rank, provenance=provenance)
+    return profile, cone_free, "heuristic"
 
 
 def _merge_with_certificates(
-    criteria_verdict: StabilityVerdict, outcome: SearchOutcome
+    criteria_verdict: StabilityVerdict, outcome: SearchOutcome, profile: SingularityProfile
 ) -> tuple[Status, list[Reason], list[str]]:
     """Combine criteria output with exactly verified certificates.
 
     A strict certificate settles NotSemiStable.  A non-strict certificate
     plus a SemiStable criterion is the strictly-semistable situation: the
     status stays SemiStable and the certificate documents non-stability.
-    Certificates are exact, so on contradiction they win and the conflict is
-    reported.
+    Certificates are exact, so on contradiction they win and the conflict
+    names the provenance of the profile data that must be wrong.
     """
     reasons = list(criteria_verdict.reasons)
     conflicts: list[str] = []
     crit = criteria_verdict.status
+    data = "; ".join(f"{k}: {v}" for k, v in sorted(profile.provenance.items()))
 
     if outcome.strict is not None:
         reasons.append(
@@ -194,7 +223,7 @@ def _merge_with_certificates(
         if crit.is_positive:
             conflicts.append(
                 "a verified strict certificate contradicts a positive criterion; "
-                "the supplied singularity data is wrong (certificate wins)"
+                f"the profile data ({data}) is wrong (certificate wins)"
             )
         return Status.NOT_SEMISTABLE, reasons, conflicts
 
@@ -209,7 +238,7 @@ def _merge_with_certificates(
         if crit == Status.STABLE:
             conflicts.append(
                 "a verified non-strict certificate contradicts a Stable criterion; "
-                "the supplied singularity data is wrong (certificate wins)"
+                f"the profile data ({data}) is wrong (certificate wins)"
             )
             return Status.NOT_STABLE, reasons, conflicts
         if crit == Status.SEMISTABLE:
@@ -229,12 +258,22 @@ def analyze(f: HomogeneousPoly, options: AnalysisOptions) -> AnalysisReport:
     local = [analyze_point(f, p) for p in points]
     singular = [p for p in local if p.multiplicity >= 2]
 
-    profile, cone_free = build_profile(singular, f.n, f.d, options.s)
+    proof = prove_smooth(f) if not singular and options.s is None else None
+    profile, cone_free, basis = build_profile(singular, f.n, f.d, options.s, proof)
     criteria_verdict = combined_verdict(profile, cone_free)
 
-    frame_points = tuple(p.point for p in singular)
-    outcome = search_destabilization(f, options.search, frame_points)
-    status, reasons, conflicts = _merge_with_certificates(criteria_verdict, outcome)
+    if basis == "exact-bound" and criteria_verdict.status == Status.STABLE:
+        # Stable rules out every certificate, strict or not, so no frame
+        # can succeed; tests run the full search on proven inputs instead.
+        outcome = SearchOutcome()
+        skipped = "Stable is proven, so no destabilizing certificate exists"
+    else:
+        frame_points = tuple(p.point for p in singular)
+        outcome = search_destabilization(f, options.search, frame_points)
+        skipped = None
+    status, reasons, conflicts = _merge_with_certificates(criteria_verdict, outcome, profile)
+    if status in (Status.NOT_STABLE, Status.NOT_SEMISTABLE):
+        basis = "certificate"
 
     stamp = (
         datetime.datetime.now(datetime.timezone.utc).isoformat() if options.timestamp else None
@@ -247,7 +286,10 @@ def analyze(f: HomogeneousPoly, options: AnalysisOptions) -> AnalysisReport:
         cone_free=cone_free,
         criteria=criteria_verdict,
         search_outcome=outcome,
+        search_budget=options.search.budget,
+        search_skipped=skipped,
         status=status,
+        basis=basis,
         reasons=reasons,
         conflicts=conflicts,
         seed=options.search.seed,

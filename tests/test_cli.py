@@ -83,6 +83,20 @@ class TestAnalyze:
         report = json.loads(out)
         assert report["profile"]["provenance"]["s"] == "user-asserted"
 
+    def test_conflict_names_the_profile_provenance(self, capsys, poly_file):
+        # The node of this cubic is at two conjugate irrational points: the
+        # scan finds no singular point, the smoothness proof fails, the
+        # heuristic profile reads smooth, and the search contradicts it.
+        path = poly_file("x0^3 - 2*x0*x1^2 - 2*x1^2*x2 + x2^3")
+        code, out, _ = run(capsys, ["analyze", path, "--budget", "50"])
+        assert code == EXIT_OK
+        conflicts = [line for line in out.splitlines() if line.startswith("CONFLICT: ")]
+        assert len(conflicts) == 1
+        assert "(delta: heuristic; s: heuristic)" in conflicts[0]
+        assert "supplied" not in conflicts[0]
+        assert "search skipped" not in out
+        assert "status: NotStable (certificate)" in out
+
     def test_lp_witness_failure_exits_internal(self, capsys, poly_file, monkeypatch):
         # No sorted catalog vector destabilizes this form, so its witness
         # comes from the torus LP; a failed re-check is an internal fault.

@@ -2,8 +2,10 @@
 
 The inputs are the four smooth hypersurfaces of the benchmark and three
 disguised singular ones (a base form under an integer change U*P).  The
-reports pin the whole pipeline at the CLI defaults: scan, criteria, frame
-search, torus LP and certificate.
+reports pin the whole pipeline at the CLI defaults: scan, smoothness proof,
+criteria, frame search, torus LP and certificate.  The smooth reports carry
+no frames, since the proof skips the search; ``test_modp`` pins the frames
+the search still visits on them.
 """
 from __future__ import annotations
 
