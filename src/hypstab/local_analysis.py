@@ -16,7 +16,7 @@ from math import gcd, lcm
 
 import numpy as np
 
-from .grid import box_blocks
+from .grid import box_batches
 from .linalg import apply_linear_change, matrix_moving_point_last, rational_rank
 from .polynomials import (
     AffinePoly,
@@ -231,10 +231,12 @@ class ScanResult:
     ``points`` is exact: every canonical rational point (integer, gcd one,
     first nonzero coordinate positive) of height <= ``height_bound`` with
     vanishing gradient, sorted by coordinates, each re-checked in rational
-    arithmetic.  ``field_counts`` is heuristic evidence only: a count of
-    gradient zeros over each finite field, or None when a field was
-    skipped.  Neither proves anything about singular points outside the
-    height bound or with irrational coordinates.
+    arithmetic.  ``field_counts`` is heuristic evidence only: for each
+    prime p, the number of singular points of F over F_p, that is of points
+    of P^n(F_p) at which F and every partial of F vanish mod p, F being f
+    with its denominators cleared and its content removed; or None when
+    the field was skipped.  Neither proves anything about singular points
+    outside the height bound or with irrational coordinates.
     """
 
     points: tuple[ProjectivePoint, ...]
@@ -279,11 +281,11 @@ def _is_prime(p: int) -> bool:
     return True
 
 
-def _cleared_partials(partials) -> tuple[list[Exponent], list[list[int]]]:
-    """The partials, each with its denominators cleared, as a monomial list
-    and a (monomial x partial) integer coefficient table."""
+def _integer_table(polys) -> tuple[list[Exponent], list[list[int]]]:
+    """The polynomials, each with its denominators cleared, as a monomial
+    list and a (monomial x polynomial) integer coefficient table."""
     cleared = []
-    for poly in partials:
+    for poly in polys:
         terms = poly.terms
         denom = lcm(*(c.denominator for _, c in terms)) if terms else 1
         cleared.append({exp: int(c * denom) for exp, c in terms})
@@ -291,52 +293,127 @@ def _cleared_partials(partials) -> tuple[list[Exponent], list[list[int]]]:
     return monomials, [[poly.get(exp, 0) for poly in cleared] for exp in monomials]
 
 
+def _primitive(f: HomogeneousPoly) -> HomogeneousPoly:
+    """f with its denominators cleared and its content removed: integer
+    coefficients with gcd one."""
+    scale = lcm(*(c.denominator for _, c in f.terms))
+    ints = {exp: int(c * scale) for exp, c in f.terms}
+    content = gcd(*ints.values())
+    return HomogeneousPoly.make(f.n, f.d, {exp: c // content for exp, c in ints.items()})
+
+
 def _block_dtype(bound: int):
-    """Block dtype for an evaluation whose values never exceed ``bound`` in
-    absolute value: int64 below 2**63, Python ints (``object``) otherwise."""
+    """Evaluation dtype for values that never exceed ``bound`` in absolute
+    value: int64 below 2**63, Python ints (``object``) otherwise."""
     return np.int64 if bound < 2**63 else object
 
 
 def _scan_dtype(monomials: list[Exponent], table: list[list[int]], height_bound: int):
-    """Block dtype for the rational scan: a partial with cleared coefficients
-    c_j is bounded by sum |c_j| * h^(d-1) on the box of height h."""
+    """Evaluation dtype for the rational scan: a partial with cleared
+    coefficients c_j is bounded by sum |c_j| * h^(d-1) on the box of height
+    h, and so is every term and every partial sum of it."""
     degree = max((sum(exp) for exp in monomials), default=0)
     column_sums = [sum(abs(c) for c in col) for col in zip(*table)]
     return _block_dtype(max(column_sums, default=0) * height_bound**degree)
 
 
-def _gradient_vanishes(block, exps, coeffs, modulus: int | None = None):
-    """Rows of ``block`` at which every partial vanishes (mod ``modulus`` when
-    given, reducing after each product).  ``exps`` lists the monomials of the
-    partials, ``coeffs`` (monomial x partial) their coefficients; the block
-    is evaluated in the dtype of ``coeffs``."""
-    values = np.ones((len(block), len(exps)), dtype=coeffs.dtype)
-    for j, col in enumerate(block.astype(coeffs.dtype, copy=False).T):
-        powers = [np.ones_like(col)]
-        for _ in range(int(exps[:, j].max(initial=0))):
-            powers.append(powers[-1] * col)
+def _monomial_values(points, exps, dtype, modulus: int | None):
+    """values[i, m] = prod_j points[i, j] ** exps[m, j] in ``dtype`` (mod
+    ``modulus`` when given, reducing after each product)."""
+    values = np.ones((len(points), len(exps)), dtype=dtype)
+    for j, col in enumerate(points.astype(dtype, copy=False).T):
+        # powers[e] = col ** e
+        powers = np.empty((int(exps[:, j].max(initial=0)) + 1, len(col)), dtype=dtype)
+        powers[0] = 1
+        for e in range(1, len(powers)):
+            np.multiply(powers[e - 1], col, out=powers[e])
             if modulus:
-                powers[-1] %= modulus
-        values *= np.stack(powers, axis=1)[:, exps[:, j]]
+                powers[e] %= modulus
+        values *= powers[exps[:, j]].T
         if modulus:
             values %= modulus
-    sums = values @ coeffs
+    return values
+
+
+def _box_zeros(exps, coeffs, heads, values, width: int, modulus: int | None = None):
+    """Yield the rows ``head + t``, head in ``heads`` (all of one length) and
+    t in ``product(values, repeat=width)``, at which every polynomial
+    vanishes (mod ``modulus`` when given), as int64 arrays of at most
+    ``grid.BLOCK_ROWS`` rows, in no particular order.
+
+    Column q of ``coeffs`` (monomial x polynomial) holds the coefficients of
+    polynomial q on the monomials ``exps``, in the dtype of the evaluation.
+    On the box of :func:`grid.box_batches` a monomial is (head part) x
+    (prefix part) x (tile part): the head part is folded into the
+    coefficients, the tile part is evaluated once and the prefix part once
+    per batch.  For each head, the sparsest polynomial is evaluated on the
+    whole batch x tile grid as one matrix product over its support, and each
+    next one only on the pairs where all before it vanish.  Every product is
+    c * P * T and every sum is part of one polynomial's value, so no value
+    exceeds the bound the dtype was chosen for.
+    """
+    nhead = len(heads[0])
+    tile, batches = box_batches(values, width)
+    cut = nhead + width - tile.shape[1]
+    dtype = coeffs.dtype
+    head_values = _monomial_values(np.array(heads, dtype=np.int64), exps[:, :nhead], dtype, modulus)
+    folded = [coeffs * hv[:, None] for hv in head_values]
     if modulus:
-        sums %= modulus
-    return (sums == 0).all(axis=1)
+        folded = [c % modulus for c in folded]
+    tile_values = _monomial_values(tile, exps[:, cut:], dtype, modulus)
+    # Per head, (support, coefficients) of each polynomial not identically
+    # zero on the box, sparsest first.
+    plans = []
+    for c in folded:
+        supports = [np.flatnonzero(col) for col in (c != 0).T]
+        sizes = sorted((len(s), q) for q, s in enumerate(supports) if len(s))
+        plans.append([(supports[q], c[supports[q], q]) for _, q in sizes])
+    for pre in batches:
+        pre_values = _monomial_values(pre, exps[:, nhead:cut], dtype, modulus)
+        for head, terms in zip(heads, plans):
+            if terms:
+                s, c = terms[0]
+                lhs = pre_values[:, s] * c
+                if modulus:
+                    lhs %= modulus
+                grid = lhs @ tile_values[:, s].T
+                if modulus:
+                    grid %= modulus
+                bi, ri = np.nonzero(grid == 0)
+            else:
+                bi, ri = np.nonzero(np.ones((len(pre), len(tile)), dtype=bool))
+            for s, c in terms[1:]:
+                if not len(bi):
+                    break
+                lhs = pre_values[bi[:, None], s] * c
+                if modulus:
+                    lhs %= modulus
+                sums = (lhs * tile_values[ri[:, None], s]).sum(axis=1)
+                if modulus:
+                    sums %= modulus
+                keep = sums == 0
+                bi, ri = bi[keep], ri[keep]
+            if len(bi):
+                rows = np.empty((len(bi), nhead + width), dtype=np.int64)
+                rows[:, :nhead] = head
+                rows[:, nhead:cut] = pre[bi]
+                rows[:, cut:] = tile[ri]
+                yield rows
 
 
 def _count_field_singular(exps, table, nvars: int, p: int) -> int | None:
+    """Points of P^n(F_p) at which every polynomial of ``table`` vanishes mod
+    ``p``, or None above ``_FIELD_SCAN_LIMIT`` points."""
     reps = sum(p**k for k in range(nvars))
     if reps > _FIELD_SCAN_LIMIT:
         return None
     dtype = _block_dtype(len(exps) * (p - 1) ** 2)
-    coeffs = np.array([[c % p for c in row] for row in table], dtype=dtype).reshape(len(exps), nvars)
-    count = 0
-    for k in range(nvars):
-        for block in box_blocks(range(p), nvars - k - 1, (0,) * k + (1,)):
-            count += int(_gradient_vanishes(block, exps, coeffs, p).sum())
-    return count
+    coeffs = np.array([[c % p for c in row] for row in table], dtype=dtype).reshape(len(exps), -1)
+    return sum(
+        len(rows)
+        for k in range(nvars)
+        for rows in _box_zeros(exps, coeffs, [(0,) * k + (1,)], range(p), nvars - k - 1, p)
+    )
 
 
 def scan_singular_points(
@@ -346,11 +423,14 @@ def scan_singular_points(
     gradient (exact), plus heuristic singular counts over finite fields.
 
     Only canonical points are enumerated: for each k, coordinates 0..k-1 are
-    0, coordinate k is in 1..h and the rest range over [-h, h]; rows with
-    gcd != 1 are dropped.  The partials, with denominators cleared once, are
-    evaluated on blocks of at most ``grid.BLOCK_ROWS`` rows in int64 when
-    max_j sum |c_j| * h^(d-1) < 2^63 and in Python ints otherwise.  Every hit
-    is re-checked in rational arithmetic.  Field sizes must be primes.
+    0, coordinate k is in 1..h and the rest range over [-h, h].  The
+    partials, each with its denominators cleared, are evaluated on the box
+    of each k factored as (head) x (prefix batch) x (tile), as
+    ``_box_zeros`` describes, in int64 when max_j sum |c_j| * h^(d-1) < 2^63
+    and in Python ints otherwise.  Rows with gcd != 1 are dropped from the
+    hits, and every hit left is re-checked in rational arithmetic.  The
+    field counts evaluate F and its partials on the same boxes mod p.
+    Field sizes must be primes.
     """
     if height_bound < 1:
         raise ValueError("height bound must be >= 1")
@@ -361,7 +441,7 @@ def scan_singular_points(
             raise ValueError(f"field size {prime} is not a prime")
     nvars = f.n + 1
     partials = [f.partial_derivative(j) for j in range(nvars)]
-    monomials, table = _cleared_partials(partials)
+    monomials, table = _integer_table(partials)
     exps = np.array(monomials, dtype=np.int64).reshape(len(monomials), nvars)
     dtype = _scan_dtype(monomials, table, height_bound)
     coeffs = np.array(table, dtype=dtype).reshape(len(monomials), nvars)
@@ -369,19 +449,24 @@ def scan_singular_points(
     found = []
     box = range(-height_bound, height_bound + 1)
     for k in range(nvars):
-        for a in range(1, height_bound + 1):
-            for block in box_blocks(box, nvars - k - 1, (0,) * k + (a,)):
-                block = block[np.gcd.reduce(block, axis=1) == 1]
-                for row in block[_gradient_vanishes(block, exps, coeffs)]:
-                    coords = tuple(int(c) for c in row)
-                    if any(p.evaluate(coords) != 0 for p in partials):
-                        raise InternalConsistencyError(
-                            f"integer scan found {coords}, where the gradient does not vanish"
-                        )
-                    found.append(ProjectivePoint(coords))
+        heads = [(0,) * k + (a,) for a in range(1, height_bound + 1)]
+        for rows in _box_zeros(exps, coeffs, heads, box, nvars - k - 1):
+            for row in rows[np.gcd.reduce(rows, axis=1) == 1]:
+                coords = tuple(int(c) for c in row)
+                if any(p.evaluate(coords) != 0 for p in partials):
+                    raise InternalConsistencyError(
+                        f"integer scan found {coords}, where the gradient does not vanish"
+                    )
+                found.append(ProjectivePoint(coords))
     found.sort(key=lambda p: p.coords)
 
-    field_counts = {
-        prime: _count_field_singular(exps, table, nvars, prime) for prime in field_sizes
-    }
+    field_counts = {}
+    if field_sizes:
+        # F and its partials have integer coefficients, so the table keeps them.
+        F = _primitive(f)
+        monomials, table = _integer_table([F] + [F.partial_derivative(j) for j in range(nvars)])
+        exps = np.array(monomials, dtype=np.int64).reshape(len(monomials), nvars)
+        field_counts = {
+            prime: _count_field_singular(exps, table, nvars, prime) for prime in field_sizes
+        }
     return ScanResult(tuple(found), height_bound, field_counts)

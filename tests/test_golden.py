@@ -1,8 +1,9 @@
 """Saved ``analyze --no-timestamp --json`` reports, compared byte for byte.
 
-The inputs are the four smooth hypersurfaces of the benchmark and three
-disguised singular ones (a base form under an integer change U*P).  The
-reports pin the whole pipeline at the CLI defaults: scan, smoothness proof,
+The inputs are the four smooth hypersurfaces of the benchmark, three
+disguised singular ones (a base form under an integer change U*P) and the
+families fn6 and gn6 with finite-field counts.  The reports pin the whole
+pipeline at the CLI defaults: scan, field counts, smoothness proof,
 criteria, frame search, torus LP and certificate.  The smooth reports carry
 no frames, since the proof skips the search; ``test_modp`` pins the frames
 the search still visits on them.
@@ -40,6 +41,15 @@ INPUTS = {
         "2*x0^3 + 3*x0^2*x1 + 2*x0*x1^2 + 2*x0*x1*x2 - x0*x2^2 + x1^3 + x1^2*x2"
         " + x1^2*x3 - 2*x1*x2^2 - 2*x1*x2*x3 + x2^3 + x2^2*x3"
     ),
+    # The benchmark's largest family inputs: the scan covers 7^7 box points.
+    "fn6-fields": "x0^2*x6 + x1^3 + x2^3 + x3^3 + x4^3 + x5^3",
+    "gn6-fields": "x0^2*x6^2 + x0*x5^3 + x1^4 + x2^4 + x3^4 + x4^4",
+}
+
+# Extra ``analyze`` arguments per input.
+ARGS = {
+    "fn6-fields": ["--fields", "2,3,5,7"],
+    "gn6-fields": ["--fields", "2,3,5,7"],
 }
 
 
@@ -47,7 +57,7 @@ INPUTS = {
 def test_report_matches_golden(capsys, tmp_path, name):
     path = tmp_path / f"{name}.poly"
     path.write_text(INPUTS[name] + "\n")
-    code = main(["analyze", str(path), "--no-timestamp", "--json", "-"])
+    code = main(["analyze", str(path), "--no-timestamp", "--json", "-", *ARGS.get(name, [])])
     out = capsys.readouterr().out
     assert code == EXIT_OK
     assert out.encode() == (GOLDEN / f"{name}.json").read_bytes()

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from hypstab import enumerate_weight_oracle
-from hypstab.grid import BLOCK_ROWS, box_blocks
+from hypstab.grid import BLOCK_ROWS, box_batches, box_blocks
 
 from conftest import random_support_poly
 
@@ -30,6 +30,17 @@ def test_blocks_match_product(values, width, head):
     assert all(len(b) <= BLOCK_ROWS for b in blocks)
     rows = [tuple(int(v) for v in row) for b in blocks for row in b]
     assert rows == [head + t for t in product(values, repeat=width)]
+
+
+@pytest.mark.parametrize(
+    "m, width, t", [(7, 6, 4), (7, 2, 2), (3, 7, 7), (5, 6, 5), (5000, 1, 0), (2, 0, 0)]
+)
+def test_tile_is_the_largest_that_fits(m, width, t):
+    tile, batches = box_batches(range(m), width)
+    assert tile.shape == (m**t, t)
+    sizes = [len(b) for b in batches]
+    assert sum(sizes) == m ** (width - t)
+    assert max(sizes) * len(tile) <= BLOCK_ROWS
 
 
 def _oracle_reference(f, bound, strict):

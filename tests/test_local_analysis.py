@@ -1,6 +1,7 @@
 """Multiplicity, tangent cones, Hessian ranks, and the singular scan."""
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from itertools import product
 from math import gcd, lcm
@@ -25,14 +26,19 @@ from hypstab import (
     rank_of_q,
     scan_singular_points,
 )
+from hypstab import grid, local_analysis
+from hypstab.families import family_poly
+from hypstab.grid import box_blocks
 from hypstab.local_analysis import (
     PointError,
-    _cleared_partials,
+    _integer_table,
+    _primitive,
     _scan_dtype,
     is_cone,
     tangent_cone_at,
 )
 from hypstab.polynomials import AffinePoly, HomogeneousPoly
+from hypstab.verdicts import InternalConsistencyError
 
 from conftest import degree_monomials, random_cone_member, random_sorted_weights
 
@@ -225,6 +231,39 @@ class TestScan:
         assert scan.field_counts[3] >= 1
         assert scan.field_counts[5] >= 1
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_fn_counts_over_f3(self, n):
+        # Over F_3, x1^3 + ... + x_{n-1}^3 = (x1 + ... + x_{n-1})^3, so the
+        # singular points are x0 = 0 and x1 + ... + x_{n-1} = 0: a P^(n-2).
+        scan = scan_singular_points(family_poly("fn", n), 1, field_sizes=(3,))
+        assert scan.field_counts[3] == (3 ** (n - 1) - 1) // 2
+
+    @pytest.mark.parametrize(
+        "text, p, count",
+        [
+            ("x0^2*x2 + x1^3", 3, 1),
+            # The line x0 + x1 + x2 = 0, not all of P^2(F_3).
+            ("x0^3 + x1^3 + x2^3", 3, 4),
+            ("2*x0^3 + 2*x1^3 + 2*x2^3", 3, 4),
+            ("1/2*x0^3 + 1/2*x1^3 + 1/2*x2^3", 3, 4),
+            ("x0^3 + x1^3 + x2^3", 2, 0),
+            ("2*x0^3 + 2*x1^3 + 2*x2^3", 2, 0),
+            ("1/2*x0^3 + 1/2*x1^3 + 1/2*x2^3", 2, 0),
+        ],
+    )
+    def test_counts_singular_points(self, text, p, count):
+        scan = scan_singular_points(parse_poly(text, 2), 1, field_sizes=(p,))
+        assert scan.field_counts[p] == count
+
+    def test_counts_invariant_under_scaling(self, rng):
+        for _ in range(30):
+            n, d = rng.randint(1, 3), rng.randint(2, 4)
+            f = _random_form(rng, n, d, rng.randint(1, 4))
+            c = Fraction(rng.choice([-21, -2, 1, 3, 6, 7, 10]), rng.choice([1, 5, 35]))
+            cf = HomogeneousPoly.make(n, d, {exp: c * v for exp, v in f.terms})
+            counts = scan_singular_points(f, 1, (2, 3, 5, 7)).field_counts
+            assert scan_singular_points(cf, 1, (2, 3, 5, 7)).field_counts == counts, (f, c)
+
     def test_positive_dimensional_locus_shows_up(self):
         # x0^2 * x1 (as a cubic in P^2, via x0^2*x1): singular along x0 = 0.
         f = parse_poly("x0^2*x1", 2)
@@ -235,7 +274,9 @@ class TestScan:
 
 def _reference_scan(f, height_bound, primes):
     """The scan as a per-point loop: Fraction partials over the whole box,
-    and each field's gradient zeros counted one point at a time."""
+    and for each field the points of P^n(F_p) at which F and every partial
+    of F vanish, F being f with denominators cleared and content removed,
+    counted one point at a time."""
     nvars = f.n + 1
     partials = [f.partial_derivative(j) for j in range(nvars)]
     points = []
@@ -244,12 +285,13 @@ def _reference_scan(f, height_bound, primes):
             continue
         if all(p.evaluate(coords) == 0 for p in partials):
             points.append(coords)
+    scale = lcm(*(c.denominator for _, c in f.terms))
+    content = gcd(*(int(c * scale) for _, c in f.terms))
+    F = HomogeneousPoly.make(f.n, f.d, {exp: c * scale / content for exp, c in f.terms})
+    polys = [F] + [F.partial_derivative(j) for j in range(nvars)]
     counts = {}
     for p in primes:
-        reduced = []
-        for poly in partials:
-            denom = lcm(*(c.denominator for _, c in poly.terms)) if poly.terms else 1
-            reduced.append({exp: int(c * denom) % p for exp, c in poly.terms})
+        reduced = [{exp: int(c) % p for exp, c in poly.terms} for poly in polys]
         count = 0
         for k in range(nvars):
             for tail in product(range(p), repeat=nvars - k - 1):
@@ -269,41 +311,139 @@ def _reference_scan(f, height_bound, primes):
     return sorted(points), counts
 
 
+def _gradient_vanishes(block, exps, coeffs, modulus=None):
+    """The block evaluator the factored scan replaced: every power of every
+    row, the monomial columns gathered, times the whole coefficient table."""
+    values = np.ones((len(block), len(exps)), dtype=coeffs.dtype)
+    for j, col in enumerate(block.astype(coeffs.dtype, copy=False).T):
+        powers = [np.ones_like(col)]
+        for _ in range(int(exps[:, j].max(initial=0))):
+            powers.append(powers[-1] * col)
+            if modulus:
+                powers[-1] %= modulus
+        values *= np.stack(powers, axis=1)[:, exps[:, j]]
+        if modulus:
+            values %= modulus
+    sums = values @ coeffs
+    if modulus:
+        sums %= modulus
+    return (sums == 0).all(axis=1)
+
+
+def _blockwise_scan(f, height_bound, primes):
+    """The scan over ``box_blocks`` with the block evaluator: rows with
+    gcd != 1 dropped first, then every polynomial evaluated on every row."""
+    nvars = f.n + 1
+    partials = [f.partial_derivative(j) for j in range(nvars)]
+    monomials, table = _integer_table(partials)
+    exps = np.array(monomials, dtype=np.int64)
+    coeffs = np.array(table, dtype=_scan_dtype(monomials, table, height_bound))
+    box = range(-height_bound, height_bound + 1)
+    points = []
+    for k in range(nvars):
+        for a in range(1, height_bound + 1):
+            for block in box_blocks(box, nvars - k - 1, (0,) * k + (a,)):
+                block = block[np.gcd.reduce(block, axis=1) == 1]
+                hits = block[_gradient_vanishes(block, exps, coeffs)]
+                points += [tuple(int(c) for c in row) for row in hits]
+    F = _primitive(f)
+    monomials, table = _integer_table([F] + [F.partial_derivative(j) for j in range(nvars)])
+    exps = np.array(monomials, dtype=np.int64)
+    counts = {}
+    for p in primes:
+        coeffs = np.array([[c % p for c in row] for row in table], dtype=np.int64)
+        counts[p] = sum(
+            int(_gradient_vanishes(block, exps, coeffs, p).sum())
+            for k in range(nvars)
+            for block in box_blocks(range(p), nvars - k - 1, (0,) * k + (1,))
+        )
+    return sorted(points), counts
+
+
 def _dtype_for(f, height_bound):
     partials = [f.partial_derivative(j) for j in range(f.n + 1)]
-    return _scan_dtype(*_cleared_partials(partials), height_bound)
+    return _scan_dtype(*_integer_table(partials), height_bound)
+
+
+def _draw_form(data, max_n, max_d):
+    n = data.draw(st.integers(min_value=1, max_value=max_n))
+    d = data.draw(st.integers(min_value=2, max_value=max_d))
+    monomials = data.draw(
+        st.lists(st.sampled_from(degree_monomials(n, d)), min_size=1, max_size=4, unique=True)
+    )
+    coeffs = data.draw(
+        st.lists(
+            st.fractions(min_value=-9, max_value=9, max_denominator=6).filter(
+                lambda c: c.denominator > 1
+            ),
+            min_size=len(monomials),
+            max_size=len(monomials),
+        )
+    )
+    return HomogeneousPoly.make(n, d, dict(zip(monomials, coeffs)))
+
+
+def _random_form(rng, n, d, terms):
+    monomials = degree_monomials(n, d)
+    monomials = rng.sample(monomials, min(terms, len(monomials)))
+    return HomogeneousPoly.make(n, d, {m: rng.choice([-3, -2, -1, 1, 2, 3]) for m in monomials})
 
 
 class TestScanReference:
     @given(st.data())
     @settings(max_examples=40, deadline=None)
     def test_points_and_counts_match_reference(self, data):
-        n = data.draw(st.integers(min_value=1, max_value=3))
-        d = data.draw(st.integers(min_value=2, max_value=4))
+        f = _draw_form(data, 3, 4)
         h = data.draw(st.integers(min_value=1, max_value=2))
-        monomials = data.draw(
-            st.lists(st.sampled_from(degree_monomials(n, d)), min_size=1, max_size=4, unique=True)
-        )
-        coeffs = data.draw(
-            st.lists(
-                st.fractions(min_value=-9, max_value=9, max_denominator=6).filter(
-                    lambda c: c.denominator > 1
-                ),
-                min_size=len(monomials),
-                max_size=len(monomials),
-            )
-        )
-        f = HomogeneousPoly.make(n, d, dict(zip(monomials, coeffs)))
         scan = scan_singular_points(f, h, field_sizes=(2, 3, 5))
         points, counts = _reference_scan(f, h, (2, 3, 5))
         assert [p.coords for p in scan.points] == points
         assert scan.field_counts == counts
 
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_small_blocks_match_reference(self, data):
+        # Below 2h + 1 rows per block every box has a nonempty prefix, and
+        # its prefixes span several batches.
+        f = _draw_form(data, 3, 4)
+        h = data.draw(st.integers(min_value=1, max_value=2))
+        rows = data.draw(st.sampled_from([1, 2, 7, 30]))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(grid, "BLOCK_ROWS", rows)
+            scan = scan_singular_points(f, h, field_sizes=(2, 3, 5))
+        points, counts = _reference_scan(f, h, (2, 3, 5))
+        assert [p.coords for p in scan.points] == points
+        assert scan.field_counts == counts
+
+    @pytest.mark.parametrize(
+        "n, primes, forms",
+        [
+            (5, (7,), [("fn", 5), ("gn", 5), (3, 3), (3, 6), (4, 4)]),
+            (6, (), [("fn", 6), ("gn", 6), (3, 4), (4, 3)]),
+        ],
+    )
+    def test_matches_block_evaluator(self, n, primes, forms):
+        rng = random.Random(n)
+        polys = [
+            family_poly(*form) if isinstance(form[0], str) else _random_form(rng, n, *form)
+            for form in forms
+        ]
+        for f in polys:
+            scan = scan_singular_points(f, 3, field_sizes=primes)
+            points, counts = _blockwise_scan(f, 3, primes)
+            assert [p.coords for p in scan.points] == points, f
+            assert scan.field_counts == counts, f
+
     def test_object_dtype_above_int64(self):
         f = HomogeneousPoly.make(2, 3, {(2, 0, 1): 10000000000000000000, (0, 3, 0): 1})
         assert _dtype_for(f, 2) is object
+        expected = _reference_scan(f, 2, (3,))
         scan = scan_singular_points(f, 2, field_sizes=(3,))
-        assert ([p.coords for p in scan.points], scan.field_counts) == _reference_scan(f, 2, (3,))
+        assert ([p.coords for p in scan.points], scan.field_counts) == expected
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(grid, "BLOCK_ROWS", 7)  # one-column tiles, two-column prefixes
+            scan = scan_singular_points(f, 2, field_sizes=(3,))
+        assert ([p.coords for p in scan.points], scan.field_counts) == expected
 
     def test_int64_just_below_bound(self):
         # Partials c*x1 and c*x0: the bound is c * h^1 with h = 1.
@@ -313,6 +453,13 @@ class TestScanReference:
         assert _dtype_for(HomogeneousPoly.make(2, 2, {(1, 1, 0): c + 1}), 1) is object
         scan = scan_singular_points(f, 1)
         assert [p.coords for p in scan.points] == _reference_scan(f, 1, ())[0] == [(0, 0, 1)]
+
+    def test_false_hit_raises(self, corpus, monkeypatch):
+        # A row the integer evaluator wrongly reports fails the rational re-check.
+        false_hit = np.array([[1, 1, 1]])
+        monkeypatch.setattr(local_analysis, "_box_zeros", lambda *args: iter([false_hit]))
+        with pytest.raises(InternalConsistencyError, match="does not vanish"):
+            scan_singular_points(corpus["f2"], 1)
 
     @pytest.mark.parametrize("size", [0, 1, 4, 9, -2])
     def test_non_prime_field_rejected(self, corpus, size):
