@@ -50,7 +50,7 @@ from .report import AnalysisOptions, AnalysisReport, analyze
 from .search import SearchConfig, SearchOutcome, search_destabilization
 from .torus import TorusDecision, enumerate_weight_oracle, torus_destabilize
 from .verdicts import Reason, StabilityVerdict, Status
-from .weights import WeightVector, membership, weight_inequality_filter, weight_of
+from .weights import WeightVector, membership, weight_of
 
 __all__ = [
     "AffinePoly",
@@ -104,6 +104,5 @@ __all__ = [
     "search_destabilization",
     "torus_destabilize",
     "verify_certificate",
-    "weight_inequality_filter",
     "weight_of",
 ]

@@ -72,13 +72,8 @@ def _emit(payload: dict, text: str, json_path: str | None) -> None:
             fh.write("\n")
 
 
-def _search_config(args, assume_s=None) -> SearchConfig:
-    return SearchConfig(
-        budget=args.budget,
-        seed=args.seed,
-        bound=args.bound,
-        assume_s=assume_s,
-    )
+def _search_config(args) -> SearchConfig:
+    return SearchConfig(budget=args.budget, seed=args.seed, bound=args.bound)
 
 
 def cmd_analyze(args) -> int:
@@ -90,7 +85,7 @@ def cmd_analyze(args) -> int:
         extra_points=extra,
         height=args.height,
         field_sizes=fields,
-        search=_search_config(args, assume_s=args.s),
+        search=_search_config(args),
         timestamp=not args.no_timestamp,
     )
     report = analyze(f, options)
@@ -130,7 +125,7 @@ def cmd_search(args) -> int:
     from .local_analysis import scan_singular_points
 
     scan = scan_singular_points(f, args.height)
-    cfg = _search_config(args, assume_s=args.assume_s)
+    cfg = _search_config(args)
     outcome = search_destabilization(f, cfg, scan.points)
     payload = {
         "polynomial": format_poly(f),
@@ -235,8 +230,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", help="destabilization search only")
     p.add_argument("file")
     _add_common_search_flags(p, budget_default=50)
-    p.add_argument("--assume-s", type=int, default=None, dest="assume_s",
-                   help="prune candidate weights under this singular-locus dimension")
     p.add_argument("--height", type=int, default=3)
     p.add_argument("--json", default=None)
     p.set_defaults(handler=cmd_search)

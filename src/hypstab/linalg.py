@@ -1,12 +1,14 @@
 """Exact rational matrices, ranks, and linear coordinate changes.
 
 Everything here is exact.  Matrices hold :class:`~fractions.Fraction`
-entries and are immutable; determinants use Gaussian elimination over
-``Fraction``.  The kernels of the frame search run on Python integers and
-build ``Fraction`` values only for their results: ranks use fraction-free
-(Bareiss) elimination and nullspaces fraction-free Gauss-Jordan elimination
-on integer-scaled rows, and coordinate changes expand the integer-scaled
-polynomial under the integer-scaled matrix.
+entries and are immutable.  The kernels run on Python integers and build
+``Fraction`` values only for their results: a matrix is scaled to integers
+by the lcm s of its denominators, products multiply the two scaled matrices
+and divide once, determinants use fraction-free (Bareiss) elimination on
+the scaled matrix (det(A) = det(sA) / s^n), ranks use Bareiss elimination
+and nullspaces fraction-free Gauss-Jordan elimination on integer-scaled
+rows, and coordinate changes expand the integer-scaled polynomial under the
+integer-scaled matrix and emit its terms already in canonical order.
 """
 from __future__ import annotations
 
@@ -72,36 +74,45 @@ class RationalMatrix:
     def __matmul__(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.ncols != other.nrows:
             raise MatrixError("dimension mismatch in product")
-        cols = list(zip(*other.rows))
+        sa, a = self._scaled()
+        sb, b = other._scaled()
+        cols = list(zip(*b))
+        scale = sa * sb
         return RationalMatrix(
             tuple(
-                tuple(sum(a * b for a, b in zip(row, col)) for col in cols)
-                for row in self.rows
+                tuple(Fraction(sum(x * y for x, y in zip(row, col)), scale) for col in cols)
+                for row in a
             )
         )
 
     def determinant(self) -> Fraction:
+        """Fraction-free (Bareiss) elimination on the integer matrix sA:
+        each step's division by the previous pivot is exact."""
         if not self.is_square:
             raise MatrixError("determinant of a non-square matrix")
-        m = [list(row) for row in self.rows]
+        scale, m = self._scaled()
         size = self.nrows
-        det = Fraction(1)
-        for col in range(size):
+        sign, prev = 1, 1
+        for col in range(size - 1):
             pivot = next((r for r in range(col, size) if m[r][col] != 0), None)
             if pivot is None:
                 return Fraction(0)
             if pivot != col:
                 m[col], m[pivot] = m[pivot], m[col]
-                det = -det
-            det *= m[col][col]
-            inv = 1 / m[col][col]
+                sign = -sign
+            p = m[col][col]
+            pivot_row = m[col]
             for r in range(col + 1, size):
-                if m[r][col] == 0:
-                    continue
-                factor = m[r][col] * inv
-                for c in range(col, size):
-                    m[r][c] -= factor * m[col][c]
-        return det
+                row, factor = m[r], m[r][col]
+                for c in range(col + 1, size):
+                    row[c] = (row[c] * p - factor * pivot_row[c]) // prev
+            prev = p
+        return Fraction(sign * m[-1][-1], scale**size)
+
+    def _scaled(self) -> tuple[int, list[list[int]]]:
+        """(s, sA) with s the lcm of the entries' denominators."""
+        scale = lcm(*(v.denominator for row in self.rows for v in row))
+        return scale, [scaled_integers(row, scale) for row in self.rows]
 
     def to_strings(self) -> list[list[str]]:
         return [[str(x) for x in row] for row in self.rows]
@@ -228,6 +239,8 @@ def apply_linear_change(f: HomogeneousPoly, sigma: RationalMatrix) -> Homogeneou
     integral for the lcms of their denominators, each exponent tuple is packed
     base ``d + 1`` into one int (no carries, since every exponent is at most
     ``d``), and the sum is divided by ``fden * sden**d`` once at the end.
+    The result's terms are built in canonical order, not through
+    :meth:`HomogeneousPoly.make`.
     """
     size = f.n + 1
     if not sigma.is_square or sigma.nrows != size:
@@ -236,13 +249,12 @@ def apply_linear_change(f: HomogeneousPoly, sigma: RationalMatrix) -> Homogeneou
         raise MatrixError("coordinate change must be invertible")
 
     base = f.d + 1
-    place = [base**k for k in range(size)]
+    # x0 is the most significant digit, so descending keys are descending
+    # lex order on exponents.
+    place = [base ** (size - 1 - k) for k in range(size)]
     fden = lcm(*(c.denominator for _, c in f.terms))
-    sden = lcm(*(v.denominator for row in sigma.rows for v in row))
-    forms = []
-    for j in range(size):
-        col = scaled_integers(sigma.column(j), sden)
-        forms.append({place[k]: v for k, v in enumerate(col) if v})
+    sden, scaled = sigma._scaled()
+    forms = [{place[k]: row[j] for k, row in enumerate(scaled) if row[j]} for j in range(size)]
 
     powers: dict[tuple[int, int], dict[int, int]] = {}
 
@@ -262,11 +274,15 @@ def apply_linear_change(f: HomogeneousPoly, sigma: RationalMatrix) -> Homogeneou
         for key, c in prod.items():
             acc[key] = acc.get(key, 0) + c
 
+    # The keys are distinct degree-d exponents, so lex-descending order is
+    # the canonical graded-lex order.
     scale = fden * sden**f.d
-    terms = {
-        tuple(key // p % base for p in place): Fraction(c, scale) for key, c in acc.items() if c
-    }
-    result = HomogeneousPoly.make(f.n, f.d, terms)
+    terms = tuple(
+        (tuple([key // p % base for p in place]), Fraction(acc[key], scale))
+        for key in sorted(acc, reverse=True)
+        if acc[key]
+    )
+    result = HomogeneousPoly(f.n, f.d, terms)
     if result.is_zero and not f.is_zero:
         raise InternalConsistencyError("invertible change of coordinates produced zero polynomial")
     return result

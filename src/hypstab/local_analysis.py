@@ -24,6 +24,7 @@ from .polynomials import (
     HomogeneousPoly,
     PolyError,
     dehomogenize_at_last,
+    primitive_form,
 )
 from .verdicts import InternalConsistencyError
 from .weights import WeightVector
@@ -77,20 +78,16 @@ def chart_at(f: HomogeneousPoly, p: ProjectivePoint) -> AffinePoly:
 
 def multiplicity_at(f: HomogeneousPoly, p: ProjectivePoint) -> int:
     """Order of vanishing of the chart of ``f`` at ``p``; 0 when f(p) != 0."""
-    if f.is_zero:
-        raise PolyError("multiplicity is undefined for the zero polynomial")
-    if f.evaluate(p.coords) != 0:
-        return 0
-    return chart_at(f, p).min_degree()
+    return analyze_point(f, p).multiplicity
 
 
 def tangent_cone_at(f: HomogeneousPoly, p: ProjectivePoint) -> AffinePoly:
     """Lowest-degree homogeneous part of the chart at ``p`` (p on the
     hypersurface)."""
-    if f.evaluate(p.coords) != 0:
+    cone = analyze_point(f, p).tangent_cone
+    if cone is None:
         raise PointError(f"{p} does not lie on the hypersurface")
-    chart = chart_at(f, p)
-    return chart.homogeneous_component(chart.min_degree())
+    return cone
 
 
 def _quadratic_form_matrix(q: AffinePoly) -> list[list[Fraction]]:
@@ -118,12 +115,12 @@ def quadratic_form_rank(q: AffinePoly) -> int:
 
 def hessian_rank_at(f: HomogeneousPoly, p: ProjectivePoint) -> tuple[int, int]:
     """(rank, corank) of the chart Hessian at a multiplicity-2 point of f."""
-    chart = chart_at(f, p)
-    if f.evaluate(p.coords) != 0 or chart.min_degree() != 2:
-        mult = multiplicity_at(f, p)
-        raise PointError(f"Hessian rank needs multiplicity 2, point {p} has multiplicity {mult}")
-    rank = quadratic_form_rank(chart.homogeneous_component(2))
-    return rank, f.n - rank
+    data = analyze_point(f, p)
+    if data.multiplicity != 2:
+        raise PointError(
+            f"Hessian rank needs multiplicity 2, point {p} has multiplicity {data.multiplicity}"
+        )
+    return data.hessian_rank, data.hessian_corank
 
 
 def rank_of_q(f: HomogeneousPoly) -> int:
@@ -214,14 +211,19 @@ class LocalData:
 
 
 def analyze_point(f: HomogeneousPoly, p: ProjectivePoint) -> LocalData:
-    mult = multiplicity_at(f, p)
-    if mult == 0:
+    """Multiplicity, tangent cone and (at a double point) Hessian rank, all
+    from one evaluation of f(p) and one chart."""
+    if f.is_zero:
+        raise PolyError("multiplicity is undefined for the zero polynomial")
+    if f.evaluate(p.coords) != 0:
         return LocalData(p, 0, None)
-    cone = tangent_cone_at(f, p)
+    chart = chart_at(f, p)
+    mult = chart.min_degree()
+    cone = chart.homogeneous_component(mult)
     if mult != 2:
         return LocalData(p, mult, cone)
-    rank, corank = hessian_rank_at(f, p)
-    return LocalData(p, mult, cone, rank, corank)
+    rank = quadratic_form_rank(cone)
+    return LocalData(p, mult, cone, rank, f.n - rank)
 
 
 @dataclass
@@ -291,15 +293,6 @@ def _integer_table(polys) -> tuple[list[Exponent], list[list[int]]]:
         cleared.append({exp: int(c * denom) for exp, c in terms})
     monomials = sorted({exp for poly in cleared for exp in poly})
     return monomials, [[poly.get(exp, 0) for poly in cleared] for exp in monomials]
-
-
-def _primitive(f: HomogeneousPoly) -> HomogeneousPoly:
-    """f with its denominators cleared and its content removed: integer
-    coefficients with gcd one."""
-    scale = lcm(*(c.denominator for _, c in f.terms))
-    ints = {exp: int(c * scale) for exp, c in f.terms}
-    content = gcd(*ints.values())
-    return HomogeneousPoly.make(f.n, f.d, {exp: c // content for exp, c in ints.items()})
 
 
 def _block_dtype(bound: int):
@@ -463,7 +456,7 @@ def scan_singular_points(
     field_counts = {}
     if field_sizes:
         # F and its partials have integer coefficients, so the table keeps them.
-        F = _primitive(f)
+        F = primitive_form(f)
         monomials, table = _integer_table([F] + [F.partial_derivative(j) for j in range(nvars)])
         exps = np.array(monomials, dtype=np.int64).reshape(len(monomials), nvars)
         field_counts = {

@@ -1,11 +1,13 @@
 """Smoothness proven by one rank computation modulo a prime.
 
-Let F be f with its denominators cleared, so that F has integer
-coefficients, and let D = (n+1)(d-2)+1.  The Macaulay matrix M of the
-partials in degree D has one row for each pair (i, m), m a monomial of
-degree D-(d-1), holding the coefficients of m * dF/dx_i, and one column for
-each monomial of degree D.  :func:`prove_smooth` reduces M modulo ``PRIME``
-and reports smoothness proven when M has full column rank there.
+Let F be f with its denominators cleared and its content removed, so that
+F has coprime integer coefficients (a content divisible by ``PRIME`` would
+make all of M vanish mod ``PRIME``), and let D = (n+1)(d-2)+1.  The
+Macaulay matrix M of the partials in degree D has one row for each pair
+(i, m), m a monomial of degree D-(d-1), holding the coefficients of
+m * dF/dx_i, and one column for each monomial of degree D.
+:func:`prove_smooth` reduces M modulo ``PRIME`` and reports smoothness
+proven when M has full column rank there.
 
 Soundness, for every prime p.  Let P be a point of P^n over the algebraic
 closure of Q at which every partial of F vanishes, and let v_P be the vector
@@ -35,11 +37,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
-from math import comb, lcm
+from math import comb
 
 import numpy as np
 
-from .polynomials import HomogeneousPoly
+from .polynomials import HomogeneousPoly, primitive_form
 from .verdicts import InternalConsistencyError
 
 PRIME = 2**31 - 1
@@ -93,7 +95,7 @@ def _macaulay_rows(f: HomogeneousPoly, degree: int) -> tuple[list[dict[int, int]
     surface, ascending columns eliminate 3x slower and descending rows 1.4x
     slower."""
     nvars = f.nvars
-    scale = lcm(*(c.denominator for _, c in f.terms))
+    F = primitive_form(f)
     # Exponents packed base degree+1: a product's code is the sum of codes.
     radix = [(degree + 1) ** k for k in range(nvars)]
 
@@ -105,7 +107,7 @@ def _macaulay_rows(f: HomogeneousPoly, degree: int) -> tuple[list[dict[int, int]
     square, extra = [], []
     for i in range(nvars):
         partial = [
-            (code(exp) - radix[i], int(c * scale) * exp[i] % PRIME) for exp, c in f.terms if exp[i]
+            (code(exp) - radix[i], c.numerator * exp[i] % PRIME) for exp, c in F.terms if exp[i]
         ]
         partial = [(e, v) for e, v in partial if v]
         for m, m_code in shifts:

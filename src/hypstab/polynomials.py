@@ -14,6 +14,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Mapping
 
 Exponent = tuple[int, ...]
@@ -448,3 +449,11 @@ def format_poly(f: HomogeneousPoly | AffinePoly) -> str:
 def dehomogenize_at_last(f: HomogeneousPoly) -> AffinePoly:
     """Affine chart x_n = 1: drop the last exponent of every monomial."""
     return AffinePoly.make(f.n, [(exp[:-1], c) for exp, c in f.terms])
+
+
+def primitive_form(f: HomogeneousPoly) -> HomogeneousPoly:
+    """f with its denominators cleared and its content removed: integer
+    coefficients with gcd one (the zero polynomial stays zero)."""
+    scale = lcm(*(c.denominator for _, c in f.terms))
+    content = gcd(*(c.numerator * (scale // c.denominator) for _, c in f.terms))
+    return f.scale(Fraction(scale, content)) if content else f

@@ -8,20 +8,16 @@ changes composed with point frames and permutations.  Frames are generated
 deterministically from the seed; results are merged in strategy order, then
 frame order, so identical inputs give identical outputs.
 
-Each frame first tries a small catalog of sorted candidate weight vectors
-(cheap exact membership tests); under an asserted singular-locus dimension
-the catalog is pruned by the necessary weight inequalities, which never
-changes outcomes because the LP that follows is complete per frame.  Absence
-of a certificate within budget is reported as exactly that, never as a
-stability claim.
+Each frame goes straight to the torus LP, which is complete per frame; its
+decisions are cached by (mode, support), since frames often share a
+support.  Absence of a certificate within budget is reported as exactly
+that, never as a stability claim.
 """
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations_with_replacement
-from math import gcd
 
 from .certificates import Certificate, verify_certificate
 from .linalg import RationalMatrix, apply_linear_change, matrix_moving_point_last
@@ -29,9 +25,9 @@ from .local_analysis import ProjectivePoint
 from .polynomials import Exponent, HomogeneousPoly
 from .torus import TorusDecision, torus_destabilize
 from .verdicts import InternalConsistencyError, Status
-from .weights import WeightError, WeightVector, membership, weight_inequality_filter
+# perfbench wraps ``hypstab.search.membership`` as its membership layer.
+from .weights import membership  # noqa: F401
 
-_CATALOG_BOUND = 4
 STRATEGIES = ("singular-point-to-Q", "permutations", "random-unipotent")
 
 
@@ -41,7 +37,6 @@ class SearchConfig:
     seed: int = 0
     bound: int = 2
     strategies: tuple[str, ...] = STRATEGIES
-    assume_s: int | None = None
 
     def __post_init__(self):
         if self.budget < 1:
@@ -79,23 +74,6 @@ class SearchOutcome:
     @property
     def found(self) -> bool:
         return self.strict is not None or self.nonstrict is not None
-
-
-def sorted_weight_catalog(n: int, bound: int = _CATALOG_BOUND) -> tuple[WeightVector, ...]:
-    """All primitive non-increasing zero-sum integer vectors with entries in
-    [-bound, bound], in deterministic order."""
-    out = []
-    values = range(bound, -bound - 1, -1)
-    for combo in combinations_with_replacement(values, n + 1):
-        if sum(combo) != 0 or all(v == 0 for v in combo):
-            continue
-        g = 0
-        for v in combo:
-            g = gcd(g, abs(v))
-        if g != 1:
-            continue
-        out.append(WeightVector(combo))
-    return tuple(out)
 
 
 def _random_unipotent(rng: random.Random, size: int, bound: int, upper: bool) -> RationalMatrix:
@@ -137,21 +115,6 @@ def _frames(cfg: SearchConfig, size: int, points: tuple[ProjectivePoint, ...]):
             yield "random-unipotent", lower @ _random_permutation(rng, size)
 
 
-def _catalog_hit(
-    g: HomogeneousPoly, catalog, assume_s: int | None, d: int, strict: bool
-) -> WeightVector | None:
-    for cand in catalog:
-        if assume_s is not None:
-            try:
-                if not weight_inequality_filter(cand, assume_s, d, strict=strict):
-                    continue
-            except WeightError:
-                pass  # filter inapplicable for this s; candidate stays
-        if membership(g, cand, strict=strict):
-            return cand
-    return None
-
-
 def search_destabilization(
     f: HomogeneousPoly,
     cfg: SearchConfig,
@@ -161,7 +124,6 @@ def search_destabilization(
     budget.  Any returned certificate has been re-verified from scratch."""
     size = f.n + 1
     outcome = SearchOutcome()
-    catalog = sorted_weight_catalog(f.n)
     decision_cache: dict[tuple[bool, tuple[Exponent, ...]], TorusDecision] = {}
 
     def decide(g: HomogeneousPoly, strict: bool) -> TorusDecision:
@@ -179,14 +141,9 @@ def search_destabilization(
         outcome.frames_tried += 1
         g = apply_linear_change(f, sigma)
 
-        witness = _catalog_hit(g, catalog, cfg.assume_s, f.d, strict=True)
-        strict_feasible = witness is not None
-        if witness is None:
-            decision = decide(g, strict=True)
-            strict_feasible = decision.feasible
-            witness = decision.witness
-        if witness is not None:
-            cert = Certificate(sigma, witness.reduced(), strict=True)
+        decision = decide(g, strict=True)
+        if decision.witness is not None:
+            cert = Certificate(sigma, decision.witness.reduced(), strict=True)
             if verify_certificate(f, cert).status != Status.NOT_SEMISTABLE:
                 raise InternalConsistencyError("strict certificate failed final re-verification")
             outcome.strict = cert
@@ -195,16 +152,12 @@ def search_destabilization(
 
         nonstrict_feasible: bool | None = None
         if outcome.nonstrict is None:
-            witness = _catalog_hit(g, catalog, cfg.assume_s, f.d, strict=False)
-            nonstrict_feasible = witness is not None
-            if witness is None:
-                decision = decide(g, strict=False)
-                nonstrict_feasible = decision.feasible
-                witness = decision.witness
-            if witness is not None:
-                cert = Certificate(sigma, witness.reduced(), strict=False)
+            nonstrict = decide(g, strict=False)
+            nonstrict_feasible = nonstrict.feasible
+            if nonstrict.witness is not None:
+                cert = Certificate(sigma, nonstrict.witness.reduced(), strict=False)
                 if verify_certificate(f, cert).status != Status.NOT_STABLE:
                     raise InternalConsistencyError("non-strict certificate failed final re-verification")
                 outcome.nonstrict = cert
-        outcome.frames.append(FrameRecord(strategy, index, strict_feasible, nonstrict_feasible))
+        outcome.frames.append(FrameRecord(strategy, index, decision.feasible, nonstrict_feasible))
     return outcome

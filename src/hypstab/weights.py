@@ -12,7 +12,6 @@ certificate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 
 from .polynomials import Exponent, HomogeneousPoly
@@ -102,30 +101,3 @@ def first_violation(f: HomogeneousPoly, r: WeightVector, strict: bool):
         if w < 0 or (strict and w == 0):
             return exp, w
     return None
-
-
-def weight_inequality_filter(r: WeightVector, s: int, d: int, strict: bool = False) -> bool:
-    """Necessary conditions on a sorted ``r`` admitting members whose singular
-    locus has dimension at most ``s``.
-
-    Returns True iff all hold; a False return prunes ``r`` from searches under
-    a singular-locus-dimension assumption.  The third condition is skipped at
-    ``s == n - 2``.
-    """
-    r._require_sorted()
-    n = r.n
-    if not 0 <= s <= n - 2:
-        raise WeightError(f"s = {s} out of range 0..{n - 2}")
-    if d < 2:
-        raise WeightError(f"degree {d} too small")
-    t = r.last_positive_index() if strict else r.last_nonnegative_index()
-    if 2 * (t + 1) < n - s:
-        return False
-    second = Fraction(r[0], d - 1) + r[n - 1 - s]
-    if second < 0 or (strict and second == 0):
-        return False
-    if s != n - 2:
-        third = sum(r[j] for j in range(1, n - 1 - s))
-        if third < 0 or (strict and third == 0):
-            return False
-    return True

@@ -98,8 +98,8 @@ class TestAnalyze:
         assert "status: NotStable (certificate)" in out
 
     def test_lp_witness_failure_exits_internal(self, capsys, poly_file, monkeypatch):
-        # No sorted catalog vector destabilizes this form, so its witness
-        # comes from the torus LP; a failed re-check is an internal fault.
+        # The strict witness comes from the torus LP, which re-checks it;
+        # a failed re-check is an internal fault.
         monkeypatch.setattr("hypstab.torus.membership", lambda *args, **kwargs: False)
         path = poly_file("x1*x2^2 + x2^3")
         code, _, err = run(capsys, ["analyze", path, "--budget", "1"])

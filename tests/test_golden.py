@@ -1,12 +1,13 @@
 """Saved ``analyze --no-timestamp --json`` reports, compared byte for byte.
 
-The inputs are the four smooth hypersurfaces of the benchmark, three
-disguised singular ones (a base form under an integer change U*P) and the
-families fn6 and gn6 with finite-field counts.  The reports pin the whole
-pipeline at the CLI defaults: scan, field counts, smoothness proof,
-criteria, frame search, torus LP and certificate.  The smooth reports carry
-no frames, since the proof skips the search; ``test_modp`` pins the frames
-the search still visits on them.
+The inputs are the four smooth hypersurfaces of the benchmark, five
+disguised singular ones (a base form under an integer change U*P, the
+cusp's a permutation) and the families fn2, fn6 and gn6 with finite-field
+counts.  The reports pin the whole pipeline at the CLI defaults (fn2 at the
+benchmark's seed 1): scan, field counts, smoothness proof, criteria, frame
+search, torus LP and certificate.  The smooth reports carry no frames,
+since the proof skips the search; ``test_modp`` pins the frames the search
+still visits on them.
 """
 from __future__ import annotations
 
@@ -41,6 +42,12 @@ INPUTS = {
         "2*x0^3 + 3*x0^2*x1 + 2*x0*x1^2 + 2*x0*x1*x2 - x0*x2^2 + x1^3 + x1^2*x2"
         " + x1^2*x3 - 2*x1*x2^2 - 2*x1*x2*x3 + x2^3 + x2^2*x3"
     ),
+    # fn (n = 2), the cusp and fn2 as the benchmark generates them: each
+    # strict certificate comes from the torus LP at the identity frame or
+    # the first point frame.
+    "fn2-fields": "x0^2*x2 + x1^3",
+    "cusp-disguised": "x0^2*x2 - x1^3",
+    "fn2-disguised": "x0^2*x1 - x1^3 + 3*x1^2*x2 - 3*x1*x2^2 + x2^3",
     # The benchmark's largest family inputs: the scan covers 7^7 box points.
     "fn6-fields": "x0^2*x6 + x1^3 + x2^3 + x3^3 + x4^3 + x5^3",
     "gn6-fields": "x0^2*x6^2 + x0*x5^3 + x1^4 + x2^4 + x3^4 + x4^4",
@@ -48,6 +55,7 @@ INPUTS = {
 
 # Extra ``analyze`` arguments per input.
 ARGS = {
+    "fn2-fields": ["--seed", "1", "--fields", "2,3,5,7"],
     "fn6-fields": ["--fields", "2,3,5,7"],
     "gn6-fields": ["--fields", "2,3,5,7"],
 }

@@ -10,13 +10,8 @@ from __future__ import annotations
 import warnings
 from math import ceil
 
-from hypstab import (
-    multiplicity_at,
-    scan_singular_points,
-    weight_inequality_filter,
-)
+from hypstab import multiplicity_at, scan_singular_points
 from hypstab.local_analysis import ProjectivePoint
-from hypstab.weights import WeightError
 
 from conftest import random_cone_member, random_sorted_weights
 
@@ -30,38 +25,6 @@ def _looks_isolated(f) -> bool:
         return False
     # A positive-dimensional locus over F_7 carries at least ~p points.
     return count7 <= 4
-
-
-def test_weight_filter_necessity_logged(rng):
-    """Members of a weight cone with (heuristically) isolated singularities
-    must pass the necessary inequalities for s = 0."""
-    candidates = []
-    checked = 0
-    for _ in range(200):
-        n = rng.randint(2, 3)
-        d = rng.choice([3, 4])
-        r = random_sorted_weights(rng, n, bound=4)
-        f = random_cone_member(rng, n, d, r, strict=False)
-        if f is None:
-            continue
-        if not _looks_isolated(f):
-            continue
-        checked += 1
-        try:
-            ok = weight_inequality_filter(r, 0, d, strict=False)
-        except WeightError:
-            continue
-        if not ok:
-            candidates.append((r.r, tuple(f.terms)))
-    print(f"\nfilter-necessity: {checked} heuristically isolated instances checked, "
-          f"{len(candidates)} counterexample candidates")
-    for r, terms in candidates:
-        warnings.warn(
-            f"filter-necessity candidate (singular locus likely positive-dimensional): "
-            f"r = {r}, terms = {terms}",
-            stacklevel=1,
-        )
-    assert checked > 0
 
 
 def test_multiplicity_consistency_logged(rng):

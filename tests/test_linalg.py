@@ -3,6 +3,7 @@ changes."""
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import assume, given, settings
@@ -127,6 +128,33 @@ def reference_nullspace_vector(rows):
     return x
 
 
+def reference_matmul(a, b):
+    cols = list(zip(*b))
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in cols) for row in a)
+
+
+def reference_determinant(rows):
+    m = [list(row) for row in rows]
+    size = len(m)
+    det = Fraction(1)
+    for col in range(size):
+        pivot = next((r for r in range(col, size) if m[r][col] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != col:
+            m[col], m[pivot] = m[pivot], m[col]
+            det = -det
+        det *= m[col][col]
+        inv = 1 / m[col][col]
+        for r in range(col + 1, size):
+            if m[r][col] == 0:
+                continue
+            factor = m[r][col] * inv
+            for c in range(col, size):
+                m[r][c] -= factor * m[col][c]
+    return det
+
+
 def reference_apply_linear_change(f, sigma):
     size = f.n + 1
 
@@ -204,3 +232,64 @@ def test_linear_change_matches_fraction_expansion(case):
     g = apply_linear_change(f, sigma)
     assert g == reference_apply_linear_change(f, sigma)
     assert apply_linear_change(g, tau) == apply_linear_change(f, tau @ sigma)
+
+
+def matrix_entries(max_den):
+    """Zero, integers and (with max_den > 1) non-integer rationals."""
+    return st.one_of(st.just(Fraction(0)), rationals(6, 1), rationals(6, max_den))
+
+
+@st.composite
+def matrices(draw, nrows, ncols):
+    max_den = draw(st.sampled_from([1, 2, 7]))
+    return [draw(st.lists(matrix_entries(max_den), min_size=ncols, max_size=ncols))
+            for _ in range(nrows)]
+
+
+@st.composite
+def square_matrices(draw):
+    """Sizes 1-5; about half are made singular, by a zero column or by a row
+    that is a rational combination of the others."""
+    size = draw(st.integers(1, 5))
+    rows = draw(matrices(size, size))
+    kind = draw(st.sampled_from(["any", "zero-column", "dependent-row"]))
+    if kind == "zero-column":
+        j = draw(st.integers(0, size - 1))
+        for row in rows:
+            row[j] = Fraction(0)
+    elif kind == "dependent-row" and size > 1:
+        coeffs = draw(st.lists(rationals(3, 3), min_size=size - 1, max_size=size - 1))
+        i = draw(st.integers(0, size - 1))
+        others = rows[:i] + rows[i + 1:]
+        rows[i] = [sum(c * row[j] for c, row in zip(coeffs, others)) for j in range(size)]
+    return rows
+
+
+@given(square_matrices())
+@settings(max_examples=200, deadline=None)
+def test_determinant_matches_fraction_elimination(rows):
+    det = RationalMatrix.from_rows(rows).determinant()
+    assert type(det) is Fraction
+    assert det == reference_determinant(rows)
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_product_matches_fraction_product(data):
+    r, k, c = (data.draw(st.integers(1, 5)) for _ in range(3))
+    a, b = data.draw(matrices(r, k)), data.draw(matrices(k, c))
+    product = RationalMatrix.from_rows(a) @ RationalMatrix.from_rows(b)
+    assert product.rows == reference_matmul(a, b)
+    assert all(type(v) is Fraction for row in product.rows for v in row)
+
+
+@given(forms_and_changes())
+@settings(max_examples=60, deadline=None)
+def test_linear_change_terms_are_canonical(case):
+    f, sigma, _ = case
+    g = apply_linear_change(f, sigma)
+    assert g.terms == HomogeneousPoly.make(g.n, g.d, dict(g.terms)).terms
+    for exp, c in g.terms:
+        assert type(c) is Fraction and c != 0
+        assert c.denominator > 0 and gcd(c.numerator, c.denominator) == 1
+        assert sum(exp) == g.d and len(exp) == g.nvars

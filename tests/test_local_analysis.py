@@ -32,12 +32,11 @@ from hypstab.grid import box_blocks
 from hypstab.local_analysis import (
     PointError,
     _integer_table,
-    _primitive,
     _scan_dtype,
     is_cone,
     tangent_cone_at,
 )
-from hypstab.polynomials import AffinePoly, HomogeneousPoly
+from hypstab.polynomials import AffinePoly, HomogeneousPoly, primitive_form
 from hypstab.verdicts import InternalConsistencyError
 
 from conftest import degree_monomials, random_cone_member, random_sorted_weights
@@ -346,7 +345,7 @@ def _blockwise_scan(f, height_bound, primes):
                 block = block[np.gcd.reduce(block, axis=1) == 1]
                 hits = block[_gradient_vanishes(block, exps, coeffs)]
                 points += [tuple(int(c) for c in row) for row in hits]
-    F = _primitive(f)
+    F = primitive_form(f)
     monomials, table = _integer_table([F] + [F.partial_derivative(j) for j in range(nvars)])
     exps = np.array(monomials, dtype=np.int64)
     counts = {}
@@ -480,3 +479,35 @@ class TestAnalyzePoint:
         assert data.multiplicity == 3
         assert data.hessian_rank is None
         assert not tangent_cone_at(cone, P(0, 0, 0, 1)).is_zero
+
+    @pytest.mark.parametrize(
+        "text, n",
+        [
+            ("x0^2*x2 + x1^3", 2),  # cusp at [0:0:1]
+            ("x1^2*x2 - x0^2*x2 - x0^3", 2),  # node at [0:0:1]
+            ("x0^2*x3 + x1^3 + x2^3", 3),  # cone: a line of singular points
+            ("x0^3 + x1^3 + x2^3", 3),  # a cone: a triple point
+            ("x0^2*x2^2 + x0*x1^3", 2),  # two singular points
+        ],
+    )
+    def test_one_chart_per_singular_point(self, monkeypatch, text, n):
+        f = parse_poly(text, n)
+        points = scan_singular_points(f, 2).points
+        assert points
+        calls = []
+
+        def counted(g, sigma):
+            calls.append(sigma)
+            return apply_linear_change(g, sigma)
+
+        monkeypatch.setattr(local_analysis, "apply_linear_change", counted)
+        for p in points:
+            calls.clear()
+            data = analyze_point(f, p)
+            assert len(calls) == 1
+            assert data.multiplicity >= 2
+            assert (data.hessian_rank is not None) == (data.multiplicity == 2)
+
+    def test_point_off_the_hypersurface_builds_no_chart(self, corpus, monkeypatch):
+        monkeypatch.setattr(local_analysis, "apply_linear_change", None)
+        assert analyze_point(corpus["f2"], P(1, 1, 1)).multiplicity == 0

@@ -10,6 +10,7 @@ search runs and must find no certificate, since ``analyze`` skips it there.
 from __future__ import annotations
 
 import json
+from fractions import Fraction
 from math import lcm, prod
 from pathlib import Path
 
@@ -182,6 +183,18 @@ class TestKernel:
 
     def test_rational_coefficients(self):
         assert prove_smooth(parse_poly_infer("1/2*x0^3 + 2/3*x1^3 + x2^3")) is not None
+
+    @pytest.mark.parametrize(
+        "c", [2, -3, Fraction(5, 7), PRIME, -PRIME, 6 * PRIME, Fraction(PRIME, 2)], ids=str
+    )
+    @pytest.mark.parametrize(
+        "text", [SMOOTH["klein-quartic"], SMOOTH["cyclic-cubic-surface"], SINGULAR["cusp"],
+                 "x0^3 + x1^3 + 2*x2^3"],
+    )
+    def test_content_is_removed(self, text, c):
+        # A content divisible by PRIME would zero the whole matrix mod PRIME.
+        f = parse_poly_infer(text)
+        assert prove_smooth(f.scale(c)) == prove_smooth(f)
 
     def test_above_the_size_bound_is_not_tested(self, monkeypatch):
         monkeypatch.setattr(modp, "MAX_CELLS", 880 * 560 - 1)

@@ -1,14 +1,12 @@
-"""Weight vectors, cone membership, and the necessary-inequality filter."""
+"""Weight vectors and cone membership."""
 from __future__ import annotations
 
 from itertools import combinations_with_replacement
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from hypstab import RationalMatrix, WeightVector, apply_linear_change, membership, parse_poly
-from hypstab.weights import WeightError, first_violation, weight_inequality_filter, weight_of
+from hypstab.weights import WeightError, first_violation, weight_of
 
 
 class TestWeightVector:
@@ -101,44 +99,3 @@ class TestSortedWeightStructure:
                 if r[n - 2] == 0:
                     assert all(r[j] == 0 for j in range(1, n - 1))
         assert checked > 0
-
-
-class TestWeightInequalityFilter:
-    def test_f2_certificate_passes(self):
-        assert weight_inequality_filter(WeightVector((3, 1, -4)), 0, 3, strict=False)
-
-    def test_boundary_case(self):
-        assert weight_inequality_filter(WeightVector((1, 0, -1)), 0, 3, strict=False)
-
-    def test_failing_case(self):
-        assert not weight_inequality_filter(WeightVector((5, -1, -1, -3)), 0, 3, strict=False)
-
-    def test_s_out_of_range(self):
-        with pytest.raises(WeightError):
-            weight_inequality_filter(WeightVector((1, 0, -1)), 1, 3)
-
-    def test_unsorted_rejected(self):
-        with pytest.raises(WeightError):
-            weight_inequality_filter(WeightVector((1, 3, -4)), 0, 3)
-
-    @given(st.data())
-    @settings(max_examples=80, deadline=None)
-    def test_necessity_on_members_with_bounded_top_multiplicity(self, data):
-        """If some member of the weight cone has multiplicity <= 2 everywhere
-        along the last coordinate, the filter cannot veto isolated-singularity
-        members outright; here we only check the filter's internal consistency:
-        it never rejects the zero-dimension case for vectors that destabilize
-        a polynomial with a verified finite rational singular set (covered
-        again statistically in the local-analysis suite)."""
-        n = data.draw(st.integers(min_value=2, max_value=4))
-        grid = list(sorted_weight_grid(n, 4))
-        r = data.draw(st.sampled_from(grid))
-        d = data.draw(st.sampled_from([3, 4]))
-        # Filter result is deterministic and defined for every sorted vector.
-        result = weight_inequality_filter(r, 0, d, strict=False)
-        assert result in (True, False)
-        # Strict filter is at least as restrictive as the non-strict filter
-        # whenever the strict conditions are defined.
-        strict_result = weight_inequality_filter(r, 0, d, strict=True)
-        if strict_result:
-            assert result
