@@ -1,14 +1,14 @@
 """Exact rational matrices, ranks, and linear coordinate changes.
 
-Everything here is exact.  Matrices hold :class:`~fractions.Fraction`
-entries and are immutable.  The kernels run on Python integers and build
-``Fraction`` values only for their results: a matrix is scaled to integers
-by the lcm s of its denominators, products multiply the two scaled matrices
-and divide once, determinants use fraction-free (Bareiss) elimination on
-the scaled matrix (det(A) = det(sA) / s^n), ranks use Bareiss elimination
+Everything here is exact.  Matrices are immutable and hold Python integers
+over one positive denominator s, the lcm of the entries' denominators, so
+the form is canonical; :class:`~fractions.Fraction` entries are built only
+when ``rows`` is read.  Products multiply the stored integers and divide the
+scale out once, determinants use fraction-free (Bareiss) elimination on the
+stored integers sA (det(A) = det(sA) / s^n), ranks use Bareiss elimination
 and nullspaces fraction-free Gauss-Jordan elimination on integer-scaled
 rows, and coordinate changes expand the integer-scaled polynomial under the
-integer-scaled matrix and emit its terms already in canonical order.
+stored integers and emit its terms already in canonical order.
 """
 from __future__ import annotations
 
@@ -27,17 +27,22 @@ class MatrixError(ValueError):
 
 @dataclass(frozen=True)
 class RationalMatrix:
-    rows: tuple[tuple[Fraction, ...], ...]
+    """Entry (i, j) is ``ints[i][j] / scale``, with ``scale`` the lcm of the
+    entries' denominators, so equal matrices have equal fields."""
+
+    scale: int
+    ints: tuple[tuple[int, ...], ...]
 
     @staticmethod
     def from_rows(data: Iterable[Iterable]) -> "RationalMatrix":
-        rows = tuple(tuple(Fraction(x) for x in row) for row in data)
+        rows = [[as_rational(x) for x in row] for row in data]
         if not rows:
             raise MatrixError("empty matrix")
         width = len(rows[0])
         if width == 0 or any(len(r) != width for r in rows):
             raise MatrixError("rows have inconsistent lengths")
-        return RationalMatrix(rows)
+        scale = lcm(*(v.denominator for row in rows for v in row))
+        return RationalMatrix(scale, tuple(tuple(scaled_integers(row, scale)) for row in rows))
 
     @staticmethod
     def identity(size: int) -> "RationalMatrix":
@@ -57,32 +62,30 @@ class RationalMatrix:
         return RationalMatrix.from_rows(rows)
 
     @property
+    def rows(self) -> tuple[tuple[Fraction, ...], ...]:
+        return tuple(tuple(Fraction(v, self.scale) for v in row) for row in self.ints)
+
+    @property
     def nrows(self) -> int:
-        return len(self.rows)
+        return len(self.ints)
 
     @property
     def ncols(self) -> int:
-        return len(self.rows[0])
+        return len(self.ints[0])
 
     @property
     def is_square(self) -> bool:
         return self.nrows == self.ncols
 
-    def column(self, j: int) -> tuple[Fraction, ...]:
-        return tuple(row[j] for row in self.rows)
-
     def __matmul__(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.ncols != other.nrows:
             raise MatrixError("dimension mismatch in product")
-        sa, a = self._scaled()
-        sb, b = other._scaled()
-        cols = list(zip(*b))
-        scale = sa * sb
+        cols = list(zip(*other.ints))
+        ints = [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in self.ints]
+        scale = self.scale * other.scale
+        content = gcd(scale, *(v for row in ints for v in row))
         return RationalMatrix(
-            tuple(
-                tuple(Fraction(sum(x * y for x, y in zip(row, col)), scale) for col in cols)
-                for row in a
-            )
+            scale // content, tuple(tuple(v // content for v in row) for row in ints)
         )
 
     def determinant(self) -> Fraction:
@@ -90,7 +93,7 @@ class RationalMatrix:
         each step's division by the previous pivot is exact."""
         if not self.is_square:
             raise MatrixError("determinant of a non-square matrix")
-        scale, m = self._scaled()
+        m = [list(row) for row in self.ints]
         size = self.nrows
         sign, prev = 1, 1
         for col in range(size - 1):
@@ -107,22 +110,23 @@ class RationalMatrix:
                 for c in range(col + 1, size):
                     row[c] = (row[c] * p - factor * pivot_row[c]) // prev
             prev = p
-        return Fraction(sign * m[-1][-1], scale**size)
-
-    def _scaled(self) -> tuple[int, list[list[int]]]:
-        """(s, sA) with s the lcm of the entries' denominators."""
-        scale = lcm(*(v.denominator for row in self.rows for v in row))
-        return scale, [scaled_integers(row, scale) for row in self.rows]
+        return Fraction(sign * m[-1][-1], self.scale**size)
 
     def to_strings(self) -> list[list[str]]:
         return [[str(x) for x in row] for row in self.rows]
 
     @staticmethod
     def from_strings(data: Iterable[Iterable[str]]) -> "RationalMatrix":
-        return RationalMatrix.from_rows([[Fraction(x) for x in row] for row in data])
+        return RationalMatrix.from_rows(data)
 
     def __str__(self) -> str:
         return "\n".join("[" + ", ".join(str(x) for x in row) + "]" for row in self.rows)
+
+
+def as_rational(x) -> int | Fraction:
+    """``x`` itself for an int or a Fraction (both carry ``numerator`` and
+    ``denominator``), else ``Fraction(x)``."""
+    return x if isinstance(x, (int, Fraction)) else Fraction(x)
 
 
 def integer_rank(rows: list[list[int]]) -> int:
@@ -151,7 +155,7 @@ def integer_rank(rows: list[list[int]]) -> int:
     return rank
 
 
-def scaled_integers(values: Iterable[Fraction], scale: int) -> list[int]:
+def scaled_integers(values: Iterable[int | Fraction], scale: int) -> list[int]:
     """``scale * v`` for each v, where every denominator divides ``scale``."""
     return [v.numerator * (scale // v.denominator) for v in values]
 
@@ -159,8 +163,8 @@ def scaled_integers(values: Iterable[Fraction], scale: int) -> list[int]:
 def primitive_row(row: Iterable) -> list[int]:
     """The positive multiple of a rational row with coprime integer entries
     (a zero row stays zero)."""
-    fracs = [Fraction(x) for x in row]
-    return _primitive(scaled_integers(fracs, lcm(*(f.denominator for f in fracs))))
+    values = [as_rational(x) for x in row]
+    return _primitive(scaled_integers(values, lcm(*(v.denominator for v in values))))
 
 
 def _primitive(ints: list[int]) -> list[int]:
@@ -235,10 +239,11 @@ def apply_linear_change(f: HomogeneousPoly, sigma: RationalMatrix) -> Homogeneou
     The action satisfies ``apply(apply(f, tau), sigma) == apply(f, sigma @ tau)``
     and the identity matrix acts trivially.
 
-    The expansion runs on integers: ``fden * f`` and ``sden * sigma`` are
-    integral for the lcms of their denominators, each exponent tuple is packed
-    base ``d + 1`` into one int (no carries, since every exponent is at most
-    ``d``), and the sum is divided by ``fden * sden**d`` once at the end.
+    The expansion runs on integers: ``fden * f`` is integral for the lcm
+    ``fden`` of its denominators, ``sigma`` stores ``s * sigma`` as integers,
+    each exponent tuple is packed base ``d + 1`` into one int (no carries,
+    since every exponent is at most ``d``), and the sum is divided by
+    ``fden * s**d`` once at the end.
     The result's terms are built in canonical order, not through
     :meth:`HomogeneousPoly.make`.
     """
@@ -253,8 +258,7 @@ def apply_linear_change(f: HomogeneousPoly, sigma: RationalMatrix) -> Homogeneou
     # lex order on exponents.
     place = [base ** (size - 1 - k) for k in range(size)]
     fden = lcm(*(c.denominator for _, c in f.terms))
-    sden, scaled = sigma._scaled()
-    forms = [{place[k]: row[j] for k, row in enumerate(scaled) if row[j]} for j in range(size)]
+    forms = [{place[k]: row[j] for k, row in enumerate(sigma.ints) if row[j]} for j in range(size)]
 
     powers: dict[tuple[int, int], dict[int, int]] = {}
 
@@ -276,7 +280,7 @@ def apply_linear_change(f: HomogeneousPoly, sigma: RationalMatrix) -> Homogeneou
 
     # The keys are distinct degree-d exponents, so lex-descending order is
     # the canonical graded-lex order.
-    scale = fden * sden**f.d
+    scale = fden * sigma.scale**f.d
     terms = tuple(
         (tuple([key // p % base for p in place]), Fraction(acc[key], scale))
         for key in sorted(acc, reverse=True)

@@ -12,18 +12,34 @@ Each frame goes straight to the torus LP, which is complete per frame; its
 decisions are cached by (mode, support), since frames often share a
 support.  Absence of a certificate within budget is reported as exactly
 that, never as a stability claim.
+
+Refutations are also reused across supports, because refutation is
+upward-closed in the support.  Let lam be a verified barycentric
+certificate on monomials S, c the centroid, and T a support containing S.
+
+- Strict: lam >= 0, sum(lam) = 1 and sum(lam * (i - c)) = 0 put c in
+  conv(S), a subset of conv(T), so no r has r.i > 0 on all of T.
+- Non-strict: lam > 0 on S, and S - c spans the zero-sum space.  If
+  r.i >= 0 on T for a zero-sum r, then sum(lam * r.(i - c)) = 0 forces
+  r.i = 0 on S, so r is orthogonal to the whole zero-sum space: r = 0.
+
+A non-strict refutation is therefore also a strict one.  On a cache miss
+the search first checks exactly whether the monomials of a refutation
+found earlier in the same search (for a strict decision, one of either
+mode) all lie in the new support, and returns that refutation if so; only
+otherwise does it call the LP.  Witnesses come only from the LP, on the
+supports where it would run without reuse, so the outcome is unchanged.
 """
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .certificates import Certificate, verify_certificate
 from .linalg import RationalMatrix, apply_linear_change, matrix_moving_point_last
 from .local_analysis import ProjectivePoint
 from .polynomials import Exponent, HomogeneousPoly
-from .torus import TorusDecision, torus_destabilize
+from .torus import BarycentricCertificate, TorusDecision, torus_destabilize
 from .verdicts import InternalConsistencyError, Status
 # perfbench wraps ``hypstab.search.membership`` as its membership layer.
 from .weights import membership  # noqa: F401
@@ -77,11 +93,11 @@ class SearchOutcome:
 
 
 def _random_unipotent(rng: random.Random, size: int, bound: int, upper: bool) -> RationalMatrix:
-    rows = [[Fraction(int(i == j)) for j in range(size)] for i in range(size)]
+    rows = [[int(i == j) for j in range(size)] for i in range(size)]
     for i in range(size):
         rng_range = range(i + 1, size) if upper else range(0, i)
         for j in rng_range:
-            rows[i][j] = Fraction(rng.randint(-bound, bound))
+            rows[i][j] = rng.randint(-bound, bound)
     return RationalMatrix.from_rows(rows)
 
 
@@ -125,12 +141,31 @@ def search_destabilization(
     size = f.n + 1
     outcome = SearchOutcome()
     decision_cache: dict[tuple[bool, tuple[Exponent, ...]], TorusDecision] = {}
+    # Per mode: (monomials, certificate) of every refutation found so far.
+    refutations: dict[bool, list[tuple[frozenset[Exponent], BarycentricCertificate]]] = {
+        True: [],
+        False: [],
+    }
 
     def decide(g: HomogeneousPoly, strict: bool) -> TorusDecision:
-        key = (strict, g.support())
-        if key not in decision_cache:
-            decision_cache[key] = torus_destabilize(g, strict)
-        return decision_cache[key]
+        support = g.support()
+        key = (strict, support)
+        decision = decision_cache.get(key)
+        if decision is not None:
+            return decision
+        present = frozenset(support)
+        reused = next((cert for mons, cert in refutations[strict] if mons <= present), None)
+        if reused is not None:
+            decision = TorusDecision(False, strict, certificate=reused)
+        else:
+            decision = torus_destabilize(g, strict)
+            if not decision.feasible:
+                entry = (frozenset(exp for exp, _ in decision.certificate), decision.certificate)
+                refutations[strict].append(entry)
+                if not strict:
+                    refutations[True].append(entry)
+        decision_cache[key] = decision
+        return decision
 
     frame_stream = _frames(cfg, size, points)
     for index in range(cfg.budget):

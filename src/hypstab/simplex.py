@@ -21,7 +21,7 @@ from fractions import Fraction
 from math import lcm, prod
 from typing import Iterable, Sequence
 
-from .linalg import scaled_integers
+from .linalg import as_rational, scaled_integers
 from .verdicts import InternalConsistencyError
 
 OPTIMAL = "optimal"
@@ -101,9 +101,9 @@ class _Tableau:
 
 def solve_lp(A: Iterable[Iterable], b: Sequence, c: Sequence) -> LPResult:
     """Solve ``min c.x`` subject to ``A x = b``, ``x >= 0`` exactly."""
-    rows = [[Fraction(v) for v in row] for row in A]
-    rhs = [Fraction(v) for v in b]
-    obj = [Fraction(v) for v in c]
+    rows = [[as_rational(v) for v in row] for row in A]
+    rhs = [as_rational(v) for v in b]
+    obj = [as_rational(v) for v in c]
     m = len(rows)
     nv = len(obj)
     if len(rhs) != m or any(len(row) != nv for row in rows):

@@ -58,18 +58,6 @@ class WeightVector:
             g = gcd(g, abs(v))
         return self if g <= 1 else WeightVector(tuple(v // g for v in self.r))
 
-    def last_nonnegative_index(self) -> int:
-        """Largest t with r_t >= 0; requires sorted order."""
-        self._require_sorted()
-        if self.r[0] < 0:
-            raise WeightError("sorted weight vector cannot be all-negative")
-        return max(j for j, v in enumerate(self.r) if v >= 0)
-
-    def last_positive_index(self) -> int:
-        """Largest t with r_t > 0; requires sorted order."""
-        self._require_sorted()
-        return max(j for j, v in enumerate(self.r) if v > 0)
-
     def _require_sorted(self):
         if not self.is_sorted:
             raise WeightError(f"{self.r} is not sorted in non-increasing order")

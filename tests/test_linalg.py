@@ -33,8 +33,9 @@ class TestRationalMatrix:
     def test_permutation_column_convention(self):
         # x_j -> x_{images[j]}: column j carries the unit vector at images[j].
         perm = RationalMatrix.permutation([1, 2, 0])
-        assert perm.column(0) == (0, 1, 0)
-        assert perm.column(1) == (0, 0, 1)
+        columns = list(zip(*perm.rows))
+        assert columns[0] == (0, 1, 0)
+        assert columns[1] == (0, 0, 1)
 
     def test_determinant_and_inverse(self):
         m = RationalMatrix.from_rows([[2, 1], [1, 1]])
@@ -50,6 +51,23 @@ class TestRationalMatrix:
     def test_string_round_trip(self):
         m = RationalMatrix.from_rows([[Fraction(1, 2), -1], [3, 0]])
         assert RationalMatrix.from_strings(m.to_strings()) == m
+
+    def test_canonical_integer_form(self):
+        # The same matrix from ints, Fractions and strings: equal fields, equal hash.
+        from_ints = RationalMatrix.from_rows([[2, 0], [-1, 3]])
+        from_fracs = RationalMatrix.from_rows([[Fraction(4, 2), Fraction(0)], [Fraction(-3, 3), Fraction(3)]])
+        from_strs = RationalMatrix.from_strings([["2", "0/5"], ["-2/2", "3"]])
+        assert from_ints == from_fracs == from_strs
+        assert hash(from_ints) == hash(from_fracs) == hash(from_strs)
+        assert (from_ints.scale, from_ints.ints) == (1, ((2, 0), (-1, 3)))
+        half = RationalMatrix.from_rows([[Fraction(1, 2), Fraction(1, 3)], [0, "-5/6"]])
+        assert (half.scale, half.ints) == (6, ((3, 2), (0, -5)))
+        assert half.rows == ((Fraction(1, 2), Fraction(1, 3)), (0, Fraction(-5, 6)))
+        assert RationalMatrix.from_rows(half.rows) == half
+        # A product is reduced to the same canonical form.
+        double = RationalMatrix.from_rows([[2, 0], [0, 2]])
+        assert half @ double == RationalMatrix.from_rows([[1, Fraction(2, 3)], [0, Fraction(-5, 3)]])
+        assert hash(half @ double) == hash(RationalMatrix.from_rows([[1, Fraction(2, 3)], [0, Fraction(-5, 3)]]))
 
     def test_non_permutation_rejected(self):
         with pytest.raises(MatrixError):
@@ -162,8 +180,7 @@ def reference_apply_linear_change(f, sigma):
         return tuple(int(i == k) for i in range(size))
 
     forms = []
-    for j in range(size):
-        col = sigma.column(j)
+    for col in zip(*sigma.rows):
         forms.append(HomogeneousPoly.make(f.n, 1, {unit(k): col[k] for k in range(size) if col[k] != 0}))
     one = HomogeneousPoly.make(f.n, 0, {tuple([0] * size): Fraction(1)})
     acc = {}

@@ -1,15 +1,31 @@
 """Destabilization search: soundness and determinism."""
 from __future__ import annotations
 
+import random
+from unittest import mock
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hypstab import (
+    Certificate,
+    HomogeneousPoly,
+    RationalMatrix,
     SearchConfig,
     Status,
+    apply_linear_change,
+    family_poly,
+    parse_poly,
     scan_singular_points,
     search_destabilization,
     verify_certificate,
 )
+from hypstab import search
+from hypstab.search import FrameRecord, SearchOutcome
+from hypstab.torus import torus_destabilize
+
+from conftest import degree_monomials
 
 
 def run_search(f, budget=20, seed=1):
@@ -75,3 +91,153 @@ class TestConfigValidation:
     def test_bad_strategy(self):
         with pytest.raises(ValueError):
             SearchConfig(strategies=("warp-drive",))
+
+
+# The benchmark's disguised bases: (text, n).
+DISGUISED_BASES = (
+    (None, "fn", 2),
+    (None, "fn", 3),
+    (None, "gn", 2),
+    (None, "gn", 3),
+    ("x1^2*x2 - x0^3", None, 2),
+    ("x1^2*x2 - x0^2*x2 - x0^3", None, 2),
+    ("x0^2*x2 + x1^2*x3", None, 3),
+    ("x0^3 - 2*x0*x1^2 - 2*x1^2*x2 + x2^3", None, 2),
+)
+
+
+def disguised_bases():
+    """Each base under a fixed integer change U*P (U upper unitriangular with
+    entries in [-1, 1], P a permutation), with its singular points."""
+    rng = random.Random(0)
+    out = []
+    for text, family, n in DISGUISED_BASES:
+        f = family_poly(family, n) if family else parse_poly(text, n)
+        size = n + 1
+        upper = [[int(i == j) if j <= i else rng.randint(-1, 1) for j in range(size)] for i in range(size)]
+        images = list(range(size))
+        rng.shuffle(images)
+        sigma = RationalMatrix.from_rows(upper) @ RationalMatrix.permutation(images)
+        g = apply_linear_change(f, sigma)
+        out.append((g, scan_singular_points(g, 2).points))
+    return out
+
+
+@st.composite
+def random_forms(draw):
+    """Forms with n <= 3 and d <= 4 on a random support, rational coefficients."""
+    n = draw(st.integers(1, 3))
+    d = draw(st.integers(1, 4))
+    support = draw(st.sets(st.sampled_from(degree_monomials(n, d)), min_size=1))
+    coeff = st.fractions(min_value=-5, max_value=5, max_denominator=3).filter(lambda c: c != 0)
+    return HomogeneousPoly.make(n, d, {exp: draw(coeff) for exp in sorted(support)})
+
+
+def checked_search(f, cfg, points=()) -> tuple[SearchOutcome, int]:
+    """Run the search and check every decision that did not come from the LP
+    (a reused refutation, or the cache entry of one) against a fresh LP on
+    that support, which must find no witness either.  Returns the outcome
+    and the number of such decisions."""
+    changed, sent = [], set()
+
+    def change(f, sigma):
+        changed.append(apply_linear_change(f, sigma))
+        return changed[-1]
+
+    def torus(g, strict):
+        sent.add((strict, g.support()))
+        return torus_destabilize(g, strict)
+
+    with mock.patch.object(search, "apply_linear_change", change), mock.patch.object(
+        search, "torus_destabilize", torus
+    ):
+        outcome = search_destabilization(f, cfg, points)
+    assert len(changed) == len(outcome.frames) == outcome.frames_tried
+    reused = 0
+    for g, record in zip(changed, outcome.frames):
+        modes = [(True, record.strict_feasible)]
+        if record.nonstrict_feasible is not None:
+            modes.append((False, record.nonstrict_feasible))
+        for strict, feasible in modes:
+            if (strict, g.support()) in sent:
+                continue
+            reused += 1
+            assert not feasible
+            assert torus_destabilize(g, strict).witness is None
+    return outcome, reused
+
+
+def search_without_reuse(f, cfg, points=()) -> SearchOutcome:
+    """The frame search with an exact-support cache only, as it was before
+    refutations were reused."""
+    outcome = SearchOutcome()
+    cache = {}
+
+    def decide(g, strict):
+        key = (strict, g.support())
+        if key not in cache:
+            cache[key] = torus_destabilize(g, strict)
+        return cache[key]
+
+    frame_stream = search._frames(cfg, f.n + 1, points)
+    for index in range(cfg.budget):
+        try:
+            strategy, sigma = next(frame_stream)
+        except StopIteration:
+            break
+        outcome.frames_tried += 1
+        g = apply_linear_change(f, sigma)
+        decision = decide(g, strict=True)
+        if decision.witness is not None:
+            outcome.strict = Certificate(sigma, decision.witness.reduced(), strict=True)
+            outcome.frames.append(FrameRecord(strategy, index, True, None))
+            return outcome
+        nonstrict_feasible = None
+        if outcome.nonstrict is None:
+            nonstrict = decide(g, strict=False)
+            nonstrict_feasible = nonstrict.feasible
+            if nonstrict.witness is not None:
+                outcome.nonstrict = Certificate(sigma, nonstrict.witness.reduced(), strict=False)
+        outcome.frames.append(FrameRecord(strategy, index, decision.feasible, nonstrict_feasible))
+    return outcome
+
+
+class TestRefutationReuse:
+    def test_reused_refutations_hold_on_disguised_bases(self):
+        total = 0
+        for f, points in disguised_bases():
+            _, reused = checked_search(f, SearchConfig(budget=50, seed=0), points)
+            total += reused
+        assert total > 0
+
+    @given(random_forms(), st.integers(0, 3))
+    @settings(max_examples=40, deadline=None)
+    def test_reused_refutations_hold_on_random_forms(self, f, seed):
+        checked_search(f, SearchConfig(budget=30, seed=seed))
+
+    @given(random_forms(), st.integers(0, 3))
+    @settings(max_examples=40, deadline=None)
+    def test_outcome_matches_search_without_reuse(self, f, seed):
+        cfg = SearchConfig(budget=30, seed=seed)
+        assert search_destabilization(f, cfg) == search_without_reuse(f, cfg)
+
+    def test_outcome_matches_on_disguised_bases(self):
+        for f, points in disguised_bases():
+            cfg = SearchConfig(budget=50, seed=0)
+            assert search_destabilization(f, cfg, points) == search_without_reuse(f, cfg, points)
+
+    def test_reuse_skips_most_lps(self):
+        # Without reuse this search makes 28 torus decisions by LP.
+        f = parse_poly(
+            "-2*x0^3 + x0^2*x1 + x0^2*x2 + 3*x0*x1^2 + 3*x0*x2^2 + x1^3 + x2^3", 2
+        )
+        calls = []
+
+        def torus(g, strict):
+            calls.append(strict)
+            return torus_destabilize(g, strict)
+
+        with mock.patch.object(search, "torus_destabilize", torus):
+            outcome = search_destabilization(f, SearchConfig(budget=50, seed=0))
+        assert outcome.frames_tried == 50 and not outcome.found
+        assert len(calls) <= 12

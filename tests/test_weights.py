@@ -26,13 +26,6 @@ class TestWeightVector:
         assert WeightVector((3, 1, -4)).is_sorted
         assert not WeightVector((1, 3, -4)).is_sorted
 
-    def test_last_index_accessors(self):
-        r = WeightVector((3, 1, 0, -4))
-        assert r.last_nonnegative_index() == 2
-        assert r.last_positive_index() == 1
-        with pytest.raises(WeightError):
-            WeightVector((1, -2, 1)).last_nonnegative_index()
-
 
 class TestWeightOf:
     def test_spec_values(self):
