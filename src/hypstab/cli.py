@@ -56,9 +56,20 @@ def _read_poly_file(path: str):
 
 
 def _read_points_file(path: str) -> tuple[ProjectivePoint, ...]:
+    """The points of a JSON list of coordinate lists; a coordinate is a
+    number or a string such as "1/2"."""
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
-    return tuple(ProjectivePoint.make([Fraction(str(v)) for v in coords]) for coords in data)
+    if not isinstance(data, list) or not all(isinstance(coords, list) for coords in data):
+        raise PointError(f"bad points file {path}: expected a list of coordinate lists")
+    points = []
+    for coords in data:
+        try:
+            values = [Fraction(str(v)) for v in coords]
+        except (ValueError, ZeroDivisionError) as exc:
+            raise PointError(f"bad point {coords} in {path}: {exc}") from exc
+        points.append(ProjectivePoint.make(values))
+    return tuple(points)
 
 
 def _emit(payload: dict, text: str, json_path: str | None) -> None:

@@ -1,13 +1,15 @@
 """An integer box ``values^width`` as a fixed tile under batches of prefixes.
 
 The singular scan, the finite-field counts and the brute-force weight
-oracle all walk such a box, in lexicographic order.  ``box_batches`` splits
-it into a tile, the combinations of the last coordinates, which is the same
-for every prefix, and batches of prefixes over the first coordinates.  The
-scan evaluates the two parts apart and multiplies them; ``box_blocks``
-materializes the rows ``head + prefix + tile row`` for callers that want
-whole rows.  A batch times the tile is at most ``BLOCK_ROWS`` rows, so
-memory stays bounded whatever the box size.
+oracle all walk such a box.  A box splits into a tile, the combinations of
+the last coordinates, which is the same for every prefix, and prefixes over
+the first coordinates.  ``canonical_split`` gives the scan the canonical
+rows of a box, those whose first nonzero entry is a lead, as canonical
+prefixes times the tile plus the zero prefix times the tile's canonical
+rows; the scan evaluates the parts apart.  ``box_blocks`` materializes the
+rows ``head + prefix + tile row``, in lexicographic order, for the oracle.
+Every array is at most ``BLOCK_ROWS`` rows, so memory stays bounded
+whatever the box size.
 """
 from __future__ import annotations
 
@@ -15,46 +17,66 @@ from itertools import islice, product
 
 import numpy as np
 
-# Rows per batch x tile.  A fixed cap, not a tuning knob: it bounds peak memory.
+# Rows per array.  A fixed cap, not a tuning knob: it bounds peak memory.
 BLOCK_ROWS = 4096
 
 
-def box_batches(values, width: int):
-    """The box ``product(values, repeat=width)`` as ``(tile, batches)``.
-
-    ``tile`` is an int64 array of every combination of the last t
-    coordinates, in lexicographic order, with t as large as
-    ``len(values)**t <= BLOCK_ROWS`` allows.  ``batches`` yields int64 arrays
-    of at most ``BLOCK_ROWS // len(tile)`` prefixes over the first
-    ``width - t`` coordinates, in lexicographic order.  The box is every
-    ``prefix + row``, for each batch, each prefix in it and each tile row,
-    in that order.
-    """
-    values = [int(v) for v in values]
-    m = len(values)
-    t = 0
-    while t < width and m ** (t + 1) <= BLOCK_ROWS:
+def _tile(values: list[int], most: int) -> np.ndarray:
+    """Every combination of t coordinates in ``values``, in lexicographic
+    order, as an int64 array, with t <= ``most`` as large as
+    ``len(values)**t <= BLOCK_ROWS`` allows."""
+    m, t = len(values), 0
+    while t < most and m ** (t + 1) <= BLOCK_ROWS:
         t += 1
-    tile = np.array(values, dtype=np.int64)[np.indices((m,) * t).reshape(t, m**t).T]
-    prefixes = product(values, repeat=width - t)
-    size = BLOCK_ROWS // len(tile)
+    return np.array(values, dtype=np.int64)[np.indices((m,) * t).reshape(t, m**t).T]
 
-    def batches():
-        while batch := list(islice(prefixes, size)):
-            yield np.array(batch, dtype=np.int64).reshape(len(batch), width - t)
 
-    return tile, batches()
+def _batches(rows, width: int, size: int):
+    """The tuples of ``rows`` as int64 arrays of at most ``size`` rows."""
+    while batch := list(islice(rows, size)):
+        yield np.array(batch, dtype=np.int64).reshape(len(batch), width)
 
 
 def box_blocks(values, width: int, head: tuple[int, ...] = ()):
     """Yield the rows ``head + t`` for ``t`` in ``product(values, repeat=width)``,
-    in that order, as int64 arrays of at most ``BLOCK_ROWS`` rows: one
-    block per batch of :func:`box_batches`."""
-    tile, batches = box_batches(values, width)
+    in that order, as int64 arrays of at most ``BLOCK_ROWS`` rows: each block
+    is a batch of prefixes over the first coordinates times the tile over
+    the rest."""
+    values = [int(v) for v in values]
+    tile = _tile(values, width)
     h, cut = len(head), len(head) + width - tile.shape[1]
-    for pre in batches:
+    prefixes = product(values, repeat=width - tile.shape[1])
+    for pre in _batches(prefixes, cut - h, BLOCK_ROWS // len(tile)):
         block = np.empty((len(pre) * len(tile), h + width), dtype=np.int64)
         block[:, :h] = head
         block[:, h:cut] = np.repeat(pre, len(tile), axis=0)
         block[:, cut:] = np.tile(tile, (len(pre), 1))
         yield block
+
+
+def canonical_split(values, top: int, width: int):
+    """The rows of ``product(values, repeat=width)`` whose first nonzero
+    entry is in 1..``top``, as ``(tile, is_lead, prefixes)``.
+
+    ``tile`` is the int64 array of every combination of the last t
+    coordinates, in lexicographic order, with t < ``width`` (so the first
+    nonzero entry of a row with a nonzero prefix lies in the prefix) as large
+    as ``len(values)**t <= BLOCK_ROWS`` allows.  ``is_lead`` marks the tile
+    rows whose first nonzero entry is in 1..``top``.  ``prefixes`` yields
+    int64 arrays of at most ``BLOCK_ROWS`` such rows over the first
+    ``width - t`` coordinates.  The rows are every ``prefix + tile row``,
+    and the zero prefix followed by each tile row that ``is_lead`` marks.
+    """
+    values = [int(v) for v in values]
+    leads = [v for v in values if 1 <= v <= top]
+    tile = _tile(values, width - 1)
+    first = np.zeros(len(tile), dtype=np.int64)
+    for col in tile.T[::-1]:
+        first = np.where(col != 0, col, first)
+    cut = width - tile.shape[1]
+    prefixes = (
+        (0,) * k + row
+        for k in range(cut)
+        for row in product(leads, *[values] * (cut - k - 1))
+    )
+    return tile, (first >= 1) & (first <= top), _batches(prefixes, cut, BLOCK_ROWS)

@@ -12,11 +12,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
 
 import numpy as np
 
-from .grid import box_batches
+from . import grid
 from .linalg import apply_linear_change, matrix_moving_point_last, rational_rank
 from .polynomials import (
     AffinePoly,
@@ -79,15 +80,6 @@ def chart_at(f: HomogeneousPoly, p: ProjectivePoint) -> AffinePoly:
 def multiplicity_at(f: HomogeneousPoly, p: ProjectivePoint) -> int:
     """Order of vanishing of the chart of ``f`` at ``p``; 0 when f(p) != 0."""
     return analyze_point(f, p).multiplicity
-
-
-def tangent_cone_at(f: HomogeneousPoly, p: ProjectivePoint) -> AffinePoly:
-    """Lowest-degree homogeneous part of the chart at ``p`` (p on the
-    hypersurface)."""
-    cone = analyze_point(f, p).tangent_cone
-    if cone is None:
-        raise PointError(f"{p} does not lie on the hypersurface")
-    return cone
 
 
 def _quadratic_form_matrix(q: AffinePoly) -> list[list[Fraction]]:
@@ -237,8 +229,9 @@ class ScanResult:
     prime p, the number of singular points of F over F_p, that is of points
     of P^n(F_p) at which F and every partial of F vanish mod p, F being f
     with its denominators cleared and its content removed; or None when
-    the field was skipped.  Neither proves anything about singular points
-    outside the height bound or with irrational coordinates.
+    P^n(F_p) has more than ``_FIELD_SCAN_LIMIT`` points.  The points and
+    every count come from the same evaluator.  Neither proves anything about
+    singular points outside the height bound or with irrational coordinates.
     """
 
     points: tuple[ProjectivePoint, ...]
@@ -315,8 +308,11 @@ def _monomial_values(points, exps, dtype, modulus: int | None):
     ``modulus`` when given, reducing after each product)."""
     values = np.ones((len(points), len(exps)), dtype=dtype)
     for j, col in enumerate(points.astype(dtype, copy=False).T):
+        degree = int(exps[:, j].max(initial=0))
+        if not degree:
+            continue
         # powers[e] = col ** e
-        powers = np.empty((int(exps[:, j].max(initial=0)) + 1, len(col)), dtype=dtype)
+        powers = np.empty((degree + 1, len(col)), dtype=dtype)
         powers[0] = 1
         for e in range(1, len(powers)):
             np.multiply(powers[e - 1], col, out=powers[e])
@@ -328,70 +324,95 @@ def _monomial_values(points, exps, dtype, modulus: int | None):
     return values
 
 
-def _box_zeros(exps, coeffs, heads, values, width: int, modulus: int | None = None):
-    """Yield the rows ``head + t``, head in ``heads`` (all of one length) and
-    t in ``product(values, repeat=width)``, at which every polynomial
-    vanishes (mod ``modulus`` when given), as int64 arrays of at most
-    ``grid.BLOCK_ROWS`` rows, in no particular order.
+def _product(left, right, modulus: int | None):
+    """``left @ right``, reduced mod ``modulus`` when given."""
+    out = left @ right
+    if modulus:
+        out %= modulus
+    return out
+
+
+def _canonical_zeros(exps, coeffs, values, top: int, modulus: int | None = None):
+    """Yield the rows of ``product(values, repeat=nvars)`` whose first nonzero
+    entry is in 1..``top`` and at which every polynomial vanishes (mod
+    ``modulus`` when given), as int64 arrays of at most ``grid.BLOCK_ROWS``
+    rows, in no particular order.
 
     Column q of ``coeffs`` (monomial x polynomial) holds the coefficients of
-    polynomial q on the monomials ``exps``, in the dtype of the evaluation.
-    On the box of :func:`grid.box_batches` a monomial is (head part) x
-    (prefix part) x (tile part): the head part is folded into the
-    coefficients, the tile part is evaluated once and the prefix part once
-    per batch.  For each head, the sparsest polynomial is evaluated on the
-    whole batch x tile grid as one matrix product over its support, and each
-    next one only on the pairs where all before it vanish.  Every product is
+    polynomial q on the monomials ``exps``, in the dtype of the evaluation
+    (reduced mod ``modulus`` when given).  The rows are split into prefixes
+    and a tile as :func:`grid.canonical_split` describes, so a monomial is
+    (prefix part) x (tile part).  Each polynomial is evaluated only where it
+    can vary.  One that reads no prefix coordinate filters the tile rows,
+    once per call; one that reads no tile coordinate filters each batch of
+    prefixes.  The rest run on (surviving prefixes) x (surviving tile rows):
+    the sparsest as one matrix product over its support, and each next one
+    only on the pairs where all before it vanish.  Every product is
     c * P * T and every sum is part of one polynomial's value, so no value
     exceeds the bound the dtype was chosen for.
     """
-    nhead = len(heads[0])
-    tile, batches = box_batches(values, width)
-    cut = nhead + width - tile.shape[1]
+    nvars = exps.shape[1]
+    tile, is_lead, prefixes = grid.canonical_split(values, top, nvars)
+    cut = nvars - tile.shape[1]
     dtype = coeffs.dtype
-    head_values = _monomial_values(np.array(heads, dtype=np.int64), exps[:, :nhead], dtype, modulus)
-    folded = [coeffs * hv[:, None] for hv in head_values]
-    if modulus:
-        folded = [c % modulus for c in folded]
-    tile_values = _monomial_values(tile, exps[:, cut:], dtype, modulus)
-    # Per head, (support, coefficients) of each polynomial not identically
-    # zero on the box, sparsest first.
-    plans = []
-    for c in folded:
-        supports = [np.flatnonzero(col) for col in (c != 0).T]
-        sizes = sorted((len(s), q) for q, s in enumerate(supports) if len(s))
-        plans.append([(supports[q], c[supports[q], q]) for _, q in sizes])
-    for pre in batches:
-        pre_values = _monomial_values(pre, exps[:, nhead:cut], dtype, modulus)
-        for head, terms in zip(heads, plans):
-            if terms:
-                s, c = terms[0]
+    # (support, coefficients) of each polynomial that is not zero, by the
+    # side of the split it reads, sparsest first.
+    on_tile, on_prefix, mixed = [], [], []
+    for col in sorted(coeffs.T, key=np.count_nonzero):
+        support = np.flatnonzero(col)
+        if len(support):
+            reads = exps[support].any(axis=0)
+            reads_prefix, reads_tile = reads[:cut].any(), reads[cut:].any()
+            side = mixed if reads_prefix and reads_tile else on_prefix if reads_prefix else on_tile
+            side.append((support, col[support]))
+
+    def vanish(points, part, support, c):
+        """Where one polynomial vanishes on ``points``, a part of the split."""
+        monomials = _monomial_values(points, exps[support, part], dtype, modulus)
+        return _product(monomials, c, modulus) == 0
+
+    alive = np.arange(len(tile))
+    for s, c in on_tile:
+        alive = alive[vanish(tile[alive], slice(cut, None), s, c)]
+    if not len(alive):
+        return
+    tile_values = _monomial_values(tile[alive], exps[:, cut:], dtype, modulus)
+    leading = np.flatnonzero(is_lead[alive])
+    parts = ((pre, alive, tile_values) for pre in prefixes)
+    if len(leading):
+        zero = np.zeros((1, cut), dtype=np.int64)
+        parts = chain(parts, [(zero, alive[leading], tile_values[leading])])
+    for pre, rows, row_values in parts:
+        for s, c in on_prefix:
+            pre = pre[vanish(pre, slice(cut), s, c)]
+        step = max(1, grid.BLOCK_ROWS // len(rows))
+        for start in range(0, len(pre), step):
+            batch = pre[start : start + step]
+            if mixed:
+                pre_values = _monomial_values(batch, exps[:, :cut], dtype, modulus)
+                s, c = mixed[0]
                 lhs = pre_values[:, s] * c
                 if modulus:
                     lhs %= modulus
-                grid = lhs @ tile_values[:, s].T
-                if modulus:
-                    grid %= modulus
-                bi, ri = np.nonzero(grid == 0)
+                bi, ri = np.nonzero(_product(lhs, row_values[:, s].T, modulus) == 0)
             else:
-                bi, ri = np.nonzero(np.ones((len(pre), len(tile)), dtype=bool))
-            for s, c in terms[1:]:
+                bi, ri = np.indices((len(batch), len(rows))).reshape(2, -1)
+            for s, c in mixed[1:]:
                 if not len(bi):
                     break
                 lhs = pre_values[bi[:, None], s] * c
                 if modulus:
                     lhs %= modulus
-                sums = (lhs * tile_values[ri[:, None], s]).sum(axis=1)
+                sums = (lhs * row_values[ri[:, None], s]).sum(axis=1)
                 if modulus:
                     sums %= modulus
-                keep = sums == 0
-                bi, ri = bi[keep], ri[keep]
+                hit = sums == 0
+                bi, ri = bi[hit], ri[hit]
             if len(bi):
-                rows = np.empty((len(bi), nhead + width), dtype=np.int64)
-                rows[:, :nhead] = head
-                rows[:, nhead:cut] = pre[bi]
-                rows[:, cut:] = tile[ri]
-                yield rows
+                out = np.empty((len(bi), nvars), dtype=np.int64)
+                out[:, :cut] = batch[bi]
+                out[:, cut:] = tile[rows[ri]]
+                yield out
 
 
 def _count_field_singular(exps, table, nvars: int, p: int) -> int | None:
@@ -402,11 +423,7 @@ def _count_field_singular(exps, table, nvars: int, p: int) -> int | None:
         return None
     dtype = _block_dtype(len(exps) * (p - 1) ** 2)
     coeffs = np.array([[c % p for c in row] for row in table], dtype=dtype).reshape(len(exps), -1)
-    return sum(
-        len(rows)
-        for k in range(nvars)
-        for rows in _box_zeros(exps, coeffs, [(0,) * k + (1,)], range(p), nvars - k - 1, p)
-    )
+    return sum(len(rows) for rows in _canonical_zeros(exps, coeffs, range(p), 1, p))
 
 
 def scan_singular_points(
@@ -415,15 +432,14 @@ def scan_singular_points(
     """All rational projective points of height <= bound with vanishing
     gradient (exact), plus heuristic singular counts over finite fields.
 
-    Only canonical points are enumerated: for each k, coordinates 0..k-1 are
-    0, coordinate k is in 1..h and the rest range over [-h, h].  The
-    partials, each with its denominators cleared, are evaluated on the box
-    of each k factored as (head) x (prefix batch) x (tile), as
-    ``_box_zeros`` describes, in int64 when max_j sum |c_j| * h^(d-1) < 2^63
-    and in Python ints otherwise.  Rows with gcd != 1 are dropped from the
-    hits, and every hit left is re-checked in rational arithmetic.  The
-    field counts evaluate F and its partials on the same boxes mod p.
-    Field sizes must be primes.
+    Only canonical points are enumerated: coordinates in [-h, h], the first
+    nonzero one in 1..h.  The partials, each with its denominators cleared,
+    are evaluated on all of them in one pass of ``_canonical_zeros``, in
+    int64 when max_j sum |c_j| * h^(d-1) < 2^63 and in Python ints
+    otherwise.  Rows with gcd != 1 are dropped from the hits, and every hit
+    left is re-checked in rational arithmetic.  Each field count is one more
+    pass, over the points of P^n(F_p) with first nonzero coordinate 1,
+    evaluating F and its partials mod p.  Field sizes must be primes.
     """
     if height_bound < 1:
         raise ValueError("height bound must be >= 1")
@@ -441,16 +457,14 @@ def scan_singular_points(
 
     found = []
     box = range(-height_bound, height_bound + 1)
-    for k in range(nvars):
-        heads = [(0,) * k + (a,) for a in range(1, height_bound + 1)]
-        for rows in _box_zeros(exps, coeffs, heads, box, nvars - k - 1):
-            for row in rows[np.gcd.reduce(rows, axis=1) == 1]:
-                coords = tuple(int(c) for c in row)
-                if any(p.evaluate(coords) != 0 for p in partials):
-                    raise InternalConsistencyError(
-                        f"integer scan found {coords}, where the gradient does not vanish"
-                    )
-                found.append(ProjectivePoint(coords))
+    for rows in _canonical_zeros(exps, coeffs, box, height_bound):
+        for row in rows[np.gcd.reduce(rows, axis=1) == 1]:
+            coords = tuple(int(c) for c in row)
+            if any(p.evaluate(coords) != 0 for p in partials):
+                raise InternalConsistencyError(
+                    f"integer scan found {coords}, where the gradient does not vanish"
+                )
+            found.append(ProjectivePoint(coords))
     found.sort(key=lambda p: p.coords)
 
     field_counts = {}

@@ -74,6 +74,27 @@ class TestAnalyze:
         assert f"field size {size} is not a prime" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("content", ['5', '[null]', '{"a": 1}', '[["1/0", 0, 1]]'])
+    def test_malformed_points_file_is_input_error(self, capsys, poly_file, tmp_path, content):
+        path = poly_file("x0^2*x2 + x1^3")
+        points = tmp_path / "points.json"
+        points.write_text(content)
+        code, _, err = run(capsys, ["analyze", path, "--points", str(points), "--budget", "2"])
+        assert code == EXIT_INPUT
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: bad point"), err
+
+    def test_points_file(self, capsys, poly_file, tmp_path):
+        path = poly_file("x0^2*x2 + x1^3")
+        points = tmp_path / "points.json"
+        points.write_text('[["0", "0", "1/2"], [1, 0, 0]]')
+        code, out, _ = run(
+            capsys, ["analyze", path, "--points", str(points), "--budget", "2", "--json", "-"]
+        )
+        assert code == EXIT_OK
+        points = [p["point"] for p in json.loads(out)["points"]]
+        assert points == [["0", "0", "1"], ["1", "0", "0"]]
+
     def test_user_asserted_s(self, capsys, poly_file):
         path = poly_file("x1^2*x2 - x0^2*x2 - x0^3")
         code, out, _ = run(

@@ -1,4 +1,5 @@
-"""The shared box enumerator and the weight oracle's lexicographic order."""
+"""The shared box enumerator, its canonical split, and the weight oracle's
+lexicographic order."""
 from __future__ import annotations
 
 import random
@@ -7,8 +8,8 @@ from itertools import product
 import numpy as np
 import pytest
 
-from hypstab import enumerate_weight_oracle
-from hypstab.grid import BLOCK_ROWS, box_batches, box_blocks
+from hypstab import enumerate_weight_oracle, grid
+from hypstab.grid import BLOCK_ROWS, box_blocks
 
 from conftest import random_support_poly
 
@@ -36,11 +37,48 @@ def test_blocks_match_product(values, width, head):
     "m, width, t", [(7, 6, 4), (7, 2, 2), (3, 7, 7), (5, 6, 5), (5000, 1, 0), (2, 0, 0)]
 )
 def test_tile_is_the_largest_that_fits(m, width, t):
-    tile, batches = box_batches(range(m), width)
+    tile = grid._tile(list(range(m)), width)
     assert tile.shape == (m**t, t)
-    sizes = [len(b) for b in batches]
-    assert sum(sizes) == m ** (width - t)
-    assert max(sizes) * len(tile) <= BLOCK_ROWS
+    sizes = [len(b) for b in box_blocks(range(m), width)]
+    assert sum(sizes) == m**width
+    assert all(size % len(tile) == 0 and size <= BLOCK_ROWS for size in sizes)
+
+
+def _canonical_rows(values, top, width):
+    return sorted(
+        row
+        for row in product(values, repeat=width)
+        if any(row) and 1 <= next(v for v in row if v) <= top
+    )
+
+
+@pytest.mark.parametrize(
+    "values, top, width, rows",
+    [
+        (range(-3, 4), 3, 7, 4096),  # scan, n = 6: tile of 7^4, prefixes over 3
+        (range(-2, 3), 2, 3, 4096),  # tile capped at width - 1
+        (range(7), 1, 4, 4096),  # field count
+        (range(2), 1, 7, 4096),
+        (range(-2, 3), 2, 4, 5),  # one-column tile, prefixes in several batches
+        (range(3), 1, 3, 2),  # empty tile: every row is a prefix
+        (range(-1, 2), 1, 1, 4096),
+    ],
+)
+def test_canonical_split_covers_the_canonical_rows_once(monkeypatch, values, top, width, rows):
+    monkeypatch.setattr(grid, "BLOCK_ROWS", rows)
+    tile, is_lead, prefixes = grid.canonical_split(values, top, width)
+    t = tile.shape[1]
+    assert t < width and len(values) ** t <= rows
+    assert t == width - 1 or len(values) ** (t + 1) > rows
+    batches = list(prefixes)
+    assert all(b.dtype == np.int64 and b.shape[1] == width - t for b in batches)
+    assert all(len(b) <= rows for b in batches)
+    tile_rows = [tuple(int(v) for v in row) for row in tile]
+    assert tile_rows == list(product(values, repeat=t))
+    found = [
+        tuple(int(v) for v in pre) + row for b in batches for pre in b for row in tile_rows
+    ] + [(0,) * (width - t) + row for row, lead in zip(tile_rows, is_lead) if lead]
+    assert sorted(found) == _canonical_rows(values, top, width)
 
 
 def _oracle_reference(f, bound, strict):

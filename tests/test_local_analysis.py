@@ -34,7 +34,6 @@ from hypstab.local_analysis import (
     _integer_table,
     _scan_dtype,
     is_cone,
-    tangent_cone_at,
 )
 from hypstab.polynomials import AffinePoly, HomogeneousPoly, primitive_form
 from hypstab.verdicts import InternalConsistencyError
@@ -388,6 +387,27 @@ def _random_form(rng, n, d, terms):
     return HomogeneousPoly.make(n, d, {m: rng.choice([-3, -2, -1, 1, 2, 3]) for m in monomials})
 
 
+def _split_form(data, n, cut, d):
+    """A form with monomials from three pools: those in x_0..x_{cut-1} only,
+    those in x_cut..x_n only, and the rest.  Split after coordinate cut, the
+    partials of the first two pools read only prefix or only tile
+    coordinates; at d = 1 the partials are constants and read neither.
+    Coefficients include multiples of 3 and 5, so that some partials vanish
+    mod p."""
+    monomials = degree_monomials(n, d)
+    pools = [
+        [m for m in monomials if not any(m[cut:])],
+        [m for m in monomials if not any(m[:cut])],
+        [m for m in monomials if any(m[:cut]) and any(m[cut:])],
+    ]
+    chosen = {data.draw(st.sampled_from(monomials))}
+    for pool in pools:
+        if pool:
+            chosen.update(data.draw(st.lists(st.sampled_from(pool), max_size=2, unique=True)))
+    coeffs = st.sampled_from([-9, -5, -3, -2, -1, 1, 2, 3, 5, 6, 10])
+    return HomogeneousPoly.make(n, d, {m: data.draw(coeffs) for m in sorted(chosen)})
+
+
 class TestScanReference:
     @given(st.data())
     @settings(max_examples=40, deadline=None)
@@ -413,6 +433,49 @@ class TestScanReference:
         points, counts = _reference_scan(f, h, (2, 3, 5))
         assert [p.coords for p in scan.points] == points
         assert scan.field_counts == counts
+
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_split_forms_match_reference(self, data):
+        # BLOCK_ROWS = m^t makes the tile exactly the last t coordinates of a
+        # box of m values, so each pool of _split_form lands on one level of
+        # the evaluator, and prefixes exist for every n <= 3.
+        n = data.draw(st.integers(min_value=1, max_value=3))
+        d = data.draw(st.integers(min_value=1, max_value=4))
+        prime = data.draw(st.sampled_from([None, 2, 3, 5]))
+        h = data.draw(st.integers(min_value=1, max_value=2)) if prime is None else 1
+        t = data.draw(st.integers(min_value=0, max_value=n))
+        f = _split_form(data, n, n + 1 - t, d)
+        primes = (prime,) if prime else ()
+        real = local_analysis._canonical_zeros
+        rows = (prime or 2 * h + 1) ** t
+
+        def capped(*args):
+            for hits in real(*args):
+                assert 0 < len(hits) <= rows
+                yield hits
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(grid, "BLOCK_ROWS", rows)
+            mp.setattr(local_analysis, "_canonical_zeros", capped)
+            scan = scan_singular_points(f, h, field_sizes=primes)
+        points, counts = _reference_scan(f, h, primes)
+        assert [p.coords for p in scan.points] == points, f
+        assert scan.field_counts == counts, f
+
+    def test_one_evaluator_pass_per_box(self, monkeypatch):
+        # One pass for the rational scan and one per prime, whatever n is.
+        real = local_analysis._canonical_zeros
+        calls = []
+
+        def counted(*args):
+            calls.append(args[2:4])
+            return real(*args)
+
+        monkeypatch.setattr(local_analysis, "_canonical_zeros", counted)
+        scan = scan_singular_points(family_poly("fn", 6), 3, field_sizes=(2, 3, 5, 7))
+        assert calls == [(range(-3, 4), 3)] + [(range(p), 1) for p in (2, 3, 5, 7)]
+        assert scan.field_counts == {2: 1, 3: 121, 5: 1, 7: 1}
 
     @pytest.mark.parametrize(
         "n, primes, forms",
@@ -456,7 +519,7 @@ class TestScanReference:
     def test_false_hit_raises(self, corpus, monkeypatch):
         # A row the integer evaluator wrongly reports fails the rational re-check.
         false_hit = np.array([[1, 1, 1]])
-        monkeypatch.setattr(local_analysis, "_box_zeros", lambda *args: iter([false_hit]))
+        monkeypatch.setattr(local_analysis, "_canonical_zeros", lambda *args: iter([false_hit]))
         with pytest.raises(InternalConsistencyError, match="does not vanish"):
             scan_singular_points(corpus["f2"], 1)
 
@@ -478,7 +541,7 @@ class TestAnalyzePoint:
         data = analyze_point(cone, P(0, 0, 0, 1))
         assert data.multiplicity == 3
         assert data.hessian_rank is None
-        assert not tangent_cone_at(cone, P(0, 0, 0, 1)).is_zero
+        assert not data.tangent_cone.is_zero
 
     @pytest.mark.parametrize(
         "text, n",
