@@ -23,20 +23,26 @@ smooth, the n+1 partials have no common zero, so they form a regular
 sequence and (by Macaulay) their ideal contains every form of degree D: M
 has full column rank over Q, hence mod all but finitely many primes.
 
-Elimination.  Rows with a single nonzero entry pivot first: eliminating
-with such a row changes no other entry outside its column, so these pivots
-cost no fill-in (structured Gaussian elimination), and they settle every
-column of a Fermat-type form.  The rest is eliminated densely in int64,
-entries kept in [0, PRIME) so that each product fits.  Macaulay's square
-choice of rows goes first and the other rows join only if it runs out of
-pivots, which for a general form nearly halves the work.  A matrix of more
-than ``MAX_CELLS`` cells is not tested, and the caller keeps its heuristic
-data.
+Elimination.  Rows with at most two nonzero entries pivot first.  A pivot
+on such a row in its column a subtracts a multiple of it from every row with
+an entry in a: that row loses the entry in a and gains or changes at most
+the one in the pivot row's other column b, so it never gets longer and these
+pivots cost no fill-in (structured Gaussian elimination).  Single-entry
+pivots, which change no other entry at all, are taken for all rows at once
+in numpy and settle every column of a Fermat-type form; two-entry pivots run
+one at a time on sparse rows and settle every column of the cyclic cubic
+surface and the Klein quartic, whose partials are binomials.  Every pivot
+adds one to the rank and removes its row and column, so the matrix has full
+column rank exactly when the pivots and the rank of what is left cover every
+column.  What is left is eliminated densely in int64, entries kept in
+[0, PRIME) so that each product fits.  Macaulay's square choice of rows goes
+first and the other rows join only if it runs out of pivots, which for a
+general form nearly halves the work.  A matrix of more than ``MAX_CELLS``
+cells is not tested, and the caller keeps its heuristic data.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
 from math import comb
 
 import numpy as np
@@ -73,64 +79,161 @@ def macaulay_shape(n: int, d: int) -> tuple[int, int, int]:
     return degree, (n + 1) * comb(degree - d + 1 + n, n), comb(degree + n, n)
 
 
-def _monomials(nvars: int, degree: int) -> list[tuple[int, ...]]:
-    """Exponent vectors of every monomial of ``degree``, in descending lex
-    order with x_n most significant."""
-    return [
-        tuple(combo.count(j) for j in range(nvars))
-        for combo in combinations_with_replacement(range(nvars - 1, -1, -1), degree)
-    ]
+def _monomials(nvars: int, degree: int) -> np.ndarray:
+    """Exponent vectors of every monomial of ``degree``, one per row, in
+    descending lex order with x_n most significant."""
+    # Built from x_n down: each row is repeated once for every value of the
+    # next exponent, from what is left of the degree down to 0.
+    exps = np.zeros((1, 0), dtype=np.int64)
+    for _ in range(nvars - 1):
+        room = degree - exps.sum(axis=1)
+        counts = room + 1
+        offsets = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+        exps = np.column_stack([np.repeat(exps, counts, axis=0), np.repeat(room, counts) - offsets])
+    return np.column_stack([exps, degree - exps.sum(axis=1)])[:, ::-1]
 
 
-def _macaulay_rows(f: HomogeneousPoly, degree: int) -> tuple[list[dict[int, int]], int]:
-    """The rows of the Macaulay matrix as {column: value mod PRIME}, nonzero
-    values only, and the number of rows in Macaulay's square choice, which
-    come first: row (i, m) with m_k < d-1 for every k < i, one per column
-    (x^a gets (x^a / x_i^(d-1)) * dF/dx_i for the first i with a_i >= d-1).
-    For a general f these alone have full rank.
+def _macaulay_rows(
+    f: HomogeneousPoly, degree: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """The Macaulay matrix as (row, column, value mod PRIME), one entry per
+    nonzero cell, and the number of rows in Macaulay's square choice, which
+    are numbered first: row (i, m) with m_k < d-1 for every k < i, one per
+    column (x^a gets (x^a / x_i^(d-1)) * dF/dx_i for the first i with
+    a_i >= d-1).  For a general f these alone have full rank.
 
     Columns follow :func:`_monomials`, a monomial order taken descending, so
-    a row's first column is its leading term; the rows of each partial come
-    in ascending order of leading term.  On a dense disguised quintic
-    surface, ascending columns eliminate 3x slower and descending rows 1.4x
-    slower."""
+    a row's first column is its leading term; the rows of each partial are
+    numbered in ascending order of leading term.  On a dense disguised
+    quintic surface, ascending columns eliminate 3x slower and descending
+    rows 1.4x slower."""
     nvars = f.nvars
     F = primitive_form(f)
-    # Exponents packed base degree+1: a product's code is the sum of codes.
-    radix = [(degree + 1) ** k for k in range(nvars)]
+    # Exponents packed base degree+1, so a product's code is the sum of codes
+    # and the codes of the degree-D monomials descend in column order.  Codes
+    # are below (degree+1)^nvars; Python ints hold them where int64 cannot
+    # (a quadric in 64 or more variables).
+    dtype = np.int64 if (degree + 1) ** nvars <= 2**63 else object
+    radix = np.array([(degree + 1) ** k for k in range(nvars)], dtype=dtype)
+    columns = _monomials(nvars, degree)
+    ascending = (columns @ radix)[::-1]
+    # The shifts m of degree D-(d-1) are the columns x_n^(d-1) * m, in order.
+    shifts = columns[columns[:, -1] >= f.d - 1][::-1]
+    shifts[:, -1] -= f.d - 1
+    shift_codes = shifts @ radix
+    square = np.concatenate([np.all(shifts[:, :i] < f.d - 1, axis=1) for i in range(nvars)])
+    nsquare = int(np.count_nonzero(square))
+    numbers = np.where(square, np.cumsum(square) - 1, nsquare + np.cumsum(~square) - 1)
+    # Every term of every partial at once: partial, exponent, value mod PRIME.
+    terms = [
+        (i, exp, c.numerator * exp[i] % PRIME) for i in range(nvars) for exp, c in F.terms if exp[i]
+    ]
+    terms = [term for term in terms if term[2]]
+    partial = np.array([i for i, _, _ in terms], dtype=np.int64)
+    exps = np.array([exp for _, exp, _ in terms], dtype=np.int64).reshape(-1, nvars)
+    codes = shift_codes[:, None] + (exps @ radix - radix[partial])
+    where = np.minimum(np.searchsorted(ascending, codes), ascending.size - 1)
+    outside = ascending[where] != codes
+    if outside.any():
+        shift, term = np.argwhere(outside)[0]
+        monomial = tuple(int(e) for e in codes[shift, term] // radix % (degree + 1))
+        raise InternalConsistencyError(
+            f"Macaulay row of partial {partial[term]} has a monomial {monomial} outside "
+            f"the degree-{degree} columns"
+        )
+    row = numbers.reshape(nvars, -1)[partial].T
+    value = np.array([v for _, _, v in terms], dtype=np.int64)
+    return row.ravel(), (ascending.size - 1 - where).ravel(), np.tile(value, len(shifts)), nsquare
 
-    def code(exp) -> int:
-        return sum(e * r for e, r in zip(exp, radix))
 
-    column = {code(exp): j for j, exp in enumerate(_monomials(nvars, degree))}
-    shifts = [(m, code(m)) for m in reversed(_monomials(nvars, degree - f.d + 1))]
-    square, extra = [], []
-    for i in range(nvars):
-        partial = [
-            (code(exp) - radix[i], c.numerator * exp[i] % PRIME) for exp, c in F.terms if exp[i]
-        ]
-        partial = [(e, v) for e, v in partial if v]
-        for m, m_code in shifts:
-            try:
-                row = {column[m_code + e]: v for e, v in partial}
-            except KeyError as exc:
-                raise InternalConsistencyError(
-                    f"Macaulay row of partial {i} has a monomial {exc} outside degree {degree}"
-                ) from exc
-            (square if max(m[:i], default=0) < f.d - 1 else extra).append(row)
-    return square + extra, len(square)
+def _peel_single_entry_rows(
+    row: np.ndarray, col: np.ndarray, nrows: int, ncols: int
+) -> tuple[np.ndarray, int]:
+    """Pivot on every row with one entry, until none is left.  Returns the
+    mask of the entries outside every pivot column and the number of
+    pivots."""
+    alive = np.ones(col.size, dtype=bool)
+    settled = np.zeros(ncols, dtype=bool)
+    while True:
+        single = alive & (np.bincount(row[alive], minlength=nrows)[row] == 1)
+        if not single.any():
+            return alive, int(np.count_nonzero(settled))
+        settled[col[single]] = True
+        alive &= ~settled[col]
 
 
-def _peel_single_entry_rows(rows: list[dict[int, int]]) -> int:
-    """Pivot on every row with one entry, until none is left, removing the
-    pivot columns from the rows in place.  Returns the number of pivots."""
+def _pivot(rows: dict[int, dict[int, int]], where: dict[int, set[int]], r: int) -> list[int]:
+    """Pivot on row r, which has one or two entries, in its first column a:
+    subtract a multiple of it from every other row with an entry in a, and
+    remove it.  Each such row loses its entry in a and gains or changes at
+    most the one in r's other column, so no row gets longer.  ``where`` maps
+    each column to the rows with an entry there and is kept up to date.
+    Returns the rows that changed."""
+    pivot = rows.pop(r)
+    for c in pivot:
+        where[c].discard(r)
+    a, *rest = pivot
+    inverse = pow(pivot[a], -1, PRIME)
+    changed = list(where.pop(a))
+    for s in changed:
+        other = rows[s]
+        factor = other.pop(a) * inverse % PRIME
+        for b in rest:
+            value = (other.get(b, 0) - factor * pivot[b]) % PRIME
+            if value:
+                other[b] = value
+                where[b].add(s)
+            else:
+                other.pop(b, None)
+                where[b].discard(s)
+    return changed
+
+
+def _peel_short_rows(rows: dict[int, dict[int, int]]) -> int:
+    """Pivot on rows with at most two entries, until none is left, and drop
+    the rows that become empty.  Returns the number of pivots."""
+    where: dict[int, set[int]] = {}
+    for r, row in rows.items():
+        for c in row:
+            where.setdefault(c, set()).add(r)
+    short = [r for r, row in rows.items() if len(row) <= 2]
     pivots = 0
-    while done := {col for row in rows if len(row) == 1 for col in row}:
-        for row in rows:
-            for col in done.intersection(row):
-                del row[col]
-        pivots += len(done)
+    while short:
+        r = short.pop()
+        if r not in rows:
+            continue
+        if not rows[r]:
+            del rows[r]
+            continue
+        short.extend(s for s in _pivot(rows, where, r) if len(rows[s]) <= 2)
+        pivots += 1
     return pivots
+
+
+def _sparse_has_full_column_rank(
+    row: np.ndarray, col: np.ndarray, value: np.ndarray, nrows: int, ncols: int, late: int
+) -> bool:
+    """Whether the ``nrows`` x ``ncols`` matrix with these entries has full
+    column rank mod PRIME: the fill-free pivots first, then
+    :func:`_has_full_column_rank` on the dense core that is left, with the
+    rows numbered below ``late`` first."""
+    alive, pivots = _peel_single_entry_rows(row, col, nrows, ncols)
+    row, col, value = row[alive], col[alive], value[alive]
+    if np.any(np.bincount(row, minlength=nrows) == 2):
+        rows: dict[int, dict[int, int]] = {}
+        for r, c, v in zip(row.tolist(), col.tolist(), value.tolist()):
+            rows.setdefault(r, {})[c] = v
+        pivots += _peel_short_rows(rows)
+        row = np.array([r for r, entries in rows.items() for _ in entries], dtype=np.int64)
+        col = np.array([c for entries in rows.values() for c in entries], dtype=np.int64)
+        value = np.array([v for entries in rows.values() for v in entries.values()], dtype=np.int64)
+    live_rows = np.bincount(row, minlength=nrows) > 0
+    live_cols = np.bincount(col, minlength=ncols) > 0
+    if pivots + np.count_nonzero(live_cols) < ncols:
+        return False  # a column with no entry left
+    core = np.zeros((np.count_nonzero(live_rows), np.count_nonzero(live_cols)), dtype=np.int64)
+    core[np.cumsum(live_rows)[row] - 1, np.cumsum(live_cols)[col] - 1] = value
+    return _has_full_column_rank(core, int(np.count_nonzero(live_rows[:late])))
 
 
 def _eliminate(m: np.ndarray, j: int, rows: np.ndarray) -> None:
@@ -180,16 +283,7 @@ def prove_smooth(f: HomogeneousPoly) -> SmoothnessProof | None:
     degree, nrows, ncols = macaulay_shape(f.n, f.d)
     if nrows * ncols > MAX_CELLS:
         return None
-    rows, late = _macaulay_rows(f, degree)
-    peeled = _peel_single_entry_rows(rows)
-    late = sum(1 for row in rows[:late] if row)
-    rows = [row for row in rows if row]
-    core_columns = {col: k for k, col in enumerate(sorted({col for row in rows for col in row}))}
-    if peeled + len(core_columns) < ncols:
-        return None  # a column with no entry left
-    core = np.zeros((len(rows), len(core_columns)), dtype=np.int64)
-    for r, row in enumerate(rows):
-        core[r, [core_columns[col] for col in row]] = list(row.values())
-    if not _has_full_column_rank(core, late):
+    row, col, value, late = _macaulay_rows(f, degree)
+    if not _sparse_has_full_column_rank(row, col, value, nrows, ncols, late):
         return None
     return SmoothnessProof(PRIME, degree, ncols)

@@ -157,17 +157,23 @@ class HomogeneousPoly:
         return HomogeneousPoly.make(self.n, max(self.d - 1, 0), acc)
 
     def evaluate(self, point: Iterable) -> Fraction:
+        """f(point), exactly.  With c = C / L over the coefficients' common
+        denominator L and x = X / Q over the coordinates' Q, homogeneity
+        gives f(x) = (sum of C * X^exp) / (L * Q^d), a sum in integers."""
         coords = [Fraction(x) for x in point]
         if len(coords) != self.n + 1:
             raise PolyError(f"point has {len(coords)} coordinates, expected {self.n + 1}")
-        total = Fraction(0)
+        scale = lcm(*(x.denominator for x in coords))
+        xs = [x.numerator * (scale // x.denominator) for x in coords]
+        den = lcm(*(c.denominator for _, c in self.terms))
+        total = 0
         for exp, c in self.terms:
-            v = c
-            for x, e in zip(coords, exp):
+            v = c.numerator * (den // c.denominator)
+            for x, e in zip(xs, exp):
                 if e:
                     v *= x**e
             total += v
-        return total
+        return Fraction(total, den * scale**self.d)
 
     def __str__(self) -> str:
         return format_terms(self.terms)
@@ -231,19 +237,6 @@ class AffinePoly:
             new[j] -= 1
             acc[tuple(new)] = acc.get(tuple(new), Fraction(0)) + c * exp[j]
         return AffinePoly.make(self.nvars, acc)
-
-    def evaluate(self, point: Iterable) -> Fraction:
-        coords = [Fraction(x) for x in point]
-        if len(coords) != self.nvars:
-            raise PolyError(f"point has {len(coords)} coordinates, expected {self.nvars}")
-        total = Fraction(0)
-        for exp, c in self.terms:
-            v = c
-            for x, e in zip(coords, exp):
-                if e:
-                    v *= x**e
-            total += v
-        return total
 
     def __str__(self) -> str:
         return format_terms(self.terms)

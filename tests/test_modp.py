@@ -11,9 +11,11 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from math import lcm, prod
 from pathlib import Path
 
+import numpy as np
 import pytest
 import sympy
 from hypothesis import assume, given, settings
@@ -23,6 +25,7 @@ from hypstab import HomogeneousPoly, RationalMatrix, apply_linear_change, modp, 
 from hypstab.cli import EXIT_INTERNAL, EXIT_OK, main
 from hypstab.families import family_poly
 from hypstab.modp import PRIME, macaulay_shape, prove_smooth
+from hypstab.polynomials import primitive_form
 from hypstab.search import SearchConfig, search_destabilization
 
 from conftest import degree_monomials
@@ -135,8 +138,35 @@ def sparse_forms(draw):
     return f
 
 
+@st.composite
+def binomial_partials(draw, planted: bool):
+    """f = sum of c_i * x_i^(d-k_i) * x_s(i)^k_i over a permutation s, so
+    that every variable is in at most two terms and every partial has at
+    most two: the rows the two-entry pivots settle.  Planted: the terms
+    with x_j-degree >= d-1 are dropped, so the coordinate point e_j is
+    singular (f and its gradient vanish there).  Otherwise f is returned
+    with None, smooth or not."""
+    n = draw(st.integers(2, 3))
+    d = draw(st.integers(3, 5 if n == 2 else 4))
+    image = draw(st.permutations(range(n + 1)))
+    f = HomogeneousPoly.make(n, d, {})
+    for i, j in enumerate(image):
+        k = draw(st.integers(0, d - 1))
+        exp = [0] * (n + 1)
+        exp[i] += d - k
+        exp[j] += k
+        c = draw(st.integers(-3, 3).filter(bool))
+        f = f + HomogeneousPoly.make(n, d, {tuple(exp): c})
+    if not planted:
+        return f, None
+    j = draw(st.integers(0, n))
+    f = HomogeneousPoly.make(n, d, [(exp, c) for exp, c in f.terms if exp[j] < d - 1])
+    assume(not f.is_zero)
+    return f, tuple(int(v == j) for v in range(n + 1))
+
+
 class TestSoundness:
-    @given(planted_singular())
+    @given(st.one_of(planted_singular(), binomial_partials(planted=True)))
     @settings(max_examples=60, deadline=None)
     def test_planted_singular_point_is_never_proven(self, case):
         f, point = case
@@ -168,7 +198,14 @@ class TestGroebnerCrossCheck:
     def test_singular_inputs(self, name):
         assert not groebner_pure_powers(parse_poly_infer(SINGULAR[name]))
 
-    @given(st.one_of(sparse_forms(), planted_singular().map(lambda case: case[0])))
+    @given(
+        st.one_of(
+            sparse_forms(),
+            planted_singular().map(lambda case: case[0]),
+            binomial_partials(planted=False).map(lambda case: case[0]),
+            binomial_partials(planted=True).map(lambda case: case[0]),
+        )
+    )
     @settings(max_examples=60, deadline=None)
     def test_random_forms(self, f):
         assert (prove_smooth(f) is not None) == groebner_pure_powers(f)
@@ -200,6 +237,159 @@ class TestKernel:
         monkeypatch.setattr(modp, "MAX_CELLS", 880 * 560 - 1)
         assert prove_smooth(parse_poly_infer(SMOOTH["fermat-quintic-surface"])) is None
         assert prove_smooth(parse_poly_infer(SMOOTH["klein-quartic"])) is not None
+
+
+def reference_monomials(nvars: int, degree: int) -> list[tuple[int, ...]]:
+    return [
+        tuple(combo.count(j) for j in range(nvars))
+        for combo in combinations_with_replacement(range(nvars - 1, -1, -1), degree)
+    ]
+
+
+def reference_macaulay_rows(f: HomogeneousPoly, degree: int) -> tuple[list[dict[int, int]], int]:
+    """The rows built one dict per shift in pure Python, square rows
+    first: the reference for the numpy construction."""
+    nvars = f.nvars
+    F = primitive_form(f)
+    radix = [(degree + 1) ** k for k in range(nvars)]
+
+    def code(exp) -> int:
+        return sum(e * r for e, r in zip(exp, radix))
+
+    column = {code(exp): j for j, exp in enumerate(reference_monomials(nvars, degree))}
+    shifts = [(m, code(m)) for m in reversed(reference_monomials(nvars, degree - f.d + 1))]
+    square, extra = [], []
+    for i in range(nvars):
+        partial = [
+            (code(exp) - radix[i], c.numerator * exp[i] % PRIME) for exp, c in F.terms if exp[i]
+        ]
+        partial = [(e, v) for e, v in partial if v]
+        for m, m_code in shifts:
+            row = {column[m_code + e]: v for e, v in partial}
+            (square if max(m[:i], default=0) < f.d - 1 else extra).append(row)
+    return square + extra, len(square)
+
+
+def reference_full_column_rank(rows: list[dict[int, int]], ncols: int) -> bool:
+    """Plain Gaussian elimination mod PRIME on dense Python rows."""
+    matrix = [[row.get(c, 0) for c in range(ncols)] for row in rows]
+    rank = 0
+    for c in range(ncols):
+        pivot = next((r for r in range(rank, len(matrix)) if matrix[r][c]), None)
+        if pivot is None:
+            return False
+        matrix[rank], matrix[pivot] = matrix[pivot], matrix[rank]
+        inverse = pow(matrix[rank][c], -1, PRIME)
+        for r in range(rank + 1, len(matrix)):
+            factor = matrix[r][c] * inverse % PRIME
+            matrix[r] = [(x - factor * y) % PRIME for x, y in zip(matrix[r], matrix[rank])]
+        rank += 1
+    return True
+
+
+@st.composite
+def sparse_matrices(draw):
+    """Small matrices mod PRIME, most rows with at most two entries, and
+    values from a small set so that pivots cancel entries."""
+    ncols = draw(st.integers(1, 7))
+    values = st.one_of(st.sampled_from([1, 2, 3, PRIME - 1, PRIME - 2]), st.integers(1, PRIME - 1))
+    size = draw(st.sampled_from([2, 2, 3, 4]))
+    row = st.dictionaries(st.integers(0, ncols - 1), values, min_size=1, max_size=size)
+    rows = draw(st.lists(row, min_size=1, max_size=12))
+    return rows, ncols
+
+
+def coo(rows: list[dict[int, int]]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    entries = [(r, c, v) for r, row in enumerate(rows) for c, v in row.items()]
+    return tuple(np.array([e[k] for e in entries], dtype=np.int64) for k in range(3))
+
+
+def macaulay_dicts(f: HomogeneousPoly) -> tuple[list[dict[int, int]], int]:
+    degree, nrows, _ = macaulay_shape(f.n, f.d)
+    row, col, value, late = modp._macaulay_rows(f, degree)
+    rows = [{} for _ in range(nrows)]
+    for r, c, v in zip(row.tolist(), col.tolist(), value.tolist()):
+        assert c not in rows[r]
+        rows[r][c] = v
+    return rows, late
+
+
+class TestElimination:
+    @pytest.mark.parametrize(
+        "f",
+        [parse_poly_infer(text) for text in list(SMOOTH.values()) + list(SINGULAR.values())]
+        + [disguised(name) for name in DISGUISED]
+        + [parse_poly_infer("1/2*x0^3 + 2/3*x1^3 + x2^3"), parse_poly_infer(f"x0^3 + x1^3 + {PRIME}*x2^3")],
+        ids=list(SMOOTH) + list(SINGULAR) + [f"disguised-{k}" for k in DISGUISED]
+        + ["rational", "prime-coefficient"],
+    )
+    def test_rows_match_the_dict_construction(self, f):
+        assert macaulay_dicts(f) == reference_macaulay_rows(f, macaulay_shape(f.n, f.d)[0])
+
+    @given(st.one_of(sparse_forms(), binomial_partials(planted=False).map(lambda case: case[0])))
+    @settings(max_examples=60, deadline=None)
+    def test_random_rows_match_the_dict_construction(self, f):
+        assert macaulay_dicts(f) == reference_macaulay_rows(f, macaulay_shape(f.n, f.d)[0])
+
+    @pytest.mark.parametrize("nvars", [63, 64, 70])
+    def test_codes_beyond_int64(self, nvars):
+        # A quadric's codes run up to 2^nvars: from 64 variables on they need
+        # Python ints.
+        squares = {tuple(2 * (k == j) for k in range(nvars)): 1 for j in range(nvars)}
+        f = HomogeneousPoly.make(nvars - 1, 2, squares)
+        assert macaulay_dicts(f) == reference_macaulay_rows(f, 1)
+        assert prove_smooth(f) is not None
+        assert prove_smooth(HomogeneousPoly.make(nvars - 1, 2, dict(list(squares.items())[1:]))) is None
+
+    @pytest.mark.parametrize("name", ["cyclic-cubic-surface", "klein-quartic"])
+    def test_binomial_partials_leave_no_dense_core(self, name, monkeypatch):
+        cores = []
+        dense = modp._has_full_column_rank
+        monkeypatch.setattr(
+            modp, "_has_full_column_rank", lambda m, late: cores.append(m.shape) or dense(m, late)
+        )
+        assert prove_smooth(parse_poly_infer(SMOOTH[name])) is not None
+        assert cores == [(0, 0)]
+
+    @given(sparse_matrices(), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_short_pivot_never_lengthens_a_row(self, matrix, data):
+        rows, _ = matrix
+        rows = dict(enumerate(rows))
+        short = [r for r, row in rows.items() if 1 <= len(row) <= 2]
+        assume(short)
+        r = data.draw(st.sampled_from(short))
+        where = {}
+        for s, row in rows.items():
+            for c in row:
+                where.setdefault(c, set()).add(s)
+        before = {s: dict(row) for s, row in rows.items()}
+        modp._pivot(rows, where, r)
+        pivot = before.pop(r)
+        a = next(iter(pivot))
+        assert set(rows) == set(before)
+        for s, row in rows.items():
+            assert len(row) <= len(before[s])
+            expected = dict(before[s])
+            if a in expected:
+                factor = expected[a] * pow(pivot[a], -1, PRIME) % PRIME
+                expected = {c: (expected.get(c, 0) - factor * pivot.get(c, 0)) % PRIME
+                            for c in set(expected) | set(pivot)}
+                expected = {c: v for c, v in expected.items() if v}
+            assert row == expected
+        assert {c: s for c, s in where.items() if s} == {
+            c: {s for s, row in rows.items() if c in row} for c in {c for row in rows.values() for c in row}
+        }
+
+    @given(sparse_matrices(), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_rank_matches_dense_elimination(self, matrix, data):
+        rows, ncols = matrix
+        late = data.draw(st.integers(0, len(rows)))
+        row, col, value = coo(rows)
+        assert modp._sparse_has_full_column_rank(
+            row, col, value, len(rows), ncols, late
+        ) == reference_full_column_rank(rows, ncols)
 
 
 @pytest.mark.parametrize("name", PROVEN)
@@ -269,7 +459,8 @@ class TestAnalyze:
         assert report["search"]["skipped"] is None
 
     def test_kernel_fault_exits_internal(self, capsys, tmp_path, monkeypatch):
-        # Dropping a column monomial leaves a row entry with no column; no
+        # The rows and shifts are read from the column monomials of
+        # ``_monomials``; dropping one leaves a row entry with no column.  No
         # input reaches this, so force it.
         monomials, columns_degree = modp._monomials, macaulay_shape(2, 4)[0]
 
@@ -281,4 +472,5 @@ class TestAnalyze:
         code, _, err = self.run(capsys, tmp_path, SMOOTH["klein-quartic"])
         assert code == EXIT_INTERNAL
         assert "internal consistency failure" in err
+        assert "Macaulay row of partial" in err
         assert "Traceback" not in err

@@ -127,6 +127,38 @@ class TestCalculus:
             parse_poly("x0^3", 1).evaluate((1, 2, 3))
 
     @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_evaluate_matches_fraction_reference(self, data):
+        """The integer evaluation equals a term-by-term sum in Fraction
+        arithmetic, for rational coefficients and rational points."""
+        n = data.draw(st.integers(min_value=1, max_value=3))
+        d = data.draw(st.integers(min_value=0, max_value=5))
+        coeffs = data.draw(
+            st.dictionaries(
+                st.sampled_from(degree_monomials(n, d)),
+                st.fractions(min_value=-20, max_value=20, max_denominator=12),
+                max_size=6,
+            )
+        )
+        f = HomogeneousPoly.make(n, d, coeffs)
+        point = data.draw(
+            st.lists(
+                st.one_of(st.integers(-50, 50), st.fractions(-9, 9, max_denominator=15)),
+                min_size=n + 1,
+                max_size=n + 1,
+            )
+        )
+        expected = Fraction(0)
+        for exp, c in f.terms:
+            term = c
+            for x, e in zip(point, exp):
+                term *= Fraction(x) ** e
+            expected += term
+        value = f.evaluate(point)
+        assert isinstance(value, Fraction)
+        assert value == expected
+
+    @given(st.data())
     @settings(max_examples=40, deadline=None)
     def test_euler_relation(self, data):
         n = data.draw(st.integers(min_value=1, max_value=3))
