@@ -29,19 +29,15 @@ from .local_analysis import (
     ProjectivePoint,
     analyze_point,
     essential_variable_count,
-    hessian_rank_at,
     m0_threshold,
     mult_lower_bound_from_weights,
-    multiplicity_at,
     rank_of_q,
     scan_singular_points,
 )
 from .polynomials import (
-    AffinePoly,
     HomogeneousPoly,
     PolyError,
     PolyParseError,
-    dehomogenize_at_last,
     format_poly,
     parse_poly,
     parse_poly_infer,
@@ -53,7 +49,6 @@ from .verdicts import Reason, StabilityVerdict, Status
 from .weights import WeightVector, membership, weight_of
 
 __all__ = [
-    "AffinePoly",
     "AnalysisOptions",
     "AnalysisReport",
     "Certificate",
@@ -78,7 +73,6 @@ __all__ = [
     "apply_linear_change",
     "combined_verdict",
     "compare_bounds",
-    "dehomogenize_at_last",
     "enumerate_weight_oracle",
     "essential_variable_count",
     "evaluate_degree_bound",
@@ -90,12 +84,10 @@ __all__ = [
     "family_poly",
     "family_weights",
     "format_poly",
-    "hessian_rank_at",
     "literature_lookup",
     "m0_threshold",
     "membership",
     "mult_lower_bound_from_weights",
-    "multiplicity_at",
     "normalize_cubic_certificate",
     "parse_poly",
     "parse_poly_infer",

@@ -220,8 +220,8 @@ def matrix_moving_point_last(coords: Sequence[int]) -> RationalMatrix:
     """Invertible integer matrix whose last row is ``coords``.
 
     Used to relocate a rational projective point to [0:...:0:1]: applying the
-    resulting matrix as a coordinate change turns the chart at the last
-    coordinate into the local picture at the point.
+    resulting matrix as a coordinate change turns the expansion in powers of
+    the last coordinate into the local picture at the point.
     """
     coords = [int(c) for c in coords]
     pivot = next((j for j, c in enumerate(coords) if c != 0), None)

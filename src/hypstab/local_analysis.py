@@ -1,30 +1,31 @@
 """Local invariants of hypersurface points.
 
-Multiplicity and tangent cone come from the affine chart after an exact
-integer coordinate change relocating the point to [0:...:0:1]; the Hessian
-rank at a double point is the rank of the chart's quadratic part, computed by
-fraction-free elimination.  The singular-point scan enumerates rational
-points of bounded height exactly and, optionally, counts singular points
-over small finite fields as (clearly labelled) heuristic evidence about the
-dimension of the singular locus, which is never computed exactly here.
+An exact integer coordinate change moves the point to [0:...:0:1], and the
+moved form g is read by the powers of x_n: the multiplicity m is d minus the
+largest x_n exponent in g, the tangent cone is the form that multiplies
+x_n^(d-m), and at a double point the Hessian rank is the rank of that
+quadratic form, computed by fraction-free elimination.  The singular-point
+scan enumerates rational points of bounded height exactly and, optionally,
+counts singular points over small finite fields as (clearly labelled)
+heuristic evidence about the dimension of the singular locus, which is never
+computed exactly here.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
-from math import gcd, lcm
+from math import lcm
 
 import numpy as np
 
 from . import grid
-from .linalg import apply_linear_change, matrix_moving_point_last, rational_rank
+from .linalg import apply_linear_change, matrix_moving_point_last, primitive_row, rational_rank
 from .polynomials import (
-    AffinePoly,
     Exponent,
     HomogeneousPoly,
     PolyError,
-    dehomogenize_at_last,
+    last_coefficient,
     primitive_form,
 )
 from .verdicts import InternalConsistencyError
@@ -44,16 +45,10 @@ class ProjectivePoint:
 
     @staticmethod
     def make(values) -> "ProjectivePoint":
-        fracs = [Fraction(v) for v in values]
-        if all(v == 0 for v in fracs):
+        ints = primitive_row(values)
+        first = next((v for v in ints if v != 0), None)
+        if first is None:
             raise PointError("projective point cannot be the zero vector")
-        denom = lcm(*(v.denominator for v in fracs))
-        ints = [int(v * denom) for v in fracs]
-        g = 0
-        for v in ints:
-            g = gcd(g, abs(v))
-        ints = [v // g for v in ints]
-        first = next(v for v in ints if v != 0)
         if first < 0:
             ints = [-v for v in ints]
         return ProjectivePoint(tuple(ints))
@@ -69,25 +64,12 @@ class ProjectivePoint:
         return [str(c) for c in self.coords]
 
 
-def chart_at(f: HomogeneousPoly, p: ProjectivePoint) -> AffinePoly:
-    """Affine chart of ``f`` centred at ``p`` (p relocated to [0:...:0:1])."""
-    if p.n != f.n:
-        raise PointError(f"point has {p.n + 1} coordinates, polynomial has {f.n + 1}")
-    sigma = matrix_moving_point_last(p.coords)
-    return dehomogenize_at_last(apply_linear_change(f, sigma))
-
-
-def multiplicity_at(f: HomogeneousPoly, p: ProjectivePoint) -> int:
-    """Order of vanishing of the chart of ``f`` at ``p``; 0 when f(p) != 0."""
-    return analyze_point(f, p).multiplicity
-
-
-def _quadratic_form_matrix(q: AffinePoly) -> list[list[Fraction]]:
+def _quadratic_form_matrix(q: HomogeneousPoly) -> list[list[Fraction]]:
+    if q.d != 2:
+        raise PolyError(f"a quadratic form has degree 2, got {q.d}")
     m = q.nvars
     mat = [[Fraction(0)] * m for _ in range(m)]
     for exp, c in q.terms:
-        if sum(exp) != 2:
-            raise PolyError(f"non-quadratic term {exp} in quadratic form")
         idx = [j for j, e in enumerate(exp) for _ in range(e)]
         i, j = idx
         if i == j:
@@ -98,34 +80,17 @@ def _quadratic_form_matrix(q: AffinePoly) -> list[list[Fraction]]:
     return mat
 
 
-def quadratic_form_rank(q: AffinePoly) -> int:
+def quadratic_form_rank(q: HomogeneousPoly) -> int:
     """Rank of the symmetric matrix of a quadratic form; 0 for the zero form."""
     if q.is_zero:
         return 0
     return rational_rank(_quadratic_form_matrix(q))
 
 
-def hessian_rank_at(f: HomogeneousPoly, p: ProjectivePoint) -> tuple[int, int]:
-    """(rank, corank) of the chart Hessian at a multiplicity-2 point of f."""
-    data = analyze_point(f, p)
-    if data.multiplicity != 2:
-        raise PointError(
-            f"Hessian rank needs multiplicity 2, point {p} has multiplicity {data.multiplicity}"
-        )
-    return data.hessian_rank, data.hessian_corank
-
-
 def rank_of_q(f: HomogeneousPoly) -> int:
     """Rank of the quadratic coefficient of x_n^(d-2) in the expansion of f
     along the last coordinate; 0 when that coefficient vanishes."""
-    if f.is_zero:
-        return 0
-    target = f.d - 2
-    if target < 0:
-        return 0
-    q_terms = {exp[:-1]: c for exp, c in f.terms if exp[-1] == target}
-    q = AffinePoly.make(f.n, q_terms)
-    return quadratic_form_rank(q)
+    return quadratic_form_rank(last_coefficient(f, 2))
 
 
 def m0_threshold(n: int, d: int, strict: bool) -> int:
@@ -160,7 +125,7 @@ def mult_lower_bound_from_weights(r: WeightVector, d: int, strict: bool) -> int:
     return best + 1
 
 
-def essential_variable_count(h: AffinePoly) -> int:
+def essential_variable_count(h: HomogeneousPoly) -> int:
     """Dimension of the span of the first partials of a homogeneous form.
 
     The form can be written in fewer variables after a linear change (is a
@@ -168,8 +133,6 @@ def essential_variable_count(h: AffinePoly) -> int:
     """
     if h.is_zero:
         raise PolyError("essential variable count of the zero polynomial")
-    if not h.is_homogeneous():
-        raise PolyError("essential variable count needs a homogeneous form")
     partials = [h.partial_derivative(j) for j in range(h.nvars)]
     monomials = sorted({exp for p in partials for exp, _ in p.terms})
     if not monomials:
@@ -178,7 +141,7 @@ def essential_variable_count(h: AffinePoly) -> int:
     return rational_rank(rows)
 
 
-def is_cone(h: AffinePoly) -> bool:
+def is_cone(h: HomogeneousPoly) -> bool:
     return essential_variable_count(h) < h.nvars
 
 
@@ -188,7 +151,7 @@ class LocalData:
 
     point: ProjectivePoint
     multiplicity: int
-    tangent_cone: AffinePoly | None
+    tangent_cone: HomogeneousPoly | None
     hessian_rank: int | None = None
     hessian_corank: int | None = None
 
@@ -204,17 +167,18 @@ class LocalData:
 
 def analyze_point(f: HomogeneousPoly, p: ProjectivePoint) -> LocalData:
     """Multiplicity, tangent cone and (at a double point) Hessian rank, all
-    from one evaluation of f(p) and one chart."""
+    from one evaluation of f(p) and one coordinate change g = f(sigma x)
+    with sigma moving p to [0:...:0:1]."""
     if f.is_zero:
         raise PolyError("multiplicity is undefined for the zero polynomial")
     if f.evaluate(p.coords) != 0:
         return LocalData(p, 0, None)
-    chart = chart_at(f, p)
-    mult = chart.min_degree()
-    cone = chart.homogeneous_component(mult)
+    g = apply_linear_change(f, matrix_moving_point_last(p.coords))
+    mult = g.d - max(exp[-1] for exp, _ in g.terms)
+    cone = last_coefficient(g, mult)
     if mult != 2:
         return LocalData(p, mult, cone)
-    rank = quadratic_form_rank(cone)
+    rank = rank_of_q(g)
     return LocalData(p, mult, cone, rank, f.n - rank)
 
 

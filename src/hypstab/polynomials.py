@@ -63,8 +63,9 @@ class HomogeneousPoly:
     """Homogeneous polynomial of degree ``d`` in ``n + 1`` variables x0..xn.
 
     The zero polynomial (empty ``terms``) is representable because formal
-    derivatives can vanish, but it is rejected wherever a hypersurface is
-    expected (parsing, destabilization, analysis entry points).
+    derivatives can vanish, and so is a form in one variable (n = 0), the
+    tangent cone of a binary form; both are rejected wherever a hypersurface
+    is expected (parsing, destabilization, analysis entry points).
     """
 
     n: int
@@ -73,8 +74,8 @@ class HomogeneousPoly:
 
     @staticmethod
     def make(n: int, d: int, terms) -> "HomogeneousPoly":
-        if n < 1:
-            raise PolyError(f"need at least two variables, got n = {n}")
+        if n < 0:
+            raise PolyError(f"need at least one variable, got n = {n}")
         if d < 0:
             raise PolyError(f"negative degree {d}")
         canon = _canonical(terms)
@@ -174,69 +175,6 @@ class HomogeneousPoly:
                     v *= x**e
             total += v
         return Fraction(total, den * scale**self.d)
-
-    def __str__(self) -> str:
-        return format_terms(self.terms)
-
-
-@dataclass(frozen=True)
-class AffinePoly:
-    """Sparse polynomial in ``nvars`` variables, not necessarily homogeneous.
-
-    Used for affine charts of hypersurfaces: the chart of ``f`` at the point
-    [0:...:0:1] collects the homogeneous pieces of each total degree.
-    """
-
-    nvars: int
-    terms: TermSeq
-
-    @staticmethod
-    def make(nvars: int, terms) -> "AffinePoly":
-        if nvars < 1:
-            raise PolyError(f"need at least one variable, got {nvars}")
-        canon = _canonical(terms)
-        for exp, _ in canon:
-            _validate_exponent(exp, nvars)
-        return AffinePoly(nvars, canon)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def as_dict(self) -> dict[Exponent, Fraction]:
-        return dict(self.terms)
-
-    def coefficient(self, exp: Exponent) -> Fraction:
-        for e, c in self.terms:
-            if e == tuple(exp):
-                return c
-        return Fraction(0)
-
-    def min_degree(self) -> int:
-        if self.is_zero:
-            raise PolyError("zero polynomial has no minimal degree")
-        return min(sum(e) for e, _ in self.terms)
-
-    def is_homogeneous(self) -> bool:
-        degrees = {sum(e) for e, _ in self.terms}
-        return len(degrees) <= 1
-
-    def homogeneous_component(self, degree: int) -> "AffinePoly":
-        return AffinePoly.make(
-            self.nvars, [(e, c) for e, c in self.terms if sum(e) == degree]
-        )
-
-    def partial_derivative(self, j: int) -> "AffinePoly":
-        if not 0 <= j < self.nvars:
-            raise PolyError(f"variable index {j} out of range 0..{self.nvars - 1}")
-        acc: dict[Exponent, Fraction] = {}
-        for exp, c in self.terms:
-            if exp[j] == 0:
-                continue
-            new = list(exp)
-            new[j] -= 1
-            acc[tuple(new)] = acc.get(tuple(new), Fraction(0)) + c * exp[j]
-        return AffinePoly.make(self.nvars, acc)
 
     def __str__(self) -> str:
         return format_terms(self.terms)
@@ -379,8 +317,10 @@ def parse_poly(text: str, n: int) -> HomogeneousPoly:
 
     The degree is inferred from the first term and homogeneity is enforced.
     Raises :class:`PolyParseError` for syntax problems and :class:`PolyError`
-    for inhomogeneous or identically zero input.
+    for fewer than two variables or inhomogeneous or identically zero input.
     """
+    if n < 1:
+        raise PolyError(f"need at least two variables, got n = {n}")
     raw = _Parser(text, n).parse()
     degrees = {sum(e) for e in raw}
     if len(degrees) > 1:
@@ -435,13 +375,15 @@ def format_terms(terms: TermSeq) -> str:
     return " ".join(pieces)
 
 
-def format_poly(f: HomogeneousPoly | AffinePoly) -> str:
+def format_poly(f: HomogeneousPoly) -> str:
     return format_terms(f.terms)
 
 
-def dehomogenize_at_last(f: HomogeneousPoly) -> AffinePoly:
-    """Affine chart x_n = 1: drop the last exponent of every monomial."""
-    return AffinePoly.make(f.n, [(exp[:-1], c) for exp, c in f.terms])
+def last_coefficient(g: HomogeneousPoly, k: int) -> HomogeneousPoly:
+    """The degree-k form in x0..x(n-1) that multiplies xn^(d-k) in g.  The
+    kept terms share one last exponent, so g's order is already theirs."""
+    top = g.d - k
+    return HomogeneousPoly(g.n - 1, k, tuple((e[:-1], c) for e, c in g.terms if e[-1] == top))
 
 
 def primitive_form(f: HomogeneousPoly) -> HomogeneousPoly:

@@ -14,6 +14,7 @@ from hypstab import (
     Certificate,
     SingularityProfile,
     Status,
+    analyze_point,
     combined_verdict,
     compare_bounds,
     enumerate_weight_oracle,
@@ -25,7 +26,6 @@ from hypstab import (
     family_poly,
     m0_threshold,
     membership,
-    multiplicity_at,
     mult_lower_bound_from_weights,
     normalize_cubic_certificate,
     rank_of_q,
@@ -212,7 +212,7 @@ def test_criterion_8_multiplicity_bound_suite():
         instances += 1
         bound = mult_lower_bound_from_weights(r, d, strict=strict_membership)
         point = ProjectivePoint.make([0] * n + [1])
-        if multiplicity_at(f, point) < bound:
+        if analyze_point(f, point).multiplicity < bound:
             violations += 1
     report(8, violations == 0, f"{instances} instances, {violations} violations")
 

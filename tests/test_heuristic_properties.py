@@ -10,7 +10,7 @@ from __future__ import annotations
 import warnings
 from math import ceil
 
-from hypstab import multiplicity_at, scan_singular_points
+from hypstab import analyze_point, scan_singular_points
 from hypstab.local_analysis import ProjectivePoint
 
 from conftest import random_cone_member, random_sorted_weights
@@ -45,7 +45,7 @@ def test_multiplicity_consistency_logged(rng):
         checked += 1
         bound = ceil(d * (d - 2) / (2 * d - 3))
         point = ProjectivePoint.make([0] * n + [1])
-        if multiplicity_at(f, point) < bound:
+        if analyze_point(f, point).multiplicity < bound:
             candidates.append((r.r, tuple(f.terms)))
     print(f"\nmultiplicity-consistency: {checked} instances checked, "
           f"{len(candidates)} counterexample candidates")

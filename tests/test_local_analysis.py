@@ -8,6 +8,7 @@ from math import gcd, lcm
 
 import numpy as np
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,10 +19,8 @@ from hypstab import (
     analyze_point,
     apply_linear_change,
     essential_variable_count,
-    hessian_rank_at,
     m0_threshold,
     mult_lower_bound_from_weights,
-    multiplicity_at,
     parse_poly,
     rank_of_q,
     scan_singular_points,
@@ -35,7 +34,8 @@ from hypstab.local_analysis import (
     _scan_dtype,
     is_cone,
 )
-from hypstab.polynomials import AffinePoly, HomogeneousPoly, primitive_form
+from hypstab.linalg import matrix_moving_point_last
+from hypstab.polynomials import HomogeneousPoly, PolyError, format_terms, primitive_form
 from hypstab.verdicts import InternalConsistencyError
 
 from conftest import degree_monomials, random_cone_member, random_sorted_weights
@@ -43,6 +43,11 @@ from conftest import degree_monomials, random_cone_member, random_sorted_weights
 
 def P(*coords):
     return ProjectivePoint.make(coords)
+
+
+def hessian(f, p):
+    data = analyze_point(f, p)
+    return data.hessian_rank, data.hessian_corank
 
 
 class TestProjectivePoint:
@@ -58,22 +63,22 @@ class TestProjectivePoint:
 
 class TestMultiplicity:
     def test_f2_at_q(self, corpus):
-        assert multiplicity_at(corpus["f2"], P(0, 0, 1)) == 2
+        assert analyze_point(corpus["f2"], P(0, 0, 1)).multiplicity == 2
 
     def test_g3_both_points(self):
         g3 = parse_poly("x0^2*x3^2 + x0*x2^3 + x1^4", 3)
-        assert multiplicity_at(g3, P(1, 0, 0, 0)) == 2
-        assert multiplicity_at(g3, P(0, 0, 0, 1)) == 2
+        assert analyze_point(g3, P(1, 0, 0, 0)).multiplicity == 2
+        assert analyze_point(g3, P(0, 0, 0, 1)).multiplicity == 2
 
     def test_smooth_point(self, corpus):
-        assert multiplicity_at(corpus["fermat_cubic"], P(1, -1, 0)) == 1
+        assert analyze_point(corpus["fermat_cubic"], P(1, -1, 0)).multiplicity == 1
 
     def test_off_hypersurface_returns_zero(self, corpus):
-        assert multiplicity_at(corpus["f2"], P(1, 1, 1)) == 0
+        assert analyze_point(corpus["f2"], P(1, 1, 1)).multiplicity == 0
 
     def test_cone_vertex_full_multiplicity(self):
         cone = parse_poly("x0^3 + x1^3 + x2^3", 3)
-        assert multiplicity_at(cone, P(0, 0, 0, 1)) == 3
+        assert analyze_point(cone, P(0, 0, 0, 1)).multiplicity == 3
 
     def test_invariance_under_stabilizing_change(self, corpus, rng):
         f = corpus["f2"]
@@ -86,8 +91,8 @@ class TestMultiplicity:
             ]
             sigma = RationalMatrix.from_rows(rows)
             g = apply_linear_change(f, sigma)
-            assert multiplicity_at(g, q) == multiplicity_at(f, q)
-            assert hessian_rank_at(g, q) == hessian_rank_at(f, q)
+            assert analyze_point(g, q).multiplicity == analyze_point(f, q).multiplicity
+            assert hessian(g, q) == hessian(f, q)
 
 
 class TestMultiplicityBoundFromWeights:
@@ -112,28 +117,24 @@ class TestMultiplicityBoundFromWeights:
                 continue
             bound = mult_lower_bound_from_weights(r, d, strict)
             point = ProjectivePoint.make([0] * n + [1])
-            assert multiplicity_at(f, point) >= bound, (f.terms, r.r)
+            assert analyze_point(f, point).multiplicity >= bound, (f.terms, r.r)
 
 
 class TestHessianRank:
     def test_f2(self, corpus):
-        assert hessian_rank_at(corpus["f2"], P(0, 0, 1)) == (1, 1)
+        assert hessian(corpus["f2"], P(0, 0, 1)) == (1, 1)
 
     def test_nodal_cubic(self, corpus):
-        assert hessian_rank_at(corpus["nodal_cubic"], P(0, 0, 1)) == (2, 0)
+        assert hessian(corpus["nodal_cubic"], P(0, 0, 1)) == (2, 0)
 
     def test_g3(self):
         g3 = parse_poly("x0^2*x3^2 + x0*x2^3 + x1^4", 3)
-        rank, corank = hessian_rank_at(g3, P(0, 0, 0, 1))
+        rank, corank = hessian(g3, P(0, 0, 0, 1))
         assert (rank, corank) == (1, 2)
 
-    def test_requires_multiplicity_two(self, corpus):
-        with pytest.raises(PointError, match="multiplicity"):
-            hessian_rank_at(corpus["fermat_cubic"], P(1, -1, 0))
-
     def test_coherence_with_rank_of_q(self, rng):
-        # With no linear chart part, the chart quadratic part is exactly the
-        # x_n^(d-2) coefficient.
+        # At [0:...:0:1] with no linear part (no x_j*x_n^(d-1) term), the
+        # quadratic part is exactly the x_n^(d-2) coefficient.
         for _ in range(50):
             n = rng.randint(2, 4)
             d = rng.choice([3, 4])
@@ -148,9 +149,9 @@ class TestHessianRank:
             if has_linear or rank_of_q(f) == 0:
                 continue
             point = ProjectivePoint.make([0] * n + [1])
-            if multiplicity_at(f, point) != 2:
+            if analyze_point(f, point).multiplicity != 2:
                 continue
-            assert hessian_rank_at(f, point)[0] == rank_of_q(f)
+            assert hessian(f, point)[0] == rank_of_q(f)
 
 
 class TestRankOfQ:
@@ -191,23 +192,23 @@ class TestM0Threshold:
 
 class TestEssentialVariables:
     def test_product_is_cone_in_three_vars(self):
-        h = AffinePoly.make(3, {(1, 1, 0): 1})
+        h = HomogeneousPoly.make(2, 2, {(1, 1, 0): 1})
         assert essential_variable_count(h) == 2
         assert is_cone(h)
 
     def test_full_quadric_not_cone(self):
-        h = AffinePoly.make(3, {(2, 0, 0): 1, (0, 2, 0): 1, (0, 0, 2): 1})
+        h = HomogeneousPoly.make(2, 2, {(2, 0, 0): 1, (0, 2, 0): 1, (0, 0, 2): 1})
         assert essential_variable_count(h) == 3
         assert not is_cone(h)
 
     def test_perfect_square_is_cone(self):
-        h = AffinePoly.make(2, {(2, 0): 1, (1, 1): 2, (0, 2): 1})
+        h = HomogeneousPoly.make(1, 2, {(2, 0): 1, (1, 1): 2, (0, 2): 1})
         assert essential_variable_count(h) == 1
         assert is_cone(h)
 
     def test_zero_rejected(self):
         with pytest.raises(Exception):
-            essential_variable_count(AffinePoly.make(2, {}))
+            essential_variable_count(HomogeneousPoly.make(1, 2, {}))
 
 
 class TestScan:
@@ -574,3 +575,84 @@ class TestAnalyzePoint:
     def test_point_off_the_hypersurface_builds_no_chart(self, corpus, monkeypatch):
         monkeypatch.setattr(local_analysis, "apply_linear_change", None)
         assert analyze_point(corpus["f2"], P(1, 1, 1)).multiplicity == 0
+
+    def test_zero_polynomial_rejected(self):
+        with pytest.raises(PolyError, match="zero polynomial"):
+            analyze_point(HomogeneousPoly.make(2, 3, {}), P(0, 0, 1))
+
+    def test_binary_double_point(self):
+        # The tangent cone of a binary form is a form in one variable.
+        data = analyze_point(parse_poly("x0^2*x1 + x0^3", 1), P(0, 1))
+        assert data.multiplicity == 2
+        assert str(data.tangent_cone) == "x0^2"
+        assert (data.hessian_rank, data.hessian_corank) == (1, 0)
+        assert not is_cone(data.tangent_cone)
+
+    def test_binary_triple_point(self):
+        data = analyze_point(parse_poly("x0^3", 1), P(0, 1))
+        assert data.multiplicity == 3
+        assert str(data.tangent_cone) == "x0^3"
+
+
+def _chart_reference(f, p):
+    """(multiplicity, tangent cone, Hessian rank, corank) the long way:
+    dehomogenize the moved form at x_n = 1, take its lowest-degree part, and
+    rank that part's symmetric matrix with sympy."""
+    if f.evaluate(p.coords) != 0:
+        return 0, None, None, None
+    g = apply_linear_change(f, matrix_moving_point_last(p.coords))
+    chart = {}
+    for exp, c in g.terms:
+        chart[exp[:-1]] = chart.get(exp[:-1], 0) + c
+    chart = {e: c for e, c in chart.items() if c}
+    mult = min(sum(e) for e in chart)
+    cone = tuple(sorted(((e, c) for e, c in chart.items() if sum(e) == mult), reverse=True))
+    if mult != 2:
+        return mult, format_terms(cone), None, None
+    q = sympy.zeros(f.n, f.n)
+    for e, c in cone:
+        i, j = [k for k, x in enumerate(e) for _ in range(x)]
+        half = sympy.Rational(c.numerator, 2 * c.denominator)
+        q[i, j] += half
+        q[j, i] += half
+    rank = q.rank()
+    return mult, format_terms(cone), rank, f.n - rank
+
+
+_NON_INTEGER = st.builds(Fraction, st.integers(-12, 12), st.integers(2, 6)).filter(
+    lambda c: c.denominator > 1
+)
+
+
+class TestAgainstChartPath:
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_local_data_match(self, data):
+        """A form g with every x_n exponent at most d - m has multiplicity at
+        least m at [0:...:0:1]; m = 0 adds x_n^d, which puts that point off
+        the hypersurface.  f = g(x tau) for a random unimodular tau carries
+        the point to P = e_n tau^(-1)."""
+        n = data.draw(st.integers(1, 3), label="n")
+        d = data.draw(st.integers(1, 4), label="d")
+        m = data.draw(st.integers(0, d), label="m")
+        allowed = [e for e in degree_monomials(n, d) if e[-1] <= d - max(m, 1)]
+        support = data.draw(
+            st.lists(st.sampled_from(allowed), min_size=1, max_size=6, unique=True)
+        )
+        if m == 0:
+            support.append(tuple(d * (j == n) for j in range(n + 1)))
+        coeffs = data.draw(st.lists(_NON_INTEGER, min_size=len(support), max_size=len(support)))
+        g = HomogeneousPoly.make(n, d, dict(zip(support, coeffs)))
+        size, entries = n + 1, st.integers(-2, 2)
+        lower = sympy.Matrix(size, size, lambda i, j: data.draw(entries) if i > j else int(i == j))
+        upper = sympy.Matrix(size, size, lambda i, j: data.draw(entries) if i < j else int(i == j))
+        tau = lower * upper
+        rows = [[int(x) for x in row] for row in tau.tolist()]
+        f = apply_linear_change(g, RationalMatrix.from_rows(rows))
+        point = P(*(int(x) for x in tau.inv().row(n)))
+
+        local = analyze_point(f, point)
+        cone = None if local.tangent_cone is None else str(local.tangent_cone)
+        got = (local.multiplicity, cone, local.hessian_rank, local.hessian_corank)
+        assert got == _chart_reference(f, point)
+        assert local.multiplicity == 0 if m == 0 else local.multiplicity >= m

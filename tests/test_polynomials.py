@@ -8,13 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypstab import (
-    AffinePoly,
     HomogeneousPoly,
     PolyError,
     PolyParseError,
     RationalMatrix,
     apply_linear_change,
-    dehomogenize_at_last,
     format_poly,
     parse_poly,
 )
@@ -40,6 +38,15 @@ class TestParse:
     def test_zero_rejected(self):
         with pytest.raises(PolyError, match="zero polynomial"):
             parse_poly("x0^3 - x0^3", 1)
+
+    def test_one_variable_rejected(self):
+        # A hypersurface needs two variables; a form in one is only a
+        # tangent cone of a binary form.
+        with pytest.raises(PolyError, match="at least two variables"):
+            parse_poly("x0^3", 0)
+        assert str(HomogeneousPoly.make(0, 3, {(3,): 1})) == "x0^3"
+        with pytest.raises(PolyError):
+            HomogeneousPoly.make(-1, 0, {})
 
     def test_variable_out_of_range(self):
         with pytest.raises(PolyParseError, match="exceeds"):
@@ -175,20 +182,6 @@ class TestCalculus:
         assert total == f.scale(d)
 
 
-class TestDehomogenize:
-    def test_spec_examples(self):
-        chart = dehomogenize_at_last(parse_poly("x0^2*x2 + x1^3", 2))
-        assert chart.as_dict() == {(2, 0): Fraction(1), (0, 3): Fraction(1)}
-        fermat = dehomogenize_at_last(parse_poly("x0^3 + x1^3 + x2^3", 2))
-        assert fermat.coefficient((0, 0)) == 1
-        g3 = dehomogenize_at_last(parse_poly("x0^2*x3^2 + x0*x2^3 + x1^4", 3))
-        assert g3.as_dict() == {
-            (2, 0, 0): Fraction(1),
-            (1, 0, 3): Fraction(1),
-            (0, 4, 0): Fraction(1),
-        }
-
-
 def _unipotent(n, entries, upper):
     size = n + 1
     rows = [[Fraction(int(i == j)) for j in range(size)] for i in range(size)]
@@ -252,20 +245,3 @@ class TestLinearChange:
         lhs = apply_linear_change(apply_linear_change(f, tau), sigma)
         rhs = apply_linear_change(f, sigma @ tau)
         assert lhs == rhs
-
-
-class TestAffinePoly:
-    def test_homogeneous_components(self):
-        chart = dehomogenize_at_last(parse_poly("x0^2*x2 + x1^3", 2))
-        assert chart.min_degree() == 2
-        assert chart.homogeneous_component(2).as_dict() == {(2, 0): Fraction(1)}
-
-    def test_constant_formatting(self):
-        chart = dehomogenize_at_last(parse_poly("x0^3 + x2^3", 2))
-        assert format_poly(chart) == "x0^3 + 1"
-
-    def test_zero_polynomial_guards(self):
-        zero = AffinePoly.make(2, {})
-        assert zero.is_zero
-        with pytest.raises(PolyError):
-            zero.min_degree()
