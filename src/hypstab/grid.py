@@ -6,10 +6,10 @@ the last coordinates, which is the same for every prefix, and prefixes over
 the first coordinates.  ``canonical_split`` gives the scan the canonical
 rows of a box, those whose first nonzero entry is a lead, as canonical
 prefixes times the tile plus the zero prefix times the tile's canonical
-rows; the scan evaluates the parts apart.  ``box_blocks`` materializes the
-rows ``head + prefix + tile row``, in lexicographic order, for the oracle.
-Every array is at most ``BLOCK_ROWS`` rows, so memory stays bounded
-whatever the box size.
+rows.  ``box_split`` gives the oracle the whole box as prefixes times the
+tile, in lexicographic order.  Neither materializes a row: each caller
+evaluates the prefix and tile parts apart.  Every array is at most
+``BLOCK_ROWS`` rows, so memory stays bounded whatever the box size.
 """
 from __future__ import annotations
 
@@ -37,21 +37,21 @@ def _batches(rows, width: int, size: int):
         yield np.array(batch, dtype=np.int64).reshape(len(batch), width)
 
 
-def box_blocks(values, width: int, head: tuple[int, ...] = ()):
-    """Yield the rows ``head + t`` for ``t`` in ``product(values, repeat=width)``,
-    in that order, as int64 arrays of at most ``BLOCK_ROWS`` rows: each block
-    is a batch of prefixes over the first coordinates times the tile over
-    the rest."""
+def box_split(values, width: int):
+    """The rows of ``product(values, repeat=width)`` as ``(tile, prefixes)``.
+
+    ``tile`` is the int64 array of every combination of the last t
+    coordinates, in lexicographic order, with t <= ``width`` as large as
+    ``len(values)**t <= BLOCK_ROWS`` allows.  ``prefixes`` yields int64
+    arrays of at most ``BLOCK_ROWS`` combinations of the first ``width - t``
+    coordinates, in lexicographic order (one empty prefix when the tile
+    spans every coordinate).  The rows, in order, are each prefix followed
+    by each tile row.
+    """
     values = [int(v) for v in values]
     tile = _tile(values, width)
-    h, cut = len(head), len(head) + width - tile.shape[1]
-    prefixes = product(values, repeat=width - tile.shape[1])
-    for pre in _batches(prefixes, cut - h, BLOCK_ROWS // len(tile)):
-        block = np.empty((len(pre) * len(tile), h + width), dtype=np.int64)
-        block[:, :h] = head
-        block[:, h:cut] = np.repeat(pre, len(tile), axis=0)
-        block[:, cut:] = np.tile(tile, (len(pre), 1))
-        yield block
+    cut = width - tile.shape[1]
+    return tile, _batches(product(values, repeat=cut), cut, BLOCK_ROWS)
 
 
 def canonical_split(values, top: int, width: int):

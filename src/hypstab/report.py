@@ -19,7 +19,7 @@ import datetime
 from dataclasses import dataclass, field
 
 from . import __version__
-from .criteria import SingularityProfile, combined_verdict
+from .criteria import ProfileError, SingularityProfile, combined_verdict
 from .local_analysis import (
     LocalData,
     ProjectivePoint,
@@ -158,7 +158,7 @@ def build_profile(
     provenance = {}
     if not singular:
         if s_user is not None and s_user != -1:
-            raise ValueError(
+            raise ProfileError(
                 f"--s {s_user} asserted but no singular points were found to analyze"
             )
         if s_user is not None:
@@ -174,7 +174,7 @@ def build_profile(
         return SingularityProfile(n, d, -1, 1, provenance=provenance), None, basis
 
     if s_user == -1:
-        raise ValueError("--s -1 (smooth) asserted but singular points were found")
+        raise ProfileError("--s -1 (smooth) asserted but singular points were found")
 
     delta = max(p.multiplicity for p in singular)
     provenance["delta"] = "verified-at-points (lower bound); heuristic as maximum"

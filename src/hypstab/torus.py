@@ -27,7 +27,10 @@ integers, is the destabilizing witness.  Witnesses and certificates are
 re-verified before being returned.
 
 A brute-force enumeration oracle over a box of integer vectors is provided
-as an independent cross-check; it shares no code path with the LP.
+as an independent cross-check; it shares no code path with the LP.  It
+visits the whole box in lexicographic order, as tile rows under batches of
+prefixes, and skips a row only when some monomial provably pairs below the
+threshold on it (see ``enumerate_weight_oracle``).
 """
 from __future__ import annotations
 
@@ -37,7 +40,7 @@ from math import lcm
 
 import numpy as np
 
-from .grid import box_blocks
+from . import grid
 from .linalg import integer_rank, nullspace_vector, primitive_row, scaled_integers
 from .polynomials import Exponent, HomogeneousPoly
 from .simplex import INFEASIBLE, OPTIMAL, SimplexError, solve_lp
@@ -167,25 +170,58 @@ def enumerate_weight_oracle(f: HomogeneousPoly, bound: int, strict: bool) -> Wei
     zero sum, returning the lexicographically first member of the weight
     cone, else None.
 
-    Independent of the LP path; intended for small n.  The scan runs over
-    the blocks of ``grid.box_blocks``, which keep lexicographic order.
+    Independent of the LP path; intended for small n.  For zero-sum ``r``
+    the pairing with a monomial ``i`` is ``sum_{j<n} r_j a_j`` with
+    ``a = i[:n] - i_n``, so only ``r[:n]`` is walked, as ``grid.box_split``
+    gives it: each prefix followed by each tile row, in lexicographic
+    order, with the pairing split as ``P(prefix) + T(tile row)``.  A member
+    pairs to at least the threshold (1 strict, 0 otherwise) with every
+    monomial and has ``|r_n| <= bound`` and ``r != 0``.
+
+    A row is dropped only when some monomial provably pairs below the
+    threshold on it, so the first member left is the first in the box:
+
+    - a tile row, when ``T + bound * sum |a_j|`` over the prefix
+      coordinates j is below it, since every prefix has ``P`` at least
+      ``-bound * sum |a_j|``;
+    - a prefix, when ``P + max T`` over the tile rows left is below it.
+
+    The rest is checked in full as a grid of prefixes times tile rows, at
+    most ``grid.BLOCK_ROWS`` pairs at a time; its row-major first hit is
+    re-checked by ``membership``.
     """
     if bound < 1:
         raise ValueError("bound must be >= 1")
     if f.is_zero:
         raise ValueError("cannot destabilize the zero polynomial")
     supp = np.array(f.support(), dtype=np.int64)
-    for rs in box_blocks(range(-bound, bound + 1), f.n):
-        last = -rs.sum(axis=1, keepdims=True)
-        rs = np.concatenate([rs, last], axis=1)
-        ok = np.abs(last[:, 0]) <= bound
-        ok &= (rs != 0).any(axis=1)
-        weights = rs @ supp.T
-        ok &= (weights >= (1 if strict else 0)).all(axis=1)
-        hits = np.flatnonzero(ok)
-        if hits.size:
-            candidate = WeightVector(tuple(int(v) for v in rs[hits[0]]))
-            if not membership(f, candidate, strict):
-                raise InternalConsistencyError("oracle produced a non-member; enumeration bug")
-            return candidate
+    cols = (supp[:, :-1] - supp[:, -1:]).T
+    least = 1 if strict else 0
+    tile, prefixes = grid.box_split(range(-bound, bound + 1), f.n)
+    cut = f.n - tile.shape[1]
+    tails = tile @ cols[cut:]
+    keep = (tails + bound * np.abs(cols[:cut]).sum(axis=0) >= least).all(axis=1)
+    tile, tails = tile[keep], tails[keep]
+    if not len(tile):
+        return None
+    tile_sums, tile_nonzero = tile.sum(axis=1), tile.any(axis=1)
+    best_tail = tails.max(axis=0)
+    step = grid.BLOCK_ROWS // len(tile)
+    for batch in prefixes:
+        heads = batch @ cols[:cut]
+        alive = (heads + best_tail >= least).all(axis=1)
+        batch, heads = batch[alive], heads[alive]
+        for k in range(0, len(batch), step):
+            pre, pre_heads = batch[k : k + step], heads[k : k + step]
+            ok = (pre_heads[:, None, :] + tails >= least).all(axis=2)
+            ok &= np.abs(pre.sum(axis=1)[:, None] + tile_sums) <= bound
+            ok &= pre.any(axis=1)[:, None] | tile_nonzero
+            hits = np.flatnonzero(ok)
+            if hits.size:
+                i, j = divmod(int(hits[0]), len(tile))
+                r = [int(v) for v in pre[i]] + [int(v) for v in tile[j]]
+                candidate = WeightVector(tuple(r + [-sum(r)]))
+                if not membership(f, candidate, strict):
+                    raise InternalConsistencyError("oracle produced a non-member; enumeration bug")
+                return candidate
     return None

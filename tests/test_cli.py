@@ -2,10 +2,16 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
+from hypstab import analyze_point, parse_poly, scan_singular_points
+from hypstab import cli
 from hypstab.cli import EXIT_INPUT, EXIT_INTERNAL, EXIT_OK, main
+from hypstab.criteria import ProfileError
+from hypstab.report import build_profile
+from hypstab.torus import TorusDecision
 
 
 @pytest.fixture
@@ -103,6 +109,24 @@ class TestAnalyze:
         assert code == EXIT_OK
         report = json.loads(out)
         assert report["profile"]["provenance"]["s"] == "user-asserted"
+
+    @pytest.mark.parametrize(
+        "text, s, message",
+        [
+            ("x0^3 + x1^3 + x2^3", "0", "--s 0 asserted but no singular points"),
+            ("x1^2*x2 - x0^2*x2 - x0^3", "-1", "--s -1 (smooth) asserted but singular points"),
+        ],
+    )
+    def test_contradicting_s_is_a_profile_error(self, capsys, poly_file, text, s, message):
+        f = parse_poly(text, 2)
+        scan = scan_singular_points(f, 3)
+        singular = [analyze_point(f, p) for p in scan.points]
+        with pytest.raises(ProfileError, match=re.escape(message)):
+            build_profile(singular, 2, 3, int(s), None)
+        code, _, err = run(capsys, ["analyze", poly_file(text), "--s", s, "--budget", "2"])
+        assert code == EXIT_INPUT
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: {message}"), err
 
     def test_conflict_names_the_profile_provenance(self, capsys, poly_file):
         # The node of this cubic is at two conjugate irrational points: the
@@ -221,6 +245,34 @@ class TestOracleCmd:
         code, out, _ = run(capsys, ["oracle", path, "--bound", "12"])
         assert code == EXIT_OK
         assert "infeasible" in out and "agree" in out
+
+    def test_disagreement_exits_internal(self, capsys, poly_file, monkeypatch):
+        real = cli.torus_destabilize
+
+        def flipped(f, strict):
+            decision = real(f, strict)
+            return TorusDecision(not decision.feasible, strict)
+
+        monkeypatch.setattr(cli, "torus_destabilize", flipped)
+        path = poly_file("x0^2*x2 + x1^3")
+        code, out, err = run(capsys, ["oracle", path, "--bound", "5", "--strict"])
+        assert code == EXIT_INTERNAL
+        assert "DISAGREE" in out
+        assert "disagree" in err and "Traceback" not in err
+
+    def test_non_member_hit_exits_internal(self, capsys, poly_file, monkeypatch):
+        monkeypatch.setattr("hypstab.torus.membership", lambda *args, **kwargs: False)
+        path = poly_file("x0^2*x2 + x1^3")
+        code, _, err = run(capsys, ["oracle", path, "--bound", "5", "--strict"])
+        assert code == EXIT_INTERNAL
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("internal consistency failure:"), err
+
+    def test_zero_bound_is_input_error(self, capsys, poly_file):
+        path = poly_file("x0^2*x2 + x1^3")
+        code, _, err = run(capsys, ["oracle", path, "--bound", "0"])
+        assert code == EXIT_INPUT
+        assert "bound must be >= 1" in err and "Traceback" not in err
 
 
 class TestCertifyCmd:

@@ -1,5 +1,5 @@
-"""The shared box enumerator, its canonical split, and the weight oracle's
-lexicographic order."""
+"""The box's two splits (the whole box and its canonical rows), and the
+weight oracle's lexicographic order against a plain enumeration."""
 from __future__ import annotations
 
 import random
@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from hypstab import enumerate_weight_oracle, grid
-from hypstab.grid import BLOCK_ROWS, box_blocks
+from hypstab.grid import BLOCK_ROWS, box_split
 
 from conftest import random_support_poly
 
@@ -17,19 +17,25 @@ from conftest import random_support_poly
 @pytest.mark.parametrize(
     "values, width, head",
     [
-        (range(-3, 4), 6, (1,)),  # scan, n = 6: tiles of 7^4 rows
+        (range(-3, 4), 6, (1,)),  # tiles of 7^4 rows
         (range(-3, 4), 2, (0, 0, 2)),
-        (range(7), 0, (0, 0, 0, 1)),  # field count, empty tail
+        (range(7), 0, (0, 0, 0, 1)),  # empty box: one empty prefix, empty tile
         (range(3), 7, ()),  # 3^7 rows, tile of 3^7 > cap / 2
-        (range(-200, 201), 2, ()),  # oracle, n = 2: ten prefixes per block
-        (range(5000), 1, ()),  # more values than the cap
+        (range(-200, 201), 2, ()),  # oracle, n = 2: one-column tile
+        (range(5000), 1, ()),  # more values than the cap: prefixes in two batches
     ],
 )
 def test_blocks_match_product(values, width, head):
-    blocks = list(box_blocks(values, width, head))
-    assert all(b.dtype == np.int64 for b in blocks)
-    assert all(len(b) <= BLOCK_ROWS for b in blocks)
-    rows = [tuple(int(v) for v in row) for b in blocks for row in b]
+    """Each prefix batch times the tile, read row-major behind a fixed
+    ``head``, is ``head + product(values, repeat=width)`` in order."""
+    tile, prefixes = box_split(values, width)
+    batches = list(prefixes)
+    assert tile.dtype == np.int64 and len(tile) <= BLOCK_ROWS
+    assert all(b.dtype == np.int64 and len(b) <= BLOCK_ROWS for b in batches)
+    tile_rows = [tuple(int(v) for v in row) for row in tile]
+    rows = [
+        head + tuple(int(v) for v in pre) + row for b in batches for pre in b for row in tile_rows
+    ]
     assert rows == [head + t for t in product(values, repeat=width)]
 
 
@@ -39,9 +45,11 @@ def test_blocks_match_product(values, width, head):
 def test_tile_is_the_largest_that_fits(m, width, t):
     tile = grid._tile(list(range(m)), width)
     assert tile.shape == (m**t, t)
-    sizes = [len(b) for b in box_blocks(range(m), width)]
-    assert sum(sizes) == m**width
-    assert all(size % len(tile) == 0 and size <= BLOCK_ROWS for size in sizes)
+    split_tile, prefixes = box_split(range(m), width)
+    assert np.array_equal(split_tile, tile)
+    batches = list(prefixes)
+    assert all(b.shape[1] == width - t for b in batches)
+    assert sum(len(b) for b in batches) * len(tile) == m**width
 
 
 def _canonical_rows(values, top, width):
@@ -103,3 +111,21 @@ def test_oracle_first_hit_is_lexicographic():
             witness = enumerate_weight_oracle(f, 40, strict)
             expected = _oracle_reference(f, 40, strict)
             assert (witness.r if witness else None) == expected, (f.terms, strict)
+
+
+@pytest.mark.parametrize("rows", [7, 50, 4096])
+def test_oracle_matches_plain_enumeration(monkeypatch, rows):
+    """Random supports for n in 1..3, d in 2..4 and bounds 1..6, both modes.
+    At 4096 rows the tile spans every coordinate (one empty prefix), at 50
+    a bound of 4 or more leaves a one-column tile, and at 7 a bound of 4 or
+    more leaves an empty tile under several batches of prefixes; supports
+    without a member often have their tile pruned to nothing."""
+    monkeypatch.setattr(grid, "BLOCK_ROWS", rows)
+    rng = random.Random(rows)
+    for _ in range(60):
+        n, d, bound = rng.randint(1, 3), rng.randint(2, 4), rng.randint(1, 6)
+        f = random_support_poly(rng, n, d)
+        for strict in (True, False):
+            witness = enumerate_weight_oracle(f, bound, strict)
+            expected = _oracle_reference(f, bound, strict)
+            assert (witness.r if witness else None) == expected, (f.terms, bound, strict)

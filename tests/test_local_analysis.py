@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import islice, product
 from math import gcd, lcm
 
 import numpy as np
@@ -27,7 +27,6 @@ from hypstab import (
 )
 from hypstab import grid, local_analysis
 from hypstab.families import family_poly
-from hypstab.grid import box_blocks
 from hypstab.local_analysis import (
     PointError,
     _integer_table,
@@ -329,9 +328,17 @@ def _gradient_vanishes(block, exps, coeffs, modulus=None):
     return (sums == 0).all(axis=1)
 
 
+def _blocks(values, width, head):
+    """The rows ``head + t`` for ``t`` in ``product(values, repeat=width)``,
+    as int64 arrays of at most 4096 rows."""
+    rows = (head + t for t in product(values, repeat=width))
+    while block := list(islice(rows, 4096)):
+        yield np.array(block, dtype=np.int64)
+
+
 def _blockwise_scan(f, height_bound, primes):
-    """The scan over ``box_blocks`` with the block evaluator: rows with
-    gcd != 1 dropped first, then every polynomial evaluated on every row."""
+    """The scan over plain ``product`` blocks with the block evaluator: rows
+    with gcd != 1 dropped first, then every polynomial evaluated on every row."""
     nvars = f.n + 1
     partials = [f.partial_derivative(j) for j in range(nvars)]
     monomials, table = _integer_table(partials)
@@ -341,7 +348,7 @@ def _blockwise_scan(f, height_bound, primes):
     points = []
     for k in range(nvars):
         for a in range(1, height_bound + 1):
-            for block in box_blocks(box, nvars - k - 1, (0,) * k + (a,)):
+            for block in _blocks(box, nvars - k - 1, (0,) * k + (a,)):
                 block = block[np.gcd.reduce(block, axis=1) == 1]
                 hits = block[_gradient_vanishes(block, exps, coeffs)]
                 points += [tuple(int(c) for c in row) for row in hits]
@@ -354,7 +361,7 @@ def _blockwise_scan(f, height_bound, primes):
         counts[p] = sum(
             int(_gradient_vanishes(block, exps, coeffs, p).sum())
             for k in range(nvars)
-            for block in box_blocks(range(p), nvars - k - 1, (0,) * k + (1,))
+            for block in _blocks(range(p), nvars - k - 1, (0,) * k + (1,))
         )
     return sorted(points), counts
 
