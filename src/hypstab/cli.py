@@ -5,6 +5,14 @@ certificates), search (destabilization search only), criteria (closed-form
 evaluators from flags), oracle (brute-force enumeration cross-checked against
 the LP), certify (verify a certificate file).
 
+A run builds one parser: the parser of the command named by its first
+argument, from the ``COMMANDS`` table.  Only a command line that names no
+command (``-h``, ``--version``, a missing or unknown command) or that gives
+the command an argument it does not take builds the full parser, the
+command listing with every command's arguments, which prints help, usage
+and errors exactly as before.  No parser is built at import or kept between
+runs.
+
 Exit codes: 0 analysis completed, 2 input error, 3 internal consistency
 failure (two routes that must agree disagreed).
 """
@@ -21,7 +29,7 @@ from .criteria import ProfileError, SingularityProfile, combined_verdict
 from .families import FAMILIES, family_certificate
 from .linalg import MatrixError
 from .local_analysis import PointError, ProjectivePoint
-from .polynomials import PolyError, format_poly, max_variable_index, parse_poly
+from .polynomials import PolyError, format_poly, parse_poly_infer
 from .report import AnalysisOptions, analyze
 from .search import SearchConfig, search_destabilization
 from .torus import enumerate_weight_oracle, torus_destabilize
@@ -52,7 +60,7 @@ def _read_poly_file(path: str):
     text = " ".join(lines).strip()
     if not text:
         raise PolyError(f"no polynomial found in {path}")
-    return parse_poly(text, max_variable_index(text))
+    return parse_poly_infer(text)
 
 
 def _read_points_file(path: str) -> tuple[ProjectivePoint, ...]:
@@ -207,77 +215,102 @@ def cmd_certify(args) -> int:
     return EXIT_OK
 
 
-def _add_common_search_flags(sub, budget_default: int) -> None:
-    sub.add_argument("--budget", type=int, default=budget_default, help="coordinate frames to try")
-    sub.add_argument("--seed", type=int, default=0, help="RNG seed for frame generation")
-    sub.add_argument("--bound", type=int, default=2, help="matrix entry bound for random frames")
+def _arg(*flags, **kwargs):
+    return flags, kwargs
+
+
+_SEARCH_FLAGS = (
+    _arg("--budget", type=int, default=50, help="coordinate frames to try"),
+    _arg("--seed", type=int, default=0, help="RNG seed for frame generation"),
+    _arg("--bound", type=int, default=2, help="matrix entry bound for random frames"),
+)
+
+# name -> (help, handler, arguments); the order is the order of the listing.
+COMMANDS = {
+    "analyze": ("full analysis pipeline for a polynomial file", cmd_analyze, (
+        _arg("file"),
+        _arg("--s", type=int, default=None, help="asserted singular-locus dimension"),
+        _arg("--points", default=None, help="JSON file with extra points to analyze"),
+        _arg("--height", type=int, default=3, help="height bound for the singular scan"),
+        _arg("--fields", default="", help="comma-separated primes for heuristic counts"),
+        *_SEARCH_FLAGS,
+        _arg("--json", default=None, help="write JSON report here ('-' for stdout)"),
+        _arg("--no-timestamp", action="store_true", help="omit timestamp (reproducible output)"),
+    )),
+    "example": ("emit a built-in family member and its certificate", cmd_example, (
+        _arg("family", choices=FAMILIES),
+        _arg("--n", type=int, required=True),
+        _arg("--json", default=None),
+    )),
+    "search": ("destabilization search only", cmd_search, (
+        _arg("file"),
+        *_SEARCH_FLAGS,
+        _arg("--height", type=int, default=3),
+        _arg("--json", default=None),
+    )),
+    "criteria": ("evaluate sufficient criteria from singularity data", cmd_criteria, (
+        _arg("--n", type=int, required=True),
+        _arg("--d", type=int, required=True),
+        _arg("--s", type=int, required=True),
+        _arg("--delta", type=int, required=True),
+        _arg("--rank", type=int, default=None, help="minimum Hessian rank"),
+        _arg("--corank", type=int, default=None, help="maximum Hessian corank"),
+        _arg("--cone-free", action="store_true", dest="cone_free",
+             help="assert that no tangent cone is a cone over a hyperplane hypersurface"),
+        _arg("--json", default=None),
+    )),
+    "oracle": ("brute-force oracle cross-checked against the LP", cmd_oracle, (
+        _arg("file"),
+        _arg("--bound", type=int, required=True),
+        _arg("--strict", action="store_true"),
+        _arg("--json", default=None),
+    )),
+    "certify": ("verify a certificate JSON file", cmd_certify, (
+        _arg("file"),
+        _arg("--cert", required=True),
+        _arg("--json", default=None),
+    )),
+}
+
+
+def _add_arguments(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
+    for flags, kwargs in COMMANDS[name][2]:
+        parser.add_argument(*flags, **kwargs)
+    return parser
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The full parser: the command listing with every command's arguments."""
     parser = argparse.ArgumentParser(
         prog="hypstab",
         description="Exact stability analysis of projective hypersurfaces.",
     )
     parser.add_argument("--version", action="version", version=f"hypstab {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("analyze", help="full analysis pipeline for a polynomial file")
-    p.add_argument("file")
-    p.add_argument("--s", type=int, default=None, help="asserted singular-locus dimension")
-    p.add_argument("--points", default=None, help="JSON file with extra points to analyze")
-    p.add_argument("--height", type=int, default=3, help="height bound for the singular scan")
-    p.add_argument("--fields", default="", help="comma-separated primes for heuristic counts")
-    _add_common_search_flags(p, budget_default=50)
-    p.add_argument("--json", default=None, help="write JSON report here ('-' for stdout)")
-    p.add_argument("--no-timestamp", action="store_true", help="omit timestamp (reproducible output)")
-    p.set_defaults(handler=cmd_analyze)
-
-    p = sub.add_parser("example", help="emit a built-in family member and its certificate")
-    p.add_argument("family", choices=FAMILIES)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--json", default=None)
-    p.set_defaults(handler=cmd_example)
-
-    p = sub.add_parser("search", help="destabilization search only")
-    p.add_argument("file")
-    _add_common_search_flags(p, budget_default=50)
-    p.add_argument("--height", type=int, default=3)
-    p.add_argument("--json", default=None)
-    p.set_defaults(handler=cmd_search)
-
-    p = sub.add_parser("criteria", help="evaluate sufficient criteria from singularity data")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--s", type=int, required=True)
-    p.add_argument("--delta", type=int, required=True)
-    p.add_argument("--rank", type=int, default=None, help="minimum Hessian rank")
-    p.add_argument("--corank", type=int, default=None, help="maximum Hessian corank")
-    p.add_argument("--cone-free", action="store_true", dest="cone_free",
-                   help="assert that no tangent cone is a cone over a hyperplane hypersurface")
-    p.add_argument("--json", default=None)
-    p.set_defaults(handler=cmd_criteria)
-
-    p = sub.add_parser("oracle", help="brute-force oracle cross-checked against the LP")
-    p.add_argument("file")
-    p.add_argument("--bound", type=int, required=True)
-    p.add_argument("--strict", action="store_true")
-    p.add_argument("--json", default=None)
-    p.set_defaults(handler=cmd_oracle)
-
-    p = sub.add_parser("certify", help="verify a certificate JSON file")
-    p.add_argument("file")
-    p.add_argument("--cert", required=True)
-    p.add_argument("--json", default=None)
-    p.set_defaults(handler=cmd_certify)
-
+    for name, (help_text, _, _) in COMMANDS.items():
+        _add_arguments(sub.add_parser(name, help=help_text), name)
     return parser
 
 
+def _parse(argv: list[str]):
+    """(command name, parsed arguments) of a command line."""
+    if argv and argv[0] in COMMANDS:
+        name = argv[0]
+        parser = _add_arguments(argparse.ArgumentParser(prog=f"hypstab {name}"), name)
+        args, extra = parser.parse_known_args(argv[1:])
+        if not extra:
+            return name, args
+    # -h, --version, a missing or unknown command, or arguments the command
+    # does not take: the full parser handles it as it always has.
+    args = build_parser().parse_args(argv)
+    return args.command, args
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    name, args = _parse(sys.argv[1:] if argv is None else list(argv))
+    _, handler, _ = COMMANDS[name]
     try:
-        return args.handler(args)
+        return handler(args)
     except InternalConsistencyError as exc:
         print(f"internal consistency failure: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

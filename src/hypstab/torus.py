@@ -45,7 +45,7 @@ from .linalg import integer_rank, nullspace_vector, primitive_row, scaled_intege
 from .polynomials import Exponent, HomogeneousPoly
 from .simplex import INFEASIBLE, OPTIMAL, SimplexError, solve_lp
 from .verdicts import InternalConsistencyError
-from .weights import WeightVector, membership
+from .weights import WeightError, WeightVector, membership
 
 BarycentricCertificate = tuple[tuple[Exponent, Fraction], ...]
 
@@ -191,7 +191,7 @@ def enumerate_weight_oracle(f: HomogeneousPoly, bound: int, strict: bool) -> Wei
     re-checked by ``membership``.
     """
     if bound < 1:
-        raise ValueError("bound must be >= 1")
+        raise WeightError("bound must be >= 1")
     if f.is_zero:
         raise ValueError("cannot destabilize the zero polynomial")
     supp = np.array(f.support(), dtype=np.int64)

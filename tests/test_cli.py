@@ -1,8 +1,13 @@
 """CLI surface: flows, exit codes, JSON determinism."""
 from __future__ import annotations
 
+import argparse
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -308,3 +313,118 @@ class TestCertifyCmd:
         cert.write_text(json.dumps({"sigma": [["1"]], "r": [1, 0, -1], "strict": False}))
         code, _, err = run(capsys, ["certify", path, "--cert", str(cert)])
         assert code == EXIT_INPUT
+
+
+HELP = Path(__file__).parent / "data" / "help"
+COMMANDS = ("analyze", "example", "search", "criteria", "oracle", "certify")
+TOP_USAGE = (
+    "usage: hypstab [-h] [--version]\n"
+    "               {analyze,example,search,criteria,oracle,certify} ...\n"
+)
+
+
+def run_exit(capsys, argv):
+    """(exit code, stdout, stderr) of a run that argparse ends with SystemExit."""
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    captured = capsys.readouterr()
+    return info.value.code, captured.out, captured.err
+
+
+class TestSurface:
+    """Help, usage and error text of the parsers, byte for byte, at 80 columns."""
+
+    @pytest.fixture(autouse=True)
+    def _columns(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+
+    def test_top_level_help(self, capsys):
+        code, out, err = run_exit(capsys, ["-h"])
+        assert (code, err) == (0, "")
+        assert out == (HELP / "hypstab.txt").read_text()
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_command_help(self, capsys, command):
+        code, out, err = run_exit(capsys, [command, "-h"])
+        assert (code, err) == (0, "")
+        assert out == (HELP / f"{command}.txt").read_text()
+
+    def test_version(self, capsys):
+        assert run_exit(capsys, ["--version"]) == (0, "hypstab 0.1.0\n", "")
+
+    def test_unknown_command(self, capsys):
+        code, out, err = run_exit(capsys, ["bogus"])
+        assert (code, out) == (2, "")
+        assert err == TOP_USAGE + (
+            "hypstab: error: argument command: invalid choice: 'bogus' (choose from "
+            "'analyze', 'example', 'search', 'criteria', 'oracle', 'certify')\n"
+        )
+
+    def test_missing_command(self, capsys):
+        code, out, err = run_exit(capsys, [])
+        assert (code, out) == (2, "")
+        assert err == TOP_USAGE + "hypstab: error: the following arguments are required: command\n"
+
+    def test_missing_required_argument(self, capsys):
+        code, out, err = run_exit(capsys, ["oracle"])
+        assert (code, out) == (2, "")
+        assert err == (
+            "usage: hypstab oracle [-h] --bound BOUND [--strict] [--json JSON] file\n"
+            "hypstab oracle: error: the following arguments are required: file, --bound\n"
+        )
+
+    def test_bad_argument_type(self, capsys):
+        code, out, err = run_exit(capsys, ["example", "fn", "--n", "two"])
+        assert (code, out) == (2, "")
+        assert err == (
+            "usage: hypstab example [-h] --n N [--json JSON] {fn,gn}\n"
+            "hypstab example: error: argument --n: invalid int value: 'two'\n"
+        )
+
+    def test_unrecognized_argument_is_reported_by_the_top_level(self, capsys):
+        code, out, err = run_exit(capsys, ["example", "fn", "--n", "2", "extra", "--bogus"])
+        assert (code, out) == (2, "")
+        assert err == TOP_USAGE + "hypstab: error: unrecognized arguments: extra --bogus\n"
+
+    def test_module_entry_reads_sys_argv(self):
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        proc = subprocess.run(
+            [sys.executable, "-m", "hypstab", "--version"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "hypstab 0.1.0\n", "")
+
+
+class TestParserConstruction:
+    """A run builds the parser of its command only; the command listing is
+    built only when no command is named."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        counts = {"parsers": 0, "listings": 0}
+        init = argparse.ArgumentParser.__init__
+        add_subparsers = argparse.ArgumentParser.add_subparsers
+
+        def counting_init(self, *args, **kwargs):
+            counts["parsers"] += 1
+            init(self, *args, **kwargs)
+
+        def counting_add_subparsers(self, *args, **kwargs):
+            counts["listings"] += 1
+            return add_subparsers(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        monkeypatch.setattr(argparse.ArgumentParser, "add_subparsers", counting_add_subparsers)
+        return counts
+
+    def test_analyze_run_builds_one_parser(self, capsys, poly_file, built):
+        path = poly_file("x0^5 + x1^5 + x2^5 + x3^5")
+        code, out, _ = run(capsys, ["analyze", path, "--budget", "1"])
+        assert code == EXIT_OK and "status: Stable" in out
+        assert built == {"parsers": 1, "listings": 0}
+
+    def test_help_builds_the_command_listing(self, capsys, built):
+        code, out, _ = run_exit(capsys, ["-h"])
+        assert code == 0 and "analyze" in out
+        assert built["listings"] == 1

@@ -10,6 +10,7 @@ from hypstab import enumerate_weight_oracle, membership, parse_poly, torus_desta
 from hypstab.linalg import rational_rank
 from hypstab.simplex import SimplexError
 from hypstab.torus import _verify_barycentric
+from hypstab.weights import WeightError
 
 from conftest import random_support_poly
 
@@ -131,6 +132,11 @@ class TestOracle:
     def test_bound_validation(self, corpus):
         with pytest.raises(ValueError):
             enumerate_weight_oracle(corpus["f2"], 0, strict=True)
+
+    @pytest.mark.parametrize("bound", [0, -1])
+    def test_bound_below_one_is_weight_error(self, corpus, bound):
+        with pytest.raises(WeightError, match="bound must be >= 1"):
+            enumerate_weight_oracle(corpus["f2"], bound, strict=False)
 
     def test_two_variable_polynomial(self):
         # Binary forms have only the one free coordinate r0.
