@@ -42,7 +42,7 @@ class Certificate:
     @staticmethod
     def from_json(data: dict) -> "Certificate":
         try:
-            sigma = RationalMatrix.from_strings(data["sigma"])
+            sigma = RationalMatrix.from_rows(data["sigma"])
             r = WeightVector(tuple(int(v) for v in data["r"]))
             strict = bool(data["strict"])
         except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:

@@ -4,11 +4,12 @@ Everything here is exact.  Matrices are immutable and hold Python integers
 over one positive denominator s, the lcm of the entries' denominators, so
 the form is canonical; :class:`~fractions.Fraction` entries are built only
 when ``rows`` is read.  Products multiply the stored integers and divide the
-scale out once, determinants use fraction-free (Bareiss) elimination on the
-stored integers sA (det(A) = det(sA) / s^n), ranks use Bareiss elimination
-and nullspaces fraction-free Gauss-Jordan elimination on integer-scaled
-rows, and coordinate changes expand the integer-scaled polynomial under the
-stored integers and emit its terms already in canonical order.
+scale out once.  Determinants and ranks share one fraction-free (Bareiss)
+forward elimination, on the stored integers sA for a determinant
+(det(A) = det(sA) / s^n); nullspaces use fraction-free Gauss-Jordan
+elimination on integer-scaled rows, and coordinate changes expand the
+integer-scaled polynomial under the stored integers and emit its terms
+already in canonical order.
 """
 from __future__ import annotations
 
@@ -89,35 +90,17 @@ class RationalMatrix:
         )
 
     def determinant(self) -> Fraction:
-        """Fraction-free (Bareiss) elimination on the integer matrix sA:
-        each step's division by the previous pivot is exact."""
+        """det(sA) / s^n, with det(sA) from one Bareiss elimination of the
+        stored integers sA."""
         if not self.is_square:
             raise MatrixError("determinant of a non-square matrix")
-        m = [list(row) for row in self.ints]
-        size = self.nrows
-        sign, prev = 1, 1
-        for col in range(size - 1):
-            pivot = next((r for r in range(col, size) if m[r][col] != 0), None)
-            if pivot is None:
-                return Fraction(0)
-            if pivot != col:
-                m[col], m[pivot] = m[pivot], m[col]
-                sign = -sign
-            p = m[col][col]
-            pivot_row = m[col]
-            for r in range(col + 1, size):
-                row, factor = m[r], m[r][col]
-                for c in range(col + 1, size):
-                    row[c] = (row[c] * p - factor * pivot_row[c]) // prev
-            prev = p
-        return Fraction(sign * m[-1][-1], self.scale**size)
+        rank, last = _bareiss(self.ints)
+        if rank < self.nrows:
+            return Fraction(0)
+        return Fraction(last, self.scale**self.nrows)
 
     def to_strings(self) -> list[list[str]]:
         return [[str(x) for x in row] for row in self.rows]
-
-    @staticmethod
-    def from_strings(data: Iterable[Iterable[str]]) -> "RationalMatrix":
-        return RationalMatrix.from_rows(data)
 
     def __str__(self) -> str:
         return "\n".join("[" + ", ".join(str(x) for x in row) + "]" for row in self.rows)
@@ -129,30 +112,36 @@ def as_rational(x) -> int | Fraction:
     return x if isinstance(x, (int, Fraction)) else Fraction(x)
 
 
-def integer_rank(rows: list[list[int]]) -> int:
-    """Rank via fraction-free (Bareiss) elimination on integer rows."""
+def _bareiss(rows: Sequence[Sequence[int]]) -> tuple[int, int]:
+    """Fraction-free (Bareiss) forward elimination on integer rows: each
+    step's division by the previous pivot is exact.  Returns the rank and
+    the last pivot times the sign of the row swaps, which for a square
+    matrix of full rank is its determinant."""
     m = [list(row) for row in rows]
-    if not m:
-        return 0
-    nrows, ncols = len(m), len(m[0])
-    rank = 0
-    prev = 1
-    row = 0
+    nrows, ncols = len(m), len(m[0]) if m else 0
+    rank, sign, prev = 0, 1, 1
     for col in range(ncols):
-        pivot = next((r for r in range(row, nrows) if m[r][col] != 0), None)
+        if rank == nrows:
+            break
+        pivot = next((r for r in range(rank, nrows) if m[r][col] != 0), None)
         if pivot is None:
             continue
-        m[row], m[pivot] = m[pivot], m[row]
-        for r in range(row + 1, nrows):
+        if pivot != rank:
+            m[rank], m[pivot] = m[pivot], m[rank]
+            sign = -sign
+        pivot_row, p = m[rank], m[rank][col]
+        for row in m[rank + 1:]:
+            factor = row[col]
             for c in range(col + 1, ncols):
-                m[r][c] = (m[r][c] * m[row][col] - m[r][col] * m[row][c]) // prev
-            m[r][col] = 0
-        prev = m[row][col]
+                row[c] = (row[c] * p - factor * pivot_row[c]) // prev
+        prev = p
         rank += 1
-        row += 1
-        if row == nrows:
-            break
-    return rank
+    return rank, sign * prev
+
+
+def integer_rank(rows: list[list[int]]) -> int:
+    """Rank via fraction-free (Bareiss) elimination on integer rows."""
+    return _bareiss(rows)[0]
 
 
 def scaled_integers(values: Iterable[int | Fraction], scale: int) -> list[int]:

@@ -44,24 +44,18 @@ from .verdicts import InternalConsistencyError, Status
 # perfbench wraps ``hypstab.search.membership`` as its membership layer.
 from .weights import membership  # noqa: F401
 
-STRATEGIES = ("singular-point-to-Q", "permutations", "random-unipotent")
-
 
 @dataclass(frozen=True)
 class SearchConfig:
     budget: int = 50
     seed: int = 0
     bound: int = 2
-    strategies: tuple[str, ...] = STRATEGIES
 
     def __post_init__(self):
         if self.budget < 1:
             raise ValueError("budget must be >= 1")
         if self.bound < 1:
             raise ValueError("matrix entry bound must be >= 1")
-        unknown = set(self.strategies) - set(STRATEGIES)
-        if unknown:
-            raise ValueError(f"unknown strategies {sorted(unknown)}")
 
 
 @dataclass
@@ -108,27 +102,22 @@ def _random_permutation(rng: random.Random, size: int) -> RationalMatrix:
 
 
 def _frames(cfg: SearchConfig, size: int, points: tuple[ProjectivePoint, ...]):
-    """Deterministic frame stream: (strategy, matrix), identity first."""
+    """Endless deterministic frame stream: (strategy, matrix), identity first."""
     rng = random.Random(cfg.seed)
     point_frames = [matrix_moving_point_last(p.coords) for p in points]
-    if "singular-point-to-Q" in cfg.strategies:
-        yield "singular-point-to-Q", RationalMatrix.identity(size)
-        for frame in point_frames:
-            yield "singular-point-to-Q", frame
-    if not {"permutations", "random-unipotent"} & set(cfg.strategies):
-        return
+    yield "singular-point-to-Q", RationalMatrix.identity(size)
+    for frame in point_frames:
+        yield "singular-point-to-Q", frame
     while True:
-        if "permutations" in cfg.strategies:
-            yield "permutations", _random_permutation(rng, size)
-        if "random-unipotent" in cfg.strategies:
-            tau = _random_unipotent(rng, size, cfg.bound, upper=True)
-            if point_frames:
-                base = point_frames[rng.randrange(len(point_frames))]
-                yield "random-unipotent", tau @ base
-            else:
-                yield "random-unipotent", tau @ _random_permutation(rng, size)
-            lower = _random_unipotent(rng, size, cfg.bound, upper=False)
-            yield "random-unipotent", lower @ _random_permutation(rng, size)
+        yield "permutations", _random_permutation(rng, size)
+        tau = _random_unipotent(rng, size, cfg.bound, upper=True)
+        if point_frames:
+            base = point_frames[rng.randrange(len(point_frames))]
+            yield "random-unipotent", tau @ base
+        else:
+            yield "random-unipotent", tau @ _random_permutation(rng, size)
+        lower = _random_unipotent(rng, size, cfg.bound, upper=False)
+        yield "random-unipotent", lower @ _random_permutation(rng, size)
 
 
 def search_destabilization(
@@ -169,10 +158,7 @@ def search_destabilization(
 
     frame_stream = _frames(cfg, size, points)
     for index in range(cfg.budget):
-        try:
-            strategy, sigma = next(frame_stream)
-        except StopIteration:
-            break
+        strategy, sigma = next(frame_stream)
         outcome.frames_tried += 1
         g = apply_linear_change(f, sigma)
 

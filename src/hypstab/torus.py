@@ -8,7 +8,8 @@ Let ``c = (d/(n+1), ..., d/(n+1))`` be the centroid of the degree simplex.
 For zero-sum ``r`` the pairing ``r.i`` equals ``r.(i - c)``, so both modes
 are questions about the matrix ``A`` whose columns are the shifted support
 monomials ``i - c`` (scaled by ``n + 1`` to integers).  Each mode is decided
-by one zero-cost LP over the n+1 rows of ``A``:
+by one integer feasibility LP over the n+1 rows of ``A``, solved by the
+exact phase-1 simplex of :mod:`hypstab.simplex`:
 
 - strict: ``A lam = 0``, ``sum(lam) = 1``, ``lam >= 0``, i.e. the centroid
   lies in the convex hull of the support;
@@ -43,7 +44,7 @@ import numpy as np
 from . import grid
 from .linalg import integer_rank, nullspace_vector, primitive_row, scaled_integers
 from .polynomials import Exponent, HomogeneousPoly
-from .simplex import INFEASIBLE, OPTIMAL, SimplexError, solve_lp
+from .simplex import SimplexError, solve_lp
 from .verdicts import InternalConsistencyError
 from .weights import WeightError, WeightVector, membership
 
@@ -149,14 +150,12 @@ def torus_destabilize(f: HomogeneousPoly, strict: bool) -> TorusDecision:
         A = rows
         b = [-sum(row) for row in rows]
 
-    result = solve_lp(A, b, [0] * len(support))
-    if result.status == INFEASIBLE:
+    result = solve_lp(A, b)
+    if result.x is None:
         witness = _farkas_witness(result.farkas[-(n + 1):])
         if not membership(f, witness, strict):
             raise SimplexError("Farkas witness failed re-verification")
         return TorusDecision(True, strict, witness=witness)
-    if result.status != OPTIMAL:
-        raise SimplexError("a zero-cost LP cannot be unbounded")
     weights = result.x if strict else [1 + v for v in result.x]
     total = sum(weights)
     lambdas = [w / total for w in weights]

@@ -76,7 +76,7 @@ class TestJson:
 
     def test_rational_entries(self):
         cert = Certificate(
-            RationalMatrix.from_strings([["1/2", "0"], ["0", "2"]]),
+            RationalMatrix.from_rows([["1/2", "0"], ["0", "2"]]),
             WeightVector((1, -1)),
             False,
         )

@@ -50,13 +50,13 @@ class TestRationalMatrix:
 
     def test_string_round_trip(self):
         m = RationalMatrix.from_rows([[Fraction(1, 2), -1], [3, 0]])
-        assert RationalMatrix.from_strings(m.to_strings()) == m
+        assert RationalMatrix.from_rows(m.to_strings()) == m
 
     def test_canonical_integer_form(self):
         # The same matrix from ints, Fractions and strings: equal fields, equal hash.
         from_ints = RationalMatrix.from_rows([[2, 0], [-1, 3]])
         from_fracs = RationalMatrix.from_rows([[Fraction(4, 2), Fraction(0)], [Fraction(-3, 3), Fraction(3)]])
-        from_strs = RationalMatrix.from_strings([["2", "0/5"], ["-2/2", "3"]])
+        from_strs = RationalMatrix.from_rows([["2", "0/5"], ["-2/2", "3"]])
         assert from_ints == from_fracs == from_strs
         assert hash(from_ints) == hash(from_fracs) == hash(from_strs)
         assert (from_ints.scale, from_ints.ints) == (1, ((2, 0), (-1, 3)))
@@ -199,12 +199,12 @@ def rationals(bound, max_den):
 
 
 @st.composite
-def low_rank_matrices(draw):
-    """Integer or rational matrices, often taller than wide, whose rows are
-    combinations of at most ``rank`` random rows."""
+def low_rank_matrices(draw, max_dens=(1, 5)):
+    """Integer or rational matrices, often taller or wider than square, whose
+    rows are combinations of a few random rows."""
     ncols = draw(st.integers(1, 6))
     nrows = draw(st.integers(1, 8))
-    max_den = draw(st.sampled_from([1, 5]))
+    max_den = draw(st.sampled_from(max_dens))
     entries = rationals(4, max_den)
     base = [draw(st.lists(entries, min_size=ncols, max_size=ncols))
             for _ in range(draw(st.integers(1, min(nrows, ncols + 1))))]
@@ -213,6 +213,28 @@ def low_rank_matrices(draw):
         coeffs = draw(st.lists(st.integers(-2, 2), min_size=len(base), max_size=len(base)))
         rows.append([sum(c * row[j] for c, row in zip(coeffs, base)) for j in range(ncols)])
     return rows
+
+
+def reference_rank(rows):
+    m = [[Fraction(x) for x in row] for row in rows]
+    rank = 0
+    for col in range(len(m[0])):
+        pivot = next((r for r in range(rank, len(m)) if m[r][col] != 0), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        for r in range(rank + 1, len(m)):
+            factor = m[r][col] / m[rank][col]
+            m[r] = [a - factor * b for a, b in zip(m[r], m[rank])]
+        rank += 1
+    return rank
+
+
+@given(low_rank_matrices(max_dens=[1]))
+@settings(max_examples=200, deadline=None)
+def test_integer_rank_matches_fraction_elimination(rows):
+    ints = [[int(v) for v in row] for row in rows]
+    assert integer_rank(ints) == reference_rank(ints)
 
 
 @given(low_rank_matrices())
