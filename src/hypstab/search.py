@@ -29,14 +29,34 @@ found earlier in the same search (for a strict decision, one of either
 mode) all lie in the new support, and returns that refutation if so; only
 otherwise does it call the LP.  Witnesses come only from the LP, on the
 supports where it would run without reuse, so the outcome is unchanged.
+
+The cache, the reuse test and the choice to call the LP read only the
+support of g = f∘sigma, so that is all most frames need.  Frame 0 is the
+identity, whose g is f.  The other frames' exact supports come from
+:func:`~hypstab.linalg.transformed_supports`, which expands a chunk of
+frames at once in numpy; the chunks hold 1, 2, 4, ... frames, capped by the
+budget left, so a search that stops early expands fewer than twice the
+frames it tries, and one that stops at frame 0 expands none.  Only a frame
+whose decision goes to the LP is expanded by ``apply_linear_change``, and
+its support must equal the batched one.  A mismatch, or a frame that the
+kernel rejects as singular, is a fault of the program, not of the input,
+and raises :class:`InternalConsistencyError`.
 """
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from itertools import chain, count
+from typing import Iterator
 
 from .certificates import Certificate, verify_certificate
-from .linalg import RationalMatrix, apply_linear_change, matrix_moving_point_last
+from .linalg import (
+    MatrixError,
+    RationalMatrix,
+    apply_linear_change,
+    matrix_moving_point_last,
+    transformed_supports,
+)
 from .local_analysis import ProjectivePoint
 from .polynomials import Exponent, HomogeneousPoly
 from .torus import BarycentricCertificate, TorusDecision, torus_destabilize
@@ -92,7 +112,7 @@ def _random_unipotent(rng: random.Random, size: int, bound: int, upper: bool) ->
         rng_range = range(i + 1, size) if upper else range(0, i)
         for j in rng_range:
             rows[i][j] = rng.randint(-bound, bound)
-    return RationalMatrix.from_rows(rows)
+    return RationalMatrix(1, tuple(map(tuple, rows)))
 
 
 def _random_permutation(rng: random.Random, size: int) -> RationalMatrix:
@@ -120,6 +140,44 @@ def _frames(cfg: SearchConfig, size: int, points: tuple[ProjectivePoint, ...]):
         yield "random-unipotent", lower @ _random_permutation(rng, size)
 
 
+@dataclass
+class _Frame:
+    """One search frame with the exact support of f∘sigma.  ``g`` = f∘sigma
+    is f itself for the identity frame; for the others it is built only when
+    an LP needs it."""
+
+    strategy: str
+    sigma: RationalMatrix
+    support: tuple[Exponent, ...]
+    g: HomogeneousPoly | None = None
+
+
+def _frames_with_supports(f: HomogeneousPoly, stream, budget: int) -> Iterator[_Frame]:
+    """The first ``budget`` frames of ``stream``, each with the support of
+    f∘sigma: f's own for an identity frame (frame 0, by construction), and
+    for the others from one :func:`transformed_supports` call per chunk.
+    Frame 0 is a chunk of its own, and the chunks after it hold 1, 2, 4, ...
+    frames, capped by the budget left.  Each chunk is drawn and expanded only
+    when the search reaches it."""
+    identity = RationalMatrix.identity(f.n + 1)
+    left = budget
+    for size in chain([1], (1 << k for k in count())):
+        if left == 0:
+            return
+        chunk = [next(stream) for _ in range(min(size, left))]
+        left -= len(chunk)
+        moved = [sigma for _, sigma in chunk if sigma != identity]
+        try:
+            supports = iter(transformed_supports(f, moved) if moved else ())
+        except MatrixError as exc:
+            raise InternalConsistencyError(f"search frame rejected: {exc}") from exc
+        for strategy, sigma in chunk:
+            if sigma == identity:
+                yield _Frame(strategy, sigma, f.support(), f)
+            else:
+                yield _Frame(strategy, sigma, next(supports))
+
+
 def search_destabilization(
     f: HomogeneousPoly,
     cfg: SearchConfig,
@@ -136,18 +194,27 @@ def search_destabilization(
         False: [],
     }
 
-    def decide(g: HomogeneousPoly, strict: bool) -> TorusDecision:
-        support = g.support()
-        key = (strict, support)
+    def transformed(frame: _Frame) -> HomogeneousPoly:
+        """f∘sigma for an LP, which must have the batched support."""
+        if frame.g is None:
+            frame.g = apply_linear_change(f, frame.sigma)
+            if frame.g.support() != frame.support:
+                raise InternalConsistencyError(
+                    f"frame support {frame.support} differs from the exact change's {frame.g.support()}"
+                )
+        return frame.g
+
+    def decide(frame: _Frame, strict: bool) -> TorusDecision:
+        key = (strict, frame.support)
         decision = decision_cache.get(key)
         if decision is not None:
             return decision
-        present = frozenset(support)
+        present = frozenset(frame.support)
         reused = next((cert for mons, cert in refutations[strict] if mons <= present), None)
         if reused is not None:
             decision = TorusDecision(False, strict, certificate=reused)
         else:
-            decision = torus_destabilize(g, strict)
+            decision = torus_destabilize(transformed(frame), strict)
             if not decision.feasible:
                 entry = (frozenset(exp for exp, _ in decision.certificate), decision.certificate)
                 refutations[strict].append(entry)
@@ -156,13 +223,12 @@ def search_destabilization(
         decision_cache[key] = decision
         return decision
 
-    frame_stream = _frames(cfg, size, points)
-    for index in range(cfg.budget):
-        strategy, sigma = next(frame_stream)
+    frames = _frames_with_supports(f, _frames(cfg, size, points), cfg.budget)
+    for index, frame in enumerate(frames):
+        strategy, sigma = frame.strategy, frame.sigma
         outcome.frames_tried += 1
-        g = apply_linear_change(f, sigma)
 
-        decision = decide(g, strict=True)
+        decision = decide(frame, strict=True)
         if decision.witness is not None:
             cert = Certificate(sigma, decision.witness.reduced(), strict=True)
             if verify_certificate(f, cert).status != Status.NOT_SEMISTABLE:
@@ -173,7 +239,7 @@ def search_destabilization(
 
         nonstrict_feasible: bool | None = None
         if outcome.nonstrict is None:
-            nonstrict = decide(g, strict=False)
+            nonstrict = decide(frame, strict=False)
             nonstrict_feasible = nonstrict.feasible
             if nonstrict.witness is not None:
                 cert = Certificate(sigma, nonstrict.witness.reduced(), strict=False)

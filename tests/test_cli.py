@@ -11,8 +11,8 @@ from pathlib import Path
 
 import pytest
 
-from hypstab import analyze_point, parse_poly, scan_singular_points
-from hypstab import cli
+from hypstab import RationalMatrix, analyze_point, parse_poly, scan_singular_points
+from hypstab import cli, search
 from hypstab.cli import EXIT_INPUT, EXIT_INTERNAL, EXIT_OK, main
 from hypstab.criteria import ProfileError
 from hypstab.report import build_profile
@@ -204,6 +204,30 @@ class TestSearchCmd:
         code, out, _ = run(capsys, ["search", path, "--budget", "10", "--seed", "1"])
         assert code == EXIT_OK
         assert "not a stability claim" in out
+
+    def test_singular_search_frame_exits_internal(self, capsys, poly_file, monkeypatch):
+        # The frame stream builds invertible matrices only; a singular frame
+        # is a fault of the search, not of the input.
+        def frames(cfg, size, points):
+            yield "singular-point-to-Q", RationalMatrix.identity(size)
+            while True:
+                yield "permutations", RationalMatrix.from_rows([[1] * size] * size)
+
+        monkeypatch.setattr(search, "_frames", frames)
+        path = poly_file("x0^3 + x1^3 + x2^3")
+        code, _, err = run(capsys, ["search", path, "--budget", "3"])
+        assert code == EXIT_INTERNAL
+        assert "internal consistency failure" in err and "invertible" in err
+        assert "Traceback" not in err
+
+    def test_batched_support_mismatch_exits_internal(self, capsys, poly_file, monkeypatch):
+        # Frame 1's LP expands the exact change, whose support is not x0^3.
+        monkeypatch.setattr(search, "transformed_supports", lambda f, sigmas: [((3, 0, 0),)] * len(sigmas))
+        path = poly_file("x0^3 + x1^3 + x2^3")
+        code, _, err = run(capsys, ["search", path, "--budget", "3"])
+        assert code == EXIT_INTERNAL
+        assert "internal consistency failure" in err and "differs" in err
+        assert "Traceback" not in err
 
 
 class TestCriteriaCmd:

@@ -3,7 +3,7 @@ changes."""
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import assume, given, settings
@@ -17,6 +17,7 @@ from hypstab.linalg import (
     matrix_moving_point_last,
     nullspace_vector,
     rational_rank,
+    transformed_supports,
 )
 
 from conftest import degree_monomials
@@ -248,8 +249,8 @@ def test_nullspace_matches_fraction_elimination(rows):
 
 
 @st.composite
-def invertible_matrices(draw, size):
-    rows = [draw(st.lists(rationals(3, 4), min_size=size, max_size=size)) for _ in range(size)]
+def invertible_matrices(draw, size, max_den=4):
+    rows = [draw(st.lists(rationals(3, max_den), min_size=size, max_size=size)) for _ in range(size)]
     sigma = RationalMatrix.from_rows(rows)
     assume(sigma.determinant() != 0)
     return sigma
@@ -332,3 +333,53 @@ def test_linear_change_terms_are_canonical(case):
         assert type(c) is Fraction and c != 0
         assert c.denominator > 0 and gcd(c.numerator, c.denominator) == 1
         assert sum(exp) == g.d and len(exp) == g.nvars
+
+
+@st.composite
+def forms_and_frames(draw):
+    """A form with n in 1..4, d in 1..5 and rational coefficients, and 1-6
+    invertible frames, integer or rational."""
+    n = draw(st.integers(1, 4))
+    d = draw(st.integers(1, 5))
+    support = draw(st.lists(st.sampled_from(degree_monomials(n, d)), min_size=1, max_size=8, unique=True))
+    f = HomogeneousPoly.make(n, d, {e: draw(rationals(5, 6).filter(bool)) for e in support})
+    frame = st.one_of(invertible_matrices(n + 1, max_den=1), invertible_matrices(n + 1))
+    return f, draw(st.lists(frame, min_size=1, max_size=6))
+
+
+@given(forms_and_frames())
+@settings(max_examples=80, deadline=None)
+def test_transformed_supports_match_linear_change(case):
+    f, sigmas = case
+    assert transformed_supports(f, sigmas) == [apply_linear_change(f, s).support() for s in sigmas]
+
+
+@given(forms_and_frames(), st.data())
+@settings(max_examples=30, deadline=None)
+def test_transformed_supports_reject_a_singular_frame(case, data):
+    f, sigmas = case
+    rows = [list(row) for row in sigmas[0].rows]
+    rows[-1] = [sum(col[:-1]) for col in zip(*rows)]
+    sigmas.insert(data.draw(st.integers(0, len(sigmas))), RationalMatrix.from_rows(rows))
+    with pytest.raises(MatrixError, match="invertible"):
+        transformed_supports(f, sigmas)
+
+
+@given(forms_and_frames(), st.integers(0, 2**10))
+@settings(max_examples=30, deadline=None)
+def test_transformed_supports_exact_beyond_int64(case, offset):
+    # Only examples whose bound sum |c| * M^d reaches 2^63 are kept, so the
+    # expansion runs on Python ints.
+    f, sigmas = case
+    big = HomogeneousPoly.make(f.n, f.d, {e: c * (2**62 + offset) for e, c in f.terms})
+    fden = lcm(*(c.denominator for _, c in big.terms))
+    column_sum = max(sum(abs(v) for v in col) for s in sigmas for col in zip(*s.ints))
+    assume(sum(abs(c * fden) for _, c in big.terms) * column_sum**big.d >= 2**63)
+    assert transformed_supports(big, sigmas) == [apply_linear_change(big, s).support() for s in sigmas]
+
+
+def test_transformed_supports_keep_a_coefficient_int64_would_wrap():
+    # 2^62 * x0^2*x1 under x0 -> 4*x0 is 2^66 * x0^2*x1, which is 0 mod 2^64.
+    f = HomogeneousPoly.make(1, 3, {(2, 1): 2**62})
+    sigma = RationalMatrix.from_rows([[4, 0], [0, 1]])
+    assert transformed_supports(f, [sigma]) == [((2, 1),)] == [apply_linear_change(f, sigma).support()]

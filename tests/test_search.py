@@ -22,6 +22,7 @@ from hypstab import (
     verify_certificate,
 )
 from hypstab import search
+from hypstab.linalg import transformed_supports
 from hypstab.search import FrameRecord, SearchOutcome
 from hypstab.torus import torus_destabilize
 
@@ -81,6 +82,37 @@ class TestDeterminism:
         assert labels == ["singular-point-to-Q"] * (1 + len(scan.points)) + rounds
 
 
+class TestBatchedSupports:
+    def test_search_ending_at_frame_0_never_calls_the_kernel(self, corpus):
+        def kernel(f, sigmas):
+            raise AssertionError("frame 0 is the identity")
+
+        with mock.patch.object(search, "transformed_supports", kernel):
+            outcome = run_search(corpus["f2"], budget=50)
+        assert outcome.frames_tried == 1 and outcome.strict is not None
+
+    def test_frames_are_drawn_in_doubling_chunks(self, corpus):
+        # Frames drawn from the stream so far, at each kernel call: frame 0,
+        # then chunks of 1, 2, 4, 8, 16 and the 18 left of the budget.
+        drawn, at_call, stream = [], [], search._frames
+
+        def frames(*args):
+            for frame in stream(*args):
+                drawn.append(frame)
+                yield frame
+
+        def kernel(f, sigmas):
+            at_call.append(len(drawn))
+            return transformed_supports(f, sigmas)
+
+        with mock.patch.object(search, "_frames", frames), mock.patch.object(
+            search, "transformed_supports", kernel
+        ):
+            outcome = search_destabilization(corpus["fermat_cubic"], SearchConfig(budget=50, seed=0))
+        assert outcome.frames_tried == len(drawn) == 50
+        assert at_call == [2, 4, 8, 16, 32, 50]
+
+
 class TestConfigValidation:
     def test_bad_budget(self):
         with pytest.raises(ValueError):
@@ -130,25 +162,34 @@ def random_forms(draw):
 def checked_search(f, cfg, points=()) -> tuple[SearchOutcome, int]:
     """Run the search and check every decision that did not come from the LP
     (a reused refutation, or the cache entry of one) against a fresh LP on
-    that support, which must find no witness either.  Returns the outcome
-    and the number of such decisions."""
-    changed, sent = [], set()
+    that frame's exact support, which must find no witness either.  Each
+    frame's g is expanded here by ``apply_linear_change``, independently of
+    the search, and the support the search decided on must equal g's.
+    Returns the outcome and the number of such decisions."""
+    batched, sent = [], set()
 
-    def change(f, sigma):
-        changed.append(apply_linear_change(f, sigma))
-        return changed[-1]
+    def supports(f, sigmas):
+        out = transformed_supports(f, sigmas)
+        batched.extend(out)
+        return out
 
     def torus(g, strict):
         sent.add((strict, g.support()))
         return torus_destabilize(g, strict)
 
-    with mock.patch.object(search, "apply_linear_change", change), mock.patch.object(
+    with mock.patch.object(search, "transformed_supports", supports), mock.patch.object(
         search, "torus_destabilize", torus
     ):
         outcome = search_destabilization(f, cfg, points)
-    assert len(changed) == len(outcome.frames) == outcome.frames_tried
+    assert len(outcome.frames) == outcome.frames_tried
+    identity = RationalMatrix.identity(f.n + 1)
+    stream = search._frames(cfg, f.n + 1, points)
+    sigmas = [next(stream)[1] for _ in range(outcome.frames_tried)]
+    expanded = iter(batched)
     reused = 0
-    for g, record in zip(changed, outcome.frames):
+    for sigma, record in zip(sigmas, outcome.frames):
+        g = apply_linear_change(f, sigma)
+        assert (f.support() if sigma == identity else next(expanded)) == g.support()
         modes = [(True, record.strict_feasible)]
         if record.nonstrict_feasible is not None:
             modes.append((False, record.nonstrict_feasible))
