@@ -41,10 +41,14 @@ class Certificate:
 
     @staticmethod
     def from_json(data: dict) -> "Certificate":
+        """Weights must be JSON integers and ``strict`` a JSON boolean; other
+        values are refused, not coerced into a different certificate."""
         try:
             sigma = RationalMatrix.from_rows(data["sigma"])
-            r = WeightVector(tuple(int(v) for v in data["r"]))
-            strict = bool(data["strict"])
+            weights, strict = tuple(data["r"]), data["strict"]
+            if any(type(v) is not int for v in weights) or type(strict) is not bool:
+                raise ValueError("weights must be JSON integers and strict a JSON boolean")
+            r = WeightVector(weights)
         except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise CertificateError(f"bad certificate JSON: {exc}") from exc
         return Certificate(sigma, r, strict)

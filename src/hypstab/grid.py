@@ -10,6 +10,7 @@ rows.  ``box_split`` gives the oracle the whole box as prefixes times the
 tile, in lexicographic order.  Neither materializes a row: each caller
 evaluates the prefix and tile parts apart.  Every array is at most
 ``BLOCK_ROWS`` rows, so memory stays bounded whatever the box size.
+``exact_dtype`` is the package's one choice between int64 and Python ints.
 """
 from __future__ import annotations
 
@@ -19,6 +20,13 @@ import numpy as np
 
 # Rows per array.  A fixed cap, not a tuning knob: it bounds peak memory.
 BLOCK_ROWS = 4096
+
+
+def exact_dtype(bound: int):
+    """The dtype for integers proven at most ``bound`` in absolute value,
+    partial results included: int64 below 2**63, where it is exact (its
+    overflow would be silent), else Python ints (``object``)."""
+    return np.int64 if bound < 2**63 else object
 
 
 def _tile(values: list[int], most: int) -> np.ndarray:

@@ -4,10 +4,10 @@ Everything here is exact.  Matrices are immutable and hold Python integers
 over one positive denominator s, the lcm of the entries' denominators, so
 the form is canonical; :class:`~fractions.Fraction` entries are built only
 when ``rows`` is read.  Products multiply the stored integers and divide the
-scale out once.  Determinants and ranks share one fraction-free (Bareiss)
-forward elimination, on the stored integers sA for a determinant
-(det(A) = det(sA) / s^n); nullspaces use fraction-free Gauss-Jordan
-elimination on integer-scaled rows, and coordinate changes expand the
+scale out once.  Determinants, ranks and nullspaces share one fraction-free
+(Bareiss) forward elimination, on the stored integers sA for a determinant
+(det(A) = det(sA) / s^n) and on integer-scaled rows for a nullspace, which
+back-substitutes through the rows it leaves.  Coordinate changes expand the
 integer-scaled polynomial under the stored integers and emit its terms
 already in canonical order.  When only the support of the result is needed,
 :func:`transformed_supports` expands it for many matrices at once in numpy.
@@ -98,8 +98,8 @@ class RationalMatrix:
         stored integers sA."""
         if not self.is_square:
             raise MatrixError("determinant of a non-square matrix")
-        rank, last = _bareiss(self.ints)
-        if rank < self.nrows:
+        _, pivots, last = _bareiss(self.ints)
+        if len(pivots) < self.nrows:
             return Fraction(0)
         return Fraction(last, self.scale**self.nrows)
 
@@ -116,15 +116,19 @@ def as_rational(x) -> int | Fraction:
     return x if isinstance(x, (int, Fraction)) else Fraction(x)
 
 
-def _bareiss(rows: Sequence[Sequence[int]]) -> tuple[int, int]:
+def _bareiss(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int], int]:
     """Fraction-free (Bareiss) forward elimination on integer rows: each
-    step's division by the previous pivot is exact.  Returns the rank and
-    the last pivot times the sign of the row swaps, which for a square
-    matrix of full rank is its determinant."""
+    step's division by the previous pivot is exact.  Returns the rows, whose
+    row i below the rank is exact from its pivot column on (an echelon form;
+    entries left of a pivot are not cleared), the pivot columns (the rank
+    profile), and the last pivot times the sign of the row swaps, which for a
+    square matrix of full rank is its determinant."""
     m = [list(row) for row in rows]
     nrows, ncols = len(m), len(m[0]) if m else 0
-    rank, sign, prev = 0, 1, 1
+    pivots: list[int] = []
+    sign, prev = 1, 1
     for col in range(ncols):
+        rank = len(pivots)
         if rank == nrows:
             break
         pivot = next((r for r in range(rank, nrows) if m[r][col] != 0), None)
@@ -139,13 +143,13 @@ def _bareiss(rows: Sequence[Sequence[int]]) -> tuple[int, int]:
             for c in range(col + 1, ncols):
                 row[c] = (row[c] * p - factor * pivot_row[c]) // prev
         prev = p
-        rank += 1
-    return rank, sign * prev
+        pivots.append(col)
+    return m, pivots, sign * prev
 
 
 def integer_rank(rows: list[list[int]]) -> int:
     """Rank via fraction-free (Bareiss) elimination on integer rows."""
-    return _bareiss(rows)[0]
+    return len(_bareiss(rows)[1])
 
 
 def scaled_integers(values: Iterable[int | Fraction], scale: int) -> list[int]:
@@ -157,10 +161,7 @@ def primitive_row(row: Iterable) -> list[int]:
     """The positive multiple of a rational row with coprime integer entries
     (a zero row stays zero)."""
     values = [as_rational(x) for x in row]
-    return _primitive(scaled_integers(values, lcm(*(v.denominator for v in values))))
-
-
-def _primitive(ints: list[int]) -> list[int]:
+    ints = scaled_integers(values, lcm(*(v.denominator for v in values)))
     content = gcd(*ints)
     return [v // content for v in ints] if content > 1 else ints
 
@@ -173,39 +174,22 @@ def rational_rank(rows: Iterable[Iterable]) -> int:
 def nullspace_vector(rows: Iterable[Iterable]) -> list[Fraction] | None:
     """One nontrivial rational solution of ``rows . x = 0``, or None.
 
-    Fraction-free Gauss-Jordan elimination on integer-scaled rows, each
-    updated row divided by its content; returns the solution with the first
-    free variable set to 1 (deterministic).
+    The solution with the first free variable set to 1 and the others to 0
+    (unique, so deterministic), back-substituted through the Bareiss rows of
+    the integer-scaled rows.  The columns before the first free one are the
+    first pivots and the solution is zero after it, so only those rows count.
     """
-    m = [primitive_row(row) for row in rows]
+    m, pivots, _ = _bareiss([primitive_row(row) for row in rows])
     if not m:
         return None
-    ncols = len(m[0])
-    pivots: list[tuple[int, int]] = []
-    row = 0
-    for col in range(ncols):
-        pivot = next((r for r in range(row, len(m)) if m[r][col] != 0), None)
-        if pivot is None:
-            continue
-        m[row], m[pivot] = m[pivot], m[row]
-        pivot_row = m[row]
-        p = pivot_row[col]
-        for r in range(len(m)):
-            factor = m[r][col]
-            if r != row and factor != 0:
-                m[r] = _primitive([p * a - factor * b for a, b in zip(m[r], pivot_row)])
-        pivots.append((row, col))
-        row += 1
-        if row == len(m):
-            break
-    pivot_cols = {c for _, c in pivots}
-    free = next((c for c in range(ncols) if c not in pivot_cols), None)
-    if free is None:
+    free = next((i for i, col in enumerate(pivots) if col != i), len(pivots))
+    if free == len(m[0]):
         return None
-    x = [Fraction(0)] * ncols
+    x = [Fraction(0)] * len(m[0])
     x[free] = Fraction(1)
-    for r, c in pivots:
-        x[c] = Fraction(-m[r][free], m[r][c])
+    for i in reversed(range(free)):
+        row = m[i]
+        x[i] = -sum(row[c] * x[c] for c in range(i + 1, free + 1)) / row[i]
     return x
 
 
@@ -253,13 +237,13 @@ def apply_linear_change(f: HomogeneousPoly, sigma: RationalMatrix) -> Homogeneou
     fden = lcm(*(c.denominator for _, c in f.terms))
     forms = [{place[k]: row[j] for k, row in enumerate(sigma.ints) if row[j]} for j in range(size)]
 
-    powers: dict[tuple[int, int], dict[int, int]] = {}
-
-    def form_power(j: int, t: int) -> dict[int, int]:
-        key = (j, t)
-        if key not in powers:
-            powers[key] = forms[j] if t == 1 else _packed_product(form_power(j, t - 1), forms[j])
-        return powers[key]
+    # powers[j][t - 1] = forms[j] ** t, up to the largest power of x_j in f.
+    powers = []
+    for j, form in enumerate(forms):
+        chain = [form]
+        for _ in range(1, max((exp[j] for exp, _ in f.terms), default=1)):
+            chain.append(_packed_product(chain[-1], form))
+        powers.append(chain)
 
     acc: dict[int, int] = {}
     coeffs = scaled_integers((c for _, c in f.terms), fden)
@@ -267,7 +251,7 @@ def apply_linear_change(f: HomogeneousPoly, sigma: RationalMatrix) -> Homogeneou
         prod = {0: coeff}
         for j, t in enumerate(exp):
             if t:
-                prod = _packed_product(prod, form_power(j, t))
+                prod = _packed_product(prod, powers[j][t - 1])
         for key, c in prod.items():
             acc[key] = acc.get(key, 0) + c
 
@@ -313,22 +297,23 @@ def transformed_supports(
     Every value computed, partial sums included, is a signed sum of a subset
     of the terms c * prod S[k_i][j_i] of the full expansion, so it is at most
     sum |c| * M^d in absolute value, where M is the largest column abs-sum of
-    any S.  Below 2^63 the expansion runs in int64, which is then exact
-    (numpy int64 overflow would be silent); otherwise the same code runs on
-    Python ints (``object`` dtype).  A singular sigma raises
+    any S, and :func:`~hypstab.grid.exact_dtype` picks int64 or Python ints
+    (``object`` dtype) from that bound.  A singular sigma raises
     :class:`MatrixError`.
     """
-    # numpy is imported on first use, not with this module: linalg is one of
-    # the first modules the package imports, and importing numpy that early
-    # raised the peak memory of runs that never call this function by
-    # 0.2-0.4 MB (measured on the benchmark's smooth and crosscheck runs).
+    # numpy and grid are imported on first use, not with this module: linalg
+    # is one of the first modules the package imports, and importing numpy
+    # that early raised the peak memory of runs that never call this function
+    # by 0.2-0.4 MB (measured on the benchmark's smooth and crosscheck runs).
     import numpy as np
+
+    from .grid import exact_dtype
 
     size = f.n + 1
     for sigma in sigmas:
         if not sigma.is_square or sigma.nrows != size:
             raise MatrixError(f"matrix size {sigma.nrows}x{sigma.ncols} does not match {size} variables")
-        if _bareiss(sigma.ints)[0] < size:
+        if len(_bareiss(sigma.ints)[1]) < size:
             raise MatrixError("coordinate change must be invertible")
     if f.is_zero or f.d == 0 or not sigmas:
         return [f.support()] * len(sigmas)
@@ -338,7 +323,7 @@ def transformed_supports(
     fden = lcm(*(c.denominator for _, c in f.terms))
     coeffs = scaled_integers((c for _, c in f.terms), fden)
     column_sum = max(sum(map(abs, col)) for sigma in sigmas for col in zip(*sigma.ints))
-    dtype = np.int64 if sum(map(abs, coeffs)) * column_sum**d < 2**63 else object
+    dtype = exact_dtype(sum(map(abs, coeffs)) * column_sum**d)
     # S[f, k, j]: the coefficient of y_k in L_j for frame f, with a zero row
     # k = size, so that a node of degree 1 comes out with its zero column.
     forms = np.zeros((len(sigmas), size + 1, size), dtype=dtype)

@@ -252,19 +252,13 @@ def _integer_table(polys) -> tuple[list[Exponent], list[list[int]]]:
     return monomials, [[poly.get(exp, 0) for poly in cleared] for exp in monomials]
 
 
-def _block_dtype(bound: int):
-    """Evaluation dtype for values that never exceed ``bound`` in absolute
-    value: int64 below 2**63, Python ints (``object``) otherwise."""
-    return np.int64 if bound < 2**63 else object
-
-
 def _scan_dtype(monomials: list[Exponent], table: list[list[int]], height_bound: int):
     """Evaluation dtype for the rational scan: a partial with cleared
     coefficients c_j is bounded by sum |c_j| * h^(d-1) on the box of height
     h, and so is every term and every partial sum of it."""
     degree = max((sum(exp) for exp in monomials), default=0)
     column_sums = [sum(abs(c) for c in col) for col in zip(*table)]
-    return _block_dtype(max(column_sums, default=0) * height_bound**degree)
+    return grid.exact_dtype(max(column_sums, default=0) * height_bound**degree)
 
 
 def _monomial_values(points, exps, dtype, modulus: int | None):
@@ -385,7 +379,7 @@ def _count_field_singular(exps, table, nvars: int, p: int) -> int | None:
     reps = sum(p**k for k in range(nvars))
     if reps > _FIELD_SCAN_LIMIT:
         return None
-    dtype = _block_dtype(len(exps) * (p - 1) ** 2)
+    dtype = grid.exact_dtype(len(exps) * (p - 1) ** 2)
     coeffs = np.array([[c % p for c in row] for row in table], dtype=dtype).reshape(len(exps), -1)
     return sum(len(rows) for rows in _canonical_zeros(exps, coeffs, range(p), 1, p))
 

@@ -47,6 +47,7 @@ from math import comb
 
 import numpy as np
 
+from .grid import exact_dtype
 from .polynomials import HomogeneousPoly, primitive_form
 from .verdicts import InternalConsistencyError
 
@@ -113,7 +114,7 @@ def _macaulay_rows(
     # and the codes of the degree-D monomials descend in column order.  Codes
     # are below (degree+1)^nvars; Python ints hold them where int64 cannot
     # (a quadric in 64 or more variables).
-    dtype = np.int64 if (degree + 1) ** nvars <= 2**63 else object
+    dtype = exact_dtype((degree + 1) ** nvars - 1)
     radix = np.array([(degree + 1) ** k for k in range(nvars)], dtype=dtype)
     columns = _monomials(nvars, degree)
     ascending = (columns @ radix)[::-1]

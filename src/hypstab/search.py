@@ -8,14 +8,13 @@ changes composed with point frames and permutations.  Frames are generated
 deterministically from the seed; results are merged in strategy order, then
 frame order, so identical inputs give identical outputs.
 
-Each frame goes straight to the torus LP, which is complete per frame; its
-decisions are cached by (mode, support), since frames often share a
-support.  Absence of a certificate within budget is reported as exactly
-that, never as a stability claim.
+Each frame goes to the torus LP, which is complete per frame.  Absence of
+a certificate within budget is reported as exactly that, never as a
+stability claim.
 
-Refutations are also reused across supports, because refutation is
-upward-closed in the support.  Let lam be a verified barycentric
-certificate on monomials S, c the centroid, and T a support containing S.
+Refutations are reused across frames, because refutation is upward-closed
+in the support.  Let lam be a verified barycentric certificate on monomials
+S, c the centroid, and T a support containing S.
 
 - Strict: lam >= 0, sum(lam) = 1 and sum(lam * (i - c)) = 0 put c in
   conv(S), a subset of conv(T), so no r has r.i > 0 on all of T.
@@ -23,15 +22,17 @@ certificate on monomials S, c the centroid, and T a support containing S.
   r.i >= 0 on T for a zero-sum r, then sum(lam * r.(i - c)) = 0 forces
   r.i = 0 on S, so r is orthogonal to the whole zero-sum space: r = 0.
 
-A non-strict refutation is therefore also a strict one.  On a cache miss
-the search first checks exactly whether the monomials of a refutation
-found earlier in the same search (for a strict decision, one of either
-mode) all lie in the new support, and returns that refutation if so; only
-otherwise does it call the LP.  Witnesses come only from the LP, on the
-supports where it would run without reuse, so the outcome is unchanged.
+A non-strict refutation is therefore also a strict one.  Before calling
+the LP the search returns the first refutation found earlier in the same
+search (for a strict decision, of either mode) whose monomials all lie in
+the frame's support.  Witnesses come only from the LP, on the supports
+where it would run without reuse, so the outcome is unchanged.  This is the
+search's only memo: the lists only grow at their end, so a support seen
+before gets the refutation that first settled it, and a feasible decision
+is never asked again (a witness ends the queries of its mode).
 
-The cache, the reuse test and the choice to call the LP read only the
-support of g = f∘sigma, so that is all most frames need.  Frame 0 is the
+The reuse test and the choice to call the LP read only the support of
+g = f∘sigma, so that is all most frames need.  Frame 0 is the
 identity, whose g is f.  The other frames' exact supports come from
 :func:`~hypstab.linalg.transformed_supports`, which expands a chunk of
 frames at once in numpy; the chunks hold 1, 2, 4, ... frames, capped by the
@@ -187,7 +188,6 @@ def search_destabilization(
     budget.  Any returned certificate has been re-verified from scratch."""
     size = f.n + 1
     outcome = SearchOutcome()
-    decision_cache: dict[tuple[bool, tuple[Exponent, ...]], TorusDecision] = {}
     # Per mode: (monomials, certificate) of every refutation found so far.
     refutations: dict[bool, list[tuple[frozenset[Exponent], BarycentricCertificate]]] = {
         True: [],
@@ -205,22 +205,16 @@ def search_destabilization(
         return frame.g
 
     def decide(frame: _Frame, strict: bool) -> TorusDecision:
-        key = (strict, frame.support)
-        decision = decision_cache.get(key)
-        if decision is not None:
-            return decision
         present = frozenset(frame.support)
         reused = next((cert for mons, cert in refutations[strict] if mons <= present), None)
         if reused is not None:
-            decision = TorusDecision(False, strict, certificate=reused)
-        else:
-            decision = torus_destabilize(transformed(frame), strict)
-            if not decision.feasible:
-                entry = (frozenset(exp for exp, _ in decision.certificate), decision.certificate)
-                refutations[strict].append(entry)
-                if not strict:
-                    refutations[True].append(entry)
-        decision_cache[key] = decision
+            return TorusDecision(False, strict, certificate=reused)
+        decision = torus_destabilize(transformed(frame), strict)
+        if not decision.feasible:
+            entry = (frozenset(exp for exp, _ in decision.certificate), decision.certificate)
+            refutations[strict].append(entry)
+            if not strict:
+                refutations[True].append(entry)
         return decision
 
     frames = _frames_with_supports(f, _frames(cfg, size, points), cfg.budget)

@@ -77,9 +77,7 @@ def membership(f: HomogeneousPoly, r: WeightVector, strict: bool) -> bool:
     """Does every support monomial of ``f`` pair >= 0 (strict: > 0) with r?"""
     if f.is_zero:
         raise WeightError("membership is undefined for the zero polynomial")
-    if strict:
-        return all(weight_of(r, exp) > 0 for exp, _ in f.terms)
-    return all(weight_of(r, exp) >= 0 for exp, _ in f.terms)
+    return first_violation(f, r, strict) is None
 
 
 def first_violation(f: HomogeneousPoly, r: WeightVector, strict: bool):

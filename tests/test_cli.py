@@ -338,6 +338,28 @@ class TestCertifyCmd:
         code, _, err = run(capsys, ["certify", path, "--cert", str(cert)])
         assert code == EXIT_INPUT
 
+    # Each of these, coerced, is a valid certificate for the cuspidal cubic
+    # (r = (3, 1, -4) strict, or r = (1, 0, -1) non-strict), so it must be
+    # refused as written rather than certified as another certificate.
+    @pytest.mark.parametrize(
+        "r, strict",
+        [
+            pytest.param([3, 1, -4], "false", id="string-strict"),
+            pytest.param([1.5, -0.5, -1], False, id="float-weights"),
+            pytest.param([True, False, -1], False, id="boolean-weights"),
+        ],
+    )
+    def test_uncoerced_json_types(self, capsys, poly_file, tmp_path, r, strict):
+        path = poly_file("x0^2*x2 + x1^3")
+        cert = tmp_path / "cert.json"
+        cert.write_text(
+            json.dumps({"sigma": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
+                        "r": r, "strict": strict})
+        )
+        code, out, err = run(capsys, ["certify", path, "--cert", str(cert)])
+        assert code == EXIT_INPUT, out
+        assert "bad certificate JSON" in err and "Traceback" not in err
+
 
 HELP = Path(__file__).parent / "data" / "help"
 COMMANDS = ("analyze", "example", "search", "criteria", "oracle", "certify")

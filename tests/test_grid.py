@@ -52,6 +52,11 @@ def test_tile_is_the_largest_that_fits(m, width, t):
     assert sum(len(b) for b in batches) * len(tile) == m**width
 
 
+def test_exact_dtype_switches_at_2_to_the_63():
+    assert grid.exact_dtype(2**63 - 1) is np.int64
+    assert grid.exact_dtype(2**63) is object
+
+
 def _canonical_rows(values, top, width):
     return sorted(
         row

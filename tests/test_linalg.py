@@ -2,6 +2,7 @@
 changes."""
 from __future__ import annotations
 
+import gc
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -92,6 +93,20 @@ class TestRank:
     def test_rank_needs_column_skips(self):
         rows = [[0, 1, 2], [0, 2, 4], [0, 0, 5]]
         assert integer_rank(rows) == 2
+
+
+def test_linear_change_leaves_no_cyclic_garbage():
+    f = HomogeneousPoly.make(
+        2, 4, {(2, 0, 2): 1, (1, 3, 0): 1, (0, 4, 0): 1, (0, 0, 4): 1}
+    )
+    sigma = RationalMatrix.from_rows([[1, 2, 0], [-1, 1, 3], [2, 0, 1]])
+    gc.collect()
+    gc.disable()
+    try:
+        apply_linear_change(f, sigma)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 class TestPointMove:

@@ -161,8 +161,8 @@ def random_forms(draw):
 
 def checked_search(f, cfg, points=()) -> tuple[SearchOutcome, int]:
     """Run the search and check every decision that did not come from the LP
-    (a reused refutation, or the cache entry of one) against a fresh LP on
-    that frame's exact support, which must find no witness either.  Each
+    (a reused refutation) against a fresh LP on that frame's exact support,
+    which must find no witness either.  Each
     frame's g is expanded here by ``apply_linear_change``, independently of
     the search, and the support the search decided on must equal g's.
     Returns the outcome and the number of such decisions."""
@@ -257,6 +257,31 @@ class TestRefutationReuse:
         for f, points in disguised_bases():
             cfg = SearchConfig(budget=50, seed=0)
             assert search_destabilization(f, cfg, points) == search_without_reuse(f, cfg, points)
+
+    def test_repeated_support_goes_to_the_lp_once_per_mode(self):
+        # A dense cubic with prime coefficients: every one of its 50 frames
+        # keeps the full support, and no frame destabilizes it.
+        primes = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
+        f = HomogeneousPoly.make(2, 3, dict(zip(degree_monomials(2, 3), primes)))
+        supports, calls = [], []
+
+        def batched(f, sigmas):
+            out = transformed_supports(f, sigmas)
+            supports.extend(out)
+            return out
+
+        def torus(g, strict):
+            calls.append((strict, g.support()))
+            return torus_destabilize(g, strict)
+
+        with mock.patch.object(search, "transformed_supports", batched), mock.patch.object(
+            search, "torus_destabilize", torus
+        ):
+            outcome = search_destabilization(f, SearchConfig(budget=50, seed=0))
+        assert outcome.frames_tried == 50 and not outcome.found
+        # Frames equal to the identity use f's own support, not the kernel's.
+        assert set(supports) == {f.support()}
+        assert sorted(calls) == [(False, f.support()), (True, f.support())]
 
     def test_reuse_skips_most_lps(self):
         # Without reuse this search makes 28 torus decisions by LP.
