@@ -41,10 +41,15 @@ class Certificate:
 
     @staticmethod
     def from_json(data: dict) -> "Certificate":
-        """Weights must be JSON integers and ``strict`` a JSON boolean; other
-        values are refused, not coerced into a different certificate."""
+        """Matrix entries must be JSON integers or strings such as "-1/2" or
+        "0.25" (what :meth:`to_json` writes), weights JSON integers and
+        ``strict`` a JSON boolean; other values (a boolean or a binary float
+        entry, say) are refused, not coerced into a different certificate."""
         try:
-            sigma = RationalMatrix.from_rows(data["sigma"])
+            rows = [list(row) for row in data["sigma"]]
+            if any(type(v) not in (int, str) for row in rows for v in row):
+                raise ValueError("matrix entries must be JSON integers or strings")
+            sigma = RationalMatrix.from_rows(rows)
             weights, strict = tuple(data["r"]), data["strict"]
             if any(type(v) is not int for v in weights) or type(strict) is not bool:
                 raise ValueError("weights must be JSON integers and strict a JSON boolean")

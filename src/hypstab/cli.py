@@ -22,6 +22,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from typing import Callable
 
 from . import __version__
 from .certificates import Certificate, CertificateError, verify_certificate
@@ -80,11 +81,13 @@ def _read_points_file(path: str) -> tuple[ProjectivePoint, ...]:
     return tuple(points)
 
 
-def _emit(payload: dict, text: str, json_path: str | None) -> None:
+def _emit(payload: dict, text: str | Callable[[], str], json_path: str | None) -> None:
+    """Print the JSON payload (``--json -``) or the text, which may be given
+    as a function that builds it, and write the payload to a ``--json`` file."""
     if json_path == "-":
         print(json.dumps(payload, indent=2, sort_keys=True))
         return
-    print(text)
+    print(text() if callable(text) else text)
     if json_path:
         with open(json_path, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
@@ -108,7 +111,7 @@ def cmd_analyze(args) -> int:
         timestamp=not args.no_timestamp,
     )
     report = analyze(f, options)
-    _emit(report.to_json(), report.to_text(), args.json)
+    _emit(report.to_json(), report.to_text, args.json)
     return EXIT_OK
 
 

@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import compress
 from math import gcd, lcm
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .polynomials import Exponent, HomogeneousPoly
 from .verdicts import InternalConsistencyError
@@ -171,26 +171,35 @@ def rational_rank(rows: Iterable[Iterable]) -> int:
     return integer_rank([primitive_row(row) for row in rows])
 
 
-def nullspace_vector(rows: Iterable[Iterable]) -> list[Fraction] | None:
-    """One nontrivial rational solution of ``rows . x = 0``, or None.
-
-    The solution with the first free variable set to 1 and the others to 0
-    (unique, so deterministic), back-substituted through the Bareiss rows of
-    the integer-scaled rows.  The columns before the first free one are the
-    first pivots and the solution is zero after it, so only those rows count.
-    """
+def _nullspace(rows: Iterable[Iterable]) -> Iterator[list[Fraction]]:
+    """The rational solutions of ``rows . x = 0`` with one free variable set
+    to 1 and the others to 0, one per free column in increasing order (the
+    reduced echelon basis, unique, so deterministic), each back-substituted
+    through the Bareiss rows of the integer-scaled rows.  The solution for
+    free column c is zero after c, so only the pivot rows before c count."""
     m, pivots, _ = _bareiss([primitive_row(row) for row in rows])
     if not m:
-        return None
-    free = next((i for i, col in enumerate(pivots) if col != i), len(pivots))
-    if free == len(m[0]):
-        return None
-    x = [Fraction(0)] * len(m[0])
-    x[free] = Fraction(1)
-    for i in reversed(range(free)):
-        row = m[i]
-        x[i] = -sum(row[c] * x[c] for c in range(i + 1, free + 1)) / row[i]
-    return x
+        return
+    ncols, pivot_set = len(m[0]), set(pivots)
+    for free in (c for c in range(ncols) if c not in pivot_set):
+        x = [Fraction(0)] * ncols
+        x[free] = Fraction(1)
+        for i in reversed(range(sum(col < free for col in pivots))):
+            row, col = m[i], pivots[i]
+            x[col] = -sum(row[c] * x[c] for c in range(col + 1, free + 1)) / row[col]
+        yield x
+
+
+def nullspace_basis(rows: Iterable[Iterable]) -> list[list[Fraction]]:
+    """A rational basis of the solutions of ``rows . x = 0``: for each free
+    column c, the solution with x_c = 1 and the other free variables 0."""
+    return list(_nullspace(rows))
+
+
+def nullspace_vector(rows: Iterable[Iterable]) -> list[Fraction] | None:
+    """The first vector of :func:`nullspace_basis`, or None; only that one
+    is back-substituted."""
+    return next(_nullspace(rows), None)
 
 
 def matrix_moving_point_last(coords: Sequence[int]) -> RationalMatrix:

@@ -64,7 +64,7 @@ class ProjectivePoint:
         return [str(c) for c in self.coords]
 
 
-def _quadratic_form_matrix(q: HomogeneousPoly) -> list[list[Fraction]]:
+def quadratic_form_matrix(q: HomogeneousPoly) -> list[list[Fraction]]:
     if q.d != 2:
         raise PolyError(f"a quadratic form has degree 2, got {q.d}")
     m = q.nvars
@@ -84,7 +84,7 @@ def quadratic_form_rank(q: HomogeneousPoly) -> int:
     """Rank of the symmetric matrix of a quadratic form; 0 for the zero form."""
     if q.is_zero:
         return 0
-    return rational_rank(_quadratic_form_matrix(q))
+    return rational_rank(quadratic_form_matrix(q))
 
 
 def rank_of_q(f: HomogeneousPoly) -> int:
@@ -147,13 +147,17 @@ def is_cone(h: HomogeneousPoly) -> bool:
 
 @dataclass
 class LocalData:
-    """Exact local invariants at one rational point."""
+    """Exact local invariants at one rational point.  ``moved`` is f moved by
+    ``matrix_moving_point_last`` so that the point is [0:...:0:1] (None off
+    the hypersurface): its x_n-coefficient forms are the local expansion, of
+    which the tangent cone is the lowest."""
 
     point: ProjectivePoint
     multiplicity: int
     tangent_cone: HomogeneousPoly | None
     hessian_rank: int | None = None
     hessian_corank: int | None = None
+    moved: HomogeneousPoly | None = field(default=None, repr=False, compare=False)
 
     def to_json(self) -> dict:
         return {
@@ -177,9 +181,9 @@ def analyze_point(f: HomogeneousPoly, p: ProjectivePoint) -> LocalData:
     mult = g.d - max(exp[-1] for exp, _ in g.terms)
     cone = last_coefficient(g, mult)
     if mult != 2:
-        return LocalData(p, mult, cone)
-    rank = rank_of_q(g)
-    return LocalData(p, mult, cone, rank, f.n - rank)
+        return LocalData(p, mult, cone, moved=g)
+    rank = quadratic_form_rank(cone)
+    return LocalData(p, mult, cone, rank, f.n - rank, g)
 
 
 @dataclass

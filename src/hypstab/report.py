@@ -268,8 +268,7 @@ def analyze(f: HomogeneousPoly, options: AnalysisOptions) -> AnalysisReport:
         outcome = SearchOutcome()
         skipped = "Stable is proven, so no destabilizing certificate exists"
     else:
-        frame_points = tuple(p.point for p in singular)
-        outcome = search_destabilization(f, options.search, frame_points)
+        outcome = search_destabilization(f, options.search, tuple(singular))
         skipped = None
     status, reasons, conflicts = _merge_with_certificates(criteria_verdict, outcome, profile)
     if status in (Status.NOT_STABLE, Status.NOT_SEMISTABLE):

@@ -1,10 +1,28 @@
 """Destabilization search over coordinate frames.
 
-The torus LP is complete at fixed coordinates, so the search problem is
-choosing coordinate frames.  Strategies: relocate each verified rational
-singular point to the last coordinate (where destabilizing weight vectors
-concentrate), random coordinate permutations, and random integer unipotent
-changes composed with point frames and permutations.  Frames are generated
+The torus LP is complete at fixed coordinates, and Hilbert-Mumford sees
+only the flag a frame induces, so the search problem is choosing flags.
+The strategies, in stream order, under the names their frame records carry:
+
+- ``singular-point-to-Q``: the identity, then each verified rational
+  singular point P moved to the last coordinate, where the paper's Hessian
+  lemma puts the singular point of a destabilized form in sorted
+  coordinates.
+- ``hessian-kernel``: at each double point, a frame adapted to the flag
+  P < P + ker Q, Q being the x_n^(d-2) coefficient, whose rank the lemma
+  bounds.
+- ``kernel-line``: when dim ker Q >= 2, frames adapted to P < P + L <
+  P + ker Q for lines L of ker Q, those where the next coefficient forms
+  vanish first.
+- ``linear-component``: one frame per rational linear factor of f, which
+  becomes a coordinate.
+- ``permutations`` and ``random-unipotent``: random coordinate permutations,
+  and random integer unipotent changes composed with point frames and
+  permutations, to the end of the budget.
+
+The kernel, line and linear-component frames (:mod:`.frames`) are built only
+when the stream reaches them, from the local data the caller passes (or
+computes it for points passed bare).  Frames are generated
 deterministically from the seed; results are merged in strategy order, then
 frame order, so identical inputs give identical outputs.
 
@@ -36,12 +54,14 @@ g = f∘sigma, so that is all most frames need.  Frame 0 is the
 identity, whose g is f.  The other frames' exact supports come from
 :func:`~hypstab.linalg.transformed_supports`, which expands a chunk of
 frames at once in numpy; the chunks hold 1, 2, 4, ... frames, capped by the
-budget left, so a search that stops early expands fewer than twice the
-frames it tries, and one that stops at frame 0 expands none.  Only a frame
-whose decision goes to the LP is expanded by ``apply_linear_change``, and
-its support must equal the batched one.  A mismatch, or a frame that the
-kernel rejects as singular, is a fault of the program, not of the input,
-and raises :class:`InternalConsistencyError`.
+budget left and never mixing the point frames with later ones, so a search
+that stops early expands fewer than twice the frames it tries, one that
+stops at frame 0 expands none, and one that stops at a point frame builds no
+structured frame.  Only a frame whose decision goes to the LP is expanded by
+``apply_linear_change``, and its support must equal the batched one.  A
+mismatch, a frame that the kernel rejects as singular, or an error while a
+structured frame is built is a fault of the program, not of the input, and
+raises :class:`InternalConsistencyError`.
 """
 from __future__ import annotations
 
@@ -58,7 +78,7 @@ from .linalg import (
     matrix_moving_point_last,
     transformed_supports,
 )
-from .local_analysis import ProjectivePoint
+from .local_analysis import LocalData, ProjectivePoint, analyze_point
 from .polynomials import Exponent, HomogeneousPoly
 from .torus import BarycentricCertificate, TorusDecision, torus_destabilize
 from .verdicts import InternalConsistencyError, Status
@@ -122,13 +142,22 @@ def _random_permutation(rng: random.Random, size: int) -> RationalMatrix:
     return RationalMatrix.permutation(images)
 
 
-def _frames(cfg: SearchConfig, size: int, points: tuple[ProjectivePoint, ...]):
-    """Endless deterministic frame stream: (strategy, matrix), identity first."""
+Point = ProjectivePoint | LocalData
+
+
+def _frames(cfg: SearchConfig, f: HomogeneousPoly, points: tuple[Point, ...]):
+    """Endless deterministic frame stream: (strategy, matrix), identity first,
+    then the point frames, the structured frames and the random rounds."""
+    size = f.n + 1
     rng = random.Random(cfg.seed)
-    point_frames = [matrix_moving_point_last(p.coords) for p in points]
+    point_frames = [
+        matrix_moving_point_last((p.point if isinstance(p, LocalData) else p).coords)
+        for p in points
+    ]
     yield "singular-point-to-Q", RationalMatrix.identity(size)
     for frame in point_frames:
         yield "singular-point-to-Q", frame
+    yield from _structured_frames(f, points)
     while True:
         yield "permutations", _random_permutation(rng, size)
         tau = _random_unipotent(rng, size, cfg.bound, upper=True)
@@ -139,6 +168,25 @@ def _frames(cfg: SearchConfig, size: int, points: tuple[ProjectivePoint, ...]):
             yield "random-unipotent", tau @ _random_permutation(rng, size)
         lower = _random_unipotent(rng, size, cfg.bound, upper=False)
         yield "random-unipotent", lower @ _random_permutation(rng, size)
+
+
+def _structured_frames(f: HomogeneousPoly, points: tuple[Point, ...]):
+    """The kernel, kernel-line and linear-component frames of
+    :mod:`~hypstab.frames`, each built when the stream reaches it, from the
+    local data of the points (computed here for points given bare).  The
+    input was valid when the search began, so an error while building one is
+    the program's fault."""
+    # frames is imported on first use, not with this module: only a search
+    # that gets past its point frames needs it, and importing it with this
+    # module raised the peak memory of the benchmark's families and smooth
+    # runs, which never use it, by 0.2-0.3 MB (2-core host, Python 3.11).
+    from . import frames
+
+    try:
+        local = [p if isinstance(p, LocalData) else analyze_point(f, p) for p in points]
+        yield from frames.structured_frames(f, local)
+    except (ArithmeticError, ValueError) as exc:
+        raise InternalConsistencyError(f"building a structured search frame failed: {exc}") from exc
 
 
 @dataclass
@@ -153,20 +201,27 @@ class _Frame:
     g: HomogeneousPoly | None = None
 
 
-def _frames_with_supports(f: HomogeneousPoly, stream, budget: int) -> Iterator[_Frame]:
+def _frames_with_supports(
+    f: HomogeneousPoly, stream, budget: int, leading: int
+) -> Iterator[_Frame]:
     """The first ``budget`` frames of ``stream``, each with the support of
     f∘sigma: f's own for an identity frame (frame 0, by construction), and
     for the others from one :func:`transformed_supports` call per chunk.
     Frame 0 is a chunk of its own, and the chunks after it hold 1, 2, 4, ...
-    frames, capped by the budget left.  Each chunk is drawn and expanded only
-    when the search reaches it."""
+    frames, capped by the budget left, and no chunk holds both one of the
+    first ``leading`` frames and a later one.  Each chunk is drawn and
+    expanded only when the search reaches it, so a search that stops within
+    the first ``leading`` frames draws none after them."""
     identity = RationalMatrix.identity(f.n + 1)
-    left = budget
+    left, drawn = budget, 0
     for size in chain([1], (1 << k for k in count())):
         if left == 0:
             return
+        if drawn < leading:
+            size = min(size, leading - drawn)
         chunk = [next(stream) for _ in range(min(size, left))]
         left -= len(chunk)
+        drawn += len(chunk)
         moved = [sigma for _, sigma in chunk if sigma != identity]
         try:
             supports = iter(transformed_supports(f, moved) if moved else ())
@@ -182,11 +237,13 @@ def _frames_with_supports(f: HomogeneousPoly, stream, budget: int) -> Iterator[_
 def search_destabilization(
     f: HomogeneousPoly,
     cfg: SearchConfig,
-    points: tuple[ProjectivePoint, ...] = (),
+    points: tuple[Point, ...] = (),
 ) -> SearchOutcome:
     """Search for destabilization certificates of ``f`` within the frame
-    budget.  Any returned certificate has been re-verified from scratch."""
-    size = f.n + 1
+    budget.  Any returned certificate has been re-verified from scratch.
+    ``points`` are rational singular points of f; the kernel frames read the
+    local data of those given as :class:`LocalData` and compute it for the
+    others when the stream reaches them."""
     outcome = SearchOutcome()
     # Per mode: (monomials, certificate) of every refutation found so far.
     refutations: dict[bool, list[tuple[frozenset[Exponent], BarycentricCertificate]]] = {
@@ -217,7 +274,7 @@ def search_destabilization(
                 refutations[True].append(entry)
         return decision
 
-    frames = _frames_with_supports(f, _frames(cfg, size, points), cfg.budget)
+    frames = _frames_with_supports(f, _frames(cfg, f, points), cfg.budget, 1 + len(points))
     for index, frame in enumerate(frames):
         strategy, sigma = frame.strategy, frame.sigma
         outcome.frames_tried += 1

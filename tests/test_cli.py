@@ -12,9 +12,11 @@ from pathlib import Path
 import pytest
 
 from hypstab import RationalMatrix, analyze_point, parse_poly, scan_singular_points
-from hypstab import cli, search
+from hypstab import cli, frames, search
 from hypstab.cli import EXIT_INPUT, EXIT_INTERNAL, EXIT_OK, main
 from hypstab.criteria import ProfileError
+from hypstab.linalg import MatrixError
+from hypstab.polynomials import PolyError
 from hypstab.report import build_profile
 from hypstab.torus import TorusDecision
 
@@ -27,6 +29,16 @@ def poly_file(tmp_path):
         return str(path)
 
     return write
+
+
+IDENTITY = [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]
+
+# fn (n = 3) under an integer change of coordinates: its point frame gives no
+# strict certificate, so the search goes on to its kernel frame.
+FN3_DISGUISED = (
+    "2*x0^3 + 3*x0^2*x1 + 2*x0*x1^2 + 2*x0*x1*x2 - x0*x2^2 + x1^3 + x1^2*x2"
+    " + x1^2*x3 - 2*x1*x2^2 - 2*x1*x2*x3 + x2^3 + x2^2*x3"
+)
 
 
 def run(capsys, argv):
@@ -208,7 +220,8 @@ class TestSearchCmd:
     def test_singular_search_frame_exits_internal(self, capsys, poly_file, monkeypatch):
         # The frame stream builds invertible matrices only; a singular frame
         # is a fault of the search, not of the input.
-        def frames(cfg, size, points):
+        def frames(cfg, f, points):
+            size = f.n + 1
             yield "singular-point-to-Q", RationalMatrix.identity(size)
             while True:
                 yield "permutations", RationalMatrix.from_rows([[1] * size] * size)
@@ -218,6 +231,39 @@ class TestSearchCmd:
         code, _, err = run(capsys, ["search", path, "--budget", "3"])
         assert code == EXIT_INTERNAL
         assert "internal consistency failure" in err and "invertible" in err
+        assert "Traceback" not in err
+
+    def test_singular_structured_frame_exits_internal(self, capsys, poly_file, monkeypatch):
+        # The line times a conic has no rational singular point, so frame 1
+        # is its linear-component frame; here it comes out singular.
+        singular = RationalMatrix.from_rows([[1, 1, 0], [1, 1, 0], [0, 0, 1]])
+        monkeypatch.setattr(frames, "linear_components", lambda f: iter([singular]))
+        path = poly_file("x0^3 - 2*x0*x1^2 - 2*x1^2*x2 + x2^3")
+        code, _, err = run(capsys, ["search", path, "--budget", "2"])
+        assert code == EXIT_INTERNAL
+        assert "internal consistency failure" in err and "invertible" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "target, error",
+        [
+            pytest.param("nullspace_basis", MatrixError, id="matrix-error"),
+            pytest.param("quadratic_form_matrix", PolyError, id="poly-error"),
+        ],
+    )
+    def test_structured_frame_fault_exits_internal(
+        self, capsys, poly_file, monkeypatch, target, error
+    ):
+        # A fault while the kernel frame (frame 2) is built is the program's,
+        # although the error types are input errors elsewhere.
+        def fail(*args):
+            raise error("planted fault")
+
+        monkeypatch.setattr(frames, target, fail)
+        path = poly_file(FN3_DISGUISED)
+        code, _, err = run(capsys, ["search", path, "--budget", "3"])
+        assert code == EXIT_INTERNAL
+        assert "internal consistency failure" in err and "planted fault" in err
         assert "Traceback" not in err
 
     def test_batched_support_mismatch_exits_internal(self, capsys, poly_file, monkeypatch):
@@ -331,6 +377,16 @@ class TestCertifyCmd:
         assert code == EXIT_OK
         assert "certificate-rejected" in out
 
+    def test_integer_and_string_entries_accepted(self, capsys, poly_file, tmp_path):
+        # JSON integers, and the fraction and decimal strings of to_json.
+        path = poly_file("x0^2*x2 + x1^3")
+        cert = tmp_path / "cert.json"
+        sigma = [[1, "0", 0], ["0", "2/2", "0.0"], [0, 0, "1.0"]]
+        cert.write_text(json.dumps({"sigma": sigma, "r": [3, 1, -4], "strict": True}))
+        code, out, _ = run(capsys, ["certify", path, "--cert", str(cert)])
+        assert code == EXIT_OK
+        assert "NotSemiStable" in out
+
     def test_malformed_certificate(self, capsys, poly_file, tmp_path):
         path = poly_file("x0^3 + x1^3 + x2^3")
         cert = tmp_path / "cert.json"
@@ -342,20 +398,24 @@ class TestCertifyCmd:
     # (r = (3, 1, -4) strict, or r = (1, 0, -1) non-strict), so it must be
     # refused as written rather than certified as another certificate.
     @pytest.mark.parametrize(
-        "r, strict",
+        "sigma, r, strict",
         [
-            pytest.param([3, 1, -4], "false", id="string-strict"),
-            pytest.param([1.5, -0.5, -1], False, id="float-weights"),
-            pytest.param([True, False, -1], False, id="boolean-weights"),
+            pytest.param(IDENTITY, [3, 1, -4], "false", id="string-strict"),
+            pytest.param(IDENTITY, [1.5, -0.5, -1], False, id="float-weights"),
+            pytest.param(IDENTITY, [True, False, -1], False, id="boolean-weights"),
+            pytest.param(
+                [[True, False, 0], [False, True, 0], [0, 0, True]], [3, 1, -4], True,
+                id="boolean-sigma",
+            ),
+            pytest.param(
+                [[1.0, 0, 0], [0, 1, 0.0], [0, 0, 1]], [3, 1, -4], True, id="float-sigma"
+            ),
         ],
     )
-    def test_uncoerced_json_types(self, capsys, poly_file, tmp_path, r, strict):
+    def test_uncoerced_json_types(self, capsys, poly_file, tmp_path, sigma, r, strict):
         path = poly_file("x0^2*x2 + x1^3")
         cert = tmp_path / "cert.json"
-        cert.write_text(
-            json.dumps({"sigma": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
-                        "r": r, "strict": strict})
-        )
+        cert.write_text(json.dumps({"sigma": sigma, "r": r, "strict": strict}))
         code, out, err = run(capsys, ["certify", path, "--cert", str(cert)])
         assert code == EXIT_INPUT, out
         assert "bad certificate JSON" in err and "Traceback" not in err

@@ -30,14 +30,16 @@ INPUTS = {
         "x0^3 + x1^3 - 2*x1^2*x2 + 3*x1^2*x3 + 3*x1*x2^2 - 6*x1*x2*x3 + 3*x1*x3^2"
         " - x2^3 + 3*x2^2*x3 - 3*x2*x3^2 + x3^3"
     ),
-    # gn (n = 2) disguised: strict certificate from the Farkas path after
-    # point frames and permutations.
+    # gn (n = 2) disguised: strict certificate from the Farkas path at the
+    # kernel frame of its first singular point, after the point frames.
     "gn2-disguised-strict": (
         "-x0^3*x1 + 2*x0^3*x2 + x0^2*x1^2 - 4*x0^2*x1*x2 + x0^2*x2^2"
         " + 2*x0*x1^2*x2 - 2*x0*x1*x2^2 + x1^2*x2^2"
     ),
-    # fn (n = 3) under another change: no strict certificate within the
-    # budget, a non-strict one from the Farkas path of the non-strict LP.
+    # fn (n = 3) under another change.  The point frame gives no strict
+    # certificate, and the random frames alone give only a non-strict one
+    # in 50 frames (hence the name); the kernel frame, frame 2, gives the
+    # strict one.
     "fn3-disguised-nonstrict": (
         "2*x0^3 + 3*x0^2*x1 + 2*x0*x1^2 + 2*x0*x1*x2 - x0*x2^2 + x1^3 + x1^2*x2"
         " + x1^2*x3 - 2*x1*x2^2 - 2*x1*x2*x3 + x2^3 + x2^2*x3"

@@ -16,6 +16,7 @@ from hypstab.linalg import (
     apply_linear_change,
     integer_rank,
     matrix_moving_point_last,
+    nullspace_basis,
     nullspace_vector,
     rational_rank,
     transformed_supports,
@@ -129,10 +130,12 @@ class TestPointMove:
 # be exactly equal.
 
 
-def reference_nullspace_vector(rows):
+def reference_nullspace_basis(rows):
+    """Gauss-Jordan to reduced echelon form; per free column c, the solution
+    with x_c = 1 and the other free variables 0."""
     m = [[Fraction(x) for x in row] for row in rows]
     if not m:
-        return None
+        return []
     ncols = len(m[0])
     pivots = []
     row = 0
@@ -152,14 +155,18 @@ def reference_nullspace_vector(rows):
         if row == len(m):
             break
     pivot_cols = {c for _, c in pivots}
-    free = next((c for c in range(ncols) if c not in pivot_cols), None)
-    if free is None:
-        return None
-    x = [Fraction(0)] * ncols
-    x[free] = Fraction(1)
-    for r, c in pivots:
-        x[c] = -m[r][free]
-    return x
+    basis = []
+    for free in (c for c in range(ncols) if c not in pivot_cols):
+        x = [Fraction(0)] * ncols
+        x[free] = Fraction(1)
+        for r, c in pivots:
+            x[c] = -m[r][free]
+        basis.append(x)
+    return basis
+
+
+def reference_nullspace_vector(rows):
+    return next(iter(reference_nullspace_basis(rows)), None)
 
 
 def reference_matmul(a, b):
@@ -251,6 +258,16 @@ def reference_rank(rows):
 def test_integer_rank_matches_fraction_elimination(rows):
     ints = [[int(v) for v in row] for row in rows]
     assert integer_rank(ints) == reference_rank(ints)
+
+
+@given(low_rank_matrices())
+@settings(max_examples=200, deadline=None)
+def test_nullspace_basis_matches_fraction_elimination(rows):
+    basis = nullspace_basis(rows)
+    assert basis == reference_nullspace_basis(rows)
+    assert len(basis) == len(rows[0]) - rational_rank(rows)
+    for x in basis:
+        assert all(sum(a * v for a, v in zip(row, x)) == 0 for row in rows)
 
 
 @given(low_rank_matrices())

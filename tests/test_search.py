@@ -2,10 +2,13 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
+from itertools import islice, takewhile
+from math import lcm
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hypstab import (
@@ -14,6 +17,7 @@ from hypstab import (
     RationalMatrix,
     SearchConfig,
     Status,
+    analyze_point,
     apply_linear_change,
     family_poly,
     parse_poly,
@@ -21,12 +25,24 @@ from hypstab import (
     search_destabilization,
     verify_certificate,
 )
-from hypstab import search
-from hypstab.linalg import transformed_supports
+from hypstab import frames, search
+from hypstab.linalg import nullspace_vector, transformed_supports
+from hypstab.local_analysis import ProjectivePoint
 from hypstab.search import FrameRecord, SearchOutcome
 from hypstab.torus import torus_destabilize
 
 from conftest import degree_monomials
+
+
+# gn2 and fn3 under integer changes of coordinates.
+GN2_DISGUISED = (
+    "-x0^3*x1 + 2*x0^3*x2 + x0^2*x1^2 - 4*x0^2*x1*x2 + x0^2*x2^2"
+    " + 2*x0*x1^2*x2 - 2*x0*x1*x2^2 + x1^2*x2^2"
+)
+FN3_DISGUISED = (
+    "2*x0^3 + 3*x0^2*x1 + 2*x0*x1^2 + 2*x0*x1*x2 - x0*x2^2 + x1^3 + x1^2*x2"
+    " + x1^2*x3 - 2*x1*x2^2 - 2*x1*x2*x3 + x2^3 + x2^2*x3"
+)
 
 
 def run_search(f, budget=20, seed=1):
@@ -74,12 +90,23 @@ class TestDeterminism:
         assert outcome.frames_tried == 13
 
     def test_frame_labels_and_order(self, corpus):
-        # Identity, one frame per point, then permutation / unipotent rounds.
-        scan = scan_singular_points(corpus["f2"], 2)
-        stream = search._frames(SearchConfig(), 3, scan.points)
-        labels = [next(stream)[0] for _ in range(1 + len(scan.points) + 6)]
+        # Identity, one frame per point, the kernel frames, the kernel-line
+        # frames, the linear-component frames, then permutation / unipotent
+        # rounds.  f2's kernel is a coordinate line, and it has no linear
+        # factor; the disguised gn2 (a multiple of x0) has two double points
+        # and a linear factor, and the disguised fn3 a plane ker Q.
         rounds = ["permutations", "random-unipotent", "random-unipotent"] * 2
-        assert labels == ["singular-point-to-Q"] * (1 + len(scan.points)) + rounds
+        cases = [
+            (corpus["f2"], []),
+            (parse_poly(GN2_DISGUISED, 2), ["hessian-kernel"] * 2 + ["linear-component"]),
+            (parse_poly(FN3_DISGUISED, 3), ["hessian-kernel"] + ["kernel-line"] * 6),
+        ]
+        for f, structured in cases:
+            scan = scan_singular_points(f, 2)
+            stream = search._frames(SearchConfig(), f, scan.points)
+            leading = ["singular-point-to-Q"] * (1 + len(scan.points))
+            labels = [next(stream)[0] for _ in range(len(leading) + len(structured) + 6)]
+            assert labels == leading + structured + rounds
 
 
 class TestBatchedSupports:
@@ -183,7 +210,7 @@ def checked_search(f, cfg, points=()) -> tuple[SearchOutcome, int]:
         outcome = search_destabilization(f, cfg, points)
     assert len(outcome.frames) == outcome.frames_tried
     identity = RationalMatrix.identity(f.n + 1)
-    stream = search._frames(cfg, f.n + 1, points)
+    stream = search._frames(cfg, f, points)
     sigmas = [next(stream)[1] for _ in range(outcome.frames_tried)]
     expanded = iter(batched)
     reused = 0
@@ -214,7 +241,7 @@ def search_without_reuse(f, cfg, points=()) -> SearchOutcome:
             cache[key] = torus_destabilize(g, strict)
         return cache[key]
 
-    frame_stream = search._frames(cfg, f.n + 1, points)
+    frame_stream = search._frames(cfg, f, points)
     for index in range(cfg.budget):
         strategy, sigma = next(frame_stream)
         outcome.frames_tried += 1
@@ -284,7 +311,10 @@ class TestRefutationReuse:
         assert sorted(calls) == [(False, f.support()), (True, f.support())]
 
     def test_reuse_skips_most_lps(self):
-        # Without reuse this search makes 28 torus decisions by LP.
+        # A line times a conic through two irrational nodes (strictly
+        # semistable): the linear-component frame, frame 1, gives the
+        # non-strict certificate, and no frame a strict one.  Without reuse
+        # this search makes 17 torus decisions by LP.
         f = parse_poly(
             "-2*x0^3 + x0^2*x1 + x0^2*x2 + 3*x0*x1^2 + 3*x0*x2^2 + x1^3 + x2^3", 2
         )
@@ -296,5 +326,176 @@ class TestRefutationReuse:
 
         with mock.patch.object(search, "torus_destabilize", torus):
             outcome = search_destabilization(f, SearchConfig(budget=50, seed=0))
-        assert outcome.frames_tried == 50 and not outcome.found
+        assert outcome.frames_tried == 50 and outcome.strict is None
+        assert outcome.frames[1].strategy == "linear-component"
+        assert outcome.frames[1].nonstrict_feasible
         assert len(calls) <= 12
+
+
+# --- structured frames -------------------------------------------------------
+
+STRUCTURED = {"singular-point-to-Q", "hessian-kernel", "kernel-line", "linear-component"}
+
+# name -> (base form, its rational singular points, whether it is unstable): the
+# unstable ones need a strict certificate, the strictly semistable ones (the
+# nodal cubic; the line plus a conic through two irrational nodes) have a
+# non-strict one and no strict one.
+SHARPEST_BASES = {
+    "fn2": (family_poly("fn", 2), [(0, 0, 1)], True),
+    "fn3": (family_poly("fn", 3), [(0, 0, 0, 1)], True),
+    "gn2": (family_poly("gn", 2), [(0, 0, 1), (1, 0, 0)], True),
+    "gn3": (family_poly("gn", 3), [(0, 0, 0, 1), (1, 0, 0, 0)], True),
+    "cusp": (parse_poly("x1^2*x2 - x0^3", 2), [(0, 0, 1)], True),
+    "nodal-cubic": (parse_poly("x1^2*x2 - x0^2*x2 - x0^3", 2), [(0, 0, 1)], False),
+    "irrational-node-cubic": (parse_poly("x0^3 - 2*x0*x1^2 - 2*x1^2*x2 + x2^3", 2), [], False),
+}
+
+
+@st.composite
+def disguises(draw, size):
+    """Invertible integer matrices with entries in [-2, 2]."""
+    entries = st.integers(-2, 2)
+    rows = draw(st.lists(st.lists(entries, min_size=size, max_size=size), min_size=size, max_size=size))
+    sigma = RationalMatrix.from_rows(rows)
+    assume(sigma.determinant() != 0)
+    return sigma
+
+
+def moved_point(sigma, coords) -> ProjectivePoint:
+    """The point y with sigma^T y = coords, which is where f∘sigma has the
+    point ``coords`` of f: the solution (y, 1) of [sigma^T | -coords]."""
+    rows = [list(col) + [-c] for col, c in zip(zip(*sigma.rows), coords)]
+    return ProjectivePoint.make(nullspace_vector(rows)[:-1])
+
+
+def structured_budget(f, points) -> int:
+    """The number of frames before the first random one."""
+    labels = (strategy for strategy, _ in search._frames(SearchConfig(), f, points))
+    return sum(1 for _ in takewhile(lambda s: s in STRUCTURED, labels))
+
+
+class TestStructuredFrames:
+    @pytest.mark.parametrize("name", sorted(SHARPEST_BASES))
+    @given(data=st.data())
+    @settings(max_examples=12, deadline=None)
+    def test_sharpest_certificate_within_structured_frames(self, name, data):
+        base, coords, unstable = SHARPEST_BASES[name]
+        sigma = data.draw(disguises(base.n + 1))
+        f = apply_linear_change(base, sigma)
+        points = tuple(sorted((moved_point(sigma, c) for c in coords), key=lambda p: p.coords))
+        for p in points:
+            assert all(f.partial_derivative(j).evaluate(p.coords) == 0 for j in range(f.n + 1))
+        budget = structured_budget(f, points)
+        outcome = search_destabilization(f, SearchConfig(budget=budget), points)
+        if unstable:
+            assert outcome.strict is not None
+            assert outcome.frames[-1].strategy in STRUCTURED
+            assert verify_certificate(f, outcome.strict).status == Status.NOT_SEMISTABLE
+        else:
+            assert outcome.strict is None and outcome.nonstrict is not None
+            assert verify_certificate(f, outcome.nonstrict).status == Status.NOT_STABLE
+
+    def test_planted_linear_factor_gives_a_frame(self):
+        # (2*x0 - x1 + 3*x2) times a conic with no rational linear factor.
+        line = parse_poly("2*x0 - x1 + 3*x2", 2)
+        f = line * parse_poly("x0^2 + x1^2 - 5*x2^2 + x0*x2", 2)
+        found = list(frames.linear_components(f))
+        assert len(found) == 1
+        # The linear factor is a multiple of the frame's last coordinate.
+        moved = apply_linear_change(line, found[0])
+        assert moved.support() == ((0, 0, 1),)
+        labels = [strategy for strategy, _ in islice(search._frames(SearchConfig(), f, ()), 3)]
+        assert labels == ["singular-point-to-Q", "linear-component", "permutations"]
+
+    def test_each_linear_factor_gives_a_frame(self):
+        # Three lines: one frame each, which makes that factor (a multiple
+        # of) its last coordinate.
+        factors = [parse_poly(text, 2) for text in ("x2", "x0 - x1", "x1 + 2*x2")]
+        f = factors[0] * factors[1] * factors[2]
+        made_last = [
+            [i for i, line in enumerate(factors)
+             if apply_linear_change(line, frame).support() == ((0, 0, 1),)]
+            for frame in frames.linear_components(f)
+        ]
+        assert sorted(made_last) == [[0], [1], [2]]
+
+    @pytest.mark.parametrize(
+        "text, n",
+        [
+            ("x0^3 + x1^3 + x2^3", 2),  # Fermat: irreducible
+            ("x1^2*x2 - x0^2*x2 - x0^3", 2),  # the nodal cubic
+            ("x0^2 + x1^2 + x2^2", 2),  # no rational point at all
+            ("x0^2*x3^2 + x0*x2^3 + x1^4", 3),  # gn3
+            ("x0^2 - 2*x1^2", 1),  # irrational roots
+        ],
+    )
+    def test_no_rational_linear_factor_gives_no_frame(self, text, n):
+        assert list(frames.linear_components(parse_poly(text, n))) == []
+
+    @pytest.mark.parametrize(
+        "text, n, tried",
+        [
+            ("x0^2*x2 + x1^3", 2, 1),  # strict at frame 0
+            # fn2 with its one point [0:1:1]: strict at the point frame.
+            ("x0^2*x1 - x1^3 + 3*x1^2*x2 - 3*x1*x2^2 + x2^3", 2, 2),
+            # gn2 with two points: strict at the second point frame, frame 2,
+            # which a chunk of two frames would draw with frame 3.
+            ("-x0^3*x2 + 3*x0^2*x1*x2 + x0^2*x2^2 - 3*x0*x1^2*x2 + x1^3*x2", 2, 3),
+        ],
+    )
+    def test_search_ending_early_builds_no_structured_frame(self, text, n, tried):
+        def structured(f, points):
+            raise AssertionError("a structured frame was built")
+            yield
+
+        f = parse_poly(text, n)
+        points = scan_singular_points(f, 2).points
+        with mock.patch.object(search, "_structured_frames", structured):
+            outcome = search_destabilization(f, SearchConfig(budget=50), points)
+        assert outcome.frames_tried == tried and outcome.strict is not None
+        assert outcome.frames[-1].strategy == "singular-point-to-Q"
+
+
+class TestRootsOnLines:
+    @pytest.mark.parametrize(
+        "coeffs, roots",
+        [
+            # s^2 (s + 1)(2s - 3) = 2s^4 - s^3 - 3s^2
+            ([0, 0, -3, -1, 2], [Fraction(-1), Fraction(0), Fraction(3, 2)]),
+            ([-2, 0, 1], []),  # s^2 - 2
+            ([6, -5, 1], [Fraction(2), Fraction(3)]),
+            ([1, 2, 1], [Fraction(-1)]),  # a double root, once
+            ([5], []),
+            ([0, 0, 0], None),  # the zero polynomial: every s
+            ([1, 0, 10**9], None),  # too large to factor
+        ],
+    )
+    def test_rational_roots(self, coeffs, roots):
+        assert frames._rational_roots(coeffs) == roots
+
+    @given(random_forms(), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_on_line_matches_evaluation(self, f, data):
+        points = st.lists(st.integers(-3, 3), min_size=f.n + 1, max_size=f.n + 1)
+        p, q = data.draw(points), data.draw(points)
+        coeffs = frames._on_line(f, p, q)
+        scale = lcm(*(c.denominator for _, c in f.terms))
+        for s in range(-2, 3):
+            value = f.evaluate([s * a + b for a, b in zip(p, q)])
+            assert sum(c * s**k for k, c in enumerate(coeffs)) == scale * value
+
+    def test_plane_kernel_lines_start_where_the_next_forms_vanish(self):
+        # gn3 moved by sigma, at its point where Q = x0^2 has a plane kernel:
+        # the kernel frame gives no strict certificate, and the first line,
+        # where G_3 and G_4 vanish, does.
+        sigma = RationalMatrix.from_rows([[1, 2, 0, -1], [0, 1, 1, 0], [1, 0, 1, 2], [0, -1, 1, 1]])
+        f = apply_linear_change(family_poly("gn", 3), sigma)
+        data = analyze_point(f, moved_point(sigma, (0, 0, 0, 1)))
+        kernel = frames.HessianKernel.of(data)
+        assert len(kernel.vectors) == 2
+        g = apply_linear_change(f, kernel.frame(kernel.vectors))
+        assert torus_destabilize(g, strict=True).witness is None
+        key, c = min(kernel.lines(data.moved))
+        assert key == (False, False)
+        g = apply_linear_change(f, kernel.line_frame(c))
+        assert torus_destabilize(g, strict=True).witness is not None
