@@ -1,27 +1,53 @@
-"""Smoothness proven by one rank computation modulo a prime.
+"""Common zeros of integer forms excluded by rank computations modulo a prime.
 
-Let F be f with its denominators cleared and its content removed, so that
-F has coprime integer coefficients (a content divisible by ``PRIME`` would
-make all of M vanish mod ``PRIME``), and let D = (n+1)(d-2)+1.  The
-Macaulay matrix M of the partials in degree D has one row for each pair
-(i, m), m a monomial of degree D-(d-1), holding the coefficients of
-m * dF/dx_i, and one column for each monomial of degree D.
-:func:`prove_smooth` reduces M modulo ``PRIME`` and reports smoothness
-proven when M has full column rank there.
+The kernel.  Let g_1, ..., g_k be integer forms of degrees e_1, ..., e_k (the
+degrees may differ) in the variables x_0..x_N, and D a degree.  The Macaulay
+matrix M_D has one row for each pair (j, m), m a monomial of degree D - e_j,
+holding the coefficients of m * g_j, and one column for each monomial of
+degree D.  :func:`prove_empty` reduces M_D modulo ``PRIME`` and reports that
+the forms have no common zero when M_D has full column rank there.
 
-Soundness, for every prime p.  Let P be a point of P^n over the algebraic
-closure of Q at which every partial of F vanishes, and let v_P be the vector
-of the degree-D monomials evaluated at P.  Row (i, m) of M times v_P is
-(m * dF/dx_i)(P) = 0, so M v_P = 0, and v_P != 0 because x_j^D(P) != 0 for a
-coordinate P_j != 0.  So M has a nonzero kernel, every maximal minor of the
-integer matrix M is 0, and so is its residue mod p: reduction mod p cannot
-raise the rank.  Full column rank mod p therefore proves that V(f) has no
-singular point over the algebraic closure of Q.
+Soundness, for any list of forms, every D and every prime p.  Let P be a
+point of P^N over the algebraic closure of Q at which every g_j vanishes,
+and let v_P be the vector of the degree-D monomials evaluated at P.  Row
+(j, m) of M_D times v_P is (m * g_j)(P) = 0, so M_D v_P = 0, and v_P != 0
+because x_i^D(P) != 0 for a coordinate P_i != 0.  So M_D has a nonzero
+kernel, every maximal minor of the integer matrix M_D is 0, and so is its
+residue mod p: reduction mod p cannot raise the rank.  Full column rank mod
+p at any one D therefore proves that the g_j have no common zero over the
+algebraic closure of Q.  The forms enter only through their residues mod p,
+so they may be computed mod p.  :func:`prove_empty` steps D upward from the
+largest generator degree, and stops at the first full rank, at the caller's
+top degree, or before a matrix of more than ``MAX_CELLS`` cells.
 
-The converse only decides how often the test succeeds.  When V(f) is
-smooth, the n+1 partials have no common zero, so they form a regular
-sequence and (by Macaulay) their ideal contains every form of degree D: M
-has full column rank over Q, hence mod all but finitely many primes.
+Smoothness (:func:`prove_smooth`).  Let F be f with its denominators cleared
+and its content removed, so that F has coprime integer coefficients (a
+content divisible by ``PRIME`` would make all of M vanish mod ``PRIME``).
+V(f) is smooth exactly when the n+1 partials of F have no common zero.  Then
+they form a regular sequence, whose socle degree is (n+1)(d-2), so (by
+Macaulay) their ideal contains every form of degree D = (n+1)(d-2)+1 and
+none of the lower degrees is full: M_D has full column rank over Q, hence mod
+all but finitely many primes, and D is the only degree tried.
+
+The Hessian-rank bound (:func:`~hypstab.rank_bound.prove_hessian_rank`).
+Let H be the Hessian of F.  At a singular point P, H(P) P = (d-1) grad F(P)
+= 0, and H(P) has the rank of the tangent cone's quadric at P (the
+``hessian_rank`` of :class:`~hypstab.local_analysis.LocalData`), at most n.
+If the partials of F and the r x r minors of H have no common zero, then
+rank H(P) >= r at every singular point P over the algebraic closure of Q,
+and so:
+
+- delta = 2 unless V(f) is smooth: at a point of multiplicity >= 3 every
+  second partial of F vanishes, and H(P) = 0 has rank 0 < r.
+- s <= n - r: let Z be a k-dimensional component of the singular locus and
+  C its affine cone, of dimension k+1.  grad F vanishes on C, so at a smooth
+  point P of C its derivative H(P) v vanishes for every tangent vector v of
+  C at P.  So ker H(P) has dimension at least k+1, and r <= rank H(P) <= n-k.
+
+When r < n one more call proves s <= 0: it tests the partials of F
+restricted to a hyperplane x_n = sum c_i x_i with every c_i != 0.  A
+singular locus of dimension >= 1 meets every hyperplane, so partials without
+a common zero on the hyperplane leave at most finitely many singular points.
 
 Elimination.  Rows with at most two nonzero entries pivot first.  A pivot
 on such a row in its column a subtracts a multiple of it from every row with
@@ -38,17 +64,20 @@ column.  What is left is eliminated densely in int64, entries kept in
 [0, PRIME) so that each product fits.  Macaulay's square choice of rows goes
 first and the other rows join only if it runs out of pivots, which for a
 general form nearly halves the work.  A matrix of more than ``MAX_CELLS``
-cells is not tested, and the caller keeps its heuristic data.
+cells is not tested, and the caller keeps its heuristic data.  A
+``ValueError`` or ``ArithmeticError`` while a matrix is built or eliminated
+is a fault of the program and raises :class:`InternalConsistencyError`.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .grid import exact_dtype
-from .polynomials import HomogeneousPoly, primitive_form
+from .polynomials import Exponent, HomogeneousPoly, primitive_form
 from .verdicts import InternalConsistencyError
 
 PRIME = 2**31 - 1
@@ -58,58 +87,90 @@ MAX_CELLS = 2**19
 
 
 @dataclass(frozen=True)
-class SmoothnessProof:
-    """The Macaulay matrix of the partials in ``degree`` has full column
-    rank ``rank`` modulo ``prime``: V(f) has no singular point."""
+class IntForm:
+    """An integer form by its residues mod PRIME: its degree, its exponents
+    (one per row) and their coefficients in [0, PRIME).  The degree is
+    explicit so that a form that vanishes mod PRIME keeps its (empty) rows."""
 
+    degree: int
+    exps: np.ndarray
+    values: np.ndarray
+
+    @staticmethod
+    def from_terms(degree: int, nvars: int, terms: Mapping[Exponent, int]) -> "IntForm":
+        """The form with these integer coefficients, in the terms' order."""
+        exps = np.array(list(terms), dtype=np.int64).reshape(-1, nvars)
+        values = np.array([c % PRIME for c in terms.values()], dtype=np.int64)
+        return IntForm(degree, exps, values)
+
+
+@dataclass(frozen=True)
+class MacaulayProof:
+    """The Macaulay matrix of ``ideal`` in ``degree`` has full column rank
+    ``rank`` modulo ``prime``: its generators have no common zero."""
+
+    ideal: str
     prime: int
     degree: int
     rank: int
 
     def __str__(self) -> str:
         return (
-            f"exact: the Macaulay matrix of the partials in degree {self.degree} "
+            f"the Macaulay matrix of {self.ideal} in degree {self.degree} "
             f"has full column rank {self.rank} mod {self.prime}"
         )
+
+
+def matrix_shape(degrees: Sequence[int], nvars: int, degree: int) -> tuple[int, int]:
+    """Row and column count of the Macaulay matrix in ``degree`` of forms of
+    these degrees in ``nvars`` variables."""
+    rows = sum(comb(degree - e + nvars - 1, nvars - 1) for e in degrees if e <= degree)
+    return rows, comb(degree + nvars - 1, nvars - 1)
 
 
 def macaulay_shape(n: int, d: int) -> tuple[int, int, int]:
     """Degree D, row count and column count of the Macaulay matrix of the
     partials of a degree-``d`` form in ``n + 1`` variables."""
     degree = (n + 1) * (d - 2) + 1
-    return degree, (n + 1) * comb(degree - d + 1 + n, n), comb(degree + n, n)
+    return (degree, *matrix_shape([d - 1] * (n + 1), n + 1, degree))
 
 
 def _monomials(nvars: int, degree: int) -> np.ndarray:
     """Exponent vectors of every monomial of ``degree``, one per row, in
     descending lex order with x_n most significant."""
-    # Built from x_n down: each row is repeated once for every value of the
-    # next exponent, from what is left of the degree down to 0.
-    exps = np.zeros((1, 0), dtype=np.int64)
+    # Built from x_n down: each partial monomial is repeated once for every
+    # value of the next exponent, from what is left of the degree (``room``)
+    # down to 0, and what is left then is x_0's exponent.
+    room = np.array([degree], dtype=np.int64)
+    columns = []
     for _ in range(nvars - 1):
-        room = degree - exps.sum(axis=1)
-        counts = room + 1
-        offsets = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
-        exps = np.column_stack([np.repeat(exps, counts, axis=0), np.repeat(room, counts) - offsets])
-    return np.column_stack([exps, degree - exps.sum(axis=1)])[:, ::-1]
+        parent = np.repeat(np.arange(room.size), room + 1)
+        offsets = np.arange(parent.size) - np.searchsorted(parent, parent)
+        columns = [c[parent] for c in columns] + [room[parent] - offsets]
+        room = offsets
+    exps = np.empty((room.size, nvars), dtype=np.int64)
+    exps[:, 0] = room
+    for k, c in enumerate(columns):
+        exps[:, nvars - 1 - k] = c
+    return exps
 
 
 def _macaulay_rows(
-    f: HomogeneousPoly, degree: int
+    forms: Sequence[IntForm], nvars: int, degree: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """The Macaulay matrix as (row, column, value mod PRIME), one entry per
-    nonzero cell, and the number of rows in Macaulay's square choice, which
-    are numbered first: row (i, m) with m_k < d-1 for every k < i, one per
-    column (x^a gets (x^a / x_i^(d-1)) * dF/dx_i for the first i with
-    a_i >= d-1).  For a general f these alone have full rank.
+    """The Macaulay matrix of ``forms`` in ``degree`` as (row, column, value
+    mod PRIME), one entry per nonzero cell, and the number of rows in
+    Macaulay's square choice, which are numbered first: row (j, m) of one of
+    the first ``nvars`` forms with m_i < e_i for every i < j.  For the
+    partials of a general form these alone are square and have full rank
+    (x^a gets (x^a / x_j^(d-1)) * dF/dx_j for the first j with a_j >= d-1).
 
     Columns follow :func:`_monomials`, a monomial order taken descending, so
-    a row's first column is its leading term; the rows of each partial are
-    numbered in ascending order of leading term.  On a dense disguised
-    quintic surface, ascending columns eliminate 3x slower and descending
-    rows 1.4x slower."""
-    nvars = f.nvars
-    F = primitive_form(f)
+    a row's first column is its leading term; the rows of each form are
+    numbered in ascending order of leading term, and the entries run degree
+    by degree and, for the forms of one degree, shift by shift, each over
+    their terms in order.  On a dense disguised quintic surface, ascending
+    columns eliminate 3x slower and descending rows 1.4x slower."""
     # Exponents packed base degree+1, so a product's code is the sum of codes
     # and the codes of the degree-D monomials descend in column order.  Codes
     # are below (degree+1)^nvars; Python ints hold them where int64 cannot
@@ -117,34 +178,54 @@ def _macaulay_rows(
     dtype = exact_dtype((degree + 1) ** nvars - 1)
     radix = np.array([(degree + 1) ** k for k in range(nvars)], dtype=dtype)
     columns = _monomials(nvars, degree)
-    ascending = (columns @ radix)[::-1]
-    # The shifts m of degree D-(d-1) are the columns x_n^(d-1) * m, in order.
-    shifts = columns[columns[:, -1] >= f.d - 1][::-1]
-    shifts[:, -1] -= f.d - 1
-    shift_codes = shifts @ radix
-    square = np.concatenate([np.all(shifts[:, :i] < f.d - 1, axis=1) for i in range(nvars)])
+    codes = columns @ radix
+    ascending = codes[::-1]
+    # For each generator degree e, the shifts m of degree D-e, ascending, and
+    # their codes: the columns x_n^e * m, in order, less e on x_n.  The
+    # square choice reads only the exponents of x_0..x_(n-1).
+    shifts = {}
+    for e in sorted({g.degree for g in forms}):
+        above = columns[:, -1] >= e
+        shifts[e] = (columns[above][::-1, :-1], codes[above][::-1] - e * radix[-1])
+    sizes = [len(shifts[g.degree][1]) for g in forms]
+    first = np.cumsum([0] + sizes)
+    lower = np.array([g.degree for g in forms[:nvars]])
+    square = np.concatenate(
+        [np.all(shifts[e][0][:, :j] < lower[:j], axis=1) for j, e in enumerate(lower.tolist())]
+        + [np.zeros(first[-1] - first[len(lower)], dtype=bool)]
+    )
     nsquare = int(np.count_nonzero(square))
     numbers = np.where(square, np.cumsum(square) - 1, nsquare + np.cumsum(~square) - 1)
-    # Every term of every partial at once: partial, exponent, value mod PRIME.
-    terms = [
-        (i, exp, c.numerator * exp[i] % PRIME) for i in range(nvars) for exp, c in F.terms if exp[i]
-    ]
-    terms = [term for term in terms if term[2]]
-    partial = np.array([i for i, _, _ in terms], dtype=np.int64)
-    exps = np.array([exp for _, exp, _ in terms], dtype=np.int64).reshape(-1, nvars)
-    codes = shift_codes[:, None] + (exps @ radix - radix[partial])
-    where = np.minimum(np.searchsorted(ascending, codes), ascending.size - 1)
-    outside = ascending[where] != codes
+    # Every term of every form at once: its form, exponent and value.
+    owner = np.repeat(np.arange(len(forms)), [len(g.values) for g in forms])
+    exps = np.concatenate([g.exps for g in forms])
+    value = np.concatenate([g.values for g in forms])
+    keep = value != 0
+    owner, term_codes, value = owner[keep], exps[keep] @ radix, value[keep]
+    degree_of = np.array([g.degree for g in forms])[owner]
+    # The entries of the forms of each degree, shift by shift, each over
+    # their terms in order.
+    blocks = []
+    for e, (_, shift_codes) in shifts.items():
+        sel = np.flatnonzero(degree_of == e) if len(shifts) > 1 else slice(None)
+        local = np.arange(len(shift_codes))[:, None]
+        blocks.append((
+            numbers[first[owner[sel]] + local],
+            shift_codes[:, None] + term_codes[sel],
+            np.broadcast_to(value[sel], (len(shift_codes), len(value[sel]))),
+        ))
+    row, code, value = (np.concatenate([b[k] for b in blocks], axis=None) for k in range(3))
+    where = np.minimum(np.searchsorted(ascending, code), ascending.size - 1)
+    outside = ascending[where] != code
     if outside.any():
-        shift, term = np.argwhere(outside)[0]
-        monomial = tuple(int(e) for e in codes[shift, term] // radix % (degree + 1))
+        k = int(np.argmax(outside))
+        form = np.searchsorted(first, np.flatnonzero(numbers == row[k])[0], side="right") - 1
+        monomial = tuple(int(e) for e in code[k] // radix % (degree + 1))
         raise InternalConsistencyError(
-            f"Macaulay row of partial {partial[term]} has a monomial {monomial} outside "
+            f"Macaulay row of generator {form} has a monomial {monomial} outside "
             f"the degree-{degree} columns"
         )
-    row = numbers.reshape(nvars, -1)[partial].T
-    value = np.array([v for _, _, v in terms], dtype=np.int64)
-    return row.ravel(), (ascending.size - 1 - where).ravel(), np.tile(value, len(shifts)), nsquare
+    return row, ascending.size - 1 - where, value, nsquare
 
 
 def _peel_single_entry_rows(
@@ -276,15 +357,56 @@ def _has_full_column_rank(m: np.ndarray, late: int) -> bool:
     return True
 
 
-def prove_smooth(f: HomogeneousPoly) -> SmoothnessProof | None:
-    """A proof that V(f) is smooth, or None: the Macaulay matrix is rank
-    deficient mod PRIME, exceeds ``MAX_CELLS``, or d < 2."""
+def prove_empty(
+    forms: Sequence[IntForm],
+    nvars: int,
+    top: int,
+    start: int | None = None,
+    ideal: str = "the forms",
+) -> MacaulayProof | None:
+    """A proof that ``forms``, in ``nvars`` variables, have no common zero
+    over the algebraic closure of Q, or None: the Macaulay matrix is rank
+    deficient mod PRIME in every degree from the largest generator degree
+    (or ``start``, if larger) to ``top``, or the next degree's matrix would
+    exceed ``MAX_CELLS``.  Degrees with fewer rows than columns are skipped.
+    ``ideal`` names the forms in the proof."""
+    degrees = [g.degree for g in forms]
+    for degree in range(max(degrees + [start or 0]), top + 1):
+        nrows, ncols = matrix_shape(degrees, nvars, degree)
+        if nrows * ncols > MAX_CELLS:
+            return None
+        if nrows < ncols:
+            continue
+        try:
+            row, col, value, late = _macaulay_rows(forms, nvars, degree)
+            full = _sparse_has_full_column_rank(row, col, value, nrows, ncols, late)
+        except (ArithmeticError, ValueError) as exc:
+            raise InternalConsistencyError(
+                f"building or eliminating the degree-{degree} Macaulay matrix of {ideal} "
+                f"failed: {exc}"
+            ) from exc
+        if full:
+            return MacaulayProof(ideal, PRIME, degree, ncols)
+    return None
+
+
+def partial_terms(F: HomogeneousPoly) -> list[dict[Exponent, int]]:
+    """The partials of the integer form F, each in the order of F's terms."""
+    return [
+        {
+            exp[:i] + (exp[i] - 1,) + exp[i + 1:]: c.numerator * exp[i]
+            for exp, c in F.terms
+            if exp[i]
+        }
+        for i in range(F.nvars)
+    ]
+
+
+def prove_smooth(f: HomogeneousPoly) -> MacaulayProof | None:
+    """A proof that V(f) is smooth, or None: the Macaulay matrix of the
+    partials is rank deficient mod PRIME, exceeds ``MAX_CELLS``, or d < 2."""
     if f.d < 2:
         return None
-    degree, nrows, ncols = macaulay_shape(f.n, f.d)
-    if nrows * ncols > MAX_CELLS:
-        return None
-    row, col, value, late = _macaulay_rows(f, degree)
-    if not _sparse_has_full_column_rank(row, col, value, nrows, ncols, late):
-        return None
-    return SmoothnessProof(PRIME, degree, ncols)
+    degree = macaulay_shape(f.n, f.d)[0]
+    partials = [IntForm.from_terms(f.d - 1, f.nvars, p) for p in partial_terms(primitive_form(f))]
+    return prove_empty(partials, f.nvars, degree, degree, "the partials")

@@ -4,9 +4,14 @@ The analyze pipeline: scan for rational singular points, compute local
 invariants at found and supplied points; when none is singular and no s is
 asserted, try to prove smoothness modulo a prime (:mod:`.modp`); build a
 singularity profile (with per-field provenance: user-asserted, exact,
-verified-at-points, or heuristic), run every sufficient criterion, then
-search for destabilization certificates.  A proven ``Stable`` skips the
-search: no certificate of either kind can exist (Hilbert-Mumford).
+verified-at-points, or heuristic) and run every sufficient criterion.  When
+they read positive on heuristic data for a cubic or quartic, try to prove
+the Hessian criterion's rank at every singular point (:mod:`.rank_bound`);
+its bounds replace the profile by the weakest one they allow.  Then search
+for destabilization certificates.  A proven ``Stable`` skips the search: no
+certificate of either kind can exist (Hilbert-Mumford).  A proven
+``SemiStable`` skips the strict decisions, since no strict certificate can
+exist, and stops at the first non-strict one.
 
 Negative claims always carry an exactly verified certificate; positive
 claims inherit the profile's basis, reported as ``basis``.  A verified
@@ -16,7 +21,8 @@ surfaced in the report rather than silently resolved.
 from __future__ import annotations
 
 import datetime
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING
 
 from . import __version__
 from .criteria import ProfileError, SingularityProfile, combined_verdict
@@ -28,10 +34,19 @@ from .local_analysis import (
     is_cone,
     scan_singular_points,
 )
-from .modp import SmoothnessProof, prove_smooth
+from .modp import MacaulayProof, prove_smooth
 from .polynomials import HomogeneousPoly, format_poly
 from .search import SearchConfig, SearchOutcome, search_destabilization
-from .verdicts import Reason, StabilityVerdict, Status
+from .verdicts import (
+    InternalConsistencyError,
+    Reason,
+    StabilityVerdict,
+    Status,
+    positive_strength,
+)
+
+if TYPE_CHECKING:
+    from .rank_bound import HessianRankBound
 
 SCHEMA = "hypstab-report/2"
 
@@ -124,10 +139,17 @@ class AnalysisReport:
         )
         lines.append("criteria verdict: " + str(self.criteria).replace("\n", "\n  "))
         so = self.search_outcome
-        if self.search_skipped:
+        if self.search_skipped and not so.frames_tried:
             lines.append(f"search skipped: {self.search_skipped}")
         elif so.strict:
             lines.append(f"strict certificate found: r = {so.strict.r}")
+        elif self.search_skipped:
+            found = (
+                f"non-strict certificate found: r = {so.nonstrict.r}"
+                if so.nonstrict
+                else f"no non-strict certificate found within budget ({so.frames_tried} frames)"
+            )
+            lines.append(f"{found}; strict search skipped: {self.search_skipped}")
         elif so.nonstrict:
             lines.append(
                 f"non-strict certificate found: r = {so.nonstrict.r}; "
@@ -146,7 +168,7 @@ def build_profile(
     n: int,
     d: int,
     s_user: int | None,
-    proof: SmoothnessProof | None,
+    proof: MacaulayProof | None,
 ) -> tuple[SingularityProfile, bool | None, str]:
     """Profile, tangent-cone summary and basis from analyzed singular points.
 
@@ -165,7 +187,7 @@ def build_profile(
             provenance["s"] = provenance["delta"] = "user-asserted"
             basis = "asserted"
         elif proof is not None:
-            provenance["s"] = str(proof)
+            provenance["s"] = f"exact: {proof}"
             provenance["delta"] = "exact (smooth)"
             basis = "exact-bound"
         else:
@@ -194,6 +216,53 @@ def build_profile(
         cone_free = all(not is_cone(p.tangent_cone) for p in worst)
     profile = SingularityProfile(n, d, s, delta, rank, provenance=provenance)
     return profile, cone_free, "heuristic"
+
+
+def bounded_profile(
+    singular: list[LocalData], n: int, d: int, bound: HessianRankBound
+) -> tuple[SingularityProfile, bool | None, StabilityVerdict]:
+    """The weakest criteria verdict over every profile that ``bound``
+    allows, with that profile and its tangent-cone summary.
+
+    The bound allows s = -1 when no singular point is known, and s from 0 to
+    ``bound.s_max`` with delta = 2 and a minimum Hessian rank from
+    ``bound.rank`` up to n - s (the rank along an s-dimensional component)
+    and to the least rank at a known point.  The criteria are not monotone in
+    s, so each profile is evaluated; on a tie the more singular one is kept.
+    A minimum rank of n makes every tangent cone a quadric of full rank, so
+    none is a cone.  A known point of higher multiplicity or of lower rank
+    contradicts the proof and raises :class:`InternalConsistencyError`.
+    """
+    for p in singular:
+        if p.multiplicity != 2 or p.hessian_rank < bound.rank:
+            raise InternalConsistencyError(
+                f"singular point {p.point} (multiplicity {p.multiplicity}, Hessian rank "
+                f"{p.hessian_rank}) contradicts the proof: {bound.minors}"
+            )
+    reason = f"Hessian rank >= {bound.rank} at every singular point"
+    provenance = {
+        "s": f"exact upper bound {bound.s_max} ("
+        + (str(bound.hyperplane) if bound.hyperplane else f"n - {bound.rank}, {reason}")
+        + ")",
+        "delta": f"exact upper bound 2 ({reason})",
+        "min_hessian_rank": f"exact lower bound {bound.rank} ({bound.minors})",
+    }
+    candidates: list[tuple[SingularityProfile, bool | None]] = []
+    if not singular:
+        candidates.append((SingularityProfile(n, d, -1, 1), None))
+    top = min((p.hessian_rank for p in singular), default=n)
+    for s in range(bound.s_max + 1):
+        for rank in range(bound.rank, min(top, n - s) + 1):
+            candidates.append((SingularityProfile(n, d, s, 2, rank), rank == n))
+    provenance["profile"] = (
+        f"the weakest of {len(candidates)} profile{'s' * (len(candidates) > 1)} "
+        "allowed by the exact bounds"
+    )
+    evaluated = [(p, cone_free, combined_verdict(p, cone_free)) for p, cone_free in candidates]
+    profile, cone_free, verdict = min(
+        reversed(evaluated), key=lambda e: positive_strength(e[2].status)
+    )
+    return replace(profile, provenance=provenance), cone_free, verdict
 
 
 def _merge_with_certificates(
@@ -261,12 +330,37 @@ def analyze(f: HomogeneousPoly, options: AnalysisOptions) -> AnalysisReport:
     proof = prove_smooth(f) if not singular and options.s is None else None
     profile, cone_free, basis = build_profile(singular, f.n, f.d, options.s, proof)
     criteria_verdict = combined_verdict(profile, cone_free)
+    # The Hessian criterion's rank, proven at every singular point, bounds
+    # the whole profile (the argument is in the :mod:`.modp` docstring).
+    rank = -(-2 * (f.n + 1) // f.d)
+    heuristic = basis == "heuristic" and options.s is None
+    if heuristic and criteria_verdict.status.is_positive and f.d in (3, 4) and rank <= f.n:
+        # rank_bound is imported on first use, as the search imports frames:
+        # importing it with this module raised the benchmark's peak memory
+        # on families, smooth and crosscheck, which never use it, by
+        # 0.1-0.2 MB (2-core host, Python 3.11).
+        from .rank_bound import prove_hessian_rank
+
+        bound = prove_hessian_rank(f, rank, [p.point.coords for p in singular])
+        if bound is not None:
+            proven = bounded_profile(singular, f.n, f.d, bound)
+            if proven[2].status.is_positive:
+                profile, cone_free, criteria_verdict = proven
+                basis = "exact-bound"
 
     if basis == "exact-bound" and criteria_verdict.status == Status.STABLE:
         # Stable rules out every certificate, strict or not, so no frame
         # can succeed; tests run the full search on proven inputs instead.
         outcome = SearchOutcome()
         skipped = "Stable is proven, so no destabilizing certificate exists"
+    elif basis == "exact-bound" and criteria_verdict.status == Status.SEMISTABLE:
+        # SemiStable rules out a strict certificate; a non-strict one
+        # still documents that the form is not stable.
+        outcome = search_destabilization(f, options.search, tuple(singular), nonstrict_only=True)
+        skipped = (
+            "SemiStable is proven, so no strict certificate exists; "
+            "the search stops at the first non-strict certificate"
+        )
     else:
         outcome = search_destabilization(f, options.search, tuple(singular))
         skipped = None

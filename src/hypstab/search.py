@@ -28,7 +28,9 @@ frame order, so identical inputs give identical outputs.
 
 Each frame goes to the torus LP, which is complete per frame.  Absence of
 a certificate within budget is reported as exactly that, never as a
-stability claim.
+stability claim.  For a form proven semistable, which has no strict
+certificate, the caller can skip every strict decision; the search then
+ends at the first non-strict certificate.
 
 Refutations are reused across frames, because refutation is upward-closed
 in the support.  Let lam be a verified barycentric certificate on monomials
@@ -101,9 +103,11 @@ class SearchConfig:
 
 @dataclass
 class FrameRecord:
+    """One frame's decisions; None where a decision was not asked."""
+
     strategy: str
     index: int
-    strict_feasible: bool
+    strict_feasible: bool | None
     nonstrict_feasible: bool | None
 
     def to_json(self) -> dict:
@@ -238,12 +242,16 @@ def search_destabilization(
     f: HomogeneousPoly,
     cfg: SearchConfig,
     points: tuple[Point, ...] = (),
+    nonstrict_only: bool = False,
 ) -> SearchOutcome:
     """Search for destabilization certificates of ``f`` within the frame
     budget.  Any returned certificate has been re-verified from scratch.
     ``points`` are rational singular points of f; the kernel frames read the
     local data of those given as :class:`LocalData` and compute it for the
-    others when the stream reaches them."""
+    others when the stream reaches them.  ``nonstrict_only`` is for an f
+    proven semistable, which has no strict certificate: every strict
+    decision is skipped (its record reads None) and the search ends at the
+    first non-strict certificate."""
     outcome = SearchOutcome()
     # Per mode: (monomials, certificate) of every refutation found so far.
     refutations: dict[bool, list[tuple[frozenset[Exponent], BarycentricCertificate]]] = {
@@ -279,14 +287,19 @@ def search_destabilization(
         strategy, sigma = frame.strategy, frame.sigma
         outcome.frames_tried += 1
 
-        decision = decide(frame, strict=True)
-        if decision.witness is not None:
-            cert = Certificate(sigma, decision.witness.reduced(), strict=True)
-            if verify_certificate(f, cert).status != Status.NOT_SEMISTABLE:
-                raise InternalConsistencyError("strict certificate failed final re-verification")
-            outcome.strict = cert
-            outcome.frames.append(FrameRecord(strategy, index, True, None))
-            return outcome
+        strict_feasible: bool | None = None
+        if not nonstrict_only:
+            decision = decide(frame, strict=True)
+            strict_feasible = decision.feasible
+            if decision.witness is not None:
+                cert = Certificate(sigma, decision.witness.reduced(), strict=True)
+                if verify_certificate(f, cert).status != Status.NOT_SEMISTABLE:
+                    raise InternalConsistencyError(
+                        "strict certificate failed final re-verification"
+                    )
+                outcome.strict = cert
+                outcome.frames.append(FrameRecord(strategy, index, True, None))
+                return outcome
 
         nonstrict_feasible: bool | None = None
         if outcome.nonstrict is None:
@@ -297,5 +310,7 @@ def search_destabilization(
                 if verify_certificate(f, cert).status != Status.NOT_STABLE:
                     raise InternalConsistencyError("non-strict certificate failed final re-verification")
                 outcome.nonstrict = cert
-        outcome.frames.append(FrameRecord(strategy, index, decision.feasible, nonstrict_feasible))
+        outcome.frames.append(FrameRecord(strategy, index, strict_feasible, nonstrict_feasible))
+        if nonstrict_only and outcome.nonstrict is not None:
+            break
     return outcome

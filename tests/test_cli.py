@@ -41,6 +41,10 @@ FN3_DISGUISED = (
 )
 
 
+# The cusp x1^2*x2 - x0^3 under an integer change that puts it at [-2:1:4].
+HIGH_CUSP = "-8*x0^3 + x0^2*x1 - 12*x0^2*x2 + 4*x0*x1^2 - 6*x0*x2^2 + 4*x1^3 - x2^3"
+
+
 def run(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
@@ -146,18 +150,42 @@ class TestAnalyze:
         assert len(lines) == 1 and lines[0].startswith(f"error: {message}"), err
 
     def test_conflict_names_the_profile_provenance(self, capsys, poly_file):
-        # The node of this cubic is at two conjugate irrational points: the
-        # scan finds no singular point, the smoothness proof fails, the
-        # heuristic profile reads smooth, and the search contradicts it.
-        path = poly_file("x0^3 - 2*x0*x1^2 - 2*x1^2*x2 + x2^3")
-        code, out, _ = run(capsys, ["analyze", path, "--budget", "50"])
+        # The cusp x1^2*x2 - x0^3 moved to [-2:1:4], above the scan's height
+        # 3: the scan finds no singular point, the smoothness and Hessian-rank
+        # proofs both fail, the heuristic profile reads smooth, and a random
+        # frame with entries up to 5 (frame 15) gives a strict certificate.
+        path = poly_file(HIGH_CUSP)
+        code, out, _ = run(capsys, ["analyze", path, "--budget", "50", "--bound", "5"])
         assert code == EXIT_OK
+        assert "rational singular points (height <= 3): none found" in out
         conflicts = [line for line in out.splitlines() if line.startswith("CONFLICT: ")]
         assert len(conflicts) == 1
         assert "(delta: heuristic; s: heuristic)" in conflicts[0]
         assert "supplied" not in conflicts[0]
         assert "search skipped" not in out
-        assert "status: NotStable (certificate)" in out
+        assert "status: NotSemiStable (certificate)" in out
+
+    def test_irrational_node_is_proven_semistable(self, capsys, poly_file):
+        # The node of this cubic is at two conjugate irrational points, which
+        # the scan cannot see; the Hessian-rank proof bounds every singular
+        # point, so SemiStable is proven, and the linear-component frame
+        # (frame 1) gives the non-strict certificate that ends the search.
+        path = poly_file("x0^3 - 2*x0*x1^2 - 2*x1^2*x2 + x2^3")
+        code, out, _ = run(capsys, ["analyze", path, "--budget", "50", "--json", "-"])
+        assert code == EXIT_OK
+        report = json.loads(out)
+        assert (report["status"], report["basis"], report["conflicts"]) == (
+            "SemiStable", "exact-bound", []
+        )
+        profile = report["profile"]
+        assert (profile["s"], profile["delta"], profile["min_hessian_rank"]) == (0, 2, 2)
+        assert profile["provenance"]["min_hessian_rank"].startswith("exact lower bound 2 (")
+        search = report["search"]
+        assert search["strict_certificate"] is None
+        assert search["nonstrict_certificate"] is not None
+        assert search["frames_tried"] == 2
+        assert [fr["strict_feasible"] for fr in search["frames"]] == [None, None]
+        assert "no strict certificate exists" in search["skipped"]
 
     def test_lp_witness_failure_exits_internal(self, capsys, poly_file, monkeypatch):
         # The strict witness comes from the torus LP, which re-checks it;

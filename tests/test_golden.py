@@ -1,13 +1,14 @@
 """Saved ``analyze --no-timestamp --json`` reports, compared byte for byte.
 
-The inputs are the four smooth hypersurfaces of the benchmark, five
+The inputs are the four smooth hypersurfaces of the benchmark, seven
 disguised singular ones (a base form under an integer change U*P, the
 cusp's a permutation) and the families fn2, fn6 and gn6 with finite-field
 counts.  The reports pin the whole pipeline at the CLI defaults (fn2 at the
-benchmark's seed 1): scan, field counts, smoothness proof, criteria, frame
-search, torus LP and certificate.  The smooth reports carry no frames,
-since the proof skips the search; ``test_modp`` pins the frames the search
-still visits on them.
+benchmark's seed 1): scan, field counts, smoothness and Hessian-rank proofs,
+criteria, frame search, torus LP and certificate.  The smooth reports carry
+no frames, since the proof skips the search; ``test_modp`` pins the frames
+the search still visits on them.  On the two proven SemiStable cubics each
+frame's ``strict_feasible`` is null: the strict decisions are skipped.
 """
 from __future__ import annotations
 
@@ -50,6 +51,14 @@ INPUTS = {
     "fn2-fields": "x0^2*x2 + x1^3",
     "cusp-disguised": "x0^2*x2 - x1^3",
     "fn2-disguised": "x0^2*x1 - x1^3 + 3*x1^2*x2 - 3*x1*x2^2 + x2^3",
+    # The benchmark's first disguised nodal cubic and second disguised
+    # irrational-node cubic: SemiStable is proven by the Hessian-rank bound,
+    # so the search skips its strict decisions and stops at the non-strict
+    # certificate (frame 0 and frame 1, a linear-component frame).
+    "nodal-cubic-disguised": "-x0^3 + 2*x0*x1*x2 + x1^2*x2",
+    "irrational-node-cubic-disguised": (
+        "-2*x0^3 + x0^2*x1 + x0^2*x2 + 3*x0*x1^2 + 3*x0*x2^2 + x1^3 + x2^3"
+    ),
     # The benchmark's largest family inputs: the scan covers 7^7 box points.
     "fn6-fields": "x0^2*x6 + x1^3 + x2^3 + x3^3 + x4^3 + x5^3",
     "gn6-fields": "x0^2*x6^2 + x0*x5^3 + x1^4 + x2^4 + x3^4 + x4^4",

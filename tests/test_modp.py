@@ -306,7 +306,11 @@ def coo(rows: list[dict[int, int]]) -> tuple[np.ndarray, np.ndarray, np.ndarray]
 
 def macaulay_dicts(f: HomogeneousPoly) -> tuple[list[dict[int, int]], int]:
     degree, nrows, _ = macaulay_shape(f.n, f.d)
-    row, col, value, late = modp._macaulay_rows(f, degree)
+    partials = [
+        modp.IntForm.from_terms(f.d - 1, f.nvars, p)
+        for p in modp.partial_terms(primitive_form(f))
+    ]
+    row, col, value, late = modp._macaulay_rows(partials, f.nvars, degree)
     rows = [{} for _ in range(nrows)]
     for r, c, v in zip(row.tolist(), col.tolist(), value.tolist()):
         assert c not in rows[r]
@@ -472,5 +476,5 @@ class TestAnalyze:
         code, _, err = self.run(capsys, tmp_path, SMOOTH["klein-quartic"])
         assert code == EXIT_INTERNAL
         assert "internal consistency failure" in err
-        assert "Macaulay row of partial" in err
+        assert "Macaulay row of generator" in err
         assert "Traceback" not in err
