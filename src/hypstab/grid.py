@@ -6,10 +6,11 @@ the last coordinates, which is the same for every prefix, and prefixes over
 the first coordinates.  ``canonical_split`` gives the scan the canonical
 rows of a box, those whose first nonzero entry is a lead, as canonical
 prefixes times the tile plus the zero prefix times the tile's canonical
-rows.  ``box_split`` gives the oracle the whole box as prefixes times the
-tile, in lexicographic order.  Neither materializes a row: each caller
-evaluates the prefix and tile parts apart.  Every array is at most
-``BLOCK_ROWS`` rows, so memory stays bounded whatever the box size.
+rows.  ``box_split`` gives the oracle the whole box of its walked
+coordinates ``r[:n-1]`` as prefixes times the tile, in lexicographic order.
+Neither materializes a row: each caller evaluates the prefix and tile parts
+apart and combines them.  Every array is at most ``BLOCK_ROWS`` rows, so
+memory stays bounded whatever the box size.
 ``exact_dtype`` is the package's one choice between int64 and Python ints.
 """
 from __future__ import annotations
@@ -54,7 +55,8 @@ def box_split(values, width: int):
     arrays of at most ``BLOCK_ROWS`` combinations of the first ``width - t``
     coordinates, in lexicographic order (one empty prefix when the tile
     spans every coordinate).  The rows, in order, are each prefix followed
-    by each tile row.
+    by each tile row.  The weight oracle walks ``r[:n-1]`` this way and
+    solves each row's last coordinate ``r_{n-1}`` as an interval.
     """
     values = [int(v) for v in values]
     tile = _tile(values, width)

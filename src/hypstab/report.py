@@ -7,7 +7,9 @@ singularity profile (with per-field provenance: user-asserted, exact,
 verified-at-points, or heuristic) and run every sufficient criterion.  When
 they read positive on heuristic data for a cubic or quartic, try to prove
 the Hessian criterion's rank at every singular point (:mod:`.rank_bound`);
-its bounds replace the profile by the weakest one they allow.  Then search
+its bounds replace the profile by the weakest one they allow.  When that
+reads ``SemiStable``, each higher rank up to the least at a known point is
+tried, and the first proven one that reads ``Stable`` is kept.  Then search
 for destabilization certificates.  A proven ``Stable`` skips the search: no
 certificate of either kind can exist (Hilbert-Mumford).  A proven
 ``SemiStable`` skips the strict decisions, since no strict certificate can
@@ -341,9 +343,21 @@ def analyze(f: HomogeneousPoly, options: AnalysisOptions) -> AnalysisReport:
         # 0.1-0.2 MB (2-core host, Python 3.11).
         from .rank_bound import prove_hessian_rank
 
-        bound = prove_hessian_rank(f, rank, [p.point.coords for p in singular])
+        coords = [p.point.coords for p in singular]
+        bound = prove_hessian_rank(f, rank, coords)
         if bound is not None:
             proven = bounded_profile(singular, f.n, f.d, bound)
+            # A higher rank, up to the least at a known point, allows fewer
+            # profiles; the first one proven that reads Stable is kept.
+            top = min((p.hessian_rank for p in singular), default=f.n)
+            for higher in range(rank + 1, top + 1):
+                if proven[2].status != Status.SEMISTABLE:
+                    break
+                bound = prove_hessian_rank(f, higher, coords)
+                if bound is not None:
+                    stronger = bounded_profile(singular, f.n, f.d, bound)
+                    if stronger[2].status == Status.STABLE:
+                        proven = stronger
             if proven[2].status.is_positive:
                 profile, cone_free, criteria_verdict = proven
                 basis = "exact-bound"

@@ -28,10 +28,13 @@ integers, is the destabilizing witness.  Witnesses and certificates are
 re-verified before being returned.
 
 A brute-force enumeration oracle over a box of integer vectors is provided
-as an independent cross-check; it shares no code path with the LP.  It
-visits the whole box in lexicographic order, as tile rows under batches of
-prefixes, and skips a row only when some monomial provably pairs below the
-threshold on it (see ``enumerate_weight_oracle``).
+as an independent cross-check; it shares no code path with the LP.  The
+zero sum fixes ``r_n``, and the oracle walks ``r[:n-1]`` in lexicographic
+order, as tile rows under batches of prefixes.  On each row every monomial
+bounds ``r_{n-1}`` linearly, so the row's members are one integer interval,
+computed exactly with integer floor division; the first row with a
+non-empty interval gives the first member at its lower end (see
+``enumerate_weight_oracle``).
 """
 from __future__ import annotations
 
@@ -171,23 +174,24 @@ def enumerate_weight_oracle(f: HomogeneousPoly, bound: int, strict: bool) -> Wei
 
     Independent of the LP path; intended for small n.  For zero-sum ``r``
     the pairing with a monomial ``i`` is ``sum_{j<n} r_j a_j`` with
-    ``a = i[:n] - i_n``, so only ``r[:n]`` is walked, as ``grid.box_split``
-    gives it: each prefix followed by each tile row, in lexicographic
-    order, with the pairing split as ``P(prefix) + T(tile row)``.  A member
-    pairs to at least the threshold (1 strict, 0 otherwise) with every
-    monomial and has ``|r_n| <= bound`` and ``r != 0``.
+    ``a = i[:n] - i_n``.  A member pairs to at least ``least`` (1 strict, 0
+    otherwise) with every monomial and has ``|r_n| <= bound`` and ``r != 0``.
 
-    A row is dropped only when some monomial provably pairs below the
-    threshold on it, so the first member left is the first in the box:
+    Only ``r[:n-1]`` is walked, as ``grid.box_split`` gives it, in
+    lexicographic order.  Given a row with pairing ``P``, each monomial's
+    condition ``P + a_{n-1} r_{n-1} >= least`` is linear in ``r_{n-1}``, so
+    the members on the row are one integer interval:
 
-    - a tile row, when ``T + bound * sum |a_j|`` over the prefix
-      coordinates j is below it, since every prefix has ``P`` at least
-      ``-bound * sum |a_j|``;
-    - a prefix, when ``P + max T`` over the tile rows left is below it.
+    - ``a_{n-1} > 0`` gives ``r_{n-1} >= ceil((least - P) / a_{n-1})``;
+    - ``a_{n-1} < 0`` gives ``r_{n-1} <= floor((least - P) / a_{n-1})``;
+    - ``a_{n-1} = 0`` holds on the whole row or on none of it: ``P >= least``;
+    - ``|r_{n-1}| <= bound`` and ``|sum(r[:n-1]) + r_{n-1}| <= bound``;
+    - on the zero row a lower end of 0 becomes 1, skipping ``r = 0``.
 
-    The rest is checked in full as a grid of prefixes times tile rows, at
-    most ``grid.BLOCK_ROWS`` pairs at a time; its row-major first hit is
-    re-checked by ``membership``.
+    The first row with a non-empty interval, at its lower end, is the first
+    member in the box.  Rows are evaluated as prefixes times the tile, at
+    most ``grid.BLOCK_ROWS`` at a time, and the hit is re-checked by
+    ``membership``.
     """
     if bound < 1:
         raise WeightError("bound must be >= 1")
@@ -196,29 +200,35 @@ def enumerate_weight_oracle(f: HomogeneousPoly, bound: int, strict: bool) -> Wei
     supp = np.array(f.support(), dtype=np.int64)
     cols = (supp[:, :-1] - supp[:, -1:]).T
     least = 1 if strict else 0
-    tile, prefixes = grid.box_split(range(-bound, bound + 1), f.n)
-    cut = f.n - tile.shape[1]
-    tails = tile @ cols[cut:]
-    keep = (tails + bound * np.abs(cols[:cut]).sum(axis=0) >= least).all(axis=1)
-    tile, tails = tile[keep], tails[keep]
-    if not len(tile):
-        return None
-    tile_sums, tile_nonzero = tile.sum(axis=1), tile.any(axis=1)
-    best_tail = tails.max(axis=0)
+    tile, prefixes = grid.box_split(range(-bound, bound + 1), f.n - 1)
+    cut = f.n - 1 - tile.shape[1]
+    # One row per monomial: its slack P - least, from the tile and prefix parts.
+    tails = cols[cut:-1].T @ tile.T - least
+    tile_sums, tile_zero = tile.sum(axis=1), ~tile.any(axis=1)
     step = grid.BLOCK_ROWS // len(tile)
     for batch in prefixes:
-        heads = batch @ cols[:cut]
-        alive = (heads + best_tail >= least).all(axis=1)
-        batch, heads = batch[alive], heads[alive]
+        heads = cols[:cut].T @ batch.T
         for k in range(0, len(batch), step):
-            pre, pre_heads = batch[k : k + step], heads[k : k + step]
-            ok = (pre_heads[:, None, :] + tails >= least).all(axis=2)
-            ok &= np.abs(pre.sum(axis=1)[:, None] + tile_sums) <= bound
-            ok &= pre.any(axis=1)[:, None] | tile_nonzero
-            hits = np.flatnonzero(ok)
+            pre = batch[k : k + step]
+            slack = (heads[:, k : k + step, None] + tails[:, None, :]).reshape(len(supp), -1)
+            sums = (pre.sum(axis=1)[:, None] + tile_sums).ravel()
+            lo, hi = np.maximum(-bound, -bound - sums), np.minimum(bound, bound - sums)
+            level = np.ones(len(sums), dtype=bool)
+            # One scalar divisor per monomial, so ``//`` takes NumPy's fast
+            # path for a scalar integer divisor.
+            for q, a in zip(slack, cols[-1].tolist()):
+                if a > 0:
+                    lo = np.maximum(lo, -(q // a))
+                elif a < 0:
+                    hi = np.minimum(hi, (-q) // a)
+                else:
+                    level &= q >= 0
+            lo += (lo == 0) & (~pre.any(axis=1)[:, None] & tile_zero).ravel()
+            hits = np.flatnonzero(level & (lo <= hi))
             if hits.size:
-                i, j = divmod(int(hits[0]), len(tile))
-                r = [int(v) for v in pre[i]] + [int(v) for v in tile[j]]
+                h = int(hits[0])
+                i, j = divmod(h, len(tile))
+                r = [int(v) for v in pre[i]] + [int(v) for v in tile[j]] + [int(lo[h])]
                 candidate = WeightVector(tuple(r + [-sum(r)]))
                 if not membership(f, candidate, strict):
                     raise InternalConsistencyError("oracle produced a non-member; enumeration bug")

@@ -349,6 +349,14 @@ class TestOracleCmd:
         assert code == EXIT_OK
         assert "infeasible" in out and "agree" in out
 
+    def test_large_box_is_walked_in_blocks(self, capsys, poly_file):
+        # A box of 10001^2 vectors: the oracle solves r_1 on each value of
+        # r_0, in blocks of grid.BLOCK_ROWS rows, so this takes milliseconds.
+        path = poly_file("x0^3 + x1^3 + x2^3")
+        code, out, _ = run(capsys, ["oracle", path, "--bound", "5000"])
+        assert code == EXIT_OK
+        assert out.strip() == "oracle: infeasible; LP: infeasible; agree"
+
     def test_disagreement_exits_internal(self, capsys, poly_file, monkeypatch):
         real = cli.torus_destabilize
 

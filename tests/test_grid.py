@@ -8,7 +8,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from hypstab import enumerate_weight_oracle, grid
+from hypstab import enumerate_weight_oracle, grid, parse_poly
 from hypstab.grid import BLOCK_ROWS, box_split
 
 from conftest import random_support_poly
@@ -120,17 +120,54 @@ def test_oracle_first_hit_is_lexicographic():
 
 @pytest.mark.parametrize("rows", [7, 50, 4096])
 def test_oracle_matches_plain_enumeration(monkeypatch, rows):
-    """Random supports for n in 1..3, d in 2..4 and bounds 1..6, both modes.
-    At 4096 rows the tile spans every coordinate (one empty prefix), at 50
-    a bound of 4 or more leaves a one-column tile, and at 7 a bound of 4 or
-    more leaves an empty tile under several batches of prefixes; supports
-    without a member often have their tile pruned to nothing."""
+    """Random supports for n in 1..4 and d in 2..4, with bounds 1..6 (1..3
+    at n = 4), both modes.  The oracle walks ``r[:n-1]``.  At 4096 rows the
+    tile spans every walked coordinate (one empty prefix), at 50 a bound of
+    4 or more leaves a one-column tile at n = 3, and at 7 a bound of 4 or
+    more leaves an empty tile at n = 3; at 7 rows n = 4 takes its prefixes
+    in several batches."""
     monkeypatch.setattr(grid, "BLOCK_ROWS", rows)
     rng = random.Random(rows)
     for _ in range(60):
-        n, d, bound = rng.randint(1, 3), rng.randint(2, 4), rng.randint(1, 6)
+        n, d = rng.randint(1, 4), rng.randint(2, 4)
+        bound = rng.randint(1, 3 if n == 4 else 6)
         f = random_support_poly(rng, n, d)
         for strict in (True, False):
             witness = enumerate_weight_oracle(f, bound, strict)
             expected = _oracle_reference(f, bound, strict)
             assert (witness.r if witness else None) == expected, (f.terms, bound, strict)
+
+
+@pytest.mark.parametrize("rows", [7, 4096])
+@pytest.mark.parametrize(
+    "text, n, bound, strict, expected",
+    [
+        # x0^3 pairs to 3 r0, a column with a_{n-1} = 0: the rows with
+        # r0 < 0 hold no member, although x1*x2^2 alone allows r0 = -3.
+        ("x0^3 + x1*x2^2", 2, 3, False, (0, -3, 3)),
+        ("x0^3 + x1*x2^2", 2, 3, True, (1, -3, 2)),
+        ("x0^3 + x1^3 + x2*x3^2", 3, 2, False, (0, 0, -2, 2)),
+        # On the zero row the interval starts at 0, the zero vector: the
+        # witness takes r_{n-1} = 1.
+        ("x0^3 + x1^3", 2, 3, False, (0, 1, -1)),
+        ("x0^3 + x1^3 + x2^3", 3, 3, False, (0, 0, 1, -1)),
+        ("x0^4 + x1^4 + x2^4 + x3^4", 4, 2, False, (0, 0, 0, 1, -1)),
+        ("x0^3 + x1^3", 2, 3, True, (1, 1, -2)),
+        # x2^3 bounds r1 only from above, r1 <= -r0; |r2| <= bound makes
+        # the row r0 = -3 start at r1 = 0, not at -bound.
+        ("x2^3", 2, 3, False, (-3, 0, 3)),
+        ("x2^3", 2, 3, True, (-3, 0, 3)),
+        ("x3^3", 3, 2, False, (-2, -2, 2, 2)),
+        # The only row left, r0 = 1, needs r1 >= 1, and |r2| <= 1 needs
+        # r1 <= 0: no member.
+        ("x0^3 + x1^3", 2, 1, True, None),
+    ],
+)
+def test_oracle_interval_edges(monkeypatch, rows, text, n, bound, strict, expected):
+    """Supports built so that each edge of the interval on ``r_{n-1}``
+    decides the witness, checked by hand and against the reference."""
+    monkeypatch.setattr(grid, "BLOCK_ROWS", rows)
+    f = parse_poly(text, n)
+    assert _oracle_reference(f, bound, strict) == expected
+    witness = enumerate_weight_oracle(f, bound, strict)
+    assert (witness.r if witness else None) == expected

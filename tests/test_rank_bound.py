@@ -51,13 +51,17 @@ SEMISTABLE = {
     ),
 }
 
-# A quartic surface with one node, of Hessian rank 3.  Its s <= 0 comes from
-# the hyperplane proof, and rank 2, which the proven bound allows, reads
-# SemiStable: so it is proven SemiStable, although it is stable.
+# A quartic surface with one node, of Hessian rank 3.  At rank 2 its s <= 0
+# comes from the hyperplane proof, and rank 2, which that bound allows, reads
+# SemiStable; so ``analyze`` goes on to prove rank 3, which reads Stable.
 NODAL_QUARTIC = "x0^2*x3^2 + x1^2*x3^2 + x2^2*x3^2 + x0^4 + x1^4 + x2^4 - x0*x1*x2*x3"
 
-# A stable surface with only nodes: the Cayley cubic (four nodes).
-STABLE = {"cayley-cubic": "x0*x1*x2 + x0*x1*x3 + x0*x2*x3 + x1*x2*x3"}
+# Stable surfaces with only nodes: the Cayley cubic (four nodes) and the
+# nodal quartic.
+STABLE = {
+    "cayley-cubic": "x0*x1*x2 + x0*x1*x3 + x0*x2*x3 + x1*x2*x3",
+    "nodal-quartic": NODAL_QUARTIC,
+}
 
 
 def sym(f: HomogeneousPoly):
@@ -294,15 +298,14 @@ def proven_report(text: str):
     return f, report, tuple(p for p in report.points if p.multiplicity >= 2)
 
 
-@pytest.mark.parametrize("name", sorted(SEMISTABLE) + ["nodal-quartic"])
+@pytest.mark.parametrize("name", sorted(SEMISTABLE))
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_full_search_finds_no_strict_certificate_on_proven_semistable(name, seed):
-    f, report, singular = proven_report(SEMISTABLE.get(name, NODAL_QUARTIC))
+    f, report, singular = proven_report(SEMISTABLE[name])
     assert (report.status.value, report.basis) == ("SemiStable", "exact-bound")
-    if name in SEMISTABLE:
-        # The search stops at its non-strict certificate, by frame 1.
-        assert report.search_outcome.nonstrict is not None
-        assert report.search_outcome.frames_tried <= 2
+    # The search stops at its non-strict certificate, by frame 1.
+    assert report.search_outcome.nonstrict is not None
+    assert report.search_outcome.frames_tried <= 2
     outcome = search_destabilization(f, SearchConfig(budget=50, seed=seed), singular)
     assert outcome.strict is None
     assert outcome.frames_tried == 50
@@ -394,6 +397,16 @@ class TestAnalyze:
         assert "internal consistency failure" in err
         assert "2 x 2 Hessian minors failed: planted fault" in err
         assert "Traceback" not in err
+
+    def test_nodal_quartic_is_proven_stable_at_a_higher_rank(self, capsys, tmp_path):
+        code, out, _ = self.run(capsys, tmp_path, NODAL_QUARTIC, "--json", "-")
+        assert code == EXIT_OK
+        report = json.loads(out)
+        assert (report["status"], report["basis"]) == ("Stable", "exact-bound")
+        assert report["profile"]["provenance"]["min_hessian_rank"].startswith("exact lower bound 3")
+        assert report["search"]["frames_tried"] == 0
+        code, out, _ = self.run(capsys, tmp_path, NODAL_QUARTIC)
+        assert out.rstrip().endswith("status: Stable (exact-bound)")
 
     def test_a_point_that_contradicts_the_proof_exits_internal(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setattr(
