@@ -8,19 +8,23 @@ quadratic form, computed by fraction-free elimination.  The singular-point
 scan enumerates rational points of bounded height exactly and, optionally,
 counts singular points over small finite fields as (clearly labelled)
 heuristic evidence about the dimension of the singular locus, which is never
-computed exactly here.
+computed exactly here.  Written in symmetric residues with first nonzero
+coordinate 1, the points of P^n(F_p) are canonical rows of the height box
+once p // 2 <= h, so one walk of the box gives the rational points and the
+counts for every such prime; a larger prime walks its own residue box.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
-from math import lcm
+from math import lcm, prod
 
 import numpy as np
 
 from . import grid
 from .linalg import apply_linear_change, matrix_moving_point_last, primitive_row, rational_rank
+from .modp import partial_terms
 from .polynomials import (
     Exponent,
     HomogeneousPoly,
@@ -192,14 +196,16 @@ class ScanResult:
 
     ``points`` is exact: every canonical rational point (integer, gcd one,
     first nonzero coordinate positive) of height <= ``height_bound`` with
-    vanishing gradient, sorted by coordinates, each re-checked in rational
-    arithmetic.  ``field_counts`` is heuristic evidence only: for each
+    vanishing gradient, sorted by coordinates, each re-checked in Python
+    ints.  ``field_counts`` is heuristic evidence only: for each
     prime p, the number of singular points of F over F_p, that is of points
     of P^n(F_p) at which F and every partial of F vanish mod p, F being f
     with its denominators cleared and its content removed; or None when
     P^n(F_p) has more than ``_FIELD_SCAN_LIMIT`` points.  The points and
-    every count come from the same evaluator.  Neither proves anything about
-    singular points outside the height bound or with irrational coordinates.
+    the counts for the primes with p // 2 <= ``height_bound`` come from one
+    walk of the evaluator; each larger prime's count from one more walk, of
+    its residue box.  Neither proves anything about singular points outside
+    the height bound or with irrational coordinates.
     """
 
     points: tuple[ProjectivePoint, ...]
@@ -245,29 +251,29 @@ def _is_prime(p: int) -> bool:
 
 
 def _integer_table(polys) -> tuple[list[Exponent], list[list[int]]]:
-    """The polynomials, each with its denominators cleared, as a monomial
-    list and a (monomial x polynomial) integer coefficient table."""
+    """The polynomials, {exponent: rational coefficient} mappings, each with
+    its denominators cleared, as a monomial list and a (monomial x
+    polynomial) integer coefficient table."""
     cleared = []
     for poly in polys:
-        terms = poly.terms
-        denom = lcm(*(c.denominator for _, c in terms)) if terms else 1
-        cleared.append({exp: int(c * denom) for exp, c in terms})
+        denom = lcm(*(c.denominator for c in poly.values()))
+        cleared.append({exp: int(c * denom) for exp, c in poly.items()})
     monomials = sorted({exp for poly in cleared for exp in poly})
     return monomials, [[poly.get(exp, 0) for poly in cleared] for exp in monomials]
 
 
 def _scan_dtype(monomials: list[Exponent], table: list[list[int]], height_bound: int):
-    """Evaluation dtype for the rational scan: a partial with cleared
-    coefficients c_j is bounded by sum |c_j| * h^(d-1) on the box of height
-    h, and so is every term and every partial sum of it."""
+    """Evaluation dtype for a walk of the scan: a polynomial of the table
+    with coefficients c_j is bounded by sum |c_j| * h^D on the box of height
+    h, D the largest degree in the table, and so is every term and every
+    partial sum of it."""
     degree = max((sum(exp) for exp in monomials), default=0)
     column_sums = [sum(abs(c) for c in col) for col in zip(*table)]
     return grid.exact_dtype(max(column_sums, default=0) * height_bound**degree)
 
 
-def _monomial_values(points, exps, dtype, modulus: int | None):
-    """values[i, m] = prod_j points[i, j] ** exps[m, j] in ``dtype`` (mod
-    ``modulus`` when given, reducing after each product)."""
+def _monomial_values(points, exps, dtype):
+    """values[i, m] = prod_j points[i, j] ** exps[m, j] in ``dtype``."""
     values = np.ones((len(points), len(exps)), dtype=dtype)
     for j, col in enumerate(points.astype(dtype, copy=False).T):
         degree = int(exps[:, j].max(initial=0))
@@ -278,45 +284,77 @@ def _monomial_values(points, exps, dtype, modulus: int | None):
         powers[0] = 1
         for e in range(1, len(powers)):
             np.multiply(powers[e - 1], col, out=powers[e])
-            if modulus:
-                powers[e] %= modulus
         values *= powers[exps[:, j]].T
-        if modulus:
-            values %= modulus
     return values
 
 
-def _product(left, right, modulus: int | None):
-    """``left @ right``, reduced mod ``modulus`` when given."""
-    out = left @ right
-    if modulus:
-        out %= modulus
-    return out
+def _zero(values, check: int):
+    """Where ``values`` passes ``check``: is 0 (check 0), or 0 mod the prime
+    ``check``."""
+    return values % check == 0 if check else values == 0
 
 
-def _canonical_zeros(exps, coeffs, values, top: int, modulus: int | None = None):
-    """Yield the rows of ``product(values, repeat=nvars)`` whose first nonzero
-    entry is in 1..``top`` and at which every polynomial vanishes (mod
-    ``modulus`` when given), as int64 arrays of at most ``grid.BLOCK_ROWS``
-    rows, in no particular order.
+def _survivors(values, mask, checks):
+    """``(keep, mask)`` after one polynomial took ``values`` on some rows:
+    which rows some check still holds on, and those rows' masks.  With no
+    mask (one check on all its rows) ``keep`` is that check's filter."""
+    if mask is None:
+        return _zero(values, checks[0]), None
+    mask = mask & np.stack([_zero(values, p) for p in checks], axis=-1)
+    keep = mask.any(axis=-1)
+    return keep, mask[keep]
 
-    Column q of ``coeffs`` (monomial x polynomial) holds the coefficients of
-    polynomial q on the monomials ``exps``, in the dtype of the evaluation
-    (reduced mod ``modulus`` when given).  The rows are split into prefixes
-    and a tile as :func:`grid.canonical_split` describes, so a monomial is
-    (prefix part) x (tile part).  Each polynomial is evaluated only where it
-    can vary.  One that reads no prefix coordinate filters the tile rows,
-    once per call; one that reads no tile coordinate filters each batch of
-    prefixes.  The rest run on (surviving prefixes) x (surviving tile rows):
-    the sparsest as one matrix product over its support, and each next one
-    only on the pairs where all before it vanish.  Every product is
-    c * P * T and every sum is part of one polynomial's value, so no value
-    exceeds the bound the dtype was chosen for.
+
+def _residue_mask(rows, checks, lead: bool):
+    """mask[i, c]: whether check c applies to ``rows[i]``, a part of a row.
+    Check 0 applies to every row.  A prime p applies where every entry is a
+    symmetric residue of p, in [-((p - 1) // 2), p // 2], and, if ``lead``
+    (the part holds the row's first nonzero entry), that entry is 1."""
+    mask = np.ones((len(rows), len(checks)), dtype=bool)
+    if lead:
+        first = rows[np.arange(len(rows)), (rows != 0).argmax(axis=1)]
+    for c, p in enumerate(checks):
+        if p:
+            mask[:, c] = ((rows >= -((p - 1) // 2)) & (rows <= p // 2)).all(axis=1)
+            if lead:
+                mask[:, c] &= first == 1
+    return mask
+
+
+def _canonical_zeros(exps, coeffs, values, top: int, checks: tuple[int, ...]):
+    """Walk the rows of ``product(values, repeat=nvars)`` whose first nonzero
+    entry is in 1..``top`` once, and yield ``(rows, mask)`` for the rows at
+    which every polynomial passes some check: ``rows`` an int64 array of at
+    most ``grid.BLOCK_ROWS`` rows, ``mask`` a bool array with one column
+    per check, marking the checks that hold there, in no particular order.
+
+    A check is 0, "every polynomial is 0", or a prime p, "every polynomial
+    is 0 mod p, on a row of symmetric residues of p whose first nonzero
+    entry is 1": those rows are the points of P^n(F_p), one each.  A lone
+    check must apply to every row walked (0, or p on its own residue box
+    with ``top`` 1); then no mask is kept and each polynomial filters the
+    rows as one boolean test.  With several checks each row carries a mask
+    of the checks still alive, and is dropped when none is left.
+
+    Column q of ``coeffs`` (monomial x polynomial) holds the integer
+    coefficients of polynomial q on the monomials ``exps``, in the dtype of
+    the evaluation; every value is exact in it.  The rows are split into
+    prefixes and a tile as :func:`grid.canonical_split` describes, so a
+    monomial is (prefix part) x (tile part).  Each polynomial is evaluated
+    once per row it reaches, only where it can vary.  One that reads no
+    prefix coordinate filters the tile rows, once per call; one that reads
+    no tile coordinate filters each batch of prefixes.  The rest run on
+    (surviving prefixes) x (surviving tile rows): the sparsest as one matrix
+    product over its support, and each next one only on the pairs that
+    survive all before it.  Every product is c * P * T and every sum is part
+    of one polynomial's value, so no value exceeds the bound the dtype was
+    chosen for.
     """
     nvars = exps.shape[1]
     tile, is_lead, prefixes = grid.canonical_split(values, top, nvars)
     cut = nvars - tile.shape[1]
     dtype = coeffs.dtype
+    masked = len(checks) > 1
     # (support, coefficients) of each polynomial that is not zero, by the
     # side of the split it reads, sparsest first.
     on_tile, on_prefix, mixed = [], [], []
@@ -328,64 +366,62 @@ def _canonical_zeros(exps, coeffs, values, top: int, modulus: int | None = None)
             side = mixed if reads_prefix and reads_tile else on_prefix if reads_prefix else on_tile
             side.append((support, col[support]))
 
-    def vanish(points, part, support, c):
-        """Where one polynomial vanishes on ``points``, a part of the split."""
-        monomials = _monomial_values(points, exps[support, part], dtype, modulus)
-        return _product(monomials, c, modulus) == 0
+    def values_on(points, part, support, c):
+        """One polynomial's values on ``points``, a part of the split."""
+        return _monomial_values(points, exps[support, part], dtype) @ c
+
+    head, tail = slice(cut), slice(cut, None)
 
     alive = np.arange(len(tile))
+    tile_mask = _residue_mask(tile, checks, lead=False) if masked else None
     for s, c in on_tile:
-        alive = alive[vanish(tile[alive], slice(cut, None), s, c)]
+        keep, tile_mask = _survivors(values_on(tile[alive], tail, s, c), tile_mask, checks)
+        alive = alive[keep]
     if not len(alive):
         return
-    tile_values = _monomial_values(tile[alive], exps[:, cut:], dtype, modulus)
+    tile_values = _monomial_values(tile[alive], exps[:, tail], dtype)
     leading = np.flatnonzero(is_lead[alive])
-    parts = ((pre, alive, tile_values) for pre in prefixes)
+    lead_mask = None
+    if masked and len(leading):
+        # Under the zero prefix a tile row holds its row's first nonzero entry.
+        lead_mask = tile_mask[leading] & _residue_mask(tile[alive[leading]], checks, lead=True)
+        keep = lead_mask.any(axis=1)
+        leading, lead_mask = leading[keep], lead_mask[keep]
+    # (prefixes, whether they hold the first nonzero entry, tile rows).
+    parts = ((pre, True, alive, tile_values, tile_mask) for pre in prefixes)
     if len(leading):
         zero = np.zeros((1, cut), dtype=np.int64)
-        parts = chain(parts, [(zero, alive[leading], tile_values[leading])])
-    for pre, rows, row_values in parts:
+        parts = chain(parts, [(zero, False, alive[leading], tile_values[leading], lead_mask)])
+    for pre, lead, rows, row_values, row_mask in parts:
+        pre_mask = _residue_mask(pre, checks, lead) if masked else None
         for s, c in on_prefix:
-            pre = pre[vanish(pre, slice(cut), s, c)]
+            keep, pre_mask = _survivors(values_on(pre, head, s, c), pre_mask, checks)
+            pre = pre[keep]
         step = max(1, grid.BLOCK_ROWS // len(rows))
         for start in range(0, len(pre), step):
             batch = pre[start : start + step]
+            mask = pre_mask[start : start + step, None] & row_mask[None] if masked else None
             if mixed:
-                pre_values = _monomial_values(batch, exps[:, :cut], dtype, modulus)
+                pre_values = _monomial_values(batch, exps[:, head], dtype)
                 s, c = mixed[0]
-                lhs = pre_values[:, s] * c
-                if modulus:
-                    lhs %= modulus
-                bi, ri = np.nonzero(_product(lhs, row_values[:, s].T, modulus) == 0)
+                keep, mask = _survivors((pre_values[:, s] * c) @ row_values[:, s].T, mask, checks)
+            elif masked:
+                keep = mask.any(axis=-1)
+                mask = mask[keep]
             else:
-                bi, ri = np.indices((len(batch), len(rows))).reshape(2, -1)
+                keep = np.ones((len(batch), len(rows)), dtype=bool)
+            bi, ri = np.nonzero(keep)
             for s, c in mixed[1:]:
                 if not len(bi):
                     break
-                lhs = pre_values[bi[:, None], s] * c
-                if modulus:
-                    lhs %= modulus
-                sums = (lhs * row_values[ri[:, None], s]).sum(axis=1)
-                if modulus:
-                    sums %= modulus
-                hit = sums == 0
-                bi, ri = bi[hit], ri[hit]
+                sums = (pre_values[bi[:, None], s] * c * row_values[ri[:, None], s]).sum(axis=1)
+                keep, mask = _survivors(sums, mask, checks)
+                bi, ri = bi[keep], ri[keep]
             if len(bi):
                 out = np.empty((len(bi), nvars), dtype=np.int64)
                 out[:, :cut] = batch[bi]
                 out[:, cut:] = tile[rows[ri]]
-                yield out
-
-
-def _count_field_singular(exps, table, nvars: int, p: int) -> int | None:
-    """Points of P^n(F_p) at which every polynomial of ``table`` vanishes mod
-    ``p``, or None above ``_FIELD_SCAN_LIMIT`` points."""
-    reps = sum(p**k for k in range(nvars))
-    if reps > _FIELD_SCAN_LIMIT:
-        return None
-    dtype = grid.exact_dtype(len(exps) * (p - 1) ** 2)
-    coeffs = np.array([[c % p for c in row] for row in table], dtype=dtype).reshape(len(exps), -1)
-    return sum(len(rows) for rows in _canonical_zeros(exps, coeffs, range(p), 1, p))
+                yield out, mask if masked else np.ones((len(bi), 1), dtype=bool)
 
 
 def scan_singular_points(
@@ -394,14 +430,25 @@ def scan_singular_points(
     """All rational projective points of height <= bound with vanishing
     gradient (exact), plus heuristic singular counts over finite fields.
 
-    Only canonical points are enumerated: coordinates in [-h, h], the first
-    nonzero one in 1..h.  The partials, each with its denominators cleared,
-    are evaluated on all of them in one pass of ``_canonical_zeros``, in
-    int64 when max_j sum |c_j| * h^(d-1) < 2^63 and in Python ints
-    otherwise.  Rows with gcd != 1 are dropped from the hits, and every hit
-    left is re-checked in rational arithmetic.  Each field count is one more
-    pass, over the points of P^n(F_p) with first nonzero coordinate 1,
-    evaluating F and its partials mod p.  Field sizes must be primes.
+    F is f with its denominators cleared and its content removed; its
+    partials have the rational zeros of f's.  Only canonical points are
+    enumerated: coordinates in [-h, h], the first nonzero one in 1..h.  Each
+    point of P^n(F_p) is one canonical row of the residues
+    [-((p - 1) // 2), p // 2] with first nonzero coordinate 1, which lies in
+    that box when p // 2 <= h.  So one walk of ``_canonical_zeros`` checks
+    every canonical row exactly and, on those rows, mod each such prime; a
+    prime with p // 2 > h gets its own walk over its residue box.  The
+    partials of F, and F itself when a requested prime divides d, are
+    evaluated in exact integers: int64 when max_j sum |c_j| * H^D < 2^63,
+    for H the largest coordinate walked and D the largest degree, and Python
+    ints otherwise.  (F is needed only then: by Euler, d*F = sum x_i dF/dx_i,
+    so where the partials vanish, exactly or mod a prime not dividing d, F
+    does too.)  The rows that pass the exact check with gcd 1 are the
+    points, each re-checked in Python ints, apart from numpy; the count for
+    p is the number of rows that pass p's check, or None when P^n(F_p) has
+    more than ``_FIELD_SCAN_LIMIT`` points.  Field sizes must be primes.  A
+    ``ValueError`` or ``ArithmeticError`` inside a walk is a fault of the
+    program and raises :class:`InternalConsistencyError`.
     """
     if height_bound < 1:
         raise ValueError("height bound must be >= 1")
@@ -411,31 +458,44 @@ def scan_singular_points(
         if not _is_prime(prime):
             raise ValueError(f"field size {prime} is not a prime")
     nvars = f.n + 1
-    partials = [f.partial_derivative(j) for j in range(nvars)]
-    monomials, table = _integer_table(partials)
+    F = primitive_form(f)
+    partials = partial_terms(F)
+    counts = {
+        p: 0 for p in field_sizes if sum(p**k for k in range(nvars)) <= _FIELD_SCAN_LIMIT
+    }
+    # With d = 0, F is the constant 1 or -1, which vanishes mod no prime.
+    primes = list(counts) if f.d else []
+    if any(f.d % p == 0 for p in primes):
+        polys = partials + [{exp: c.numerator for exp, c in F.terms}]
+    else:
+        polys = partials
+    monomials, table = _integer_table(polys)
     exps = np.array(monomials, dtype=np.int64).reshape(len(monomials), nvars)
-    dtype = _scan_dtype(monomials, table, height_bound)
-    coeffs = np.array(table, dtype=dtype).reshape(len(monomials), nvars)
-
+    h = height_bound
+    walks = [(range(-h, h + 1), h, (0, *[p for p in primes if p // 2 <= h]))] + [
+        (range(-((p - 1) // 2), p // 2 + 1), 1, (p,)) for p in primes if p // 2 > h
+    ]
     found = []
-    box = range(-height_bound, height_bound + 1)
-    for rows in _canonical_zeros(exps, coeffs, box, height_bound):
-        for row in rows[np.gcd.reduce(rows, axis=1) == 1]:
-            coords = tuple(int(c) for c in row)
-            if any(p.evaluate(coords) != 0 for p in partials):
-                raise InternalConsistencyError(
-                    f"integer scan found {coords}, where the gradient does not vanish"
-                )
-            found.append(ProjectivePoint(coords))
-    found.sort(key=lambda p: p.coords)
-
-    field_counts = {}
-    if field_sizes:
-        # F and its partials have integer coefficients, so the table keeps them.
-        F = primitive_form(f)
-        monomials, table = _integer_table([F] + [F.partial_derivative(j) for j in range(nvars)])
-        exps = np.array(monomials, dtype=np.int64).reshape(len(monomials), nvars)
-        field_counts = {
-            prime: _count_field_singular(exps, table, nvars, prime) for prime in field_sizes
-        }
-    return ScanResult(tuple(found), height_bound, field_counts)
+    try:
+        for values, top, checks in walks:
+            dtype = _scan_dtype(monomials, table, max(-values[0], values[-1]))
+            coeffs = np.array(table, dtype=dtype).reshape(len(monomials), len(polys))
+            for rows, mask in _canonical_zeros(exps, coeffs, values, top, checks):
+                for p, hits in zip(checks, mask.sum(axis=0).tolist()):
+                    if p:
+                        counts[p] += hits
+                if checks[0] == 0:
+                    exact = rows[mask[:, 0]]
+                    found += exact[np.gcd.reduce(exact, axis=1) == 1].tolist()
+    except (ValueError, ArithmeticError) as exc:
+        raise InternalConsistencyError(f"the singular scan failed: {exc}") from exc
+    points = []
+    for coords in sorted(map(tuple, found)):
+        # The re-check, in Python ints, runs no numpy code.
+        if any(sum(c * prod(map(pow, coords, exp)) for exp, c in p.items()) for p in partials):
+            raise InternalConsistencyError(
+                f"integer scan found {coords}, where the gradient does not vanish"
+            )
+        points.append(ProjectivePoint(coords))
+    field_counts = {p: counts.get(p) for p in field_sizes}
+    return ScanResult(tuple(points), height_bound, field_counts)

@@ -101,6 +101,23 @@ class TestAnalyze:
         assert f"field size {size} is not a prime" in err
         assert "Traceback" not in err
 
+    def test_scan_fault_exits_internal(self, capsys, poly_file, monkeypatch):
+        # The walk's evaluator raising ValueError is a fault of the program;
+        # a bad height or field size is still caught before the walk.
+        def broken(*args):
+            raise ValueError("broken evaluator")
+
+        monkeypatch.setattr("hypstab.local_analysis._canonical_zeros", broken)
+        path = poly_file("x0^2*x2 + x1^3")
+        code, _, err = run(capsys, ["analyze", path, "--budget", "2"])
+        assert code == EXIT_INTERNAL
+        assert "internal consistency failure" in err and "broken evaluator" in err
+        assert "Traceback" not in err
+        for bad in (["--height", "0"], ["--fields", "4"]):
+            code, _, err = run(capsys, ["analyze", path, "--budget", "2"] + bad)
+            assert code == EXIT_INPUT, bad
+            assert "broken evaluator" not in err
+
     @pytest.mark.parametrize("content", ['5', '[null]', '{"a": 1}', '[["1/0", 0, 1]]'])
     def test_malformed_points_file_is_input_error(self, capsys, poly_file, tmp_path, content):
         path = poly_file("x0^2*x2 + x1^3")

@@ -52,6 +52,20 @@ def test_tile_is_the_largest_that_fits(m, width, t):
     assert sum(len(b) for b in batches) * len(tile) == m**width
 
 
+def test_cached_tiles_are_read_only(monkeypatch):
+    tile, _ = box_split(range(-2, 3), 3)
+    canonical, is_lead, _ = grid.canonical_split(range(-2, 3), 2, 3)
+    assert box_split(range(-2, 3), 3)[0] is tile
+    assert grid.canonical_split(range(-2, 3), 2, 3)[1] is is_lead
+    for cached in (tile, canonical, is_lead):
+        with pytest.raises(ValueError, match="read-only"):
+            cached[0] = 0
+    # The cap is part of the key: a smaller one gets its own, narrower tile.
+    monkeypatch.setattr(grid, "BLOCK_ROWS", 5)
+    assert box_split(range(-2, 3), 3)[0].shape == (5, 1)
+    assert grid.canonical_split(range(-2, 3), 2, 3)[0].shape == (5, 1)
+
+
 def test_exact_dtype_switches_at_2_to_the_63():
     assert grid.exact_dtype(2**63 - 1) is np.int64
     assert grid.exact_dtype(2**63) is object

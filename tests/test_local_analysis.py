@@ -341,7 +341,7 @@ def _blockwise_scan(f, height_bound, primes):
     with gcd != 1 dropped first, then every polynomial evaluated on every row."""
     nvars = f.n + 1
     partials = [f.partial_derivative(j) for j in range(nvars)]
-    monomials, table = _integer_table(partials)
+    monomials, table = _integer_table([p.as_dict() for p in partials])
     exps = np.array(monomials, dtype=np.int64)
     coeffs = np.array(table, dtype=_scan_dtype(monomials, table, height_bound))
     box = range(-height_bound, height_bound + 1)
@@ -353,7 +353,8 @@ def _blockwise_scan(f, height_bound, primes):
                 hits = block[_gradient_vanishes(block, exps, coeffs)]
                 points += [tuple(int(c) for c in row) for row in hits]
     F = primitive_form(f)
-    monomials, table = _integer_table([F] + [F.partial_derivative(j) for j in range(nvars)])
+    polys = [F] + [F.partial_derivative(j) for j in range(nvars)]
+    monomials, table = _integer_table([p.as_dict() for p in polys])
     exps = np.array(monomials, dtype=np.int64)
     counts = {}
     for p in primes:
@@ -368,7 +369,7 @@ def _blockwise_scan(f, height_bound, primes):
 
 def _dtype_for(f, height_bound):
     partials = [f.partial_derivative(j) for j in range(f.n + 1)]
-    return _scan_dtype(*_integer_table(partials), height_bound)
+    return _scan_dtype(*_integer_table([p.as_dict() for p in partials]), height_bound)
 
 
 def _draw_form(data, max_n, max_d):
@@ -456,12 +457,14 @@ class TestScanReference:
         f = _split_form(data, n, n + 1 - t, d)
         primes = (prime,) if prime else ()
         real = local_analysis._canonical_zeros
-        rows = (prime or 2 * h + 1) ** t
+        # p = 2, 3 share the box of height h = 1; 5 walks its own residues.
+        rows = (prime if prime and prime // 2 > h else 2 * h + 1) ** t
 
         def capped(*args):
-            for hits in real(*args):
-                assert 0 < len(hits) <= rows
-                yield hits
+            for hits, mask in real(*args):
+                assert 0 < len(hits) == len(mask) <= rows
+                assert mask.any(axis=1).all()
+                yield hits, mask
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(grid, "BLOCK_ROWS", rows)
@@ -472,18 +475,85 @@ class TestScanReference:
         assert scan.field_counts == counts, f
 
     def test_one_evaluator_pass_per_box(self, monkeypatch):
-        # One pass for the rational scan and one per prime, whatever n is.
+        # One walk checks every prime with p // 2 <= h along with the
+        # rational scan; each larger prime walks its own residue box.
         real = local_analysis._canonical_zeros
         calls = []
 
         def counted(*args):
-            calls.append(args[2:4])
+            calls.append(args[2:5])
             return real(*args)
 
         monkeypatch.setattr(local_analysis, "_canonical_zeros", counted)
-        scan = scan_singular_points(family_poly("fn", 6), 3, field_sizes=(2, 3, 5, 7))
-        assert calls == [(range(-3, 4), 3)] + [(range(p), 1) for p in (2, 3, 5, 7)]
-        assert scan.field_counts == {2: 1, 3: 121, 5: 1, 7: 1}
+        f = family_poly("fn", 6)
+        counts = {2: 1, 3: 121, 5: 1, 7: 1}
+        assert scan_singular_points(f, 3, field_sizes=(2, 3, 5, 7)).field_counts == counts
+        assert calls == [(range(-3, 4), 3, (0, 2, 3, 5, 7))]
+        calls.clear()
+        assert scan_singular_points(f, 1, field_sizes=(2, 3, 5, 7)).field_counts == counts
+        assert calls == [
+            (range(-1, 2), 1, (0, 2, 3)),
+            (range(-2, 3), 1, (5,)),
+            (range(-3, 4), 1, (7,)),
+        ]
+
+    @pytest.mark.parametrize(
+        "text, n",
+        [
+            ("x0^3 + x1^3 + x2^3", 2),  # 3 divides d and every partial
+            ("5*x0^2*x1 + x1^2*x2 + 7*x2^3", 2),  # 2 and 5 divide d/dx0 = 10*x0*x1
+            ("x0^5 + x1^5 + x0*x1*x2^3", 2),  # 5 divides d
+            ("x0^2*x3^2 + x0*x2^3 + x1^4", 3),  # 2 divides d
+            ("6*x0^2 + 10*x0*x1 - 15*x1^2", 1),
+            ("x0*x1", 1),
+            ("x0^0*x1^0*x2^0", 2),  # d = 0: F is 1, every gradient is 0
+        ],
+    )
+    def test_counts_match_brute_force(self, text, n):
+        # Every prime from 2 to 13 (repeated), at each height 1-3: a prime
+        # shares the height walk when p // 2 <= h and walks alone otherwise.
+        f = parse_poly(text, n)
+        primes = (2, 3, 5, 7, 11, 13, 3, 7)
+        for h in (1, 2, 3):
+            scan = scan_singular_points(f, h, field_sizes=primes)
+            points, counts = _reference_scan(f, h, primes)
+            assert [p.coords for p in scan.points] == points, (text, h)
+            assert scan.field_counts == counts, (text, h)
+            assert list(scan.field_counts) == [2, 3, 5, 7, 11, 13]
+
+    def test_random_counts_match_brute_force(self, rng, monkeypatch):
+        for _ in range(40):
+            n, d, h = rng.randint(1, 3), rng.randint(1, 4), rng.randint(1, 3)
+            h = min(h, 2) if n == 3 else h
+            f = _random_form(rng, n, d, rng.randint(1, 5))
+            primes = tuple(rng.choice((2, 3, 5, 7, 11, 13)) for _ in range(rng.randint(1, 5)))
+            # Small blocks put the split at every coordinate.
+            monkeypatch.setattr(grid, "BLOCK_ROWS", rng.choice([1, 7, 30, 4096]))
+            scan = scan_singular_points(f, h, field_sizes=primes)
+            points, counts = _reference_scan(f, h, primes)
+            assert [p.coords for p in scan.points] == points, (f, h, primes)
+            assert scan.field_counts == counts, (f, h, primes)
+
+    def test_nine_checks_in_one_walk(self, monkeypatch):
+        # Height 10 covers every prime below 21: the exact check and eight
+        # primes, more checks than a byte of flags would hold, in one walk.
+        real = local_analysis._canonical_zeros
+        calls = []
+
+        def counted(*args):
+            calls.append(args[4])
+            return real(*args)
+
+        monkeypatch.setattr(local_analysis, "_canonical_zeros", counted)
+        primes = (2, 3, 5, 7, 11, 13, 17, 19)
+        rng = random.Random(9)
+        for f in [parse_poly("x0^2*x2 + x1^3", 2)] + [_random_form(rng, 2, 3, 4) for _ in range(3)]:
+            calls.clear()
+            scan = scan_singular_points(f, 10, field_sizes=primes)
+            assert calls == [(0,) + primes]
+            points, counts = _reference_scan(f, 10, primes)
+            assert [p.coords for p in scan.points] == points, f
+            assert scan.field_counts == counts, f
 
     @pytest.mark.parametrize(
         "n, primes, forms",
@@ -525,8 +595,8 @@ class TestScanReference:
         assert [p.coords for p in scan.points] == _reference_scan(f, 1, ())[0] == [(0, 0, 1)]
 
     def test_false_hit_raises(self, corpus, monkeypatch):
-        # A row the integer evaluator wrongly reports fails the rational re-check.
-        false_hit = np.array([[1, 1, 1]])
+        # A row the integer evaluator wrongly reports fails the exact re-check.
+        false_hit = (np.array([[1, 1, 1]]), np.array([[True]]))
         monkeypatch.setattr(local_analysis, "_canonical_zeros", lambda *args: iter([false_hit]))
         with pytest.raises(InternalConsistencyError, match="does not vanish"):
             scan_singular_points(corpus["f2"], 1)
