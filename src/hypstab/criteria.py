@@ -32,6 +32,17 @@ class ProfileError(ValueError):
     """Inconsistent singularity profile or inapplicable criterion."""
 
 
+def check_shape(n: int, d: int, s: int | None = None) -> None:
+    """Raise :class:`ProfileError` unless n >= 2, d >= 3 and s, when given,
+    is in -1..n-1: the range every criterion applies to."""
+    if n < 2:
+        raise ProfileError(f"n must be >= 2, got {n}")
+    if d < 3:
+        raise ProfileError(f"d must be >= 3, got {d}")
+    if s is not None and not -1 <= s <= n - 1:
+        raise ProfileError(f"s = {s} out of range -1..{n - 1}")
+
+
 @dataclass(frozen=True)
 class SingularityProfile:
     """Singularity data of a hypersurface: ambient dimension ``n``, degree
@@ -52,12 +63,7 @@ class SingularityProfile:
     provenance: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
-        if self.n < 2:
-            raise ProfileError(f"n must be >= 2, got {self.n}")
-        if self.d < 3:
-            raise ProfileError(f"d must be >= 3, got {self.d}")
-        if not -1 <= self.s <= self.n - 1:
-            raise ProfileError(f"s = {self.s} out of range -1..{self.n - 1}")
+        check_shape(self.n, self.d, self.s)
         if self.delta < 1:
             raise ProfileError(f"delta must be >= 1, got {self.delta}")
         if self.s == -1 and self.delta != 1:

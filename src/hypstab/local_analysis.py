@@ -224,6 +224,16 @@ class ScanResult:
 _FIELD_SCAN_LIMIT = 200_000
 
 
+def check_scan_options(height_bound: int, field_sizes: tuple[int, ...]) -> None:
+    """Raise ``ValueError`` unless the height bound is >= 1 and every field
+    size is a prime."""
+    if height_bound < 1:
+        raise ValueError("height bound must be >= 1")
+    for prime in field_sizes:
+        if not _is_prime(prime):
+            raise ValueError(f"field size {prime} is not a prime")
+
+
 def _is_prime(p: int) -> bool:
     """Miller-Rabin with the first twelve prime bases: exact below 3.3e24,
     a strong probable-prime test above."""
@@ -450,13 +460,9 @@ def scan_singular_points(
     ``ValueError`` or ``ArithmeticError`` inside a walk is a fault of the
     program and raises :class:`InternalConsistencyError`.
     """
-    if height_bound < 1:
-        raise ValueError("height bound must be >= 1")
+    check_scan_options(height_bound, field_sizes)
     if f.is_zero:
         raise PolyError("cannot scan the zero polynomial")
-    for prime in field_sizes:
-        if not _is_prime(prime):
-            raise ValueError(f"field size {prime} is not a prime")
     nvars = f.n + 1
     F = primitive_form(f)
     partials = partial_terms(F)

@@ -193,30 +193,33 @@ class HomogeneousPoly:
 _TOKEN_RE = re.compile(r"(?P<ws>\s+)|(?P<var>x(?P<idx>\d+))|(?P<num>\d+)|(?P<op>[\^*/+\-])")
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
+def _tokenize(text: str) -> tuple[list[tuple[str, str, int]], int | None]:
+    """The tokens of ``text``, skipping any character that starts none, and
+    the position of the first such character (None if there is none)."""
     tokens = []
+    bad = None
     pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise PolyParseError(f"unexpected character {text[pos]!r}", pos)
-        if m.lastgroup != "ws":
-            if m.lastgroup == "var":
-                tokens.append(("var", m.group("idx"), pos))
-            elif m.lastgroup == "num":
-                tokens.append(("num", m.group("num"), pos))
-            else:
-                tokens.append(("op", m.group("op"), pos))
+    for m in _TOKEN_RE.finditer(text):
+        start = m.start()
+        if start != pos and bad is None:
+            bad = pos
         pos = m.end()
-    return tokens
+        kind = m.lastgroup
+        if kind == "var":
+            tokens.append(("var", m.group("idx"), start))
+        elif kind != "ws":
+            tokens.append((kind, m.group(kind), start))
+    if pos != len(text) and bad is None:
+        bad = pos
+    return tokens, bad
 
 
 class _Parser:
-    def __init__(self, text: str, n: int):
-        self.tokens = _tokenize(text)
+    def __init__(self, tokens: list[tuple[str, str, int]], end: int, n: int):
+        self.tokens = tokens
         self.n = n
         self.i = 0
-        self.end = len(text)
+        self.end = end
 
     def peek(self):
         return self.tokens[self.i] if self.i < len(self.tokens) else None
@@ -233,8 +236,10 @@ class _Parser:
             pos = tok[2] if tok else self.end
             raise PolyParseError(f"expected {symbol!r}", pos)
 
-    def parse(self) -> dict[Exponent, Fraction]:
-        acc: dict[Exponent, Fraction] = {}
+    def parse(self) -> dict[Exponent, int | Fraction]:
+        """Coefficients by exponent; they stay ints until a term has a
+        denominator, and ``HomogeneousPoly.make`` makes them Fractions."""
+        acc: dict[Exponent, int | Fraction] = {}
         sign = 1
         tok = self.peek()
         if tok is None:
@@ -245,7 +250,7 @@ class _Parser:
         while True:
             coeff, exp, pos = self.parse_term()
             exp_t = tuple(exp)
-            acc[exp_t] = acc.get(exp_t, Fraction(0)) + sign * coeff
+            acc[exp_t] = acc.get(exp_t, 0) + sign * coeff
             tok = self.peek()
             if tok is None:
                 break
@@ -256,12 +261,12 @@ class _Parser:
                 raise PolyParseError(f"expected '+' or '-', got {tok[1]!r}", tok[2])
         return acc
 
-    def parse_term(self) -> tuple[Fraction, list[int], int]:
+    def parse_term(self) -> tuple[int | Fraction, list[int], int]:
         tok = self.peek()
         if tok is None:
             raise PolyParseError("expected a term", self.end)
         start = tok[2]
-        coeff = Fraction(1)
+        coeff = 1
         if tok[0] == "num":
             coeff = self.parse_coef()
             self.expect_op("*")
@@ -276,7 +281,7 @@ class _Parser:
                 break
         return coeff, exp, start
 
-    def parse_coef(self) -> Fraction:
+    def parse_coef(self) -> int | Fraction:
         tok = self.next()
         num = int(tok[1])
         nxt = self.peek()
@@ -290,7 +295,7 @@ class _Parser:
             if den == 0:
                 raise PolyParseError("zero denominator", den_tok[2])
             return Fraction(num, den)
-        return Fraction(num)
+        return num
 
     def parse_factor(self, exp: list[int]) -> None:
         tok = self.next()
@@ -319,9 +324,20 @@ def parse_poly(text: str, n: int) -> HomogeneousPoly:
     Raises :class:`PolyParseError` for syntax problems and :class:`PolyError`
     for fewer than two variables or inhomogeneous or identically zero input.
     """
+    tokens, bad = _tokenize(text)
+    return _parse_tokens(text, tokens, bad, n)
+
+
+def _parse_tokens(text: str, tokens, bad: int | None, n: int) -> HomogeneousPoly:
+    """The polynomial of ``text`` from its tokens.  The variable count is
+    checked before a character that starts no token is reported, so a text
+    whose variables are all x0 reads as too few variables in
+    :func:`parse_poly_infer` too."""
     if n < 1:
         raise PolyError(f"need at least two variables, got n = {n}")
-    raw = _Parser(text, n).parse()
+    if bad is not None:
+        raise PolyParseError(f"unexpected character {text[bad]!r}", bad)
+    raw = _Parser(tokens, len(text), n).parse()
     degrees = {sum(e) for e in raw}
     if len(degrees) > 1:
         found = sorted(degrees)
@@ -333,17 +349,13 @@ def parse_poly(text: str, n: int) -> HomogeneousPoly:
     return HomogeneousPoly.make(n, d, canon)
 
 
-def max_variable_index(text: str) -> int:
-    """Largest variable index mentioned in polynomial text."""
-    indices = [int(m.group("idx")) for m in _TOKEN_RE.finditer(text) if m.lastgroup == "var"]
-    if not indices:
-        raise PolyError("no variables found in polynomial text")
-    return max(indices)
-
-
 def parse_poly_infer(text: str) -> HomogeneousPoly:
     """Parse with ``n`` inferred as the largest variable index mentioned."""
-    return parse_poly(text, max_variable_index(text))
+    tokens, bad = _tokenize(text)
+    indices = [int(tok[1]) for tok in tokens if tok[0] == "var"]
+    if not indices:
+        raise PolyError("no variables found in polynomial text")
+    return _parse_tokens(text, tokens, bad, max(indices))
 
 
 def _format_factors(exp: Exponent) -> str:

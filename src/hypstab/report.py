@@ -53,6 +53,11 @@ if TYPE_CHECKING:
 SCHEMA = "hypstab-report/2"
 
 
+class AssertedProfileError(ProfileError):
+    """An asserted s that the analyzed singular points contradict: an input
+    error found inside the analysis."""
+
+
 @dataclass
 class AnalysisOptions:
     s: int | None = None
@@ -182,7 +187,7 @@ def build_profile(
     provenance = {}
     if not singular:
         if s_user is not None and s_user != -1:
-            raise ProfileError(
+            raise AssertedProfileError(
                 f"--s {s_user} asserted but no singular points were found to analyze"
             )
         if s_user is not None:
@@ -198,7 +203,7 @@ def build_profile(
         return SingularityProfile(n, d, -1, 1, provenance=provenance), None, basis
 
     if s_user == -1:
-        raise ProfileError("--s -1 (smooth) asserted but singular points were found")
+        raise AssertedProfileError("--s -1 (smooth) asserted but singular points were found")
 
     delta = max(p.multiplicity for p in singular)
     provenance["delta"] = "verified-at-points (lower bound); heuristic as maximum"

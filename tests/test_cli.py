@@ -10,12 +10,15 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hypstab import RationalMatrix, analyze_point, parse_poly, scan_singular_points
 from hypstab import cli, frames, search
-from hypstab.cli import EXIT_INPUT, EXIT_INTERNAL, EXIT_OK, main
+from hypstab.cli import EXIT_INPUT, EXIT_INTERNAL, EXIT_OK, indented_json, main
 from hypstab.criteria import ProfileError
 from hypstab.linalg import MatrixError
+from hypstab.local_analysis import PointError
 from hypstab.polynomials import PolyError
 from hypstab.report import build_profile
 from hypstab.torus import TorusDecision
@@ -213,6 +216,58 @@ class TestAnalyze:
         assert code == EXIT_INTERNAL
         assert "internal consistency failure" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "target, error",
+        [
+            pytest.param("hypstab.report.analyze_point", PointError, id="point-error"),
+            pytest.param("hypstab.torus.solve_lp", MatrixError, id="matrix-error"),
+        ],
+    )
+    def test_input_error_type_inside_analysis_exits_internal(
+        self, capsys, poly_file, monkeypatch, target, error
+    ):
+        # The input passed the boundary's checks, so an input error type
+        # raised inside the local analysis or the torus LP is a fault.
+        def fail(*args, **kwargs):
+            raise error("planted fault")
+
+        monkeypatch.setattr(target, fail)
+        path = poly_file("x0^2*x2 + x1^3")
+        code, _, err = run(capsys, ["analyze", path, "--budget", "2"])
+        assert code == EXIT_INTERNAL
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("internal consistency failure:"), err
+        assert "planted fault" in err
+
+    @pytest.mark.parametrize(
+        "text, extra, message",
+        [
+            ("x0^3 + x1^3", [], "n must be >= 2, got 1"),
+            ("x0^2 + x1^2 + x2^2", [], "d must be >= 3, got 2"),
+            ("x0^2*x2 + x1^3", ["--s", "2"], "s = 2 out of range -1..1"),
+            ("x0^2*x2 + x1^3", ["--s", "-2"], "s = -2 out of range -1..1"),
+            ("x0^2*x2 + x1^3", ["--height", "0"], "height bound must be >= 1"),
+            ("x0^2*x2 + x1^3", ["--budget", "0"], "budget must be >= 1"),
+            ("x0^2*x2 + x1^3", ["--bound", "0"], "matrix entry bound must be >= 1"),
+            ("x0^2*x2 + x1^3", ["--fields", "2,9"], "field size 9 is not a prime"),
+            ("x0^2*x2 + x1^3", ["--points", "P"], "2 coordinates, expected 3"),
+        ],
+    )
+    def test_input_checked_before_the_analysis(
+        self, capsys, poly_file, tmp_path, monkeypatch, text, extra, message
+    ):
+        def never(*args):
+            raise AssertionError("the analysis ran")
+
+        monkeypatch.setattr(cli, "analyze", never)
+        points = tmp_path / "points.json"
+        points.write_text("[[1, 0]]")
+        argv = ["analyze", poly_file(text)] + [str(points) if a == "P" else a for a in extra]
+        code, _, err = run(capsys, argv)
+        assert code == EXIT_INPUT
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ") and message in lines[0], err
 
     def test_transform_to_zero_exits_internal(self, capsys, poly_file, monkeypatch):
         # An invertible change cannot map a nonzero form to zero, so no input
@@ -556,8 +611,8 @@ class TestSurface:
 
 
 class TestParserConstruction:
-    """A run builds the parser of its command only; the command listing is
-    built only when no command is named."""
+    """A command's parser is built on its first run in the process and kept;
+    the command listing is built only when no command is named."""
 
     @pytest.fixture
     def built(self, monkeypatch):
@@ -578,12 +633,116 @@ class TestParserConstruction:
         return counts
 
     def test_analyze_run_builds_one_parser(self, capsys, poly_file, built):
+        # Two runs in one process build at most one parser between them,
+        # and never the command listing.
+        cli._command_parser.cache_clear()
         path = poly_file("x0^5 + x1^5 + x2^5 + x3^5")
-        code, out, _ = run(capsys, ["analyze", path, "--budget", "1"])
-        assert code == EXIT_OK and "status: Stable" in out
-        assert built == {"parsers": 1, "listings": 0}
+        for _ in range(2):
+            code, out, _ = run(capsys, ["analyze", path, "--budget", "1"])
+            assert code == EXIT_OK and "status: Stable" in out
+        assert built["parsers"] <= 1 and built["listings"] == 0, built
+
+    def test_cached_parser_keeps_no_state(self, capsys, poly_file):
+        # The second run sets none of the first run's flags; its report is
+        # that of a fresh process.  It tries all 50 frames: no certificate
+        # exists within the default entry bound.
+        nodal = poly_file("x1^2*x2 - x0^2*x2 - x0^3", "nodal.poly")
+        code, first, _ = run(
+            capsys, ["analyze", nodal, "--s", "1", "--no-timestamp", "--budget", "3", "--json", "-"]
+        )
+        assert code == EXIT_OK and json.loads(first)["profile"]["provenance"]["s"] == "user-asserted"
+        path = poly_file(HIGH_CUSP)
+        code, second, _ = run(capsys, ["analyze", path])
+        assert code == EXIT_OK
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        fresh = subprocess.run(
+            [sys.executable, "-m", "hypstab", "analyze", path],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert (fresh.returncode, fresh.stderr) == (EXIT_OK, "")
+        assert second == fresh.stdout
+        assert "no certificate found within budget (50 frames)" in second
+        assert "user-asserted" not in second and not second.startswith("{")
+
+    def test_usage_error_after_a_good_run(self, capsys, poly_file, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        path = poly_file("x0^2*x2 + x1^3")
+        assert run(capsys, ["oracle", path, "--bound", "5"])[0] == EXIT_OK
+        assert run_exit(capsys, ["oracle"]) == (2, "", (
+            "usage: hypstab oracle [-h] --bound BOUND [--strict] [--json JSON] file\n"
+            "hypstab oracle: error: the following arguments are required: file, --bound\n"
+        ))
+        code, out, _ = run(capsys, ["analyze", path, "--budget", "2"])
+        assert code == EXIT_OK
+        assert run_exit(capsys, ["analyze", path, "--height", "three"]) == (2, "", (
+            "usage: hypstab analyze [-h] [--s S] [--points POINTS] [--height HEIGHT]\n"
+            "                       [--fields FIELDS] [--budget BUDGET] [--seed SEED]\n"
+            "                       [--bound BOUND] [--json JSON] [--no-timestamp]\n"
+            "                       file\n"
+            "hypstab analyze: error: argument --height: invalid int value: 'three'\n"
+        ))
 
     def test_help_builds_the_command_listing(self, capsys, built):
         code, out, _ = run_exit(capsys, ["-h"])
         assert code == 0 and "analyze" in out
         assert built["listings"] == 1
+
+
+def reference_json(payload) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True)
+
+
+# Strings and keys from all of Unicode but surrogates, control characters
+# included; ints past 2^63 either way; floats with NaN and both infinities.
+SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=2**63 - 2, max_value=2**200)
+    | st.integers(min_value=-(2**200), max_value=-(2**63) + 2)
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.text()
+)
+PAYLOADS = st.recursive(
+    SCALARS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=3).map(tuple)
+    | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=30,
+)
+
+
+class TestIndentedJson:
+    """``indented_json`` writes the bytes of ``json.dumps(indent=2,
+    sort_keys=True)``; the goldens are checked in ``test_golden``."""
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(PAYLOADS)
+    def test_matches_json_dumps(self, payload):
+        assert indented_json(payload) == reference_json(payload)
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {}, [], (), "", 0, None, True, -0.0, 1e300, 5e-324, float("nan"), float("-inf"),
+            {"a": {}, "b": [], "c": [[], {}, [[]]]},
+            {"\x00\x1f\u2028": "\u00e9\ud83d\ude00\"\\", "": [2**64, -(2**63) - 1]},
+        ],
+    )
+    def test_edge_cases(self, payload):
+        assert indented_json(payload) == reference_json(payload)
+
+    @pytest.mark.parametrize(
+        "payload", [{"a": object()}, [{1, 2}], {"a": [b"bytes"]}, {(1,): 2}, {"a": 1, None: 2}]
+    )
+    def test_other_types_raise_type_error(self, payload):
+        with pytest.raises(TypeError):
+            reference_json(payload)
+        with pytest.raises(TypeError):
+            indented_json(payload)
+
+    def test_keys_are_strings(self):
+        # Reports have string keys only; json would write this one as "1".
+        with pytest.raises(TypeError):
+            indented_json({1: 2})

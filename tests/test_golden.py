@@ -12,11 +12,12 @@ frame's ``strict_feasible`` is null: the strict decisions are skipped.
 """
 from __future__ import annotations
 
+import json
 from pathlib import Path
 
 import pytest
 
-from hypstab.cli import EXIT_OK, main
+from hypstab.cli import EXIT_OK, indented_json, main
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
 
@@ -80,3 +81,22 @@ def test_report_matches_golden(capsys, tmp_path, name):
     out = capsys.readouterr().out
     assert code == EXIT_OK
     assert out.encode() == (GOLDEN / f"{name}.json").read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(INPUTS))
+def test_json_file_matches_golden(capsys, tmp_path, name):
+    # ``--json FILE`` writes the bytes that ``--json -`` prints.
+    path = tmp_path / f"{name}.poly"
+    path.write_text(INPUTS[name] + "\n")
+    target = tmp_path / f"{name}.json"
+    argv = ["analyze", str(path), "--no-timestamp", "--json", str(target), *ARGS.get(name, [])]
+    assert main(argv) == EXIT_OK
+    capsys.readouterr()
+    assert target.read_bytes() == (GOLDEN / f"{name}.json").read_bytes()
+
+
+@pytest.mark.parametrize("path", sorted(GOLDEN.glob("*.json")), ids=lambda p: p.stem)
+def test_encoder_reproduces_golden(path):
+    text = path.read_text()
+    payload = json.loads(text)
+    assert indented_json(payload) + "\n" == json.dumps(payload, indent=2, sort_keys=True) + "\n" == text
