@@ -20,7 +20,6 @@ from .criteria import (
     evaluate_mordant,
     evaluate_multiplicity_bound,
 )
-from .cubic import CubicNormalizationError, normalize_cubic_certificate
 from .families import family_certificate, family_poly, family_weights
 from .linalg import RationalMatrix, apply_linear_change
 from .literature import literature_lookup
@@ -53,7 +52,6 @@ __all__ = [
     "AnalysisReport",
     "Certificate",
     "CertificateError",
-    "CubicNormalizationError",
     "HomogeneousPoly",
     "LocalData",
     "PolyError",
@@ -88,7 +86,6 @@ __all__ = [
     "m0_threshold",
     "membership",
     "mult_lower_bound_from_weights",
-    "normalize_cubic_certificate",
     "parse_poly",
     "parse_poly_infer",
     "rank_of_q",

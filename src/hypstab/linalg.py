@@ -375,7 +375,13 @@ def _expansion_tables(nvars: int, degree: int) -> tuple[list[Exponent], list[np.
     column after them) where x_k does not divide m."""
     import numpy as np  # on first use, as in transformed_supports
 
-    monomials = [_descending_monomials(nvars, a) for a in range(degree + 1)]
+    from .modp import _monomials
+
+    # modp lists every monomial in descending lex order with x_n most
+    # significant; read backwards, each row lists the same set with x_0 most
+    # significant.
+    monomials = [[tuple(map(int, row)) for row in _monomials(nvars, a)[:, ::-1]]
+                 for a in range(degree + 1)]
     lower = []
     for below, above in zip(monomials, monomials[1:]):
         position = {m: i for i, m in enumerate(below)}
@@ -388,12 +394,3 @@ def _expansion_tables(nvars: int, degree: int) -> tuple[list[Exponent], list[np.
         lower.append(index)
     return monomials[degree], lower
 
-
-def _descending_monomials(nvars: int, degree: int) -> list[Exponent]:
-    if nvars == 1:
-        return [(degree,)]
-    return [
-        (e,) + rest
-        for e in range(degree, -1, -1)
-        for rest in _descending_monomials(nvars - 1, degree - e)
-    ]

@@ -20,6 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .linalg import RationalMatrix, apply_linear_change
 from .modp import (
     MAX_CELLS,
     PRIME,
@@ -31,7 +32,7 @@ from .modp import (
     partial_terms,
     prove_empty,
 )
-from .polynomials import Exponent, HomogeneousPoly, primitive_form
+from .polynomials import HomogeneousPoly, primitive_form
 
 
 @dataclass(frozen=True)
@@ -111,27 +112,17 @@ def _hyperplane(n: int, points) -> list[int]:
 
 
 def _restricted_partials(F: HomogeneousPoly, c: list[int]) -> list[IntForm]:
-    """The partials of F with x_n = sum c_i x_i substituted, as forms in
-    x_0..x_(n-1)."""
+    """The partials of G = F(x_0, ..., x_(n-1), x_n + sum c_i x_i) at
+    x_n = 0, as forms in x_0..x_(n-1).  By the chain rule they are the
+    partials of F on x_n = sum c_i x_i times a unimodular integer matrix, so
+    their ideal, and each Macaulay matrix's rank, is the same."""
     n = F.n
-    line = {tuple(int(k == i) for k in range(n)): ci for i, ci in enumerate(c)}
-    powers = [{(0,) * n: 1}]
-    for _ in range(F.d - 1):
-        power: dict[Exponent, int] = {}
-        for a, u in powers[-1].items():
-            for b, v in line.items():
-                key = tuple(x + y for x, y in zip(a, b))
-                power[key] = power.get(key, 0) + u * v
-        powers.append(power)
-    out = []
-    for partial in partial_terms(F):
-        acc: dict[Exponent, int] = {}
-        for exp, u in partial.items():
-            for b, v in powers[exp[-1]].items():
-                key = tuple(x + y for x, y in zip(exp[:-1], b))
-                acc[key] = acc.get(key, 0) + u * v
-        out.append(IntForm.from_terms(F.d - 1, n, acc))
-    return out
+    sigma = [[int(k == j) for j in range(n)] + [ck] for k, ck in enumerate(c)]
+    G = apply_linear_change(F, RationalMatrix.from_rows(sigma + [[0] * n + [1]]))
+    return [
+        IntForm.from_terms(F.d - 1, n, {exp[:-1]: u for exp, u in partial.items() if not exp[-1]})
+        for partial in partial_terms(G)
+    ]
 
 
 def prove_hessian_rank(

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
+from operator import index
 
 from .polynomials import Exponent, HomogeneousPoly
 
@@ -26,7 +27,12 @@ class WeightVector:
     r: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "r", tuple(int(v) for v in self.r))
+        # operator.index takes Python and numpy integers and refuses floats and
+        # Fractions, which int() would truncate into a different weight.
+        try:
+            object.__setattr__(self, "r", tuple(map(index, self.r)))
+        except TypeError as exc:
+            raise WeightError(f"weights must be integers, got {self.r!r}") from exc
         if len(self.r) < 2:
             raise WeightError("need at least two weights")
         if all(v == 0 for v in self.r):

@@ -27,13 +27,12 @@ from hypstab import (
     m0_threshold,
     membership,
     mult_lower_bound_from_weights,
-    normalize_cubic_certificate,
     rank_of_q,
     torus_destabilize,
     verify_certificate,
 )
 from hypstab.cli import EXIT_OK, main
-from hypstab.linalg import apply_linear_change, rational_rank
+from hypstab.linalg import rational_rank
 from hypstab.local_analysis import ProjectivePoint
 
 from conftest import (
@@ -42,7 +41,6 @@ from conftest import (
     random_sorted_weights,
     random_support_poly,
 )
-from test_cubic import construction_family_weights, random_construction_instance
 
 
 def report(criterion: int, ok: bool, detail: str):
@@ -258,22 +256,6 @@ def test_criterion_9_lp_oracle_agreement(corpus):
             _verify_decision(f, decision)
             cases += 1
     report(9, True, f"{cases} LP/oracle comparisons agree; all artifacts re-verified")
-
-
-def test_criterion_10_cubic_normalizer_suite():
-    """Constructed normalization instances all land in the target cone."""
-    count = 0
-    for n in (2, 3, 4, 5):
-        rng = random.Random(100 + n)
-        per_n = 13 if n != 5 else 11  # 50 instances total
-        r = construction_family_weights(n)
-        for _ in range(per_n):
-            f = random_construction_instance(rng, n)
-            sigma, r_prime = normalize_cubic_certificate(f, r)
-            assert r_prime[0] + 2 * r_prime[n] < 0
-            assert membership(apply_linear_change(f, sigma), r_prime, strict=False)
-            count += 1
-    report(10, count == 50, f"{count} normalizations verified exactly")
 
 
 def test_criterion_11_nodal_cubic_end_to_end(tmp_path, capsys):

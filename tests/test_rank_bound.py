@@ -273,6 +273,30 @@ class TestPlantedPoints:
         assert rank_bound._hyperplane(3, [(1, 0, 0, 2)]) == [3, 9, 27]
         assert rank_bound._hyperplane(3, [(0, 0, 0, 1)]) == [2, 4, 8]
 
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(2, 3), st.integers(3, 4), st.data())
+    def test_restricted_partials_span_the_substituted_partials(self, n, d, data):
+        # The forms come from the partials of F moved by a coordinate change;
+        # sympy substitutes x_n = sum c_i x_i into the partials of F directly.
+        # Equal ranks, and the same rank stacked, mean one span.
+        terms = data.draw(st.dictionaries(st.sampled_from(degree_monomials(n, d)),
+                                          st.integers(-5, 5).filter(bool), min_size=1, max_size=8))
+        c = data.draw(st.lists(st.integers(-4, 4), min_size=n, max_size=n))
+        xs = X[: n + 1]
+        F = sym(form(n, d, terms))
+        line = sum(ci * x for ci, x in zip(c, xs))
+        theirs = [sympy.Poly(sympy.diff(F, x).subs(xs[n], line), *xs[:n]).as_dict() for x in xs]
+        ours = [
+            {tuple(e): int(v) - PRIME * (v > PRIME // 2) for e, v in zip(g.exps.tolist(), g.values)}
+            for g in rank_bound._restricted_partials(form(n, d, terms), c)
+        ]
+        columns = sorted({e for p in ours + theirs for e in p})
+
+        def rank(forms):
+            return sympy.Matrix([[p.get(e, 0) for e in columns] for p in forms]).rank()
+
+        assert rank(ours) == rank(theirs) == rank(ours + theirs)
+
     def test_minors_match_sympy(self):
         f = parse_poly_infer(NODAL_QUARTIC)
         for r in (1, 2, 3):

@@ -1,8 +1,10 @@
 """Weight vectors and cone membership."""
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import combinations_with_replacement
 
+import numpy as np
 import pytest
 
 from hypstab import RationalMatrix, WeightVector, apply_linear_change, membership, parse_poly
@@ -17,6 +19,20 @@ class TestWeightVector:
             WeightVector((0, 0, 0))
         with pytest.raises(WeightError):
             WeightVector((5,))
+
+    @pytest.mark.parametrize(
+        "weights", [(Fraction(3, 2), Fraction(-1, 2), -1), (1.5, -0.5, -1), (2.0, -1, -1)]
+    )
+    def test_non_integers_refused(self, weights):
+        # int() would have truncated the first two into (1, 0, -1), a
+        # different weight; an integral float is refused too.
+        with pytest.raises(WeightError, match="integers"):
+            WeightVector(weights)
+
+    def test_numpy_integers_accepted(self):
+        r = WeightVector(tuple(np.array([3, 1, -4], dtype=np.int64)))
+        assert r == WeightVector((3, 1, -4))
+        assert all(type(v) is int for v in r)
 
     def test_reduced(self):
         assert WeightVector((6, 2, -8)).reduced() == WeightVector((3, 1, -4))
