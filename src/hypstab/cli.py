@@ -16,11 +16,12 @@ usage and errors exactly as before.
 JSON output is ``json.dumps(payload, indent=2, sort_keys=True)``, byte for
 byte, from :func:`indented_json`.
 
-Exit codes: 0 analysis completed, 2 input error, 3 internal consistency
-failure (two routes that must agree disagreed).  ``analyze`` checks its
-input before the analysis starts; inside the analysis only an ``--s`` that
-the singular points contradict is an input error, and any other
-``ValueError`` is a fault of the program.
+Exit codes, one rule for every command: each first reads and checks its
+input, then works.  A ``ValueError`` or ``OSError`` from the check or from
+writing the output, or an ``--s`` that the analysis contradicts, exits 2
+(``error: ...``); any other exception exits 3 with one line
+``internal consistency failure: <type>: <message>``, as does an oracle that
+disagrees with the LP.  Only :func:`main` maps exceptions to exit codes.
 """
 from __future__ import annotations
 
@@ -36,8 +37,7 @@ from . import __version__
 from .certificates import Certificate, CertificateError, verify_certificate
 from .criteria import ProfileError, SingularityProfile, check_shape, combined_verdict
 from .families import FAMILIES, family_certificate
-from .linalg import MatrixError
-from .local_analysis import PointError, ProjectivePoint, check_scan_options
+from .local_analysis import PointError, ProjectivePoint, check_scan_options, scan_singular_points
 from .polynomials import HomogeneousPoly, PolyError, format_poly, parse_poly_infer
 from .report import AnalysisOptions, AssertedProfileError, analyze
 from .search import SearchConfig, search_destabilization
@@ -50,18 +50,6 @@ EXIT_INPUT = 2
 EXIT_INTERNAL = 3
 
 _INFINITY = float("inf")
-
-_INPUT_ERRORS = (
-    PolyError,
-    WeightError,
-    ProfileError,
-    CertificateError,
-    MatrixError,
-    PointError,
-    OSError,
-    ValueError,
-    json.JSONDecodeError,
-)
 
 
 def _read_poly_file(path: str):
@@ -173,17 +161,14 @@ def indented_json(payload) -> str:
     return "".join(pieces)
 
 
-def _emit(payload: dict, text: str | Callable[[], str], json_path: str | None) -> None:
-    """Print the JSON payload (``--json -``) or the text, which may be given
-    as a function that builds it, and write the payload to a ``--json`` file."""
+def _render(payload: dict, text: str | Callable[[], str], json_path: str | None):
+    """(stdout text, ``--json`` file document or None): the payload's JSON
+    for ``--json -``, else the text, which may be given as a function that
+    builds it."""
     if json_path == "-":
-        print(indented_json(payload))
-        return
-    print(text() if callable(text) else text)
-    if json_path:
-        document = indented_json(payload) + "\n"
-        with open(json_path, "w", encoding="utf-8") as fh:
-            fh.write(document)
+        return indented_json(payload), None
+    shown = text() if callable(text) else text
+    return shown, (indented_json(payload) + "\n" if json_path else None)
 
 
 def _search_config(args) -> SearchConfig:
@@ -215,24 +200,12 @@ def _analysis_input(args) -> tuple[HomogeneousPoly, AnalysisOptions]:
     return f, options
 
 
-def cmd_analyze(args) -> int:
-    f, options = _analysis_input(args)
-    try:
-        report = analyze(f, options)
-    except AssertedProfileError:
-        raise
-    except ValueError as exc:
-        # The input passed _analysis_input's checks, so this is the program's
-        # fault, although these error types are input errors at the boundary.
-        raise InternalConsistencyError(
-            f"the analysis raised {type(exc).__name__}: {exc}"
-        ) from exc
-    _emit(report.to_json(), report.to_text, args.json)
-    return EXIT_OK
+def cmd_analyze(args, f, options):
+    report = analyze(f, options)
+    return report.to_json(), report.to_text, None
 
 
-def cmd_example(args) -> int:
-    f, cert = family_certificate(args.family, args.n)
+def cmd_example(args, f, cert):
     verdict = verify_certificate(f, cert)
     if verdict.status != Status.NOT_SEMISTABLE:
         raise InternalConsistencyError(
@@ -246,24 +219,21 @@ def cmd_example(args) -> int:
         "verdict": verdict.to_json(),
     }
     edge = " (edge case: empty middle block)" if args.family == "gn" and args.n == 2 else ""
-    text = "\n".join(
-        [
-            f"{args.family}, n = {args.n}{edge}",
-            f"polynomial: {format_poly(f)}",
-            f"weights: {cert.r}",
-            f"verdict: {verdict.status.value}",
-        ]
+    text = (
+        f"{args.family}, n = {args.n}{edge}\npolynomial: {format_poly(f)}\n"
+        f"weights: {cert.r}\nverdict: {verdict.status.value}"
     )
-    _emit(payload, text, args.json)
-    return EXIT_OK
+    return payload, text, None
 
 
-def cmd_search(args) -> int:
+def _search_input(args) -> tuple[HomogeneousPoly, SearchConfig]:
     f = _read_poly_file(args.file)
-    from .local_analysis import scan_singular_points
+    check_scan_options(args.height, ())
+    return f, _search_config(args)
 
+
+def cmd_search(args, f, cfg):
     scan = scan_singular_points(f, args.height)
-    cfg = _search_config(args)
     outcome = search_destabilization(f, cfg, scan.points)
     payload = {
         "polynomial": format_poly(f),
@@ -277,32 +247,36 @@ def cmd_search(args) -> int:
         text = f"non-strict certificate found: r = {outcome.nonstrict.r} (NotStable); no strict certificate within budget"
     else:
         text = f"no certificate found within budget ({outcome.frames_tried} frames); this is not a stability claim"
-    _emit(payload, text, args.json)
-    return EXIT_OK
+    return payload, text, None
 
 
-def cmd_criteria(args) -> int:
+def _criteria_input(args) -> tuple[SingularityProfile]:
     if args.rank is not None and args.corank is not None:
         raise ProfileError("give --rank or --corank, not both")
-    rank = args.rank
-    if args.corank is not None:
-        rank = args.n - args.corank
-    profile = SingularityProfile(args.n, args.d, args.s, args.delta, rank)
-    verdict = combined_verdict(profile, args.cone_free if args.cone_free else None)
+    rank = args.rank if args.corank is None else args.n - args.corank
+    return (SingularityProfile(args.n, args.d, args.s, args.delta, rank),)
+
+
+def cmd_criteria(args, profile):
+    verdict = combined_verdict(profile, args.cone_free or None)
     payload = {"profile": profile.to_json(), "verdict": verdict.to_json()}
-    _emit(payload, str(verdict), args.json)
-    return EXIT_OK
+    return payload, str(verdict), None
 
 
-def cmd_oracle(args) -> int:
+def _oracle_input(args) -> tuple[HomogeneousPoly]:
     f = _read_poly_file(args.file)
-    strict = args.strict
-    witness = enumerate_weight_oracle(f, args.bound, strict)
-    decision = torus_destabilize(f, strict)
+    if args.bound < 1:
+        raise WeightError("bound must be >= 1")
+    return (f,)
+
+
+def cmd_oracle(args, f):
+    witness = enumerate_weight_oracle(f, args.bound, args.strict)
+    decision = torus_destabilize(f, args.strict)
     agree = (witness is not None) == decision.feasible
     payload = {
         "polynomial": format_poly(f),
-        "strict": strict,
+        "strict": args.strict,
         "bound": args.bound,
         "oracle_witness": list(witness.r) if witness else None,
         "lp": decision.to_json(),
@@ -313,25 +287,28 @@ def cmd_oracle(args) -> int:
         f"LP: {'feasible' if decision.feasible else 'infeasible'}; "
         f"{'agree' if agree else 'DISAGREE'}"
     )
-    _emit(payload, text, args.json)
-    if not agree:
-        print("oracle and LP disagree; this is a bug", file=sys.stderr)
-        return EXIT_INTERNAL
-    return EXIT_OK
+    return payload, text, None if agree else "oracle and LP disagree; this is a bug"
 
 
-def cmd_certify(args) -> int:
+def _certify_input(args) -> tuple[HomogeneousPoly, Certificate]:
     f = _read_poly_file(args.file)
     with open(args.cert, "r", encoding="utf-8") as fh:
         cert = Certificate.from_json(json.load(fh))
+    if len(cert.r) != f.n + 1:
+        raise CertificateError(
+            f"certificate has {len(cert.r)} weights but polynomial has {f.n + 1} variables"
+        )
+    return f, cert
+
+
+def cmd_certify(args, f, cert):
     verdict = verify_certificate(f, cert)
     payload = {
         "polynomial": format_poly(f),
         "certificate": cert.to_json(),
         "verdict": verdict.to_json(),
     }
-    _emit(payload, str(verdict), args.json)
-    return EXIT_OK
+    return payload, str(verdict), None
 
 
 def _arg(*flags, **kwargs):
@@ -344,9 +321,12 @@ _SEARCH_FLAGS = (
     _arg("--bound", type=int, default=2, help="matrix entry bound for random frames"),
 )
 
-# name -> (help, handler, arguments); the order is the order of the listing.
+# name -> (help, input check, handler, arguments); the order is the order of
+# the listing.  The check returns the checked input as a tuple; the handler
+# takes the arguments and that tuple's items and returns (payload, text,
+# fault), fault being None or the stderr line of a run that exits 3.
 COMMANDS = {
-    "analyze": ("full analysis pipeline for a polynomial file", cmd_analyze, (
+    "analyze": ("full analysis pipeline for a polynomial file", _analysis_input, cmd_analyze, (
         _arg("file"),
         _arg("--s", type=int, default=None, help="asserted singular-locus dimension"),
         _arg("--points", default=None, help="JSON file with extra points to analyze"),
@@ -356,18 +336,19 @@ COMMANDS = {
         _arg("--json", default=None, help="write JSON report here ('-' for stdout)"),
         _arg("--no-timestamp", action="store_true", help="omit timestamp (reproducible output)"),
     )),
-    "example": ("emit a built-in family member and its certificate", cmd_example, (
+    "example": ("emit a built-in family member and its certificate",
+                lambda args: family_certificate(args.family, args.n), cmd_example, (
         _arg("family", choices=FAMILIES),
         _arg("--n", type=int, required=True),
         _arg("--json", default=None),
     )),
-    "search": ("destabilization search only", cmd_search, (
+    "search": ("destabilization search only", _search_input, cmd_search, (
         _arg("file"),
         *_SEARCH_FLAGS,
         _arg("--height", type=int, default=3),
         _arg("--json", default=None),
     )),
-    "criteria": ("evaluate sufficient criteria from singularity data", cmd_criteria, (
+    "criteria": ("evaluate sufficient criteria from singularity data", _criteria_input, cmd_criteria, (
         _arg("--n", type=int, required=True),
         _arg("--d", type=int, required=True),
         _arg("--s", type=int, required=True),
@@ -378,13 +359,13 @@ COMMANDS = {
              help="assert that no tangent cone is a cone over a hyperplane hypersurface"),
         _arg("--json", default=None),
     )),
-    "oracle": ("brute-force oracle cross-checked against the LP", cmd_oracle, (
+    "oracle": ("brute-force oracle cross-checked against the LP", _oracle_input, cmd_oracle, (
         _arg("file"),
         _arg("--bound", type=int, required=True),
         _arg("--strict", action="store_true"),
         _arg("--json", default=None),
     )),
-    "certify": ("verify a certificate JSON file", cmd_certify, (
+    "certify": ("verify a certificate JSON file", _certify_input, cmd_certify, (
         _arg("file"),
         _arg("--cert", required=True),
         _arg("--json", default=None),
@@ -393,7 +374,7 @@ COMMANDS = {
 
 
 def _add_arguments(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
-    for flags, kwargs in COMMANDS[name][2]:
+    for flags, kwargs in COMMANDS[name][3]:
         parser.add_argument(*flags, **kwargs)
     return parser
 
@@ -406,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"hypstab {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, _, _) in COMMANDS.items():
+    for name, (help_text, *_) in COMMANDS.items():
         _add_arguments(sub.add_parser(name, help=help_text), name)
     return parser
 
@@ -432,16 +413,35 @@ def _parse(argv: list[str]):
 
 
 def main(argv=None) -> int:
+    """Run one command line; the only place an exception becomes an exit
+    code.  A ``ValueError`` or ``OSError`` while the input is checked or the
+    output written is the user's (exit 2), as is an ``--s`` that the
+    analysis contradicts; anything else is the program's (exit 3)."""
     name, args = _parse(sys.argv[1:] if argv is None else list(argv))
-    _, handler, _ = COMMANDS[name]
+    _, check, handler, _ = COMMANDS[name]
+    stage = "input"
     try:
-        return handler(args)
-    except InternalConsistencyError as exc:
-        print(f"internal consistency failure: {exc}", file=sys.stderr)
+        checked = check(args)
+        stage = "work"
+        payload, text, fault = handler(args, *checked)
+        shown, document = _render(payload, text, args.json)
+        stage = "output"
+        print(shown)
+        if document is not None:
+            with open(args.json, "w", encoding="utf-8") as fh:
+                fh.write(document)
+    except Exception as exc:
+        if isinstance(exc, AssertedProfileError) or (
+            stage != "work" and isinstance(exc, (ValueError, OSError))
+        ):
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_INPUT
+        print(f"internal consistency failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    except _INPUT_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    if fault is not None:
+        print(fault, file=sys.stderr)
+        return EXIT_INTERNAL
+    return EXIT_OK
 
 
 def entry() -> None:

@@ -368,22 +368,24 @@ def _format_factors(exp: Exponent) -> str:
 
 
 def format_terms(terms: TermSeq) -> str:
+    """The terms as ``parse_poly`` reads them.  Sign, magnitude and "is ±1"
+    are read from each coefficient's numerator and denominator: this runs
+    for every polynomial a report prints."""
     if not terms:
         return "0"
     pieces = []
     for k, (exp, coeff) in enumerate(terms):
-        mag = abs(coeff)
+        num, den = coeff.numerator, coeff.denominator
         factors = _format_factors(exp)
-        if not factors:
-            body = str(mag)
-        elif mag == 1:
+        if factors and den == 1 and (num == 1 or num == -1):
             body = factors
         else:
-            body = f"{mag}*{factors}"
+            mag = str(abs(num)) if den == 1 else f"{abs(num)}/{den}"
+            body = f"{mag}*{factors}" if factors else mag
         if k == 0:
-            pieces.append(body if coeff > 0 else f"-{body}")
+            pieces.append(body if num > 0 else f"-{body}")
         else:
-            pieces.append(f"+ {body}" if coeff > 0 else f"- {body}")
+            pieces.append(f"+ {body}" if num > 0 else f"- {body}")
     return " ".join(pieces)
 
 

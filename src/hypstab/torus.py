@@ -108,7 +108,11 @@ def _verify_barycentric(support, lambdas, n: int, d: int, positive: bool) -> Non
 def _corner_certificate(support, n: int, d: int) -> BarycentricCertificate | None:
     """When every pure power x_j^d is in the support, the uniform weights on
     those corners certify infeasibility in both modes: any nonzero zero-sum
-    vector has a negative coordinate, hence a negative corner weight."""
+    vector has a negative coordinate, hence a negative corner weight.  At
+    d = 0 the n + 1 corners are one monomial and the argument fails, so the
+    LP decides."""
+    if d < 1:
+        return None
     corners = [tuple(d if k == j else 0 for k in range(n + 1)) for j in range(n + 1)]
     present = set(support)
     if all(c in present for c in corners):

@@ -457,6 +457,20 @@ class TestOracleCmd:
         assert code == EXIT_INPUT
         assert "bound must be >= 1" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("text", ["x0^0 + x1^0", "x0^0 + x1^0 + x2^0"])
+    def test_constant_forms(self, capsys, poly_file, text):
+        # Degree 0: the search finds a non-strict certificate, and the LP
+        # agrees with the oracle in both modes.
+        path = poly_file(text)
+        code, out, err = run(capsys, ["search", path, "--budget", "2"])
+        assert (code, err) == (EXIT_OK, "") and "non-strict certificate found" in out
+        for strict in (False, True):
+            argv = ["oracle", path, "--bound", "3", "--json", "-"] + ["--strict"] * strict
+            code, out, err = run(capsys, argv)
+            assert (code, err) == (EXIT_OK, "")
+            report = json.loads(out)
+            assert report["agree"] and report["lp"]["feasible"] == (not strict)
+
 
 class TestCertifyCmd:
     def test_valid_certificate(self, capsys, poly_file, tmp_path):
@@ -527,6 +541,85 @@ class TestCertifyCmd:
         code, out, err = run(capsys, ["certify", path, "--cert", str(cert)])
         assert code == EXIT_INPUT, out
         assert "bad certificate JSON" in err and "Traceback" not in err
+
+
+
+# Per command: a command line whose input passes the check (P is the cusp's
+# file, C a certificate for it), and a function the work calls after it.
+WORK = {
+    "analyze": (["analyze", "P", "--budget", "2"], "hypstab.report.analyze_point"),
+    "example": (["example", "fn", "--n", "2"], "hypstab.certificates.apply_linear_change"),
+    "search": (["search", "P", "--budget", "2"], "hypstab.search.torus_destabilize"),
+    "criteria": (
+        ["criteria", "--n", "3", "--d", "4", "--s", "0", "--delta", "2", "--rank", "3"],
+        "hypstab.criteria.evaluate_multiplicity_bound",
+    ),
+    "oracle": (["oracle", "P", "--bound", "5", "--strict"], "hypstab.torus.solve_lp"),
+    "certify": (["certify", "P", "--cert", "C"], "hypstab.certificates.first_violation"),
+}
+
+
+def command_line(name, poly_file, tmp_path):
+    cert = tmp_path / "cert.json"
+    cert.write_text(json.dumps({"sigma": IDENTITY, "r": [3, 1, -4], "strict": True}))
+    files = {"P": poly_file("x0^2*x2 + x1^3"), "C": str(cert)}
+    return [files.get(a, a) for a in WORK[name][0]]
+
+
+class TestErrorBoundary:
+    """One rule for every command: a ValueError or OSError while the input
+    is checked or the output written exits 2; any other exception exits 3
+    with one line, never a traceback."""
+
+    @pytest.mark.parametrize("error", [MatrixError, PointError, OSError, TypeError])
+    @pytest.mark.parametrize("name", list(cli.COMMANDS))
+    def test_fault_in_the_work_exits_internal(
+        self, capsys, poly_file, tmp_path, monkeypatch, name, error
+    ):
+        calls = []
+
+        def fail(*args, **kwargs):
+            calls.append(args)
+            raise error("planted fault")
+
+        monkeypatch.setattr(WORK[name][1], fail)
+        code, out, err = run(capsys, command_line(name, poly_file, tmp_path))
+        assert calls and (code, out) == (EXIT_INTERNAL, "")
+        assert err.splitlines() == [f"internal consistency failure: {error.__name__}: planted fault"]
+
+    @pytest.mark.parametrize("name", ["analyze", "search", "oracle", "certify"])
+    def test_fault_in_the_input_check_exits_internal(
+        self, capsys, poly_file, tmp_path, monkeypatch, name
+    ):
+        # Only a ValueError or OSError there is an input error.
+        def fail(text):
+            raise TypeError("planted fault")
+
+        monkeypatch.setattr(cli, "parse_poly_infer", fail)
+        code, _, err = run(capsys, command_line(name, poly_file, tmp_path))
+        assert code == EXIT_INTERNAL
+        assert err.splitlines() == ["internal consistency failure: TypeError: planted fault"]
+
+    @pytest.mark.parametrize("name", list(cli.COMMANDS))
+    def test_failed_json_write_is_input_error(self, capsys, poly_file, tmp_path, name):
+        target = tmp_path / "missing" / "out.json"
+        code, _, err = run(capsys, command_line(name, poly_file, tmp_path) + ["--json", str(target)])
+        assert code == EXIT_INPUT
+        assert err.splitlines() == [f"error: [Errno 2] No such file or directory: '{target}'"]
+
+    @pytest.mark.parametrize("name", list(cli.COMMANDS))
+    def test_failed_stdout_write_is_input_error(
+        self, capsys, poly_file, tmp_path, monkeypatch, name
+    ):
+        class ClosedPipe:
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        argv = command_line(name, poly_file, tmp_path)
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        code, _, err = run(capsys, argv)
+        assert code == EXIT_INPUT
+        assert err.splitlines() == ["error: [Errno 32] Broken pipe"]
 
 
 HELP = Path(__file__).parent / "data" / "help"

@@ -16,7 +16,7 @@ from hypstab import (
     format_poly,
     parse_poly,
 )
-from hypstab.polynomials import parse_poly_infer
+from hypstab.polynomials import format_terms, parse_poly_infer
 
 from conftest import degree_monomials
 
@@ -82,6 +82,36 @@ class TestParse:
         assert parse_poly(" x0 ^ 2 * x2+x1^3", 2) == parse_poly("x0^2*x2 + x1^3", 2)
 
 
+def reference_format_terms(terms) -> str:
+    """``format_terms`` as it was when it built a Fraction per ``abs``."""
+    if not terms:
+        return "0"
+    pieces = []
+    for k, (exp, coeff) in enumerate(terms):
+        mag = abs(coeff)
+        factors = "*".join(
+            f"x{i}" if e == 1 else f"x{i}^{e}" for i, e in enumerate(exp) if e
+        )
+        if not factors:
+            body = str(mag)
+        elif mag == 1:
+            body = factors
+        else:
+            body = f"{mag}*{factors}"
+        if k == 0:
+            pieces.append(body if coeff > 0 else f"-{body}")
+        else:
+            pieces.append(f"+ {body}" if coeff > 0 else f"- {body}")
+    return " ".join(pieces)
+
+
+COEFFICIENTS = (
+    st.sampled_from([Fraction(0), Fraction(1), Fraction(-1), 1, -1, 0])
+    | st.fractions()
+    | st.integers(min_value=-(2**70), max_value=2**70)
+)
+
+
 class TestFormat:
     def test_canonical_order(self):
         f = parse_poly("x1^3 + x0^2*x2", 2)
@@ -90,6 +120,16 @@ class TestFormat:
     def test_signs_and_rationals(self):
         f = parse_poly("-1/2*x0^3 - x1^3", 1)
         assert format_poly(f) == "-1/2*x0^3 - x1^3"
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.tuples(*[st.integers(min_value=0, max_value=3)] * 3), COEFFICIENTS),
+            max_size=6,
+        )
+    )
+    def test_matches_reference(self, terms):
+        assert format_terms(tuple(terms)) == reference_format_terms(tuple(terms))
 
     @given(st.data())
     @settings(max_examples=60, deadline=None)

@@ -8,6 +8,7 @@ import pytest
 
 from hypstab import enumerate_weight_oracle, membership, parse_poly, torus_destabilize
 from hypstab.linalg import rational_rank
+from hypstab.polynomials import parse_poly_infer
 from hypstab.simplex import SimplexError
 from hypstab.torus import _verify_barycentric
 from hypstab.weights import WeightError
@@ -183,6 +184,17 @@ class TestAgreement:
             witness = enumerate_weight_oracle(f, 40, strict)
             assert decision.feasible == (witness is not None), f.terms
             assert_decision_verifies(f, decision)
+
+    @pytest.mark.parametrize("strict", [True, False])
+    @pytest.mark.parametrize("text", ["x0^0 + x1^0", "x0^0 + x1^0 + x2^0"])
+    def test_constants_agree(self, text, strict):
+        # At degree 0 every "corner" x_j^d is the monomial 1, so there is no
+        # corner certificate; every weight vector pairs to 0 with it.
+        f = parse_poly_infer(text)
+        decision = torus_destabilize(f, strict)
+        assert_decision_verifies(f, decision)
+        witness = enumerate_weight_oracle(f, 3, strict)
+        assert decision.feasible == (witness is not None) == (not strict)
 
 
 class TestVerifyBarycentric:
