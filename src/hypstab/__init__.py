@@ -28,9 +28,6 @@ from .local_analysis import (
     ProjectivePoint,
     analyze_point,
     essential_variable_count,
-    m0_threshold,
-    mult_lower_bound_from_weights,
-    rank_of_q,
     scan_singular_points,
 )
 from .polynomials import (
@@ -83,12 +80,9 @@ __all__ = [
     "family_weights",
     "format_poly",
     "literature_lookup",
-    "m0_threshold",
     "membership",
-    "mult_lower_bound_from_weights",
     "parse_poly",
     "parse_poly_infer",
-    "rank_of_q",
     "scan_singular_points",
     "search_destabilization",
     "torus_destabilize",

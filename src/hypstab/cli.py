@@ -273,7 +273,12 @@ def _oracle_input(args) -> tuple[HomogeneousPoly]:
 def cmd_oracle(args, f):
     witness = enumerate_weight_oracle(f, args.bound, args.strict)
     decision = torus_destabilize(f, args.strict)
-    agree = (witness is not None) == decision.feasible
+    # The oracle walks only the box, so it may miss an LP witness outside it.
+    outside = decision.witness is not None and max(map(abs, decision.witness)) > args.bound
+    agree = decision.feasible if witness is not None else not decision.feasible or outside
+    lp = "feasible" if decision.feasible else "infeasible"
+    if witness is None and outside:
+        lp += f", witness {decision.witness} outside the box"
     payload = {
         "polynomial": format_poly(f),
         "strict": args.strict,
@@ -284,8 +289,7 @@ def cmd_oracle(args, f):
     }
     text = (
         f"oracle: {'feasible, witness ' + str(witness) if witness else 'infeasible'}; "
-        f"LP: {'feasible' if decision.feasible else 'infeasible'}; "
-        f"{'agree' if agree else 'DISAGREE'}"
+        f"LP: {lp}; {'agree' if agree else 'DISAGREE'}"
     )
     return payload, text, None if agree else "oracle and LP disagree; this is a bug"
 

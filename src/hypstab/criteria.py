@@ -127,6 +127,14 @@ class AlgebraicThreshold:
         return f"{self.base} + sqrt({self.radicand})"
 
 
+def _paired_status(margin) -> Status:
+    """The pairing convention: a positive margin (strict inequality) gives
+    Stable, a zero margin (equality) SemiStable, a negative one nothing."""
+    if margin > 0:
+        return Status.STABLE
+    return Status.SEMISTABLE if margin == 0 else Status.INCONCLUSIVE
+
+
 def _smooth_verdict(p: SingularityProfile) -> StabilityVerdict:
     return StabilityVerdict(
         Status.STABLE,
@@ -146,19 +154,13 @@ def evaluate_multiplicity_bound(p: SingularityProfile) -> StabilityVerdict:
         threshold = Fraction(p.d, p.n + 1)
         branch = "maximal-dimension singular locus"
     margin = threshold - p.delta
-    if margin > 0:
-        status = Status.STABLE
-    elif margin == 0:
-        status = Status.SEMISTABLE
-    else:
-        status = Status.INCONCLUSIVE
     reason = Reason(
         criterion="multiplicity-bound",
         margin=margin,
         note=f"delta = {p.delta} vs {threshold} ({branch}); {_PAIRING_NOTE}",
         inputs={"delta": p.delta, "threshold": threshold, "s": p.s},
     )
-    return StabilityVerdict(status, [reason])
+    return StabilityVerdict(_paired_status(margin), [reason])
 
 
 def degree_threshold(delta: int, s: int) -> AlgebraicThreshold:
@@ -180,19 +182,13 @@ def evaluate_degree_bound(p: SingularityProfile) -> StabilityVerdict:
         bound = p.delta * (p.n + 1)
         cmp = -1 if p.d > bound else (0 if p.d == bound else 1)
         desc = str(bound)
-    if cmp < 0:
-        status = Status.STABLE
-    elif cmp == 0:
-        status = Status.SEMISTABLE
-    else:
-        status = Status.INCONCLUSIVE
     reason = Reason(
         criterion="degree-bound",
         margin="0" if cmp == 0 else None,
         note=f"d = {p.d} vs {desc}; {_PAIRING_NOTE}",
         inputs={"d": p.d, "threshold": desc, "s": p.s},
     )
-    return StabilityVerdict(status, [reason])
+    return StabilityVerdict(_paired_status(-cmp), [reason])
 
 
 def _require_double_point_profile(p: SingularityProfile, criterion: str) -> None:
@@ -215,12 +211,12 @@ def evaluate_hessian_rank_bound(p: SingularityProfile) -> StabilityVerdict:
     _require_double_point_profile(p, "hessian-rank")
     threshold = Fraction(2 * (p.n + 1), p.d)
     margin = Fraction(p.min_hessian_rank) - threshold
-    if margin > 0:
-        status, note = Status.STABLE, f"rank {p.min_hessian_rank} > {threshold}"
-    elif margin == 0:
-        status, note = Status.SEMISTABLE, f"equality: rank {p.min_hessian_rank} = {threshold}"
-    else:
-        status, note = Status.INCONCLUSIVE, f"rank {p.min_hessian_rank} < {threshold}"
+    status = _paired_status(margin)
+    note = {
+        Status.STABLE: f"rank {p.min_hessian_rank} > {threshold}",
+        Status.SEMISTABLE: f"equality: rank {p.min_hessian_rank} = {threshold}",
+        Status.INCONCLUSIVE: f"rank {p.min_hessian_rank} < {threshold}",
+    }[status]
     return StabilityVerdict(
         status,
         [
@@ -241,12 +237,12 @@ def evaluate_hessian_corank_bound(p: SingularityProfile) -> StabilityVerdict:
     cr = p.corank
     threshold = Fraction(p.n - 2, 3) if p.d == 3 else Fraction(p.n - 1, 2)
     margin = threshold - cr
-    if margin > 0:
-        status, note = Status.STABLE, f"corank {cr} < {threshold}"
-    elif margin == 0:
-        status, note = Status.SEMISTABLE, f"equality: corank {cr} = {threshold}"
-    else:
-        status, note = Status.INCONCLUSIVE, f"corank {cr} > {threshold}"
+    status = _paired_status(margin)
+    note = {
+        Status.STABLE: f"corank {cr} < {threshold}",
+        Status.SEMISTABLE: f"equality: corank {cr} = {threshold}",
+        Status.INCONCLUSIVE: f"corank {cr} > {threshold}",
+    }[status]
     return StabilityVerdict(
         status,
         [
@@ -270,13 +266,7 @@ def evaluate_mordant(p: SingularityProfile, cone_free: bool) -> StabilityVerdict
     statuses = []
 
     bound1 = p.delta * min(p.n + 1, p.s + 3)
-    if p.d > bound1:
-        st1 = Status.STABLE
-    elif p.d == bound1:
-        st1 = Status.SEMISTABLE
-    else:
-        st1 = Status.INCONCLUSIVE
-    statuses.append(st1)
+    statuses.append(_paired_status(p.d - bound1))
     reasons.append(
         Reason(
             criterion="mordant-multiplicity",
@@ -288,13 +278,7 @@ def evaluate_mordant(p: SingularityProfile, cone_free: bool) -> StabilityVerdict
 
     if cone_free:
         bound2 = (p.delta - 1) * min(p.n + 1, p.s + 3)
-        if p.d > bound2:
-            st2 = Status.STABLE
-        elif p.d == bound2:
-            st2 = Status.SEMISTABLE
-        else:
-            st2 = Status.INCONCLUSIVE
-        statuses.append(st2)
+        statuses.append(_paired_status(p.d - bound2))
         reasons.append(
             Reason(
                 criterion="mordant-tangent-cone",

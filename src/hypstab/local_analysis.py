@@ -33,7 +33,6 @@ from .polynomials import (
     primitive_form,
 )
 from .verdicts import InternalConsistencyError
-from .weights import WeightVector
 
 
 class PointError(ValueError):
@@ -89,44 +88,6 @@ def quadratic_form_rank(q: HomogeneousPoly) -> int:
     if q.is_zero:
         return 0
     return rational_rank(quadratic_form_matrix(q))
-
-
-def rank_of_q(f: HomogeneousPoly) -> int:
-    """Rank of the quadratic coefficient of x_n^(d-2) in the expansion of f
-    along the last coordinate; 0 when that coefficient vanishes."""
-    return quadratic_form_rank(last_coefficient(f, 2))
-
-
-def m0_threshold(n: int, d: int, strict: bool) -> int:
-    """Least integer m with m > 2(n+1)/d - 1 (strict) or m >= it (non-strict).
-
-    The strict-inequality threshold bounds the rank of the x_n^(d-2)
-    coefficient for polynomials all of whose support weights are
-    non-negative; the non-strict threshold pairs with strictly positive
-    support weights.
-    """
-    if n < 2 or d < 3:
-        raise ValueError(f"need n >= 2 and d >= 3, got n = {n}, d = {d}")
-    bound = Fraction(2 * (n + 1), d) - 1
-    if strict:
-        return bound.__floor__() + 1
-    return bound.__ceil__()
-
-
-def mult_lower_bound_from_weights(r: WeightVector, d: int, strict: bool) -> int:
-    """Multiplicity forced at [0:...:0:1] for any member of the weight cone:
-    1 + the largest j in [1, d-1] with j*r_0 + (d-j)*r_n < 0 (strict mode:
-    <= 0), or 1 when no such j exists."""
-    r._require_sorted()
-    if d < 2:
-        raise ValueError(f"degree {d} too small")
-    top, bottom = r[0], r[len(r) - 1]
-    best = 0
-    for j in range(1, d):
-        value = j * top + (d - j) * bottom
-        if value < 0 or (strict and value == 0):
-            best = j
-    return best + 1
 
 
 def essential_variable_count(h: HomogeneousPoly) -> int:

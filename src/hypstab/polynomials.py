@@ -15,6 +15,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from operator import index
 from typing import Iterable, Mapping
 
 Exponent = tuple[int, ...]
@@ -37,18 +38,22 @@ def _grlex_key(exp: Exponent) -> tuple[int, Exponent]:
     return (sum(exp), exp)
 
 
-def _canonical(mapping: Mapping[Exponent, Fraction] | Iterable[tuple[Exponent, Fraction]]) -> TermSeq:
-    """Merge duplicate exponents, drop zeros, sort graded-lex descending."""
-    merged: dict[Exponent, Fraction] = {}
-    items = mapping.items() if isinstance(mapping, Mapping) else mapping
-    for exp, coeff in items:
-        exp = tuple(int(e) for e in exp)
-        merged[exp] = merged.get(exp, Fraction(0)) + Fraction(coeff)
-    return tuple(
-        (exp, c)
-        for exp, c in sorted(merged.items(), key=lambda t: _grlex_key(t[0]), reverse=True)
-        if c != 0
-    )
+def _canonical(mapping: Mapping[Exponent, Fraction]) -> TermSeq:
+    """Integer exponents, nonzero coefficients, sorted graded-lex descending.
+    The keys of a mapping are distinct, so nothing is merged."""
+    terms = []
+    for exp, coeff in mapping.items():
+        # operator.index takes Python and numpy integers and refuses floats
+        # and Fractions, which int() would truncate into another monomial.
+        try:
+            exp = tuple(map(index, exp))
+        except TypeError as exc:
+            raise PolyError(f"exponents must be integers, got {exp!r}") from exc
+        coeff = Fraction(coeff)
+        if coeff != 0:
+            terms.append((exp, coeff))
+    terms.sort(key=lambda t: _grlex_key(t[0]), reverse=True)
+    return tuple(terms)
 
 
 def _validate_exponent(exp: Exponent, nvars: int) -> None:
@@ -73,7 +78,7 @@ class HomogeneousPoly:
     terms: TermSeq
 
     @staticmethod
-    def make(n: int, d: int, terms) -> "HomogeneousPoly":
+    def make(n: int, d: int, terms: Mapping[Exponent, Fraction]) -> "HomogeneousPoly":
         if n < 0:
             raise PolyError(f"need at least one variable, got n = {n}")
         if d < 0:

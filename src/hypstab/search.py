@@ -126,10 +126,6 @@ class SearchOutcome:
     frames_tried: int = 0
     frames: list[FrameRecord] = field(default_factory=list)
 
-    @property
-    def found(self) -> bool:
-        return self.strict is not None or self.nonstrict is not None
-
 
 def _random_unipotent(rng: random.Random, size: int, bound: int, upper: bool) -> RationalMatrix:
     rows = [[int(i == j) for j in range(size)] for i in range(size)]

@@ -53,20 +53,12 @@ class WeightVector:
     def __len__(self) -> int:
         return len(self.r)
 
-    @property
-    def is_sorted(self) -> bool:
-        return all(a >= b for a, b in zip(self.r, self.r[1:]))
-
     def reduced(self) -> "WeightVector":
         """Divide by the gcd of the entries (canonical primitive form)."""
         g = 0
         for v in self.r:
             g = gcd(g, abs(v))
         return self if g <= 1 else WeightVector(tuple(v // g for v in self.r))
-
-    def _require_sorted(self):
-        if not self.is_sorted:
-            raise WeightError(f"{self.r} is not sorted in non-increasing order")
 
     def __str__(self) -> str:
         return "(" + ", ".join(str(v) for v in self.r) + ")"

@@ -14,7 +14,6 @@ from hypstab import (
     Certificate,
     SingularityProfile,
     Status,
-    analyze_point,
     combined_verdict,
     compare_bounds,
     enumerate_weight_oracle,
@@ -24,21 +23,15 @@ from hypstab import (
     evaluate_multiplicity_bound,
     family_certificate,
     family_poly,
-    m0_threshold,
     membership,
-    mult_lower_bound_from_weights,
-    rank_of_q,
     torus_destabilize,
     verify_certificate,
 )
 from hypstab.cli import EXIT_OK, main
 from hypstab.linalg import rational_rank
-from hypstab.local_analysis import ProjectivePoint
 
 from conftest import (
     CORPUS_TEXTS,
-    random_cone_member,
-    random_sorted_weights,
     random_support_poly,
 )
 
@@ -168,51 +161,6 @@ def test_criterion_6_hessian_rank_table():
         assert evaluate_hessian_rank_bound(p).status == expected, (n, d, spec_data)
         assert evaluate_hessian_corank_bound(p).status == expected, (n, d, spec_data)
     report(6, True, f"all {len(cases)} rank/corank table cases match")
-
-
-def test_criterion_7_quadratic_rank_bound_suite():
-    """rank of the x_n^(d-2) coefficient <= weight threshold; both modes."""
-    rng = random.Random(7)
-    violations = 0
-    instances = 0
-    for n in range(2, 6):
-        for d in (3, 4):
-            done = 0
-            while done < 200:
-                strict_membership = done % 2 == 1
-                r = random_sorted_weights(rng, n)
-                f = random_cone_member(rng, n, d, r, strict_membership)
-                if f is None:
-                    continue
-                done += 1
-                instances += 1
-                # Non-strict members pair with the strict threshold; strict
-                # members with the non-strict one.
-                limit = m0_threshold(n, d, strict=not strict_membership)
-                if rank_of_q(f) > limit:
-                    violations += 1
-    report(7, violations == 0, f"{instances} instances, {violations} violations")
-
-
-def test_criterion_8_multiplicity_bound_suite():
-    """Multiplicity at the last coordinate point meets the weight bound."""
-    rng = random.Random(8)
-    violations = 0
-    instances = 0
-    while instances < 200:
-        n = rng.randint(2, 4)
-        d = rng.choice([3, 4])
-        strict_membership = instances % 2 == 1
-        r = random_sorted_weights(rng, n)
-        f = random_cone_member(rng, n, d, r, strict_membership)
-        if f is None:
-            continue
-        instances += 1
-        bound = mult_lower_bound_from_weights(r, d, strict=strict_membership)
-        point = ProjectivePoint.make([0] * n + [1])
-        if analyze_point(f, point).multiplicity < bound:
-            violations += 1
-    report(8, violations == 0, f"{instances} instances, {violations} violations")
 
 
 def _verify_decision(f, decision):

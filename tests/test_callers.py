@@ -1,8 +1,16 @@
-"""Every top-level function and class in ``src/hypstab`` must have a caller
-in the program: a name for it somewhere in ``src/hypstab`` (outside
-``__init__.py`` and outside its own definition), ``scripts/`` or
-``perfbench/``.  A helper that only the tests and the package exports use
-is dead code.  The files are parsed, never imported or changed."""
+"""Everything defined in ``src/hypstab`` must have a caller in the program:
+``src/hypstab`` (outside ``__init__.py``), ``scripts/`` or ``perfbench/``.
+
+- A top-level function or class must be named somewhere outside its own
+  definition.
+- A method or property of a top-level class must be read as an attribute
+  (``.name``) somewhere outside its own definition.  Dunders are exempt:
+  operators and the language reach them.  Attributes are matched by name
+  alone, so a method shares its callers with every other attribute of that
+  name.
+
+A helper that only the tests and the package exports use is dead code.  The
+files are parsed, never imported or changed."""
 from __future__ import annotations
 
 import ast
@@ -12,51 +20,61 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "hypstab"
-
-# The paper's lemmas linking a destabilizing weight vector to the singularity
-# it forces, kept until certificate checking uses them (ROADMAP item 8).
-AWAITING_CALLERS = {"m0_threshold", "mult_lower_bound_from_weights", "rank_of_q"}
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
-def _mentions(tree: ast.AST) -> list[tuple[str, int]]:
+def _mentions(tree: ast.AST) -> tuple[list[tuple[str, int]], list[tuple[str, int]]]:
     """Every name the code refers to, with its line: identifiers, attributes,
     imported names and the parts of dotted strings (the benchmark tracer
-    names its wrap points as strings)."""
-    out = []
+    names its wrap points as strings); and, apart, the attributes alone."""
+    names, attributes = [], []
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            out.append((node.id, node.lineno))
+            names.append((node.id, node.lineno))
         elif isinstance(node, ast.Attribute):
-            out.append((node.attr, node.lineno))
+            names.append((node.attr, node.lineno))
+            attributes.append((node.attr, node.lineno))
         elif isinstance(node, ast.alias):
-            out.extend((part, node.lineno) for part in node.name.split("."))
+            names.extend((part, node.lineno) for part in node.name.split("."))
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            out.extend((part, node.lineno) for part in node.value.split("."))
-    return out
+            names.extend((part, node.lineno) for part in node.value.split("."))
+    return names, attributes
+
+
+def _is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
 
 
 @cache
 def uncalled() -> frozenset[str]:
     sources = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
     program = sources + sorted((ROOT / "scripts").rglob("*.py")) + sorted((ROOT / "perfbench").rglob("*.py"))
-    where = defaultdict(list)
+    named, read = defaultdict(list), defaultdict(list)
     for path in program:
-        for name, line in _mentions(ast.parse(path.read_text(encoding="utf-8"))):
-            where[name].append((path, line))
+        names, attributes = _mentions(ast.parse(path.read_text(encoding="utf-8")))
+        for name, line in names:
+            named[name].append((path, line))
+        for name, line in attributes:
+            read[name].append((path, line))
+
+    def only_inside(node: ast.AST, path: Path, uses: list) -> bool:
+        own = range(node.lineno, node.end_lineno + 1)
+        return all(other == path and line in own for other, line in uses)
+
     missing = set()
     for path in sources:
         for node in ast.parse(path.read_text(encoding="utf-8")).body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                own = range(node.lineno, node.end_lineno + 1)
-                if all(other == path and line in own for other, line in where[node.name]):
-                    missing.add(node.name)
+            if not isinstance(node, DEFINITIONS):
+                continue
+            if only_inside(node, path, named[node.name]):
+                missing.add(node.name)
+            if isinstance(node, ast.ClassDef):
+                for member in node.body:
+                    if isinstance(member, DEFINITIONS[:2]) and not _is_dunder(member.name):
+                        if only_inside(member, path, read[member.name]):
+                            missing.add(f"{node.name}.{member.name}")
     return frozenset(missing)
 
 
 def test_every_helper_has_a_caller():
-    assert uncalled() <= AWAITING_CALLERS, sorted(uncalled() - AWAITING_CALLERS)
-
-
-def test_awaiting_list_is_current():
-    # A lemma that gains a caller, or is deleted, leaves the list.
-    assert uncalled() == AWAITING_CALLERS
+    assert not uncalled(), sorted(uncalled())

@@ -10,7 +10,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from hypstab import RationalMatrix, analyze_point, parse_poly, scan_singular_points
@@ -19,9 +19,11 @@ from hypstab.cli import EXIT_INPUT, EXIT_INTERNAL, EXIT_OK, indented_json, main
 from hypstab.criteria import ProfileError
 from hypstab.linalg import MatrixError
 from hypstab.local_analysis import PointError
-from hypstab.polynomials import PolyError
+from hypstab.polynomials import HomogeneousPoly, PolyError, format_poly
 from hypstab.report import build_profile
 from hypstab.torus import TorusDecision
+
+from conftest import degree_monomials
 
 
 @pytest.fixture
@@ -442,6 +444,41 @@ class TestOracleCmd:
         assert code == EXIT_INTERNAL
         assert "DISAGREE" in out
         assert "disagree" in err and "Traceback" not in err
+
+    def test_lp_witness_outside_the_box_agrees(self, capsys, poly_file):
+        # The LP's witness (4, 1, -5) is outside the box; the first strict
+        # member, (2, 1, -3), needs --bound 3.
+        path = poly_file("x0^2*x2 + x1^3")
+        code, out, err = run(capsys, ["oracle", path, "--bound", "2", "--strict"])
+        assert (code, err) == (EXIT_OK, "")
+        assert out.strip() == (
+            "oracle: infeasible; LP: feasible, witness (4, 1, -5) outside the box; agree"
+        )
+
+    def test_oracle_miss_inside_the_box_exits_internal(self, capsys, poly_file, monkeypatch):
+        monkeypatch.setattr(cli, "enumerate_weight_oracle", lambda f, bound, strict: None)
+        path = poly_file("x0^2*x2 + x1^3")
+        code, out, err = run(capsys, ["oracle", path, "--bound", "5", "--strict"])
+        assert code == EXIT_INTERNAL
+        assert out.strip() == "oracle: infeasible; LP: feasible; DISAGREE"
+        assert "disagree" in err and "Traceback" not in err
+
+    @settings(max_examples=60, derandomize=True, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data(), bound=st.integers(1, 3), strict=st.booleans())
+    def test_random_supports_agree(self, capsys, tmp_path, data, bound, strict):
+        n, d = data.draw(st.sampled_from([2, 3])), data.draw(st.sampled_from([3, 4]))
+        # The file names x_n, so that the CLI infers n from it.
+        support = data.draw(st.sets(st.sampled_from(degree_monomials(n, d)), min_size=1, max_size=8)
+                            .filter(lambda s: any(e[-1] for e in s)))
+        path = tmp_path / "random.poly"
+        path.write_text(format_poly(HomogeneousPoly.make(n, d, dict.fromkeys(support, 1))) + "\n")
+        argv = ["oracle", str(path), "--bound", str(bound), "--json", "-"] + ["--strict"] * strict
+        code, out, err = run(capsys, argv)
+        assert (code, err) == (EXIT_OK, "")
+        report = json.loads(out)
+        if report["oracle_witness"] is not None:
+            assert report["lp"]["feasible"]
 
     def test_non_member_hit_exits_internal(self, capsys, poly_file, monkeypatch):
         monkeypatch.setattr("hypstab.torus.membership", lambda *args, **kwargs: False)

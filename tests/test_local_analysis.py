@@ -15,14 +15,10 @@ from hypothesis import strategies as st
 from hypstab import (
     ProjectivePoint,
     RationalMatrix,
-    WeightVector,
     analyze_point,
     apply_linear_change,
     essential_variable_count,
-    m0_threshold,
-    mult_lower_bound_from_weights,
     parse_poly,
-    rank_of_q,
     scan_singular_points,
 )
 from hypstab import grid, local_analysis
@@ -37,7 +33,7 @@ from hypstab.linalg import matrix_moving_point_last
 from hypstab.polynomials import HomogeneousPoly, PolyError, format_terms, primitive_form
 from hypstab.verdicts import InternalConsistencyError
 
-from conftest import degree_monomials, random_cone_member, random_sorted_weights
+from conftest import degree_monomials
 
 
 def P(*coords):
@@ -94,31 +90,6 @@ class TestMultiplicity:
             assert hessian(g, q) == hessian(f, q)
 
 
-class TestMultiplicityBoundFromWeights:
-    def test_f2_certificate(self):
-        assert mult_lower_bound_from_weights(WeightVector((3, 1, -4)), 3, strict=True) == 2
-
-    def test_nonstrict_case(self):
-        assert mult_lower_bound_from_weights(WeightVector((1, 0, -1)), 3, strict=False) == 2
-
-    def test_no_inequality_fires(self):
-        assert mult_lower_bound_from_weights(WeightVector((2, -1, -1)), 3, strict=False) == 1
-
-    def test_property_members_meet_bound(self, rng):
-        last = P(0, 0, 1)
-        for _ in range(200):
-            n = rng.randint(2, 4)
-            d = rng.choice([3, 4])
-            strict = rng.random() < 0.5
-            r = random_sorted_weights(rng, n)
-            f = random_cone_member(rng, n, d, r, strict)
-            if f is None:
-                continue
-            bound = mult_lower_bound_from_weights(r, d, strict)
-            point = ProjectivePoint.make([0] * n + [1])
-            assert analyze_point(f, point).multiplicity >= bound, (f.terms, r.r)
-
-
 class TestHessianRank:
     def test_f2(self, corpus):
         assert hessian(corpus["f2"], P(0, 0, 1)) == (1, 1)
@@ -130,63 +101,6 @@ class TestHessianRank:
         g3 = parse_poly("x0^2*x3^2 + x0*x2^3 + x1^4", 3)
         rank, corank = hessian(g3, P(0, 0, 0, 1))
         assert (rank, corank) == (1, 2)
-
-    def test_coherence_with_rank_of_q(self, rng):
-        # At [0:...:0:1] with no linear part (no x_j*x_n^(d-1) term), the
-        # quadratic part is exactly the x_n^(d-2) coefficient.
-        for _ in range(50):
-            n = rng.randint(2, 4)
-            d = rng.choice([3, 4])
-            r = random_sorted_weights(rng, n)
-            f = random_cone_member(rng, n, d, r, strict=False)
-            if f is None:
-                continue
-            unit_last = tuple(int(j == n) for j in range(n + 1))
-            has_linear = any(
-                exp[n] == d - 1 and exp != unit_last for exp, _ in f.terms
-            )
-            if has_linear or rank_of_q(f) == 0:
-                continue
-            point = ProjectivePoint.make([0] * n + [1])
-            if analyze_point(f, point).multiplicity != 2:
-                continue
-            assert hessian(f, point)[0] == rank_of_q(f)
-
-
-class TestRankOfQ:
-    def test_examples(self, corpus):
-        g3 = parse_poly("x0^2*x3^2 + x0*x2^3 + x1^4", 3)
-        assert rank_of_q(g3) == 1
-        assert rank_of_q(corpus["f2"]) == 1
-        assert rank_of_q(corpus["fermat_cubic"]) == 0
-
-    def test_full_rank(self):
-        f = parse_poly("x0^2*x2 + x1^2*x2 + x0^3", 2)
-        assert rank_of_q(f) == 2
-
-    def test_bounded_by_weight_threshold(self, rng):
-        for _ in range(200):
-            n = rng.randint(2, 5)
-            d = rng.choice([3, 4])
-            strict = rng.random() < 0.5
-            r = random_sorted_weights(rng, n)
-            f = random_cone_member(rng, n, d, r, strict)
-            if f is None:
-                continue
-            # Strict members pair with the non-strict threshold and conversely.
-            limit = m0_threshold(n, d, strict=not strict)
-            assert rank_of_q(f) <= limit, (f.terms, r.r)
-
-
-class TestM0Threshold:
-    def test_examples(self):
-        assert m0_threshold(3, 4, strict=True) == 2
-        assert m0_threshold(3, 4, strict=False) == 1
-        assert m0_threshold(2, 3, strict=True) == 2
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            m0_threshold(1, 3, strict=True)
 
 
 class TestEssentialVariables:

@@ -160,7 +160,7 @@ def binomial_partials(draw, planted: bool):
     if not planted:
         return f, None
     j = draw(st.integers(0, n))
-    f = HomogeneousPoly.make(n, d, [(exp, c) for exp, c in f.terms if exp[j] < d - 1])
+    f = HomogeneousPoly.make(n, d, {exp: c for exp, c in f.terms if exp[j] < d - 1})
     assume(not f.is_zero)
     return f, tuple(int(v == j) for v in range(n + 1))
 

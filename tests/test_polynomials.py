@@ -3,6 +3,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -110,6 +111,20 @@ COEFFICIENTS = (
     | st.fractions()
     | st.integers(min_value=-(2**70), max_value=2**70)
 )
+
+
+class TestMake:
+    @pytest.mark.parametrize("exp", [(2.5, 1.5), (2.0, 1.0), (Fraction(2), 1), 3])
+    def test_non_integer_exponents_refused(self, exp):
+        # int() would have truncated (2.5, 1.5) into (2, 1), a different
+        # monomial; an integral float is refused too.
+        with pytest.raises(PolyError, match="integers"):
+            HomogeneousPoly.make(1, 3, {exp: 1})
+
+    def test_numpy_exponents_accepted(self):
+        f = HomogeneousPoly.make(1, 3, {tuple(np.array([2, 1], dtype=np.int64)): 2, (0, 3): 0})
+        assert f == HomogeneousPoly(1, 3, (((2, 1), Fraction(2)),))
+        assert all(type(e) is int for e in f.terms[0][0])
 
 
 class TestFormat:

@@ -38,10 +38,6 @@ class TestWeightVector:
         assert WeightVector((6, 2, -8)).reduced() == WeightVector((3, 1, -4))
         assert WeightVector((3, 1, -4)).reduced() == WeightVector((3, 1, -4))
 
-    def test_sorted_flags(self):
-        assert WeightVector((3, 1, -4)).is_sorted
-        assert not WeightVector((1, 3, -4)).is_sorted
-
 
 class TestWeightOf:
     def test_spec_values(self):
