@@ -15,6 +15,7 @@ import time
 from hypstab import (
     SearchConfig,
     Status,
+    analyze_point,
     family_certificate,
     format_poly,
     scan_singular_points,
@@ -33,9 +34,8 @@ def main(max_n: int = 6) -> int:
             assert verdict.status == Status.NOT_SEMISTABLE
 
             scan = scan_singular_points(f, 2)
-            outcome = search_destabilization(
-                f, SearchConfig(budget=10, seed=1), scan.points
-            )
+            points = tuple(analyze_point(f, p) for p in scan.points)
+            outcome = search_destabilization(f, SearchConfig(budget=10, seed=1), points)
             found = outcome.strict.r if outcome.strict else None
             elapsed = time.perf_counter() - t0
             print(

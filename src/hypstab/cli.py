@@ -37,7 +37,13 @@ from . import __version__
 from .certificates import Certificate, CertificateError, verify_certificate
 from .criteria import ProfileError, SingularityProfile, check_shape, combined_verdict
 from .families import FAMILIES, family_certificate
-from .local_analysis import PointError, ProjectivePoint, check_scan_options, scan_singular_points
+from .local_analysis import (
+    PointError,
+    ProjectivePoint,
+    analyze_point,
+    check_scan_options,
+    scan_singular_points,
+)
 from .polynomials import HomogeneousPoly, PolyError, format_poly, parse_poly_infer
 from .report import AnalysisOptions, AssertedProfileError, analyze
 from .search import SearchConfig, search_destabilization
@@ -234,7 +240,7 @@ def _search_input(args) -> tuple[HomogeneousPoly, SearchConfig]:
 
 def cmd_search(args, f, cfg):
     scan = scan_singular_points(f, args.height)
-    outcome = search_destabilization(f, cfg, scan.points)
+    outcome = search_destabilization(f, cfg, tuple(analyze_point(f, p) for p in scan.points))
     payload = {
         "polynomial": format_poly(f),
         "frames_tried": outcome.frames_tried,

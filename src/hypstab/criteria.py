@@ -298,13 +298,6 @@ class BoundComparison:
     mordant_threshold: int
     strictly_better: bool
 
-    def to_json(self) -> dict:
-        return {
-            "new_threshold": str(self.new_threshold),
-            "mordant_threshold": self.mordant_threshold,
-            "strictly_better": self.strictly_better,
-        }
-
 
 def compare_bounds(delta: int, s: int) -> BoundComparison:
     """Exact comparison of the degree threshold against delta*(s+3)."""
@@ -321,8 +314,6 @@ def derived_singularity_classes(p: SingularityProfile) -> tuple[str, ...]:
     Corank-0 isolated double points are ordinary nodes (A1), hence also fall
     under every published superclass (Am, ADE).  Deeper classes need a user
     assertion and are not guessed."""
-    if p.is_smooth:
-        return ("smooth",)
     if p.s == 0 and p.delta == 2 and p.corank == 0:
         return ("A1", "Am", "ADE")
     return ()

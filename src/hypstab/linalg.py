@@ -106,9 +106,6 @@ class RationalMatrix:
     def to_strings(self) -> list[list[str]]:
         return [[str(x) for x in row] for row in self.rows]
 
-    def __str__(self) -> str:
-        return "\n".join("[" + ", ".join(str(x) for x in row) + "]" for row in self.rows)
-
 
 def as_rational(x) -> int | Fraction:
     """``x`` itself for an int or a Fraction (both carry ``numerator`` and

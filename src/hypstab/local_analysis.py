@@ -187,17 +187,21 @@ _FIELD_SCAN_LIMIT = 200_000
 
 def check_scan_options(height_bound: int, field_sizes: tuple[int, ...]) -> None:
     """Raise ``ValueError`` unless the height bound is >= 1 and every field
-    size is a prime."""
+    size is a prime below 2^64.  A larger field would get no count anyway:
+    P^n(F_p) has more than ``_FIELD_SCAN_LIMIT`` points."""
     if height_bound < 1:
         raise ValueError("height bound must be >= 1")
     for prime in field_sizes:
+        if prime >= 2**64:
+            raise ValueError(f"field size {prime} is out of range: it must be below 2^64")
         if not _is_prime(prime):
             raise ValueError(f"field size {prime} is not a prime")
 
 
 def _is_prime(p: int) -> bool:
-    """Miller-Rabin with the first twelve prime bases: exact below 3.3e24,
-    a strong probable-prime test above."""
+    """Miller-Rabin with the first twelve prime bases, exact below
+    318665857834031151167461 (about 3.19e23, the least strong pseudoprime to
+    all of them), so for every field size below 2^64."""
     bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
     if p < 2:
         return False
@@ -417,9 +421,9 @@ def scan_singular_points(
     does too.)  The rows that pass the exact check with gcd 1 are the
     points, each re-checked in Python ints, apart from numpy; the count for
     p is the number of rows that pass p's check, or None when P^n(F_p) has
-    more than ``_FIELD_SCAN_LIMIT`` points.  Field sizes must be primes.  A
-    ``ValueError`` or ``ArithmeticError`` inside a walk is a fault of the
-    program and raises :class:`InternalConsistencyError`.
+    more than ``_FIELD_SCAN_LIMIT`` points.  Field sizes must be primes
+    below 2^64.  A row that passes the exact check but not the re-check
+    raises :class:`InternalConsistencyError`.
     """
     check_scan_options(height_bound, field_sizes)
     if f.is_zero:
@@ -443,19 +447,16 @@ def scan_singular_points(
         (range(-((p - 1) // 2), p // 2 + 1), 1, (p,)) for p in primes if p // 2 > h
     ]
     found = []
-    try:
-        for values, top, checks in walks:
-            dtype = _scan_dtype(monomials, table, max(-values[0], values[-1]))
-            coeffs = np.array(table, dtype=dtype).reshape(len(monomials), len(polys))
-            for rows, mask in _canonical_zeros(exps, coeffs, values, top, checks):
-                for p, hits in zip(checks, mask.sum(axis=0).tolist()):
-                    if p:
-                        counts[p] += hits
-                if checks[0] == 0:
-                    exact = rows[mask[:, 0]]
-                    found += exact[np.gcd.reduce(exact, axis=1) == 1].tolist()
-    except (ValueError, ArithmeticError) as exc:
-        raise InternalConsistencyError(f"the singular scan failed: {exc}") from exc
+    for values, top, checks in walks:
+        dtype = _scan_dtype(monomials, table, max(-values[0], values[-1]))
+        coeffs = np.array(table, dtype=dtype).reshape(len(monomials), len(polys))
+        for rows, mask in _canonical_zeros(exps, coeffs, values, top, checks):
+            for p, hits in zip(checks, mask.sum(axis=0).tolist()):
+                if p:
+                    counts[p] += hits
+            if checks[0] == 0:
+                exact = rows[mask[:, 0]]
+                found += exact[np.gcd.reduce(exact, axis=1) == 1].tolist()
     points = []
     for coords in sorted(map(tuple, found)):
         # The re-check, in Python ints, runs no numpy code.

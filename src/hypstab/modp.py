@@ -64,9 +64,9 @@ column.  What is left is eliminated densely in int64, entries kept in
 [0, PRIME) so that each product fits.  Macaulay's square choice of rows goes
 first and the other rows join only if it runs out of pivots, which for a
 general form nearly halves the work.  A matrix of more than ``MAX_CELLS``
-cells is not tested, and the caller keeps its heuristic data.  A
-``ValueError`` or ``ArithmeticError`` while a matrix is built or eliminated
-is a fault of the program and raises :class:`InternalConsistencyError`.
+cells is not tested, and the caller keeps its heuristic data.  A Macaulay
+row with a monomial outside its columns is a fault of the program and raises
+:class:`InternalConsistencyError`.
 """
 from __future__ import annotations
 
@@ -377,15 +377,8 @@ def prove_empty(
             return None
         if nrows < ncols:
             continue
-        try:
-            row, col, value, late = _macaulay_rows(forms, nvars, degree)
-            full = _sparse_has_full_column_rank(row, col, value, nrows, ncols, late)
-        except (ArithmeticError, ValueError) as exc:
-            raise InternalConsistencyError(
-                f"building or eliminating the degree-{degree} Macaulay matrix of {ideal} "
-                f"failed: {exc}"
-            ) from exc
-        if full:
+        row, col, value, late = _macaulay_rows(forms, nvars, degree)
+        if _sparse_has_full_column_rank(row, col, value, nrows, ncols, late):
             return MacaulayProof(ideal, PRIME, degree, ncols)
     return None
 

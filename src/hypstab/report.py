@@ -217,10 +217,8 @@ def build_profile(
     if delta == 2 and all(p.multiplicity == 2 for p in singular):
         rank = min(p.hessian_rank for p in singular)
         provenance["min_hessian_rank"] = "verified-at-points; heuristic as minimum"
-    cone_free = None
     worst = [p for p in singular if p.multiplicity == delta]
-    if worst:
-        cone_free = all(not is_cone(p.tangent_cone) for p in worst)
+    cone_free = all(not is_cone(p.tangent_cone) for p in worst)
     profile = SingularityProfile(n, d, s, delta, rank, provenance=provenance)
     return profile, cone_free, "heuristic"
 

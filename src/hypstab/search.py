@@ -21,10 +21,10 @@ The strategies, in stream order, under the names their frame records carry:
   permutations, to the end of the budget.
 
 The kernel, line and linear-component frames (:mod:`.frames`) are built only
-when the stream reaches them, from the local data the caller passes (or
-computes it for points passed bare).  Frames are generated
-deterministically from the seed; results are merged in strategy order, then
-frame order, so identical inputs give identical outputs.
+when the stream reaches them, from the local data the caller passes.  Frames
+are generated deterministically from the seed; results are merged in
+strategy order, then frame order, so identical inputs give identical
+outputs.
 
 Each frame goes to the torus LP, which is complete per frame.  Absence of
 a certificate within budget is reported as exactly that, never as a
@@ -60,10 +60,10 @@ budget left and never mixing the point frames with later ones, so a search
 that stops early expands fewer than twice the frames it tries, one that
 stops at frame 0 expands none, and one that stops at a point frame builds no
 structured frame.  Only a frame whose decision goes to the LP is expanded by
-``apply_linear_change``, and its support must equal the batched one.  A
-mismatch, a frame that the kernel rejects as singular, or an error while a
-structured frame is built is a fault of the program, not of the input, and
-raises :class:`InternalConsistencyError`.
+``apply_linear_change``, and its support must equal the batched one; a
+mismatch raises :class:`InternalConsistencyError`.  Any other error inside
+the search, such as a frame that the kernel rejects as singular, is a fault
+of the program too and propagates with its own type.
 """
 from __future__ import annotations
 
@@ -74,13 +74,12 @@ from typing import Iterator
 
 from .certificates import Certificate, verify_certificate
 from .linalg import (
-    MatrixError,
     RationalMatrix,
     apply_linear_change,
     matrix_moving_point_last,
     transformed_supports,
 )
-from .local_analysis import LocalData, ProjectivePoint, analyze_point
+from .local_analysis import LocalData
 from .polynomials import Exponent, HomogeneousPoly
 from .torus import BarycentricCertificate, TorusDecision, torus_destabilize
 from .verdicts import InternalConsistencyError, Status
@@ -123,8 +122,11 @@ class FrameRecord:
 class SearchOutcome:
     strict: Certificate | None = None
     nonstrict: Certificate | None = None
-    frames_tried: int = 0
     frames: list[FrameRecord] = field(default_factory=list)
+
+    @property
+    def frames_tried(self) -> int:
+        return len(self.frames)
 
 
 def _random_unipotent(rng: random.Random, size: int, bound: int, upper: bool) -> RationalMatrix:
@@ -142,22 +144,22 @@ def _random_permutation(rng: random.Random, size: int) -> RationalMatrix:
     return RationalMatrix.permutation(images)
 
 
-Point = ProjectivePoint | LocalData
-
-
-def _frames(cfg: SearchConfig, f: HomogeneousPoly, points: tuple[Point, ...]):
+def _frames(cfg: SearchConfig, f: HomogeneousPoly, points: tuple[LocalData, ...]):
     """Endless deterministic frame stream: (strategy, matrix), identity first,
     then the point frames, the structured frames and the random rounds."""
     size = f.n + 1
     rng = random.Random(cfg.seed)
-    point_frames = [
-        matrix_moving_point_last((p.point if isinstance(p, LocalData) else p).coords)
-        for p in points
-    ]
+    point_frames = [matrix_moving_point_last(p.point.coords) for p in points]
     yield "singular-point-to-Q", RationalMatrix.identity(size)
     for frame in point_frames:
         yield "singular-point-to-Q", frame
-    yield from _structured_frames(f, points)
+    # frames is imported on first use, not with this module: only a search
+    # that gets past its point frames needs it, and importing it with this
+    # module raised the peak memory of the benchmark's families and smooth
+    # runs, which never use it, by 0.2-0.3 MB (2-core host, Python 3.11).
+    from . import frames
+
+    yield from frames.structured_frames(f, points)
     while True:
         yield "permutations", _random_permutation(rng, size)
         tau = _random_unipotent(rng, size, cfg.bound, upper=True)
@@ -168,25 +170,6 @@ def _frames(cfg: SearchConfig, f: HomogeneousPoly, points: tuple[Point, ...]):
             yield "random-unipotent", tau @ _random_permutation(rng, size)
         lower = _random_unipotent(rng, size, cfg.bound, upper=False)
         yield "random-unipotent", lower @ _random_permutation(rng, size)
-
-
-def _structured_frames(f: HomogeneousPoly, points: tuple[Point, ...]):
-    """The kernel, kernel-line and linear-component frames of
-    :mod:`~hypstab.frames`, each built when the stream reaches it, from the
-    local data of the points (computed here for points given bare).  The
-    input was valid when the search began, so an error while building one is
-    the program's fault."""
-    # frames is imported on first use, not with this module: only a search
-    # that gets past its point frames needs it, and importing it with this
-    # module raised the peak memory of the benchmark's families and smooth
-    # runs, which never use it, by 0.2-0.3 MB (2-core host, Python 3.11).
-    from . import frames
-
-    try:
-        local = [p if isinstance(p, LocalData) else analyze_point(f, p) for p in points]
-        yield from frames.structured_frames(f, local)
-    except (ArithmeticError, ValueError) as exc:
-        raise InternalConsistencyError(f"building a structured search frame failed: {exc}") from exc
 
 
 @dataclass
@@ -223,10 +206,7 @@ def _frames_with_supports(
         left -= len(chunk)
         drawn += len(chunk)
         moved = [sigma for _, sigma in chunk if sigma != identity]
-        try:
-            supports = iter(transformed_supports(f, moved) if moved else ())
-        except MatrixError as exc:
-            raise InternalConsistencyError(f"search frame rejected: {exc}") from exc
+        supports = iter(transformed_supports(f, moved) if moved else ())
         for strategy, sigma in chunk:
             if sigma == identity:
                 yield _Frame(strategy, sigma, f.support(), f)
@@ -237,14 +217,13 @@ def _frames_with_supports(
 def search_destabilization(
     f: HomogeneousPoly,
     cfg: SearchConfig,
-    points: tuple[Point, ...] = (),
+    points: tuple[LocalData, ...] = (),
     nonstrict_only: bool = False,
 ) -> SearchOutcome:
     """Search for destabilization certificates of ``f`` within the frame
     budget.  Any returned certificate has been re-verified from scratch.
-    ``points`` are rational singular points of f; the kernel frames read the
-    local data of those given as :class:`LocalData` and compute it for the
-    others when the stream reaches them.  ``nonstrict_only`` is for an f
+    ``points`` are the local data of rational singular points of f, which
+    the point and kernel frames read.  ``nonstrict_only`` is for an f
     proven semistable, which has no strict certificate: every strict
     decision is skipped (its record reads None) and the search ends at the
     first non-strict certificate."""
@@ -281,7 +260,6 @@ def search_destabilization(
     frames = _frames_with_supports(f, _frames(cfg, f, points), cfg.budget, 1 + len(points))
     for index, frame in enumerate(frames):
         strategy, sigma = frame.strategy, frame.sigma
-        outcome.frames_tried += 1
 
         strict_feasible: bool | None = None
         if not nonstrict_only:

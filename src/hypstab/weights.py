@@ -40,10 +40,6 @@ class WeightVector:
         if sum(self.r) != 0:
             raise WeightError(f"weights must sum to zero, got {sum(self.r)}")
 
-    @property
-    def n(self) -> int:
-        return len(self.r) - 1
-
     def __iter__(self):
         return iter(self.r)
 

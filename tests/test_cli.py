@@ -13,15 +13,26 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from hypstab import RationalMatrix, analyze_point, parse_poly, scan_singular_points
+from hypstab import (
+    Certificate,
+    RationalMatrix,
+    Status,
+    analyze_point,
+    parse_poly,
+    scan_singular_points,
+    verify_certificate,
+)
 from hypstab import cli, frames, search
 from hypstab.cli import EXIT_INPUT, EXIT_INTERNAL, EXIT_OK, indented_json, main
-from hypstab.criteria import ProfileError
+from hypstab.criteria import ProfileError, SingularityProfile
 from hypstab.linalg import MatrixError
 from hypstab.local_analysis import PointError
 from hypstab.polynomials import HomogeneousPoly, PolyError, format_poly
-from hypstab.report import build_profile
+from hypstab.report import _merge_with_certificates, build_profile
+from hypstab.search import SearchOutcome
 from hypstab.torus import TorusDecision
+from hypstab.verdicts import Reason, StabilityVerdict
+from hypstab.weights import WeightVector
 
 from conftest import degree_monomials
 
@@ -48,6 +59,10 @@ FN3_DISGUISED = (
 
 # The cusp x1^2*x2 - x0^3 under an integer change that puts it at [-2:1:4].
 HIGH_CUSP = "-8*x0^3 + x0^2*x1 - 12*x0^2*x2 + 4*x0*x1^2 - 6*x0*x2^2 + 4*x1^3 - x2^3"
+
+# Two tacnodes, at [0:0:1] and [0:1:0]: no strict certificate in 50 frames,
+# and a search that goes past its point frames.
+TACNODES = "x1^2*x2^2 - x0^4"
 
 
 def run(capsys, argv):
@@ -254,6 +269,9 @@ class TestAnalyze:
             ("x0^2*x2 + x1^3", ["--bound", "0"], "matrix entry bound must be >= 1"),
             ("x0^2*x2 + x1^3", ["--fields", "2,9"], "field size 9 is not a prime"),
             ("x0^2*x2 + x1^3", ["--points", "P"], "2 coordinates, expected 3"),
+            # A strong pseudoprime to every base the primality test uses.
+            ("x0^2*x2 + x1^3", ["--fields", "318665857834031151167461"],
+             "field size 318665857834031151167461 is out of range: it must be below 2^64"),
         ],
     )
     def test_input_checked_before_the_analysis(
@@ -270,6 +288,52 @@ class TestAnalyze:
         assert code == EXIT_INPUT
         lines = err.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ") and message in lines[0], err
+
+    def test_tacnodes_are_not_stable_by_a_nonstrict_certificate(self, capsys, poly_file):
+        # Tacnodes at [0:0:1] and [0:1:0], where every criterion is
+        # Inconclusive: 50 frames give no strict certificate and a
+        # non-strict one, so the status rests on that certificate.
+        path = poly_file(TACNODES)
+        code, out, _ = run(capsys, ["analyze", path, "--no-timestamp", "--json", "-"])
+        assert code == EXIT_OK
+        report = json.loads(out)
+        assert (report["status"], report["basis"], report["conflicts"]) == (
+            "NotStable", "certificate", []
+        )
+        assert report["criteria"]["status"] == "Inconclusive"
+        search = report["search"]
+        assert (search["frames_tried"], search["strict_certificate"]) == (50, None)
+        cert = Certificate.from_json(search["nonstrict_certificate"])
+        assert (cert.r, cert.strict) == (WeightVector((0, -1, 1)), False)
+        f = parse_poly(TACNODES, 2)
+        assert verify_certificate(f, cert).status == Status.NOT_STABLE
+        assert report["reasons"][-1]["criterion"] == "hm-certificate"
+        code, out, _ = run(capsys, ["analyze", path, "--no-timestamp"])
+        assert code == EXIT_OK
+        lines = out.splitlines()
+        assert lines[-2:] == [
+            "non-strict certificate found: r = (0, -1, 1); "
+            "no strict certificate within budget (50 frames)",
+            "status: NotStable (certificate)",
+        ]
+
+    def test_nonstrict_certificate_against_a_stable_criterion_is_a_conflict(self):
+        # No input is known to reach this: a Stable criterion on data that
+        # a verified non-strict certificate contradicts.  The certificate
+        # wins, and the conflict names the profile's provenance.
+        profile = SingularityProfile(2, 4, 0, 2, 1, provenance={"delta": "heuristic", "s": "asserted"})
+        stable = StabilityVerdict(Status.STABLE, [Reason(criterion="constructed")])
+        cert = Certificate(RationalMatrix.identity(3), WeightVector((0, -1, 1)), strict=False)
+        status, reasons, conflicts = _merge_with_certificates(
+            stable, SearchOutcome(nonstrict=cert), profile
+        )
+        assert status == Status.NOT_STABLE
+        assert [r.criterion for r in reasons] == ["constructed", "hm-certificate"]
+        assert reasons[-1].inputs == {"strict": False}
+        assert conflicts == [
+            "a verified non-strict certificate contradicts a Stable criterion; "
+            "the profile data (delta: heuristic; s: asserted) is wrong (certificate wins)"
+        ]
 
     def test_transform_to_zero_exits_internal(self, capsys, poly_file, monkeypatch):
         # An invertible change cannot map a nonzero form to zero, so no input
@@ -623,6 +687,34 @@ class TestErrorBoundary:
         code, out, err = run(capsys, command_line(name, poly_file, tmp_path))
         assert calls and (code, out) == (EXIT_INTERNAL, "")
         assert err.splitlines() == [f"internal consistency failure: {error.__name__}: planted fault"]
+
+    @pytest.mark.parametrize(
+        "target, error, text, commands",
+        [
+            pytest.param("hypstab.local_analysis._canonical_zeros", ValueError, TACNODES,
+                         ["analyze", "search"], id="scan-walk"),
+            pytest.param("hypstab.modp._sparse_has_full_column_rank", ArithmeticError,
+                         "x0^3 + x1^3 + x2^3", ["analyze"], id="macaulay-elimination"),
+            pytest.param("hypstab.search.transformed_supports", MatrixError, TACNODES,
+                         ["analyze", "search"], id="batched-supports"),
+            pytest.param("hypstab.frames.structured_frames", ValueError, TACNODES,
+                         ["analyze", "search"], id="structured-frames"),
+        ],
+    )
+    def test_fault_keeps_its_own_type(
+        self, capsys, poly_file, monkeypatch, target, error, text, commands
+    ):
+        # The scan, the smoothness proof and the search leave a fault as it
+        # is; main reports its type and message.
+        def fail(*args, **kwargs):
+            raise error("planted fault")
+
+        monkeypatch.setattr(target, fail)
+        path = poly_file(text)
+        for command in commands:
+            code, out, err = run(capsys, [command, path])
+            assert (code, out) == (EXIT_INTERNAL, "")
+            assert err.splitlines() == [f"internal consistency failure: {error.__name__}: planted fault"]
 
     @pytest.mark.parametrize("name", ["analyze", "search", "oracle", "certify"])
     def test_fault_in_the_input_check_exits_internal(

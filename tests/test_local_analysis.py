@@ -26,7 +26,9 @@ from hypstab.families import family_poly
 from hypstab.local_analysis import (
     PointError,
     _integer_table,
+    _is_prime,
     _scan_dtype,
+    check_scan_options,
     is_cone,
 )
 from hypstab.linalg import matrix_moving_point_last
@@ -519,6 +521,40 @@ class TestScanReference:
     def test_non_prime_field_rejected(self, corpus, size):
         with pytest.raises(ValueError, match="not a prime"):
             scan_singular_points(corpus["f2"], 1, field_sizes=(size,))
+
+
+# The least strong pseudoprime to the bases 2..37 that the primality test uses.
+PSI12 = 318665857834031151167461
+
+
+class TestIsPrime:
+    def test_matches_a_sieve(self):
+        limit = 10**5
+        sieve = [False, False] + [True] * (limit - 2)
+        for p in range(2, int(limit**0.5) + 1):
+            if sieve[p]:
+                sieve[p * p::p] = [False] * len(range(p * p, limit, p))
+        assert [p for p in range(-3, limit) if _is_prime(p)] == [p for p in range(limit) if sieve[p]]
+
+    @pytest.mark.parametrize(
+        "value, prime",
+        [
+            (3215031751, False),  # strong pseudoprime to the bases 2, 3, 5, 7
+            (3825123056546413051, False),  # strong pseudoprime to the bases 2..23
+            (399165290221, True),  # the two factors of PSI12
+            (798330580441, True),
+            (2**61 - 1, True),
+            (2**64 - 59, True),  # the largest prime below 2^64
+        ],
+    )
+    def test_large_values(self, value, prime):
+        assert _is_prime(value) is prime
+
+    @pytest.mark.parametrize("size", [PSI12, 2**64 + 13, 2**64])
+    def test_field_sizes_from_2_64_are_out_of_range(self, size):
+        assert PSI12 == 399165290221 * 798330580441
+        with pytest.raises(ValueError, match=f"field size {size} is out of range"):
+            check_scan_options(1, (size,))
 
 
 class TestAnalyzePoint:

@@ -45,10 +45,14 @@ FN3_DISGUISED = (
 )
 
 
+def analyzed_points(f, height=2):
+    """The local data of f's rational singular points of height <= height."""
+    return tuple(analyze_point(f, p) for p in scan_singular_points(f, height).points)
+
+
 def run_search(f, budget=20, seed=1):
-    scan = scan_singular_points(f, 2)
     cfg = SearchConfig(budget=budget, seed=seed)
-    return search_destabilization(f, cfg, scan.points)
+    return search_destabilization(f, cfg, analyzed_points(f))
 
 
 class TestSearchOutcomes:
@@ -102,9 +106,9 @@ class TestDeterminism:
             (parse_poly(FN3_DISGUISED, 3), ["hessian-kernel"] + ["kernel-line"] * 6),
         ]
         for f, structured in cases:
-            scan = scan_singular_points(f, 2)
-            stream = search._frames(SearchConfig(), f, scan.points)
-            leading = ["singular-point-to-Q"] * (1 + len(scan.points))
+            points = analyzed_points(f)
+            stream = search._frames(SearchConfig(), f, points)
+            leading = ["singular-point-to-Q"] * (1 + len(points))
             labels = [next(stream)[0] for _ in range(len(leading) + len(structured) + 6)]
             assert labels == leading + structured + rounds
 
@@ -161,7 +165,8 @@ DISGUISED_BASES = (
 
 def disguised_bases():
     """Each base under a fixed integer change U*P (U upper unitriangular with
-    entries in [-1, 1], P a permutation), with its singular points."""
+    entries in [-1, 1], P a permutation), with the local data of its singular
+    points."""
     rng = random.Random(0)
     out = []
     for text, family, n in DISGUISED_BASES:
@@ -172,7 +177,7 @@ def disguised_bases():
         rng.shuffle(images)
         sigma = RationalMatrix.from_rows(upper) @ RationalMatrix.permutation(images)
         g = apply_linear_change(f, sigma)
-        out.append((g, scan_singular_points(g, 2).points))
+        out.append((g, analyzed_points(g)))
     return out
 
 
@@ -244,7 +249,6 @@ def search_without_reuse(f, cfg, points=()) -> SearchOutcome:
     frame_stream = search._frames(cfg, f, points)
     for index in range(cfg.budget):
         strategy, sigma = next(frame_stream)
-        outcome.frames_tried += 1
         g = apply_linear_change(f, sigma)
         decision = decide(g, strict=True)
         if decision.witness is not None:
@@ -383,9 +387,10 @@ class TestStructuredFrames:
         base, coords, unstable = SHARPEST_BASES[name]
         sigma = data.draw(disguises(base.n + 1))
         f = apply_linear_change(base, sigma)
-        points = tuple(sorted((moved_point(sigma, c) for c in coords), key=lambda p: p.coords))
-        for p in points:
+        moved = sorted((moved_point(sigma, c) for c in coords), key=lambda p: p.coords)
+        for p in moved:
             assert all(f.partial_derivative(j).evaluate(p.coords) == 0 for j in range(f.n + 1))
+        points = tuple(analyze_point(f, p) for p in moved)
         budget = structured_budget(f, points)
         outcome = search_destabilization(f, SearchConfig(budget=budget), points)
         if unstable:
@@ -450,9 +455,8 @@ class TestStructuredFrames:
             yield
 
         f = parse_poly(text, n)
-        points = scan_singular_points(f, 2).points
-        with mock.patch.object(search, "_structured_frames", structured):
-            outcome = search_destabilization(f, SearchConfig(budget=50), points)
+        with mock.patch.object(frames, "structured_frames", structured):
+            outcome = search_destabilization(f, SearchConfig(budget=50), analyzed_points(f))
         assert outcome.frames_tried == tried and outcome.strict is not None
         assert outcome.frames[-1].strategy == "singular-point-to-Q"
 
