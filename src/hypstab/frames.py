@@ -30,7 +30,6 @@ from typing import Iterable, Iterator, Sequence
 from .linalg import (
     RationalMatrix,
     apply_linear_change,
-    matrix_moving_point_last,
     nullspace_basis,
     nullspace_vector,
     primitive_row,
@@ -73,6 +72,8 @@ _LINES_PER_POINT = 128
 class HessianKernel:
     """ker Q at a double point P, Q being the x_n^(d-2) coefficient of the
     moved form g = f∘sigma_P (the tangent cone), in g's first n coordinates.
+    ``sigma_p`` and g are the point's ``frame`` and ``moved`` from its local
+    analysis.
 
     ``vectors`` is the reduced echelon basis of ker Q, whose vector for free
     column c is 1 at c, 0 at the other free columns and 0 after c, each
@@ -95,7 +96,7 @@ class HessianKernel:
         complement = tuple(
             tuple(int(i == j) for i in range(size)) for j in range(size) if j not in free
         )
-        return HessianKernel(matrix_moving_point_last(data.point.coords), vectors, complement)
+        return HessianKernel(data.frame, vectors, complement)
 
     @property
     def is_coordinate(self) -> bool:

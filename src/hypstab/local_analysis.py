@@ -23,7 +23,13 @@ from math import lcm, prod
 import numpy as np
 
 from . import grid
-from .linalg import apply_linear_change, matrix_moving_point_last, primitive_row, rational_rank
+from .linalg import (
+    RationalMatrix,
+    apply_linear_change,
+    matrix_moving_point_last,
+    primitive_row,
+    rational_rank,
+)
 from .modp import partial_terms
 from .polynomials import (
     Exponent,
@@ -112,10 +118,12 @@ def is_cone(h: HomogeneousPoly) -> bool:
 
 @dataclass
 class LocalData:
-    """Exact local invariants at one rational point.  ``moved`` is f moved by
-    ``matrix_moving_point_last`` so that the point is [0:...:0:1] (None off
-    the hypersurface): its x_n-coefficient forms are the local expansion, of
-    which the tangent cone is the lowest."""
+    """Exact local invariants at one rational point.  ``frame`` is sigma_P,
+    the integer matrix of ``matrix_moving_point_last`` whose last row is the
+    point, and ``moved`` is f∘sigma_P, where the point is [0:...:0:1] (both
+    None off the hypersurface): its x_n-coefficient forms are the local
+    expansion, of which the tangent cone is the lowest.  The search reads
+    both, so sigma_P is built and f∘sigma_P expanded once per point."""
 
     point: ProjectivePoint
     multiplicity: int
@@ -123,6 +131,7 @@ class LocalData:
     hessian_rank: int | None = None
     hessian_corank: int | None = None
     moved: HomogeneousPoly | None = field(default=None, repr=False, compare=False)
+    frame: RationalMatrix | None = field(default=None, repr=False, compare=False)
 
     def to_json(self) -> dict:
         return {
@@ -142,13 +151,14 @@ def analyze_point(f: HomogeneousPoly, p: ProjectivePoint) -> LocalData:
         raise PolyError("multiplicity is undefined for the zero polynomial")
     if f.evaluate(p.coords) != 0:
         return LocalData(p, 0, None)
-    g = apply_linear_change(f, matrix_moving_point_last(p.coords))
+    sigma = matrix_moving_point_last(p.coords)
+    g = apply_linear_change(f, sigma)
     mult = g.d - max(exp[-1] for exp, _ in g.terms)
     cone = last_coefficient(g, mult)
     if mult != 2:
-        return LocalData(p, mult, cone, moved=g)
+        return LocalData(p, mult, cone, moved=g, frame=sigma)
     rank = quadratic_form_rank(cone)
-    return LocalData(p, mult, cone, rank, f.n - rank, g)
+    return LocalData(p, mult, cone, rank, f.n - rank, g, sigma)
 
 
 @dataclass

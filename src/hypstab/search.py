@@ -52,16 +52,18 @@ before gets the refutation that first settled it, and a feasible decision
 is never asked again (a witness ends the queries of its mode).
 
 The reuse test and the choice to call the LP read only the support of
-g = f∘sigma, so that is all most frames need.  Frame 0 is the
-identity, whose g is f.  The other frames' exact supports come from
-:func:`~hypstab.linalg.transformed_supports`, which expands a chunk of
-frames at once in numpy; the chunks hold 1, 2, 4, ... frames, capped by the
-budget left and never mixing the point frames with later ones, so a search
-that stops early expands fewer than twice the frames it tries, one that
-stops at frame 0 expands none, and one that stops at a point frame builds no
-structured frame.  Only a frame whose decision goes to the LP is expanded by
-``apply_linear_change``, and its support must equal the batched one; a
-mismatch raises :class:`InternalConsistencyError`.  Any other error inside
+g = f∘sigma, so that is all most frames need.  Frame 0 is the identity,
+whose g is f, and each point frame is the point's sigma_P, whose g is the
+point's ``moved`` form: the local analysis built both once, and the search
+expands neither again.  The structured and random frames' exact supports
+come from :func:`~hypstab.linalg.transformed_supports`, which expands a
+chunk of frames at once in numpy; the chunks hold 1, 2, 4, ... frames,
+capped by the budget left, so a search that stops early expands fewer than
+twice the frames it tries, and one that stops at the identity or a point
+frame expands none and builds no structured frame.  Only an expanded frame
+whose decision goes to the LP is expanded again by ``apply_linear_change``,
+and its support must equal the batched one; a mismatch raises
+:class:`InternalConsistencyError`.  Any other error inside
 the search, such as a frame that the kernel rejects as singular, is a fault
 of the program too and propagates with its own type.
 """
@@ -69,16 +71,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from itertools import chain, count
+from itertools import chain, count, islice
 from typing import Iterator
 
 from .certificates import Certificate, verify_certificate
-from .linalg import (
-    RationalMatrix,
-    apply_linear_change,
-    matrix_moving_point_last,
-    transformed_supports,
-)
+from .linalg import RationalMatrix, apply_linear_change, transformed_supports
 from .local_analysis import LocalData
 from .polynomials import Exponent, HomogeneousPoly
 from .torus import BarycentricCertificate, TorusDecision, torus_destabilize
@@ -146,10 +143,12 @@ def _random_permutation(rng: random.Random, size: int) -> RationalMatrix:
 
 def _frames(cfg: SearchConfig, f: HomogeneousPoly, points: tuple[LocalData, ...]):
     """Endless deterministic frame stream: (strategy, matrix), identity first,
-    then the point frames, the structured frames and the random rounds."""
+    then each point's frame sigma_P, the structured frames and the random
+    rounds.  The search pairs the first 1 + len(points) frames with f and
+    the points' ``moved`` forms, which are f∘sigma for them."""
     size = f.n + 1
     rng = random.Random(cfg.seed)
-    point_frames = [matrix_moving_point_last(p.point.coords) for p in points]
+    point_frames = [p.frame for p in points]
     yield "singular-point-to-Q", RationalMatrix.identity(size)
     for frame in point_frames:
         yield "singular-point-to-Q", frame
@@ -174,9 +173,9 @@ def _frames(cfg: SearchConfig, f: HomogeneousPoly, points: tuple[LocalData, ...]
 
 @dataclass
 class _Frame:
-    """One search frame with the exact support of f∘sigma.  ``g`` = f∘sigma
-    is f itself for the identity frame; for the others it is built only when
-    an LP needs it."""
+    """One search frame with the exact support of g = f∘sigma.  ``g`` is f
+    for the identity frame and the point's ``moved`` form for a point frame;
+    for the others it is built only when an LP needs it."""
 
     strategy: str
     sigma: RationalMatrix
@@ -184,34 +183,21 @@ class _Frame:
     g: HomogeneousPoly | None = None
 
 
-def _frames_with_supports(
-    f: HomogeneousPoly, stream, budget: int, leading: int
-) -> Iterator[_Frame]:
-    """The first ``budget`` frames of ``stream``, each with the support of
-    f∘sigma: f's own for an identity frame (frame 0, by construction), and
-    for the others from one :func:`transformed_supports` call per chunk.
-    Frame 0 is a chunk of its own, and the chunks after it hold 1, 2, 4, ...
-    frames, capped by the budget left, and no chunk holds both one of the
-    first ``leading`` frames and a later one.  Each chunk is drawn and
-    expanded only when the search reaches it, so a search that stops within
-    the first ``leading`` frames draws none after them."""
-    identity = RationalMatrix.identity(f.n + 1)
-    left, drawn = budget, 0
-    for size in chain([1], (1 << k for k in count())):
-        if left == 0:
+def _frames_with_supports(f: HomogeneousPoly, stream, budget: int) -> Iterator[_Frame]:
+    """The first ``budget`` frames of ``stream`` (none if it is below 1),
+    each with the support of f∘sigma from one :func:`transformed_supports`
+    call per chunk.  The chunks hold 1, 2, 4, ... frames, capped by the
+    budget left; each is drawn and expanded only when the search reaches
+    it."""
+    left = budget
+    for size in (1 << k for k in count()):
+        if left <= 0:
             return
-        if drawn < leading:
-            size = min(size, leading - drawn)
         chunk = [next(stream) for _ in range(min(size, left))]
         left -= len(chunk)
-        drawn += len(chunk)
-        moved = [sigma for _, sigma in chunk if sigma != identity]
-        supports = iter(transformed_supports(f, moved) if moved else ())
-        for strategy, sigma in chunk:
-            if sigma == identity:
-                yield _Frame(strategy, sigma, f.support(), f)
-            else:
-                yield _Frame(strategy, sigma, next(supports))
+        supports = transformed_supports(f, [sigma for _, sigma in chunk])
+        for (strategy, sigma), support in zip(chunk, supports):
+            yield _Frame(strategy, sigma, support)
 
 
 def search_destabilization(
@@ -222,11 +208,11 @@ def search_destabilization(
 ) -> SearchOutcome:
     """Search for destabilization certificates of ``f`` within the frame
     budget.  Any returned certificate has been re-verified from scratch.
-    ``points`` are the local data of rational singular points of f, which
-    the point and kernel frames read.  ``nonstrict_only`` is for an f
-    proven semistable, which has no strict certificate: every strict
-    decision is skipped (its record reads None) and the search ends at the
-    first non-strict certificate."""
+    ``points`` are the local data of rational singular points of f, whose
+    ``frame`` and ``moved`` the point and kernel frames read.
+    ``nonstrict_only`` is for an f proven semistable, which has no strict
+    certificate: every strict decision is skipped (its record reads None)
+    and the search ends at the first non-strict certificate."""
     outcome = SearchOutcome()
     # Per mode: (monomials, certificate) of every refutation found so far.
     refutations: dict[bool, list[tuple[frozenset[Exponent], BarycentricCertificate]]] = {
@@ -257,8 +243,15 @@ def search_destabilization(
                 refutations[True].append(entry)
         return decision
 
-    frames = _frames_with_supports(f, _frames(cfg, f, points), cfg.budget, 1 + len(points))
-    for index, frame in enumerate(frames):
+    stream = _frames(cfg, f, points)
+    # zip asks for a g before it draws a frame, so it draws none past the
+    # point frames.
+    known = zip(chain([f], (p.moved for p in points)), stream)
+    frames = chain(
+        (_Frame(strategy, sigma, g.support(), g) for g, (strategy, sigma) in known),
+        _frames_with_supports(f, stream, cfg.budget - 1 - len(points)),
+    )
+    for index, frame in enumerate(islice(frames, cfg.budget)):
         strategy, sigma = frame.strategy, frame.sigma
 
         strict_feasible: bool | None = None

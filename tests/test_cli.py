@@ -383,6 +383,21 @@ class TestSearchCmd:
         assert code == EXIT_OK
         assert "not a stability claim" in out
 
+    def test_constant_form_passes_no_point(self, capsys, poly_file, monkeypatch):
+        # A nonzero constant vanishes nowhere, although its gradient vanishes
+        # on the whole scan box: like analyze, the search gets only the
+        # points of multiplicity >= 2, so none.
+        passed = []
+
+        def spy(f, cfg, points=(), nonstrict_only=False):
+            passed.append(points)
+            return search.search_destabilization(f, cfg, points, nonstrict_only)
+
+        monkeypatch.setattr(cli, "search_destabilization", spy)
+        path = poly_file("x0^0 + x1^0 + x2^0")
+        code, _, err = run(capsys, ["search", path, "--budget", "2"])
+        assert (code, err, passed) == (EXIT_OK, "", [()])
+
     def test_singular_search_frame_exits_internal(self, capsys, poly_file, monkeypatch):
         # The frame stream builds invertible matrices only; a singular frame
         # is a fault of the search, not of the input.

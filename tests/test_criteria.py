@@ -18,6 +18,7 @@ from hypstab import (
     literature_lookup,
 )
 from hypstab.criteria import ProfileError, degree_threshold
+from hypstab.literature import literature_table
 from hypstab.verdicts import positive_strength
 
 
@@ -183,6 +184,11 @@ class TestLiterature:
 
     def test_absent_entry(self):
         assert literature_lookup(7, 9, "A1") is None
+
+    def test_no_smooth_row(self):
+        # combined_verdict returns on a smooth profile before any lookup.
+        assert all(entry.singularity_class != "smooth" for entry in literature_table())
+        assert combined_verdict(SingularityProfile(2, 3, -1, 1)).literature is None
 
     def test_source_attached(self):
         v = literature_lookup(2, 3, "A1")

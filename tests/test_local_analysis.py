@@ -601,7 +601,8 @@ class TestAnalyzePoint:
 
     def test_point_off_the_hypersurface_builds_no_chart(self, corpus, monkeypatch):
         monkeypatch.setattr(local_analysis, "apply_linear_change", None)
-        assert analyze_point(corpus["f2"], P(1, 1, 1)).multiplicity == 0
+        data = analyze_point(corpus["f2"], P(1, 1, 1))
+        assert data.multiplicity == 0 and data.frame is None and data.moved is None
 
     def test_zero_polynomial_rejected(self):
         with pytest.raises(PolyError, match="zero polynomial"):
@@ -683,3 +684,9 @@ class TestAgainstChartPath:
         got = (local.multiplicity, cone, local.hessian_rank, local.hessian_corank)
         assert got == _chart_reference(f, point)
         assert local.multiplicity == 0 if m == 0 else local.multiplicity >= m
+        if m == 0:
+            assert local.frame is None and local.moved is None
+        else:
+            # sigma_P moves the point last, and moved is f∘sigma_P.
+            assert local.frame.rows[-1] == point.coords
+            assert local.moved == apply_linear_change(f, local.frame)

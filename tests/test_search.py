@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import islice, takewhile
+from itertools import chain, islice, takewhile
 from math import lcm
 from unittest import mock
 
@@ -143,6 +143,42 @@ class TestBatchedSupports:
         assert outcome.frames_tried == len(drawn) == 50
         assert at_call == [2, 4, 8, 16, 32, 50]
 
+    @pytest.mark.parametrize(
+        "text, n, tried",
+        [
+            # gn2 with two points: strict at the second point frame, frame 2.
+            ("-x0^3*x2 + 3*x0^2*x1*x2 + x0^2*x2^2 - 3*x0*x1^2*x2 + x1^3*x2", 2, 3),
+            # The disguised gn2: strict at the kernel frame after its two
+            # point frames.
+            (GN2_DISGUISED, 2, 4),
+        ],
+    )
+    def test_identity_and_point_frames_are_not_expanded_again(self, text, n, tried):
+        # Their g is f and the points' moved forms.  Only the later frames
+        # go to the kernel, and the LP expands only frames the kernel did.
+        f = parse_poly(text, n)
+        points = analyzed_points(f)
+        batched, exact = [], []
+
+        def kernel(f, sigmas):
+            batched.extend(sigmas)
+            return transformed_supports(f, sigmas)
+
+        def change(f, sigma):
+            exact.append(sigma)
+            return apply_linear_change(f, sigma)
+
+        with mock.patch.object(search, "transformed_supports", kernel), mock.patch.object(
+            search, "apply_linear_change", change
+        ):
+            outcome = search_destabilization(f, SearchConfig(budget=50), points)
+        assert outcome.frames_tried == tried and outcome.strict is not None
+        lead = 1 + len(points)
+        stream = islice(search._frames(SearchConfig(), f, points), lead + len(batched))
+        assert batched == [sigma for _, sigma in stream][lead:]
+        assert bool(exact) == (tried > lead)
+        assert all(any(sigma is b for b in batched) for sigma in exact)
+
 
 class TestConfigValidation:
     def test_bad_budget(self):
@@ -194,10 +230,11 @@ def random_forms(draw):
 def checked_search(f, cfg, points=()) -> tuple[SearchOutcome, int]:
     """Run the search and check every decision that did not come from the LP
     (a reused refutation) against a fresh LP on that frame's exact support,
-    which must find no witness either.  Each
-    frame's g is expanded here by ``apply_linear_change``, independently of
-    the search, and the support the search decided on must equal g's.
-    Returns the outcome and the number of such decisions."""
+    which must find no witness either.  Each frame's g is expanded here by
+    ``apply_linear_change``, independently of the search, and the support
+    the search decided on must equal g's: f's for the identity, the point's
+    ``moved`` form's for a point frame, and the batched kernel's for the
+    rest.  Returns the outcome and the number of such decisions."""
     batched, sent = [], set()
 
     def supports(f, sigmas):
@@ -214,14 +251,13 @@ def checked_search(f, cfg, points=()) -> tuple[SearchOutcome, int]:
     ):
         outcome = search_destabilization(f, cfg, points)
     assert len(outcome.frames) == outcome.frames_tried
-    identity = RationalMatrix.identity(f.n + 1)
     stream = search._frames(cfg, f, points)
     sigmas = [next(stream)[1] for _ in range(outcome.frames_tried)]
-    expanded = iter(batched)
+    expanded = chain([f.support()], (p.moved.support() for p in points), batched)
     reused = 0
     for sigma, record in zip(sigmas, outcome.frames):
         g = apply_linear_change(f, sigma)
-        assert (f.support() if sigma == identity else next(expanded)) == g.support()
+        assert next(expanded) == g.support()
         modes = [(True, record.strict_feasible)]
         if record.nonstrict_feasible is not None:
             modes.append((False, record.nonstrict_feasible))
@@ -311,7 +347,8 @@ class TestRefutationReuse:
             outcome = search_destabilization(f, SearchConfig(budget=50, seed=0))
         assert outcome.frames_tried == 50
         assert outcome.strict is None and outcome.nonstrict is None
-        # Frames equal to the identity use f's own support, not the kernel's.
+        # The frames after the identity go to the kernel, which gives each
+        # the full support.
         assert set(supports) == {f.support()}
         assert sorted(calls) == [(False, f.support()), (True, f.support())]
 
