@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""One SHA-256 over every benchmark operation's output, to check that a
+"""SHA-256 digests of every benchmark operation's output, to check that a
 change keeps the program's outputs byte for byte.
 
 Each operation of the four workloads of ``perfbench/workloads.py`` at seeds
@@ -7,9 +7,13 @@ Each operation of the four workloads of ``perfbench/workloads.py`` at seeds
 the benchmark's arguments, and a crosscheck input as one ``oracle`` run,
 which decides its support by the torus LP and by the brute-force oracle.
 The input files are written to a temporary directory, which is the working
-directory while they run, so no output names the temporary path.  The
-digest covers, per operation in order, its workload, seed and name, exit
-code, standard output and standard error.
+directory while they run, so no output names the temporary path.
+
+Each operation's record is its workload, seed and name, exit code, standard
+output and standard error.  The script prints one digest per workload, over
+that workload's records at seeds 1-3 in order, as ``<workload> <digest>``.
+The last line is the overall digest, over every record in order, so when it
+differs the workload lines name where.
 
 Usage: python scripts/output_digest.py [ROOT]
 
@@ -59,6 +63,7 @@ def main(root: Path) -> int:
         os.chdir(work)
         try:
             for workload in workloads.WORKLOADS:
+                part = hashlib.sha256()
                 for seed in SEEDS:
                     for i, inp in enumerate(workloads.build(workload, seed)):
                         path = f"{workload}-{seed}-{i:03d}.poly"
@@ -67,7 +72,10 @@ def main(root: Path) -> int:
                         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                             rc = cli.main(argv_of(inp, path))
                         record = [workload, seed, inp.name, rc, out.getvalue(), err.getvalue()]
-                        digest.update(json.dumps(record).encode("utf-8") + b"\n")
+                        line = json.dumps(record).encode("utf-8") + b"\n"
+                        digest.update(line)
+                        part.update(line)
+                print(workload, part.hexdigest())
         finally:
             os.chdir(home)
     print(digest.hexdigest())

@@ -188,138 +188,40 @@ class HomogeneousPoly:
 # ---------------------------------------------------------------------------
 # parsing and formatting
 #
-# Grammar (whitespace insignificant):
-#   poly   ::= [sign] term { ('+'|'-') term }
+# Grammar (whitespace insignificant).  A sign stands only before the first
+# term and between terms, and a coefficient only first in its term, so
+# ``x0^2 + -3*x1^2`` and ``2*3*x0^2`` are refused:
+#   poly   ::= [sign] term { sign term }
+#   sign   ::= '+' | '-'
 #   term   ::= [coef '*'] factor { '*' factor }
+#   coef   ::= INT [ '/' INT ]
 #   factor ::= 'x' INDEX [ '^' EXP ]
-#   coef   ::= [sign] INT [ '/' INT ]
 # ---------------------------------------------------------------------------
 
-_TOKEN_RE = re.compile(r"(?P<ws>\s+)|(?P<var>x(?P<idx>\d+))|(?P<num>\d+)|(?P<op>[\^*/+\-])")
+# One match per token, with the whitespace before it: (space, variable
+# index, integer, operator, stray character).  Every character is in some
+# match except whitespace at the end.
+_TOKEN_RE = re.compile(r"(\s*)(?:x(\d+)|(\d+)|([-+*/^])|(\S))")
 
 
-def _tokenize(text: str) -> tuple[list[tuple[str, str, int]], int | None]:
-    """The tokens of ``text``, skipping any character that starts none, and
-    the position of the first such character (None if there is none)."""
-    tokens = []
-    bad = None
-    pos = 0
-    for m in _TOKEN_RE.finditer(text):
-        start = m.start()
-        if start != pos and bad is None:
-            bad = pos
-        pos = m.end()
-        kind = m.lastgroup
-        if kind == "var":
-            tokens.append(("var", m.group("idx"), start))
-        elif kind != "ws":
-            tokens.append((kind, m.group(kind), start))
-    if pos != len(text) and bad is None:
-        bad = pos
-    return tokens, bad
+def _token_text(token: tuple[str, ...]) -> str:
+    _, idx, num, op, stray = token
+    return f"x{idx}" if idx else num or op or stray
 
 
-class _Parser:
-    def __init__(self, tokens: list[tuple[str, str, int]], end: int, n: int):
-        self.tokens = tokens
-        self.n = n
-        self.i = 0
-        self.end = end
+def _offset(tokens: list[tuple[str, ...]], k: int) -> int:
+    """Where token k starts in the text."""
+    return sum(len(t[0]) + len(_token_text(t)) for t in tokens[:k]) + len(tokens[k][0])
 
-    def peek(self):
-        return self.tokens[self.i] if self.i < len(self.tokens) else None
 
-    def next(self):
-        tok = self.peek()
-        if tok is not None:
-            self.i += 1
-        return tok
-
-    def expect_op(self, symbol: str):
-        tok = self.next()
-        if tok is None or tok[0] != "op" or tok[1] != symbol:
-            pos = tok[2] if tok else self.end
-            raise PolyParseError(f"expected {symbol!r}", pos)
-
-    def parse(self) -> dict[Exponent, int | Fraction]:
-        """Coefficients by exponent; they stay ints until a term has a
-        denominator, and ``HomogeneousPoly.make`` makes them Fractions."""
-        acc: dict[Exponent, int | Fraction] = {}
-        sign = 1
-        tok = self.peek()
-        if tok is None:
-            raise PolyParseError("empty polynomial", 0)
-        if tok[0] == "op" and tok[1] in "+-":
-            sign = -1 if tok[1] == "-" else 1
-            self.next()
-        while True:
-            coeff, exp, pos = self.parse_term()
-            exp_t = tuple(exp)
-            acc[exp_t] = acc.get(exp_t, 0) + sign * coeff
-            tok = self.peek()
-            if tok is None:
-                break
-            if tok[0] == "op" and tok[1] in "+-":
-                sign = -1 if tok[1] == "-" else 1
-                self.next()
-            else:
-                raise PolyParseError(f"expected '+' or '-', got {tok[1]!r}", tok[2])
-        return acc
-
-    def parse_term(self) -> tuple[int | Fraction, list[int], int]:
-        tok = self.peek()
-        if tok is None:
-            raise PolyParseError("expected a term", self.end)
-        start = tok[2]
-        coeff = 1
-        if tok[0] == "num":
-            coeff = self.parse_coef()
-            self.expect_op("*")
-        exp = [0] * (self.n + 1)
-        self.parse_factor(exp)
-        while True:
-            tok = self.peek()
-            if tok is not None and tok[0] == "op" and tok[1] == "*":
-                self.next()
-                self.parse_factor(exp)
-            else:
-                break
-        return coeff, exp, start
-
-    def parse_coef(self) -> int | Fraction:
-        tok = self.next()
-        num = int(tok[1])
-        nxt = self.peek()
-        if nxt is not None and nxt[0] == "op" and nxt[1] == "/":
-            self.next()
-            den_tok = self.next()
-            if den_tok is None or den_tok[0] != "num":
-                pos = den_tok[2] if den_tok else self.end
-                raise PolyParseError("expected denominator after '/'", pos)
-            den = int(den_tok[1])
-            if den == 0:
-                raise PolyParseError("zero denominator", den_tok[2])
-            return Fraction(num, den)
-        return num
-
-    def parse_factor(self, exp: list[int]) -> None:
-        tok = self.next()
-        if tok is None or tok[0] != "var":
-            pos = tok[2] if tok else self.end
-            raise PolyParseError("expected a variable like x0", pos)
-        idx = int(tok[1])
-        if idx > self.n:
-            raise PolyParseError(f"variable index {idx} exceeds n = {self.n}", tok[2])
-        power = 1
-        nxt = self.peek()
-        if nxt is not None and nxt[0] == "op" and nxt[1] == "^":
-            self.next()
-            p_tok = self.next()
-            if p_tok is None or p_tok[0] != "num":
-                pos = p_tok[2] if p_tok else self.end
-                raise PolyParseError("expected exponent after '^'", pos)
-            power = int(p_tok[1])
-        exp[idx] += power
+def _parse_error(text: str, tokens: list[tuple[str, ...]], k: int, message: str) -> PolyParseError:
+    """The error at token k, or at the end of the text past the last one.
+    A character that starts no token is reported instead, the first one:
+    no parse gets past it, so every text holding one fails."""
+    for j, token in enumerate(tokens):
+        if token[4]:
+            return PolyParseError(f"unexpected character {token[4]!r}", _offset(tokens, j))
+    return PolyParseError(message, _offset(tokens, k) if k < len(tokens) else len(text))
 
 
 def parse_poly(text: str, n: int) -> HomogeneousPoly:
@@ -329,25 +231,81 @@ def parse_poly(text: str, n: int) -> HomogeneousPoly:
     Raises :class:`PolyParseError` for syntax problems and :class:`PolyError`
     for fewer than two variables or inhomogeneous or identically zero input.
     """
-    tokens, bad = _tokenize(text)
-    return _parse_tokens(text, tokens, bad, n)
+    return _parse(text, _TOKEN_RE.findall(text), n)
 
 
-def _parse_tokens(text: str, tokens, bad: int | None, n: int) -> HomogeneousPoly:
-    """The polynomial of ``text`` from its tokens.  The variable count is
-    checked before a character that starts no token is reported, so a text
-    whose variables are all x0 reads as too few variables in
-    :func:`parse_poly_infer` too."""
+def _parse(text: str, tokens: list[tuple[str, ...]], n: int) -> HomogeneousPoly:
+    """The polynomial of ``text`` from its tokens, in one pass over them.
+    The variable count is checked before a character that starts no token
+    is reported, so a text whose variables are all x0 reads as too few
+    variables in :func:`parse_poly_infer` too.  Coefficients stay ints until
+    a term has a denominator, and ``HomogeneousPoly.make`` makes them
+    Fractions."""
     if n < 1:
         raise PolyError(f"need at least two variables, got n = {n}")
-    if bad is not None:
-        raise PolyParseError(f"unexpected character {text[bad]!r}", bad)
-    raw = _Parser(tokens, len(text), n).parse()
-    degrees = {sum(e) for e in raw}
+    end = len(tokens)
+    if not end:
+        raise PolyParseError("empty polynomial", 0)
+    acc: dict[Exponent, int | Fraction] = {}
+    op = tokens[0][3]
+    sign = -1 if op == "-" else 1
+    k = 1 if op == "+" or op == "-" else 0
+    while True:
+        if k == end:
+            raise _parse_error(text, tokens, k, "expected a term")
+        coeff = 1
+        num = tokens[k][2]
+        if num:
+            coeff = int(num)
+            k += 1
+            if k < end and tokens[k][3] == "/":
+                k += 1
+                den = tokens[k][2] if k < end else ""
+                if not den:
+                    raise _parse_error(text, tokens, k, "expected denominator after '/'")
+                den = int(den)
+                if not den:
+                    raise _parse_error(text, tokens, k, "zero denominator")
+                coeff = Fraction(coeff, den)
+                k += 1
+            if k == end or tokens[k][3] != "*":
+                raise _parse_error(text, tokens, k, "expected '*'")
+            k += 1
+        exp = [0] * (n + 1)
+        while True:
+            idx = tokens[k][1] if k < end else ""
+            if not idx:
+                raise _parse_error(text, tokens, k, "expected a variable like x0")
+            i = int(idx)
+            if i > n:
+                raise _parse_error(text, tokens, k, f"variable index {i} exceeds n = {n}")
+            k += 1
+            if k < end and tokens[k][3] == "^":
+                k += 1
+                power = tokens[k][2] if k < end else ""
+                if not power:
+                    raise _parse_error(text, tokens, k, "expected exponent after '^'")
+                exp[i] += int(power)
+                k += 1
+            else:
+                exp[i] += 1
+            if k == end or tokens[k][3] != "*":
+                break
+            k += 1
+        key = tuple(exp)
+        acc[key] = acc.get(key, 0) + sign * coeff
+        if k == end:
+            break
+        op = tokens[k][3]
+        if op != "+" and op != "-":
+            raise _parse_error(text, tokens, k, f"expected '+' or '-', got {_token_text(tokens[k])!r}")
+        sign = -1 if op == "-" else 1
+        k += 1
+    degrees = {sum(e) for e in acc}
     if len(degrees) > 1:
         found = sorted(degrees)
         raise PolyError(f"inhomogeneous input: term degrees {found}")
-    canon = {e: c for e, c in raw.items() if c != 0}
+    canon = {e: c for e, c in acc.items() if c != 0}
     if not canon:
         raise PolyError("zero polynomial does not define a hypersurface")
     d = next(iter(degrees))
@@ -356,11 +314,11 @@ def _parse_tokens(text: str, tokens, bad: int | None, n: int) -> HomogeneousPoly
 
 def parse_poly_infer(text: str) -> HomogeneousPoly:
     """Parse with ``n`` inferred as the largest variable index mentioned."""
-    tokens, bad = _tokenize(text)
-    indices = [int(tok[1]) for tok in tokens if tok[0] == "var"]
+    tokens = _TOKEN_RE.findall(text)
+    indices = [int(t[1]) for t in tokens if t[1]]
     if not indices:
         raise PolyError("no variables found in polynomial text")
-    return _parse_tokens(text, tokens, bad, max(indices))
+    return _parse(text, tokens, max(indices))
 
 
 def _format_factors(exp: Exponent) -> str:

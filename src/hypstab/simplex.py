@@ -15,14 +15,14 @@ The tableau is held as Python integers over one common denominator
 ``T[i][j] <- (T[i][j] * p - T[i][c] * T[r][j]) / D`` for every row but ``r``
 and then ``D <- p``.  By Sylvester's identity every entry stays an integer
 multiple of a minor of the input, so each division is exact.  ``T / D`` is
-at every step the tableau the same pivots give over the rationals, so
-results are converted to :class:`~fractions.Fraction` only when they are
-returned.
+at every step the tableau the same pivots give over the rationals.  The
+result keeps that form: the integer numerators of ``x`` or of the Farkas
+vector over the final ``D``, so no :class:`~fractions.Fraction` is made
+here.  The caller builds Fractions only for what it returns.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 from .verdicts import InternalConsistencyError
@@ -35,12 +35,15 @@ class SimplexError(InternalConsistencyError):
 
 @dataclass
 class LPResult:
-    x: list[Fraction] | None = None
-    """A point ``x >= 0`` with ``A x = b``; set only when one exists."""
-    farkas: list[Fraction] | None = None
-    """Infeasibility certificate: y with y.A_j <= 0 for every column j and
-    y.b > 0, in terms of the caller's original rows.  Set only when ``x``
-    is not."""
+    den: int
+    """The common denominator ``D > 0`` of ``x`` or ``farkas``."""
+    x: list[int] | None = None
+    """Numerators over ``den`` of a point ``x >= 0`` with ``A x = b``; set
+    only when one exists."""
+    farkas: list[int] | None = None
+    """Numerators over ``den`` of an infeasibility certificate: y with
+    y.A_j <= 0 for every column j and y.b > 0, in terms of the caller's
+    original rows.  Set only when ``x`` is not."""
 
 
 def _pivot(rows: list[list[int]], r: int, c: int, den: int) -> int:
@@ -107,10 +110,10 @@ def solve_lp(A: Sequence[Sequence[int]], b: Sequence[int]) -> LPResult:
     if cost[-1] != 0:
         # The reduced cost of the i-th artificial column is 1 - y_i; undo
         # the row signs.
-        return LPResult(farkas=[s * Fraction(den - cost[nv + i], den) for i, s in enumerate(signs)])
+        return LPResult(den, farkas=[s * (den - cost[nv + i]) for i, s in enumerate(signs)])
     # Artificials still basic sit at 0 (their rows are redundant).
-    x = [Fraction(0)] * nv
+    x = [0] * nv
     for i, j in enumerate(basis):
         if j < nv:
-            x[j] = Fraction(rows[i][-1], den)
-    return LPResult(x=x)
+            x[j] = rows[i][-1]
+    return LPResult(den, x=x)

@@ -27,6 +27,12 @@ case.  An infeasible LP gives a Farkas vector ``y``; the projection of
 integers, is the destabilizing witness.  Witnesses and certificates are
 re-verified before being returned.
 
+The decision stays in Python integers from the simplex tableau on: the LP
+returns numerators over one denominator, the weights ``w`` and their sum
+``total`` are integers, the witness is a primitive integer vector, and the
+certificate is checked in integers.  Fractions are made only for the
+returned certificate, as ``w / total``.
+
 A brute-force enumeration oracle over a box of integer vectors is provided
 as an independent cross-check; it shares no code path with the LP.  The
 zero sum fixes ``r_n``, and the oracle walks ``r[:n-1]`` in lexicographic
@@ -40,12 +46,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 import numpy as np
 
 from . import grid
-from .linalg import integer_rank, nullspace_vector, primitive_row, scaled_integers
+from .linalg import integer_rank, nullspace_vector, primitive_row
 from .polynomials import Exponent, HomogeneousPoly
 from .simplex import SimplexError, solve_lp
 from .verdicts import InternalConsistencyError
@@ -82,43 +87,48 @@ def _shifted_rows(support, n: int, d: int) -> list[list[int]]:
     return [[(n + 1) * exp[j] - d for exp in support] for j in range(n + 1)]
 
 
-def _farkas_witness(y) -> WeightVector:
-    """Project ``-y`` onto the zero-sum hyperplane and scale to integers."""
-    shift = sum(y) / len(y)
-    return _integer_weight([shift - v for v in y])
+def _farkas_witness(y: list[int]) -> WeightVector:
+    """Project ``-y`` onto the zero-sum hyperplane and scale to integers:
+    ``mean(y) - y_i`` times ``len(y)`` is ``sum(y) - len(y) * y_i``."""
+    total = sum(y)
+    return _integer_weight([total - len(y) * v for v in y])
 
 
-def _verify_barycentric(support, lambdas, n: int, d: int, positive: bool) -> None:
-    """Check in integers, with the weights scaled by their denominator lcm L:
-    they sum to L, have the right signs, and ``(n + 1) * sum(w * exp_j)``
-    is ``d * L`` for every j, i.e. they average the support to the centroid."""
-    scale = lcm(*(l.denominator for l in lambdas))
-    weights = scaled_integers(lambdas, scale)
-    if sum(weights) != scale:
+def _verify_barycentric(support, weights, total: int, n: int, d: int, positive: bool) -> None:
+    """Check the certificate ``w / total`` in integers: ``total > 0`` is
+    the weights' sum, they have the right signs, and
+    ``(n + 1) * sum(w * exp_j)`` is ``d * total`` for every j, i.e. they
+    average the support to the centroid."""
+    if total < 1 or sum(weights) != total:
         raise SimplexError("barycentric weights do not sum to 1")
     if any(w < 0 for w in weights) or (positive and any(w == 0 for w in weights)):
         raise SimplexError("barycentric weights have wrong signs")
     for j in range(n + 1):
-        if (n + 1) * sum(w * exp[j] for w, exp in zip(weights, support)) != d * scale:
+        if (n + 1) * sum(w * exp[j] for w, exp in zip(weights, support)) != d * total:
             raise SimplexError("barycentric combination misses the centroid")
     if positive and integer_rank(_shifted_rows(support, n, d)) != n:
         raise SimplexError("shifted support does not span the direction space")
 
 
-def _corner_certificate(support, n: int, d: int) -> BarycentricCertificate | None:
-    """When every pure power x_j^d is in the support, the uniform weights on
-    those corners certify infeasibility in both modes: any nonzero zero-sum
-    vector has a negative coordinate, hence a negative corner weight.  At
-    d = 0 the n + 1 corners are one monomial and the argument fails, so the
-    LP decides."""
+def _certificate(support, weights, n: int, d: int, positive: bool) -> BarycentricCertificate:
+    """The verified certificate of integer ``weights`` over ``support``:
+    each nonzero weight over their sum."""
+    total = sum(weights)
+    _verify_barycentric(support, weights, total, n, d, positive)
+    return tuple((exp, Fraction(w, total)) for exp, w in zip(support, weights) if w)
+
+
+def _corners(support, n: int, d: int) -> list[Exponent] | None:
+    """The pure powers x_j^d, when every one is in the support.  Uniform
+    weights on them certify infeasibility in both modes: any nonzero
+    zero-sum vector has a negative coordinate, hence a negative corner
+    weight.  At d = 0 the n + 1 corners are one monomial and the argument
+    fails, so the LP decides."""
     if d < 1:
         return None
     corners = [tuple(d if k == j else 0 for k in range(n + 1)) for j in range(n + 1)]
     present = set(support)
-    if all(c in present for c in corners):
-        lam = Fraction(1, n + 1)
-        return tuple((c, lam) for c in corners)
-    return None
+    return corners if all(c in present for c in corners) else None
 
 
 def torus_destabilize(f: HomogeneousPoly, strict: bool) -> TorusDecision:
@@ -129,16 +139,10 @@ def torus_destabilize(f: HomogeneousPoly, strict: bool) -> TorusDecision:
     support = f.support()
     n, d = f.n, f.d
 
-    corner_cert = _corner_certificate(support, n, d)
-    if corner_cert is not None:
-        _verify_barycentric(
-            [exp for exp, _ in corner_cert],
-            [lam for _, lam in corner_cert],
-            n,
-            d,
-            positive=not strict,
-        )
-        return TorusDecision(False, strict, certificate=corner_cert)
+    corners = _corners(support, n, d)
+    if corners is not None:
+        cert = _certificate(corners, [1] * (n + 1), n, d, positive=not strict)
+        return TorusDecision(False, strict, certificate=cert)
 
     rows = _shifted_rows(support, n, d)
     if strict:
@@ -148,9 +152,11 @@ def torus_destabilize(f: HomogeneousPoly, strict: bool) -> TorusDecision:
         # Degenerate fast path: a nonzero zero-sum vector orthogonal to the
         # whole support gives every monomial weight 0.  Ruling it out first
         # is what makes a strictly positive solution prove the cone trivial.
-        flat = nullspace_vector(list(support) + [[1] * (n + 1)])
-        if flat is not None:
-            witness = _integer_weight(flat)
+        # Such a vector exists exactly when these rows have rank below n + 1;
+        # the integer rank is cheap, so the vector is found only then.
+        flat_rows = [*support, [1] * (n + 1)]
+        if integer_rank(flat_rows) <= n:
+            witness = _integer_weight(nullspace_vector(flat_rows))
             if not membership(f, witness, strict=False):
                 raise SimplexError("orthogonal witness failed re-verification")
             return TorusDecision(True, False, witness=witness)
@@ -163,11 +169,8 @@ def torus_destabilize(f: HomogeneousPoly, strict: bool) -> TorusDecision:
         if not membership(f, witness, strict):
             raise SimplexError("Farkas witness failed re-verification")
         return TorusDecision(True, strict, witness=witness)
-    weights = result.x if strict else [1 + v for v in result.x]
-    total = sum(weights)
-    lambdas = [w / total for w in weights]
-    _verify_barycentric(support, lambdas, n, d, positive=not strict)
-    cert = tuple((exp, lam) for exp, lam in zip(support, lambdas) if lam != 0)
+    weights = result.x if strict else [result.den + v for v in result.x]
+    cert = _certificate(support, weights, n, d, positive=not strict)
     return TorusDecision(False, strict, certificate=cert)
 
 

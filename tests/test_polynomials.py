@@ -1,6 +1,7 @@
 """Polynomial core: parsing, formatting, calculus, coordinate changes."""
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -81,6 +82,286 @@ class TestParse:
 
     def test_whitespace_insignificant(self):
         assert parse_poly(" x0 ^ 2 * x2+x1^3", 2) == parse_poly("x0^2*x2 + x1^3", 2)
+
+    def test_unexpected_term_names_the_variable(self):
+        with pytest.raises(PolyParseError) as err:
+            parse_poly("x0^2 + x1^2 x2", 2)
+        assert str(err.value) == "expected '+' or '-', got 'x2' (at position 12)"
+        assert err.value.position == 12
+
+    @pytest.mark.parametrize(
+        "text, position",
+        [
+            # A sign stands only before the first term and between terms.
+            ("x0^2 + -3*x1^2", 7),
+            # A coefficient stands only first in its term, and only once.
+            ("2*3*x0^2", 2),
+        ],
+    )
+    def test_signed_or_repeated_coefficient_refused(self, text, position):
+        with pytest.raises(PolyParseError, match="expected a variable like x0") as err:
+            parse_poly(text, 1)
+        assert err.value.position == position
+
+
+# --- the one-pass parser against the token-object parser it replaced ---------
+#
+# The tokenizer and recursive-descent parser as they were before parsing
+# became one pass, except that an unexpected variable is now named with its
+# ``x`` ("got 'x2'", not "got '2'").  Both must give the same polynomial, or
+# the same exception type, message and position.
+
+_REF_TOKEN_RE = re.compile(r"(?P<ws>\s+)|(?P<var>x(?P<idx>\d+))|(?P<num>\d+)|(?P<op>[\^*/+\-])")
+
+
+def _ref_tokenize(text):
+    tokens = []
+    bad = None
+    pos = 0
+    for m in _REF_TOKEN_RE.finditer(text):
+        start = m.start()
+        if start != pos and bad is None:
+            bad = pos
+        pos = m.end()
+        kind = m.lastgroup
+        if kind == "var":
+            tokens.append(("var", m.group("idx"), start))
+        elif kind != "ws":
+            tokens.append((kind, m.group(kind), start))
+    if pos != len(text) and bad is None:
+        bad = pos
+    return tokens, bad
+
+
+class _RefParser:
+    def __init__(self, tokens, end, n):
+        self.tokens = tokens
+        self.n = n
+        self.i = 0
+        self.end = end
+
+    def peek(self):
+        return self.tokens[self.i] if self.i < len(self.tokens) else None
+
+    def next(self):
+        tok = self.peek()
+        if tok is not None:
+            self.i += 1
+        return tok
+
+    def expect_op(self, symbol):
+        tok = self.next()
+        if tok is None or tok[0] != "op" or tok[1] != symbol:
+            pos = tok[2] if tok else self.end
+            raise PolyParseError(f"expected {symbol!r}", pos)
+
+    def parse(self):
+        acc = {}
+        sign = 1
+        tok = self.peek()
+        if tok is None:
+            raise PolyParseError("empty polynomial", 0)
+        if tok[0] == "op" and tok[1] in "+-":
+            sign = -1 if tok[1] == "-" else 1
+            self.next()
+        while True:
+            coeff, exp = self.parse_term()
+            exp_t = tuple(exp)
+            acc[exp_t] = acc.get(exp_t, 0) + sign * coeff
+            tok = self.peek()
+            if tok is None:
+                break
+            if tok[0] == "op" and tok[1] in "+-":
+                sign = -1 if tok[1] == "-" else 1
+                self.next()
+            else:
+                got = f"x{tok[1]}" if tok[0] == "var" else tok[1]
+                raise PolyParseError(f"expected '+' or '-', got {got!r}", tok[2])
+        return acc
+
+    def parse_term(self):
+        tok = self.peek()
+        if tok is None:
+            raise PolyParseError("expected a term", self.end)
+        coeff = 1
+        if tok[0] == "num":
+            coeff = self.parse_coef()
+            self.expect_op("*")
+        exp = [0] * (self.n + 1)
+        self.parse_factor(exp)
+        while True:
+            tok = self.peek()
+            if tok is not None and tok[0] == "op" and tok[1] == "*":
+                self.next()
+                self.parse_factor(exp)
+            else:
+                break
+        return coeff, exp
+
+    def parse_coef(self):
+        tok = self.next()
+        num = int(tok[1])
+        nxt = self.peek()
+        if nxt is not None and nxt[0] == "op" and nxt[1] == "/":
+            self.next()
+            den_tok = self.next()
+            if den_tok is None or den_tok[0] != "num":
+                pos = den_tok[2] if den_tok else self.end
+                raise PolyParseError("expected denominator after '/'", pos)
+            den = int(den_tok[1])
+            if den == 0:
+                raise PolyParseError("zero denominator", den_tok[2])
+            return Fraction(num, den)
+        return num
+
+    def parse_factor(self, exp):
+        tok = self.next()
+        if tok is None or tok[0] != "var":
+            pos = tok[2] if tok else self.end
+            raise PolyParseError("expected a variable like x0", pos)
+        idx = int(tok[1])
+        if idx > self.n:
+            raise PolyParseError(f"variable index {idx} exceeds n = {self.n}", tok[2])
+        power = 1
+        nxt = self.peek()
+        if nxt is not None and nxt[0] == "op" and nxt[1] == "^":
+            self.next()
+            p_tok = self.next()
+            if p_tok is None or p_tok[0] != "num":
+                pos = p_tok[2] if p_tok else self.end
+                raise PolyParseError("expected exponent after '^'", pos)
+            power = int(p_tok[1])
+        exp[idx] += power
+
+
+def _ref_parse_tokens(text, tokens, bad, n):
+    if n < 1:
+        raise PolyError(f"need at least two variables, got n = {n}")
+    if bad is not None:
+        raise PolyParseError(f"unexpected character {text[bad]!r}", bad)
+    raw = _RefParser(tokens, len(text), n).parse()
+    degrees = {sum(e) for e in raw}
+    if len(degrees) > 1:
+        raise PolyError(f"inhomogeneous input: term degrees {sorted(degrees)}")
+    canon = {e: c for e, c in raw.items() if c != 0}
+    if not canon:
+        raise PolyError("zero polynomial does not define a hypersurface")
+    return HomogeneousPoly.make(n, next(iter(degrees)), canon)
+
+
+def reference_parse_poly(text, n):
+    tokens, bad = _ref_tokenize(text)
+    return _ref_parse_tokens(text, tokens, bad, n)
+
+
+def reference_parse_poly_infer(text):
+    tokens, bad = _ref_tokenize(text)
+    indices = [int(tok[1]) for tok in tokens if tok[0] == "var"]
+    if not indices:
+        raise PolyError("no variables found in polynomial text")
+    return _ref_parse_tokens(text, tokens, bad, max(indices))
+
+
+def outcome(parse, *args):
+    """The parsed polynomial, or the raised exception's type, message and
+    position (None for an error without one)."""
+    try:
+        return parse(*args)
+    except PolyError as exc:
+        return type(exc), str(exc), getattr(exc, "position", None)
+
+
+PIECES = ["x0", "x1", "x2", "x3", "x4", *"0123456789", *"^*/+-", " ", "  "]
+STRAYS = ["$", "y", "x", ".", "é"]
+
+
+@st.composite
+def term_texts(draw):
+    """Polynomial-like text: signed terms of one degree with optional
+    coefficients, often valid, then a few pieces inserted or deleted."""
+    n = draw(st.integers(1, 4))
+    d = draw(st.integers(1, 4))
+    pieces = []
+    for k in range(draw(st.integers(1, 4))):
+        if k or draw(st.booleans()):
+            pieces.append(draw(st.sampled_from(["+", "-", " + ", " - "])))
+        if draw(st.booleans()):
+            pieces.append(str(draw(st.integers(0, 30))))
+            if draw(st.booleans()):
+                pieces += ["/", str(draw(st.integers(0, 9)))]
+            pieces.append("*")
+        exp = draw(st.sampled_from(degree_monomials(n, d)))
+        times = draw(st.sampled_from(["*", " * "]))
+        factors = []
+        for j, e in enumerate(exp):
+            if e and (e == 1 or draw(st.booleans())):
+                factors.append([f"x{j}", "^", str(e)] if e > 1 or draw(st.booleans()) else [f"x{j}"])
+            elif e:
+                factors += [[f"x{j}"]] * e
+        for i, factor in enumerate(factors):
+            pieces += [times] * (i > 0) + factor
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, len(pieces)))
+        if draw(st.booleans()) and at < len(pieces):
+            del pieces[at]
+        else:
+            pieces.insert(at, draw(st.sampled_from(PIECES)))
+    return "".join(pieces)
+
+
+@st.composite
+def parser_texts(draw):
+    """Text over x0..x4, digits, ``^*/+-`` and spaces, valid or not, with at
+    most one stray character."""
+    if draw(st.booleans()):
+        text = draw(term_texts())
+    else:
+        text = "".join(draw(st.lists(st.sampled_from(PIECES), max_size=16)))
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(st.sampled_from(STRAYS)) + text[at:]
+    return text
+
+
+OUTCOMES = (
+    "empty polynomial",
+    "expected a term",
+    "expected '*'",
+    "expected a variable like x0",
+    "expected exponent after '^'",
+    "expected denominator after '/'",
+    "zero denominator",
+    "expected '+' or '-', got",
+    "variable index",
+    "unexpected character",
+    "need at least two variables",
+    "no variables found",
+    "inhomogeneous input",
+    "zero polynomial does not define a hypersurface",
+)
+
+
+def test_parser_matches_reference():
+    """Drawn texts parse as the reference parses them, or fail with the
+    same type, message and position; and the draws reach every outcome."""
+    seen = set()
+
+    @settings(max_examples=500, derandomize=True, deadline=None)
+    @given(parser_texts(), st.integers(0, 4))
+    def check(text, n):
+        for parse, reference, args in (
+            (parse_poly, reference_parse_poly, (text, n)),
+            (parse_poly_infer, reference_parse_poly_infer, (text,)),
+        ):
+            result = outcome(parse, *args)
+            assert result == outcome(reference, *args)
+            if isinstance(result, HomogeneousPoly):
+                seen.add("parsed")
+            else:
+                seen.add(next(o for o in OUTCOMES if result[1].startswith(o)))
+
+    check()
+    assert seen == {"parsed", *OUTCOMES}
 
 
 def reference_format_terms(terms) -> str:

@@ -1,5 +1,6 @@
 """Exact phase-1 simplex unit tests: feasible points, Farkas certificates,
-redundant rows, negative right-hand sides, degeneracy."""
+redundant rows, negative right-hand sides, degeneracy.  The solver returns
+integer numerators over one denominator; the tests read them as rationals."""
 from __future__ import annotations
 
 from fractions import Fraction
@@ -8,14 +9,28 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hypstab.simplex import LPResult, SimplexError, solve_lp
+from hypstab.simplex import SimplexError, solve_lp
+
+
+def rational(values, den):
+    """Integer numerators over ``den`` as Fractions (None stays None)."""
+    return None if values is None else [Fraction(v, den) for v in values]
+
+
+def solve_rational(A, b):
+    """``solve_lp`` with its results read as rationals: (x, farkas)."""
+    result = solve_lp(A, b)
+    assert type(result.den) is int and result.den > 0
+    for values in (result.x, result.farkas):
+        assert values is None or all(type(v) is int for v in values)
+    return rational(result.x, result.den), rational(result.farkas, result.den)
 
 
 def test_infeasible():
     # x + y = -1 with x, y >= 0
-    result = solve_lp([[1, 1]], [-1])
-    assert result.x is None
-    assert result.farkas == [Fraction(-1)]
+    x, farkas = solve_rational([[1, 1]], [-1])
+    assert x is None
+    assert farkas == [Fraction(-1)]
 
 
 def test_infeasible_conflicting_equalities():
@@ -26,14 +41,14 @@ def test_infeasible_conflicting_equalities():
 def test_redundant_rows_dropped():
     # Duplicate constraint leaves a basic artificial at zero.
     A = [[1, 1], [1, 1], [1, 0]]
-    result = solve_lp(A, [3, 3, 1])
-    assert result.x == [Fraction(1), Fraction(2)]
+    x, _ = solve_rational(A, [3, 3, 1])
+    assert x == [Fraction(1), Fraction(2)]
 
 
 def test_exact_fractions():
     # 3x = 1
-    result = solve_lp([[3]], [1])
-    assert result.x == [Fraction(1, 3)]
+    x, _ = solve_rational([[3]], [1])
+    assert x == [Fraction(1, 3)]
 
 
 def test_degenerate_cycling_guard():
@@ -44,15 +59,15 @@ def test_degenerate_cycling_guard():
         [1, -24, -1, 6, 0, 2, 0],
         [0, 0, 1, 0, 0, 0, 1],
     ]
-    result = solve_lp(A, [0, 0, 1])
-    assert all(v >= 0 for v in result.x)
-    assert all(sum(a * x for a, x in zip(row, result.x)) == bi for row, bi in zip(A, [0, 0, 1]))
+    x, _ = solve_rational(A, [0, 0, 1])
+    assert all(v >= 0 for v in x)
+    assert all(sum(a * v for a, v in zip(row, x)) == bi for row, bi in zip(A, [0, 0, 1]))
 
 
 def test_negative_rhs_normalization():
     # -x = -2  <=>  x = 2
-    result = solve_lp([[-1]], [-2])
-    assert result.x == [2]
+    x, _ = solve_rational([[-1]], [-2])
+    assert x == [2]
 
 
 @pytest.mark.parametrize(
@@ -67,8 +82,9 @@ def test_malformed_input_rejected(A, b):
 # --- differential test against the Fraction tableau --------------------------
 #
 # Phase 1 over Fractions, as the fraction-free tableau's rational twin.  The
-# integer pivots keep Bland's pivot sequence, so x and the Farkas vector must
-# both be exactly equal.
+# integer pivots keep Bland's pivot sequence, so x and the Farkas vector,
+# read as numerators over the solver's denominator, must both be exactly
+# equal to the reference's Fractions.
 
 
 def _ref_pivot(rows, cost, basis, r, c):
@@ -122,12 +138,12 @@ def reference_solve_lp(A, b):
         _ref_pivot(tableau, cost, basis, leaving, entering)
     if -cost[-1] != 0:
         farkas = [(-(1 - cost[nv + i]) if flips[i] else (1 - cost[nv + i])) for i in range(m)]
-        return LPResult(farkas=farkas)
+        return None, farkas
     x = [Fraction(0)] * nv
     for i, row in enumerate(tableau):
         if basis[i] < nv:
             x[basis[i]] = row[-1]
-    return LPResult(x=x)
+    return x, None
 
 
 @st.composite
@@ -154,15 +170,12 @@ def lp_problems(draw):
 @settings(max_examples=400, deadline=None)
 def test_matches_fraction_tableau(problem):
     A, b = problem
-    result = solve_lp(A, b)
-    expected = reference_solve_lp(A, b)
-    assert result.x == expected.x
-    assert result.farkas == expected.farkas
-    assert (result.x is None) != (result.farkas is None)
-    if result.x is None:
-        y = result.farkas
-        assert all(sum(yi * row[j] for yi, row in zip(y, A)) <= 0 for j in range(len(A[0])))
-        assert sum(yi * bi for yi, bi in zip(y, b)) > 0
+    x, farkas = solve_rational(A, b)
+    assert (x, farkas) == reference_solve_lp(A, b)
+    assert (x is None) != (farkas is None)
+    if x is None:
+        assert all(sum(yi * row[j] for yi, row in zip(farkas, A)) <= 0 for j in range(len(A[0])))
+        assert sum(yi * bi for yi, bi in zip(farkas, b)) > 0
     else:
-        assert all(v >= 0 for v in result.x)
-        assert all(sum(a * x for a, x in zip(row, result.x)) == bi for row, bi in zip(A, b))
+        assert all(v >= 0 for v in x)
+        assert all(sum(a * v for a, v in zip(row, x)) == bi for row, bi in zip(A, b))

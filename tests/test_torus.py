@@ -5,15 +5,24 @@ from fractions import Fraction
 from math import lcm
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hypstab import enumerate_weight_oracle, membership, parse_poly, torus_destabilize
-from hypstab.linalg import rational_rank
+from hypstab import (
+    HomogeneousPoly,
+    WeightVector,
+    enumerate_weight_oracle,
+    membership,
+    parse_poly,
+    torus_destabilize,
+)
+from hypstab.linalg import integer_rank, nullspace_vector, primitive_row, rational_rank, scaled_integers
 from hypstab.polynomials import parse_poly_infer
-from hypstab.simplex import SimplexError
-from hypstab.torus import _verify_barycentric
+from hypstab.simplex import SimplexError, solve_lp
+from hypstab.torus import TorusDecision, _verify_barycentric
 from hypstab.weights import WeightError
 
-from conftest import random_support_poly
+from conftest import degree_monomials, random_support_poly
 
 
 def assert_decision_verifies(f, decision):
@@ -203,6 +212,8 @@ class TestVerifyBarycentric:
 
     @staticmethod
     def certificates(rng):
+        """The LP's certificates as integer weights over their sum L, the
+        lcm of the weights' denominators."""
         for _ in range(40):
             n = rng.choice([2, 3])
             f = random_support_poly(rng, n, rng.choice([3, 4]))
@@ -211,40 +222,131 @@ class TestVerifyBarycentric:
                 if not decision.feasible:
                     support = [exp for exp, _ in decision.certificate]
                     lambdas = [lam for _, lam in decision.certificate]
-                    yield support, lambdas, n, f.d, not strict
+                    total = lcm(*(lam.denominator for lam in lambdas))
+                    weights = scaled_integers(lambdas, total)
+                    yield support, weights, total, n, f.d, not strict
 
     def test_accepts_lp_certificates(self, rng):
         seen = {True: 0, False: 0}
-        for support, lambdas, n, d, positive in self.certificates(rng):
-            _verify_barycentric(support, lambdas, n, d, positive)
+        for support, weights, total, n, d, positive in self.certificates(rng):
+            _verify_barycentric(support, weights, total, n, d, positive)
             seen[positive] += 1
         assert seen[True] and seen[False]
 
     def test_rejects_weights_moved_by_one_over_l(self, rng):
         transfers = 0
-        for support, lambdas, n, d, positive in self.certificates(rng):
-            step = Fraction(1, lcm(*(lam.denominator for lam in lambdas)))
+        for support, weights, total, n, d, positive in self.certificates(rng):
             with pytest.raises(SimplexError, match="sum to 1"):
-                _verify_barycentric(support, [lambdas[0] + step] + lambdas[1:], n, d, positive)
-            if len(lambdas) > 1 and lambdas[0] > step:
-                moved = [lambdas[0] - step, lambdas[1] + step] + lambdas[2:]
+                _verify_barycentric(support, [weights[0] + 1] + weights[1:], total, n, d, positive)
+            if len(weights) > 1 and weights[0] > 1:
+                moved = [weights[0] - 1, weights[1] + 1] + weights[2:]
                 with pytest.raises(SimplexError, match="centroid"):
-                    _verify_barycentric(support, moved, n, d, positive)
+                    _verify_barycentric(support, moved, total, n, d, positive)
                 transfers += 1
         assert transfers
 
     def test_zero_weight_rejected_only_when_positive(self):
         support = [(3, 0, 0), (0, 3, 0), (0, 0, 3), (2, 1, 0)]
-        third = Fraction(1, 3)
-        lambdas = [third, third, third, Fraction(0)]
-        _verify_barycentric(support, lambdas, 2, 3, positive=False)
+        _verify_barycentric(support, [1, 1, 1, 0], 3, 2, 3, positive=False)
         with pytest.raises(SimplexError, match="signs"):
-            _verify_barycentric(support, lambdas, 2, 3, positive=True)
+            _verify_barycentric(support, [1, 1, 1, 0], 3, 2, 3, positive=True)
 
     def test_rank_deficient_support_rejected_when_positive(self):
         # (2,1,0) and (0,1,2) average to the centroid (1,1,1) but span a line.
         support = [(2, 1, 0), (0, 1, 2)]
-        half = Fraction(1, 2)
-        _verify_barycentric(support, [half, half], 2, 3, positive=False)
+        _verify_barycentric(support, [1, 1], 2, 2, 3, positive=False)
         with pytest.raises(SimplexError, match="span"):
-            _verify_barycentric(support, [half, half], 2, 3, positive=True)
+            _verify_barycentric(support, [1, 1], 2, 2, 3, positive=True)
+
+    def test_empty_total_rejected(self):
+        # Zero weights sum to their total 0 and meet every centroid equation.
+        with pytest.raises(SimplexError, match="sum to 1"):
+            _verify_barycentric([(1, 1, 1)], [0], 0, 2, 3, positive=False)
+
+
+# --- the integer decision against the Fraction decision it replaced ----------
+#
+# torus_destabilize as it was when the LP results were Fractions: the weights,
+# their sum and each lambda, the Farkas projection and the certificate check
+# all in Fraction arithmetic, the orthogonal vector found by a nullspace
+# search on every non-strict call.  The decisions must serialize identically.
+
+
+def _ref_verify_barycentric(support, lambdas, n, d, positive):
+    scale = lcm(*(lam.denominator for lam in lambdas))
+    weights = scaled_integers(lambdas, scale)
+    assert sum(weights) == scale
+    assert all(w >= 0 for w in weights) and not (positive and 0 in weights)
+    for j in range(n + 1):
+        assert (n + 1) * sum(w * exp[j] for w, exp in zip(weights, support)) == d * scale
+    shifted = [[(n + 1) * exp[j] - d for exp in support] for j in range(n + 1)]
+    assert not positive or integer_rank(shifted) == n
+
+
+def reference_torus_destabilize(f, strict):
+    support = f.support()
+    n, d = f.n, f.d
+    corners = [tuple(d if k == j else 0 for k in range(n + 1)) for j in range(n + 1)]
+    if d >= 1 and set(corners) <= set(support):
+        cert = tuple((c, Fraction(1, n + 1)) for c in corners)
+        _ref_verify_barycentric(corners, [lam for _, lam in cert], n, d, not strict)
+        return TorusDecision(False, strict, certificate=cert)
+    rows = [[(n + 1) * exp[j] - d for exp in support] for j in range(n + 1)]
+    if strict:
+        A = [[1] * len(support)] + rows
+        b = [1] + [0] * (n + 1)
+    else:
+        flat = nullspace_vector(list(support) + [[1] * (n + 1)])
+        if flat is not None:
+            return TorusDecision(True, False, witness=WeightVector(tuple(primitive_row(flat))))
+        A = rows
+        b = [-sum(row) for row in rows]
+    result = solve_lp(A, b)
+    if result.x is None:
+        y = [Fraction(v, result.den) for v in result.farkas[-(n + 1):]]
+        shift = sum(y) / len(y)
+        witness = WeightVector(tuple(primitive_row([shift - v for v in y])))
+        assert membership(f, witness, strict)
+        return TorusDecision(True, strict, witness=witness)
+    x = [Fraction(v, result.den) for v in result.x]
+    weights = x if strict else [1 + v for v in x]
+    total = sum(weights)
+    lambdas = [w / total for w in weights]
+    _ref_verify_barycentric(support, lambdas, n, d, not strict)
+    cert = tuple((exp, lam) for exp, lam in zip(support, lambdas) if lam != 0)
+    return TorusDecision(False, strict, certificate=cert)
+
+
+@st.composite
+def supports(draw):
+    n = draw(st.integers(1, 3))
+    d = draw(st.integers(0, 4))
+    chosen = draw(st.lists(st.sampled_from(degree_monomials(n, d)), min_size=1, unique=True))
+    return HomogeneousPoly.make(n, d, {exp: 1 for exp in chosen})
+
+
+def test_matches_fraction_decision():
+    """Drawn supports decide as the reference decides them, in both modes;
+    and the draws reach every kind of answer in each mode."""
+    seen = set()
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(supports())
+    def check(f):
+        for strict in (True, False):
+            decision = torus_destabilize(f, strict)
+            assert decision.to_json() == reference_torus_destabilize(f, strict).to_json()
+            if decision.feasible:
+                r = decision.witness.r
+                flat = all(sum(a * e for a, e in zip(r, exp)) == 0 for exp in f.support())
+                seen.add((strict, "orthogonal" if flat else "witness"))
+            elif f.d and len(decision.certificate) == f.n + 1 and all(
+                max(exp) == f.d for exp, _ in decision.certificate
+            ):
+                seen.add((strict, "corners"))
+            else:
+                seen.add((strict, "certificate"))
+
+    check()
+    kinds = ("witness", "corners", "certificate")
+    assert seen == {(s, kind) for s in (True, False) for kind in kinds} | {(False, "orthogonal")}
