@@ -14,7 +14,10 @@ apart and combines them.  Every array is at most ``BLOCK_ROWS`` rows, so
 memory stays bounded whatever the box size.  A tile (and the canonical
 split's ``is_lead``) depends only on the box's shape, so it is built once
 per shape, cached and read-only.
-``exact_dtype`` is the package's one choice between int64 and Python ints.
+``exact_dtype`` is the package's one choice between int64 and Python ints,
+and ``monomials`` its one monomial order: the Macaulay columns of
+:mod:`~hypstab.modp` and, read backwards, the expansions of
+:func:`~hypstab.linalg.transformed_supports`.
 """
 from __future__ import annotations
 
@@ -32,6 +35,26 @@ def exact_dtype(bound: int):
     partial results included: int64 below 2**63, where it is exact (its
     overflow would be silent), else Python ints (``object``)."""
     return np.int64 if bound < 2**63 else object
+
+
+def monomials(nvars: int, degree: int) -> np.ndarray:
+    """Exponent vectors of every monomial of ``degree``, one per row, in
+    descending lex order with x_n most significant."""
+    # Built from x_n down: each partial monomial is repeated once for every
+    # value of the next exponent, from what is left of the degree (``room``)
+    # down to 0, and what is left then is x_0's exponent.
+    room = np.array([degree], dtype=np.int64)
+    columns = []
+    for _ in range(nvars - 1):
+        parent = np.repeat(np.arange(room.size), room + 1)
+        offsets = np.arange(parent.size) - np.searchsorted(parent, parent)
+        columns = [c[parent] for c in columns] + [room[parent] - offsets]
+        room = offsets
+    exps = np.empty((room.size, nvars), dtype=np.int64)
+    exps[:, 0] = room
+    for k, c in enumerate(columns):
+        exps[:, nvars - 1 - k] = c
+    return exps
 
 
 def _tile(values: range | tuple[int, ...], most: int) -> np.ndarray:

@@ -10,7 +10,8 @@ scale out once.  Determinants, ranks and nullspaces share one fraction-free
 back-substitutes through the rows it leaves.  Coordinate changes expand the
 integer-scaled polynomial under the stored integers and emit its terms
 already in canonical order.  When only the support of the result is needed,
-:func:`transformed_supports` expands it for many matrices at once in numpy.
+:func:`transformed_supports` expands it for many matrices at once in numpy,
+over the monomials of :func:`~hypstab.grid.monomials` read backwards.
 """
 from __future__ import annotations
 
@@ -19,13 +20,13 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import compress
 from math import gcd, lcm
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
+import numpy as np
+
+from .grid import exact_dtype, monomials as monomial_rows
 from .polynomials import Exponent, HomogeneousPoly
 from .verdicts import InternalConsistencyError
-
-if TYPE_CHECKING:
-    import numpy as np
 
 
 class MatrixError(ValueError):
@@ -307,14 +308,6 @@ def transformed_supports(
     (``object`` dtype) from that bound.  A singular sigma raises
     :class:`MatrixError`.
     """
-    # numpy and grid are imported on first use, not with this module: linalg
-    # is one of the first modules the package imports, and importing numpy
-    # that early raised the peak memory of runs that never call this function
-    # by 0.2-0.4 MB (measured on the benchmark's smooth and crosscheck runs).
-    import numpy as np
-
-    from .grid import exact_dtype
-
     size = f.n + 1
     for sigma in sigmas:
         if not sigma.is_square or sigma.nrows != size:
@@ -370,14 +363,10 @@ def _expansion_tables(nvars: int, degree: int) -> tuple[list[Exponent], list[np.
     ``degree`` the index map of the degree-(a+1) monomials: entry (m, k) is
     the position of m / x_k among the degree-a monomials, or N_a (the zero
     column after them) where x_k does not divide m."""
-    import numpy as np  # on first use, as in transformed_supports
-
-    from .modp import _monomials
-
-    # modp lists every monomial in descending lex order with x_n most
+    # grid lists every monomial in descending lex order with x_n most
     # significant; read backwards, each row lists the same set with x_0 most
     # significant.
-    monomials = [[tuple(map(int, row)) for row in _monomials(nvars, a)[:, ::-1]]
+    monomials = [[tuple(map(int, row)) for row in monomial_rows(nvars, a)[:, ::-1]]
                  for a in range(degree + 1)]
     lower = []
     for below, above in zip(monomials, monomials[1:]):

@@ -18,7 +18,9 @@ p at any one D therefore proves that the g_j have no common zero over the
 algebraic closure of Q.  The forms enter only through their residues mod p,
 so they may be computed mod p.  :func:`prove_empty` steps D upward from the
 largest generator degree, and stops at the first full rank, at the caller's
-top degree, or before a matrix of more than ``MAX_CELLS`` cells.
+top degree, or before a matrix of more than ``MAX_CELLS`` cells.  Its
+columns are the monomials of :func:`~hypstab.grid.monomials`.  The two
+proofs below call it, both on the partials of F.
 
 Smoothness (:func:`prove_smooth`).  Let F be f with its denominators cleared
 and its content removed, so that F has coprime integer coefficients (a
@@ -29,7 +31,7 @@ Macaulay) their ideal contains every form of degree D = (n+1)(d-2)+1 and
 none of the lower degrees is full: M_D has full column rank over Q, hence mod
 all but finitely many primes, and D is the only degree tried.
 
-The Hessian-rank bound (:func:`~hypstab.rank_bound.prove_hessian_rank`).
+The Hessian-rank bound (:func:`prove_hessian_rank`).
 Let H be the Hessian of F.  At a singular point P, H(P) P = (d-1) grad F(P)
 = 0, and H(P) has the rank of the tangent cone's quadric at P (the
 ``hessian_rank`` of :class:`~hypstab.local_analysis.LocalData`), at most n.
@@ -71,12 +73,15 @@ row with a monomial outside its columns is a fault of the program and raises
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from itertools import combinations, combinations_with_replacement, count
 from math import comb
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .grid import exact_dtype
+from .grid import exact_dtype, monomials as monomial_rows
+from .linalg import RationalMatrix, apply_linear_change
 from .polynomials import Exponent, HomogeneousPoly, primitive_form
 from .verdicts import InternalConsistencyError
 
@@ -121,6 +126,18 @@ class MacaulayProof:
         )
 
 
+@dataclass(frozen=True)
+class HessianRankBound:
+    """Every singular point of V(f) over the algebraic closure of Q has
+    Hessian rank at least ``rank`` (``minors``), so delta <= 2 and
+    s <= ``s_max``: n - ``rank``, or 0 by ``hyperplane``."""
+
+    rank: int
+    s_max: int
+    minors: MacaulayProof
+    hyperplane: MacaulayProof | None = None
+
+
 def matrix_shape(degrees: Sequence[int], nvars: int, degree: int) -> tuple[int, int]:
     """Row and column count of the Macaulay matrix in ``degree`` of forms of
     these degrees in ``nvars`` variables."""
@@ -135,26 +152,6 @@ def macaulay_shape(n: int, d: int) -> tuple[int, int, int]:
     return (degree, *matrix_shape([d - 1] * (n + 1), n + 1, degree))
 
 
-def _monomials(nvars: int, degree: int) -> np.ndarray:
-    """Exponent vectors of every monomial of ``degree``, one per row, in
-    descending lex order with x_n most significant."""
-    # Built from x_n down: each partial monomial is repeated once for every
-    # value of the next exponent, from what is left of the degree (``room``)
-    # down to 0, and what is left then is x_0's exponent.
-    room = np.array([degree], dtype=np.int64)
-    columns = []
-    for _ in range(nvars - 1):
-        parent = np.repeat(np.arange(room.size), room + 1)
-        offsets = np.arange(parent.size) - np.searchsorted(parent, parent)
-        columns = [c[parent] for c in columns] + [room[parent] - offsets]
-        room = offsets
-    exps = np.empty((room.size, nvars), dtype=np.int64)
-    exps[:, 0] = room
-    for k, c in enumerate(columns):
-        exps[:, nvars - 1 - k] = c
-    return exps
-
-
 def _macaulay_rows(
     forms: Sequence[IntForm], nvars: int, degree: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
@@ -165,7 +162,7 @@ def _macaulay_rows(
     partials of a general form these alone are square and have full rank
     (x^a gets (x^a / x_j^(d-1)) * dF/dx_j for the first j with a_j >= d-1).
 
-    Columns follow :func:`_monomials`, a monomial order taken descending, so
+    Columns follow :func:`~hypstab.grid.monomials`, a monomial order taken descending, so
     a row's first column is its leading term; the rows of each form are
     numbered in ascending order of leading term, and the entries run degree
     by degree and, for the forms of one degree, shift by shift, each over
@@ -177,7 +174,7 @@ def _macaulay_rows(
     # (a quadric in 64 or more variables).
     dtype = exact_dtype((degree + 1) ** nvars - 1)
     radix = np.array([(degree + 1) ** k for k in range(nvars)], dtype=dtype)
-    columns = _monomials(nvars, degree)
+    columns = monomial_rows(nvars, degree)
     codes = columns @ radix
     ascending = codes[::-1]
     # For each generator degree e, the shifts m of degree D-e, ascending, and
@@ -395,11 +392,127 @@ def partial_terms(F: HomogeneousPoly) -> list[dict[Exponent, int]]:
     ]
 
 
+def _partials(F: HomogeneousPoly) -> list[IntForm]:
+    """The partials of the integer form F mod PRIME."""
+    return [IntForm.from_terms(F.d - 1, F.nvars, p) for p in partial_terms(F)]
+
+
 def prove_smooth(f: HomogeneousPoly) -> MacaulayProof | None:
     """A proof that V(f) is smooth, or None: the Macaulay matrix of the
     partials is rank deficient mod PRIME, exceeds ``MAX_CELLS``, or d < 2."""
     if f.d < 2:
         return None
     degree = macaulay_shape(f.n, f.d)[0]
-    partials = [IntForm.from_terms(f.d - 1, f.nvars, p) for p in partial_terms(primitive_form(f))]
-    return prove_empty(partials, f.nvars, degree, degree, "the partials")
+    return prove_empty(_partials(primitive_form(f)), f.nvars, degree, degree, "the partials")
+
+
+def _hessian_minors(F: HomogeneousPoly, r: int) -> list[IntForm]:
+    """The nonzero r x r minors of the Hessian of F mod PRIME, one for each
+    pair of index sets I <= J (H is symmetric, so the minor on (J, I) is the
+    same form).  The k x k minors come from the (k-1) x (k-1) ones in one
+    batch, by expansion along the first row: every entry times its cofactor
+    at once, the products added up by monomial in one bincount.  A sum holds
+    at most k times (number of entry monomials) products, each below PRIME,
+    so it is exact in float64."""
+    nvars, e = F.nvars, F.d - 2
+    weights = [(r * e + 1) ** k for k in range(nvars)]
+    radix = np.array(weights, dtype=np.int64)
+    monomials = [monomial_rows(nvars, k * e) for k in range(r + 1)]
+    codes = [m @ radix for m in monomials]
+    position = {int(code): at for at, code in enumerate(codes[1])}
+    hessian = np.zeros((nvars, nvars, len(position)), dtype=np.int64)
+    for exp, c in F.terms:
+        code = sum(x * w for x, w in zip(exp, weights))
+        for i, j in combinations_with_replacement(range(nvars), 2):
+            times = exp[i] * (exp[j] - (i == j))
+            if times:
+                at = position[code - weights[i] - weights[j]]
+                value = (int(hessian[i, j, at]) + c.numerator * times) % PRIME
+                hessian[i, j, at] = hessian[j, i, at] = value
+    singles = list(combinations(range(nvars), 1))
+    minors = {(i, j): hessian[i[0], j[0]] for a, i in enumerate(singles) for j in singles[a:]}
+    for k in range(2, r + 1):
+        subsets = list(combinations(range(nvars), k))
+        pairs = [(i, j) for a, i in enumerate(subsets) for j in subsets[a:]]
+        smaller = list(minors)
+        where = {key: at for at, key in enumerate(smaller)}
+        pair, entry, cofactor, sign = [], [], [], []
+        for p, (i, j) in enumerate(pairs):
+            for t in range(k):
+                sub = (i[1:], j[:t] + j[t + 1:])
+                pair.append(p)
+                entry.append(hessian[i[0], j[t]])
+                cofactor.append(where[min(sub, sub[::-1])])
+                sign.append(1 - 2 * (t % 2))
+        cofactors = np.stack(list(minors.values()))[cofactor]
+        products = np.array(entry)[:, :, None] * cofactors[:, None, :] % PRIME
+        # Monomial of each (entry term, cofactor term) product: descending
+        # codes, so the index counts back from the end.
+        ascending = codes[k][::-1]
+        product_codes = codes[1][:, None] + codes[k - 1][None, :]
+        target = len(ascending) - 1 - np.searchsorted(ascending, product_codes)
+        width = len(ascending)
+        bins = (np.array(pair)[:, None, None] * width + target[None]).ravel()
+        signed = (products * np.array(sign)[:, None, None]).ravel().astype(np.float64)
+        sums = np.bincount(bins, signed, minlength=len(pairs) * width)
+        minors = dict(zip(pairs, np.rint(sums).astype(np.int64).reshape(len(pairs), width) % PRIME))
+    return [IntForm(r * e, monomials[r][v != 0], v[v != 0]) for v in minors.values() if v.any()]
+
+
+def _hyperplane(n: int, points) -> list[int]:
+    """Coefficients c_i = t^(i+1) of a hyperplane x_n = sum c_i x_i, with the
+    first t >= 2 for which it misses every point given.  A point P is on it
+    for at most n values of t: sum P_i t^(i+1) - P_n is a nonzero polynomial
+    in t, since P != 0."""
+    for t in count(2):
+        c = [t ** (i + 1) for i in range(n)]
+        if all(sum(ci * Fraction(x) for ci, x in zip(c, p)) != Fraction(p[n]) for p in points):
+            return c
+
+
+def _restricted_partials(F: HomogeneousPoly, c: list[int]) -> list[IntForm]:
+    """The partials of G = F(x_0, ..., x_(n-1), x_n + sum c_i x_i) at
+    x_n = 0, as forms in x_0..x_(n-1).  By the chain rule they are the
+    partials of F on x_n = sum c_i x_i times a unimodular integer matrix, so
+    their ideal, and each Macaulay matrix's rank, is the same."""
+    n = F.n
+    sigma = [[int(k == j) for j in range(n)] + [ck] for k, ck in enumerate(c)]
+    G = apply_linear_change(F, RationalMatrix.from_rows(sigma + [[0] * n + [1]]))
+    return [
+        IntForm.from_terms(F.d - 1, n, {exp[:-1]: u for exp, u in partial.items() if not exp[-1]})
+        for partial in partial_terms(G)
+    ]
+
+
+def prove_hessian_rank(
+    f: HomogeneousPoly, r: int, points: Sequence[Sequence[Fraction]] = ()
+) -> HessianRankBound | None:
+    """A proof that every singular point of V(f) over the algebraic closure
+    of Q has Hessian rank at least ``r``, with the bound on s it gives, or
+    None.  When r < n it also tries s <= 0 on a hyperplane that misses
+    ``points`` (coordinate tuples of known singular points).  Each call to
+    :func:`prove_empty` ramps its degree up to (n+1)(d-2)+1 at most."""
+    if not 1 <= r <= f.n or f.d < 3:
+        return None
+    F = primitive_form(f)
+    top = macaulay_shape(f.n, f.d)[0]
+    # Every minor counted: a matrix over the cap at the first degree is not
+    # tried, and its minors are not computed.
+    degrees = [f.d - 1] * f.nvars + [r * (f.d - 2)] * comb(comb(f.nvars, r) + 1, 2)
+    nrows, ncols = matrix_shape(degrees, f.nvars, max(degrees))
+    if nrows * ncols > MAX_CELLS:
+        return None
+    ideal = f"the partials and the {r} x {r} Hessian minors"
+    minors = prove_empty(_partials(F) + _hessian_minors(F, r), f.nvars, top, ideal=ideal)
+    if minors is None:
+        return None
+    if r == f.n:
+        return HessianRankBound(r, 0, minors)
+    c = _hyperplane(f.n, points)
+    plane = " + ".join(f"{ci}*x{i}" for i, ci in enumerate(c))
+    hyperplane = prove_empty(
+        _restricted_partials(F, c), f.n, top, ideal=f"the partials on x{f.n} = {plane}"
+    )
+    if hyperplane is None:
+        return HessianRankBound(r, f.n - r, minors)
+    return HessianRankBound(r, 0, minors, hyperplane)

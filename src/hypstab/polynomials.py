@@ -101,54 +101,17 @@ class HomogeneousPoly:
     def support(self) -> tuple[Exponent, ...]:
         return tuple(exp for exp, _ in self.terms)
 
-    def as_dict(self) -> dict[Exponent, Fraction]:
-        return dict(self.terms)
-
     def coefficient(self, exp: Exponent) -> Fraction:
         for e, c in self.terms:
             if e == tuple(exp):
                 return c
         return Fraction(0)
 
-    def _check_compatible(self, other: "HomogeneousPoly") -> None:
-        if not isinstance(other, HomogeneousPoly):
-            raise PolyError(f"expected a homogeneous polynomial, got {type(other).__name__}")
-        if (other.n, other.d) != (self.n, self.d):
-            raise PolyError(
-                f"incompatible polynomials: (n, d) = ({self.n}, {self.d}) vs "
-                f"({other.n}, {other.d})"
-            )
-
-    def __add__(self, other: "HomogeneousPoly") -> "HomogeneousPoly":
-        self._check_compatible(other)
-        acc = self.as_dict()
-        for exp, c in other.terms:
-            acc[exp] = acc.get(exp, Fraction(0)) + c
-        return HomogeneousPoly.make(self.n, self.d, acc)
-
-    def __neg__(self) -> "HomogeneousPoly":
-        return HomogeneousPoly(self.n, self.d, tuple((e, -c) for e, c in self.terms))
-
-    def __sub__(self, other: "HomogeneousPoly") -> "HomogeneousPoly":
-        return self + (-other)
-
     def scale(self, factor) -> "HomogeneousPoly":
         factor = Fraction(factor)
         if factor == 0:
             return HomogeneousPoly(self.n, self.d, ())
         return HomogeneousPoly(self.n, self.d, tuple((e, c * factor) for e, c in self.terms))
-
-    def __mul__(self, other: "HomogeneousPoly") -> "HomogeneousPoly":
-        if not isinstance(other, HomogeneousPoly):
-            return NotImplemented
-        if other.n != self.n:
-            raise PolyError("variable count mismatch in product")
-        acc: dict[Exponent, Fraction] = {}
-        for e1, c1 in self.terms:
-            for e2, c2 in other.terms:
-                exp = tuple(a + b for a, b in zip(e1, e2))
-                acc[exp] = acc.get(exp, Fraction(0)) + c1 * c2
-        return HomogeneousPoly.make(self.n, self.d + other.d, acc)
 
     def partial_derivative(self, j: int) -> "HomogeneousPoly":
         if not 0 <= j <= self.n:
@@ -239,8 +202,10 @@ def _parse(text: str, tokens: list[tuple[str, ...]], n: int) -> HomogeneousPoly:
     The variable count is checked before a character that starts no token
     is reported, so a text whose variables are all x0 reads as too few
     variables in :func:`parse_poly_infer` too.  Coefficients stay ints until
-    a term has a denominator, and ``HomogeneousPoly.make`` makes them
-    Fractions."""
+    a term has a denominator.  The exponents already have n + 1 entries, none
+    negative, and one degree, and equal ones are merged, so the canonical
+    terms are built here, as :func:`~hypstab.linalg.apply_linear_change`
+    builds them, and :meth:`HomogeneousPoly.make` does not check them again."""
     if n < 1:
         raise PolyError(f"need at least two variables, got n = {n}")
     end = len(tokens)
@@ -305,11 +270,12 @@ def _parse(text: str, tokens: list[tuple[str, ...]], n: int) -> HomogeneousPoly:
     if len(degrees) > 1:
         found = sorted(degrees)
         raise PolyError(f"inhomogeneous input: term degrees {found}")
-    canon = {e: c for e, c in acc.items() if c != 0}
-    if not canon:
+    # One degree, so graded-lex order is lex order on the (distinct)
+    # exponents, and no Fraction is compared.
+    terms = tuple(sorted(((e, Fraction(c)) for e, c in acc.items() if c), reverse=True))
+    if not terms:
         raise PolyError("zero polynomial does not define a hypersurface")
-    d = next(iter(degrees))
-    return HomogeneousPoly.make(n, d, canon)
+    return HomogeneousPoly(n, degrees.pop(), terms)
 
 
 def parse_poly_infer(text: str) -> HomogeneousPoly:

@@ -6,14 +6,15 @@ asserted, try to prove smoothness modulo a prime (:mod:`.modp`); build a
 singularity profile (with per-field provenance: user-asserted, exact,
 verified-at-points, or heuristic) and run every sufficient criterion.  When
 they read positive on heuristic data for a cubic or quartic, try to prove
-the Hessian criterion's rank at every singular point (:mod:`.rank_bound`);
-its bounds replace the profile by the weakest one they allow.  When that
-reads ``SemiStable``, each higher rank up to the least at a known point is
-tried, and the first proven one that reads ``Stable`` is kept.  Then search
-for destabilization certificates.  A proven ``Stable`` skips the search: no
-certificate of either kind can exist (Hilbert-Mumford).  A proven
-``SemiStable`` skips the strict decisions, since no strict certificate can
-exist, and stops at the first non-strict one.
+the Hessian criterion's rank at every singular point with the same kernel
+(:func:`~.modp.prove_hessian_rank`); its bounds replace the profile by the
+weakest one they allow.  When that reads ``SemiStable``, each higher rank
+up to the least at a known point is tried, and the first proven one that
+reads ``Stable`` is kept.  Then search for destabilization certificates.
+A proven ``Stable`` skips the search: no certificate of either kind can
+exist (Hilbert-Mumford).  A proven ``SemiStable`` skips the strict
+decisions, since no strict certificate can exist, and stops at the first
+non-strict one.
 
 Negative claims always carry an exactly verified certificate; positive
 claims inherit the profile's basis, reported as ``basis``.  A verified
@@ -24,7 +25,6 @@ from __future__ import annotations
 
 import datetime
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING
 
 from . import __version__
 from .criteria import ProfileError, SingularityProfile, combined_verdict
@@ -36,7 +36,7 @@ from .local_analysis import (
     is_cone,
     scan_singular_points,
 )
-from .modp import MacaulayProof, prove_smooth
+from .modp import HessianRankBound, MacaulayProof, prove_hessian_rank, prove_smooth
 from .polynomials import HomogeneousPoly, format_poly
 from .search import SearchConfig, SearchOutcome, search_destabilization
 from .verdicts import (
@@ -46,9 +46,6 @@ from .verdicts import (
     Status,
     positive_strength,
 )
-
-if TYPE_CHECKING:
-    from .rank_bound import HessianRankBound
 
 SCHEMA = "hypstab-report/2"
 
@@ -340,12 +337,6 @@ def analyze(f: HomogeneousPoly, options: AnalysisOptions) -> AnalysisReport:
     rank = -(-2 * (f.n + 1) // f.d)
     heuristic = basis == "heuristic" and options.s is None
     if heuristic and criteria_verdict.status.is_positive and f.d in (3, 4) and rank <= f.n:
-        # rank_bound is imported on first use, as the search imports frames:
-        # importing it with this module raised the benchmark's peak memory
-        # on families, smooth and crosscheck, which never use it, by
-        # 0.1-0.2 MB (2-core host, Python 3.11).
-        from .rank_bound import prove_hessian_rank
-
         coords = [p.point.coords for p in singular]
         bound = prove_hessian_rank(f, rank, coords)
         if bound is not None:

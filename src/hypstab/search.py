@@ -74,6 +74,7 @@ from dataclasses import dataclass, field
 from itertools import chain, count, islice
 from typing import Iterator
 
+from . import frames
 from .certificates import Certificate, verify_certificate
 from .linalg import RationalMatrix, apply_linear_change, transformed_supports
 from .local_analysis import LocalData
@@ -152,12 +153,6 @@ def _frames(cfg: SearchConfig, f: HomogeneousPoly, points: tuple[LocalData, ...]
     yield "singular-point-to-Q", RationalMatrix.identity(size)
     for frame in point_frames:
         yield "singular-point-to-Q", frame
-    # frames is imported on first use, not with this module: only a search
-    # that gets past its point frames needs it, and importing it with this
-    # module raised the peak memory of the benchmark's families and smooth
-    # runs, which never use it, by 0.2-0.3 MB (2-core host, Python 3.11).
-    from . import frames
-
     yield from frames.structured_frames(f, points)
     while True:
         yield "permutations", _random_permutation(rng, size)

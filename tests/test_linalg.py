@@ -202,17 +202,22 @@ def reference_apply_linear_change(f, sigma):
     def unit(k):
         return tuple(int(i == k) for i in range(size))
 
-    forms = []
-    for col in zip(*sigma.rows):
-        forms.append(HomogeneousPoly.make(f.n, 1, {unit(k): col[k] for k in range(size) if col[k] != 0}))
-    one = HomogeneousPoly.make(f.n, 0, {tuple([0] * size): Fraction(1)})
+    def times(a, b):
+        out = {}
+        for e1, c1 in a.items():
+            for e2, c2 in b.items():
+                e = tuple(x + y for x, y in zip(e1, e2))
+                out[e] = out.get(e, Fraction(0)) + c1 * c2
+        return out
+
+    forms = [{unit(k): col[k] for k in range(size) if col[k] != 0} for col in zip(*sigma.rows)]
     acc = {}
     for exp, coeff in f.terms:
-        prod = one
+        prod = {tuple([0] * size): Fraction(1)}
         for j, t in enumerate(exp):
             for _ in range(t):
-                prod = prod * forms[j]
-        for e, c in prod.terms:
+                prod = times(prod, forms[j])
+        for e, c in prod.items():
             acc[e] = acc.get(e, Fraction(0)) + coeff * c
     return HomogeneousPoly.make(f.n, f.d, acc)
 

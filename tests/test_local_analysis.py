@@ -257,7 +257,7 @@ def _blockwise_scan(f, height_bound, primes):
     with gcd != 1 dropped first, then every polynomial evaluated on every row."""
     nvars = f.n + 1
     partials = [f.partial_derivative(j) for j in range(nvars)]
-    monomials, table = _integer_table([p.as_dict() for p in partials])
+    monomials, table = _integer_table([dict(p.terms) for p in partials])
     exps = np.array(monomials, dtype=np.int64)
     coeffs = np.array(table, dtype=_scan_dtype(monomials, table, height_bound))
     box = range(-height_bound, height_bound + 1)
@@ -270,7 +270,7 @@ def _blockwise_scan(f, height_bound, primes):
                 points += [tuple(int(c) for c in row) for row in hits]
     F = primitive_form(f)
     polys = [F] + [F.partial_derivative(j) for j in range(nvars)]
-    monomials, table = _integer_table([p.as_dict() for p in polys])
+    monomials, table = _integer_table([dict(p.terms) for p in polys])
     exps = np.array(monomials, dtype=np.int64)
     counts = {}
     for p in primes:
@@ -285,7 +285,7 @@ def _blockwise_scan(f, height_bound, primes):
 
 def _dtype_for(f, height_bound):
     partials = [f.partial_derivative(j) for j in range(f.n + 1)]
-    return _scan_dtype(*_integer_table([p.as_dict() for p in partials]), height_bound)
+    return _scan_dtype(*_integer_table([dict(p.terms) for p in partials]), height_bound)
 
 
 def _draw_form(data, max_n, max_d):

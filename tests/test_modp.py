@@ -100,6 +100,12 @@ def groebner_pure_powers(f: HomogeneousPoly) -> bool:
     return all(any(m[i] == sum(m) > 0 for m in leading) for i in range(f.nvars))
 
 
+def from_sympy(expr, n: int, d: int) -> HomogeneousPoly:
+    """The form of degree d in x0..xn that sympy expands ``expr`` to."""
+    xs = sympy.symbols(f"x0:{n + 1}")
+    return HomogeneousPoly.make(n, d, {e: int(c) for e, c in sympy.Poly(expr, *xs).as_dict().items()})
+
+
 @st.composite
 def planted_singular(draw):
     """f = sum of r * l * l' over linear forms l, l' vanishing at a random
@@ -108,21 +114,18 @@ def planted_singular(draw):
     d = draw(st.integers(3, 4))
     point = draw(st.lists(st.integers(-3, 3), min_size=n + 1, max_size=n + 1))
     assume(any(point))
-    forms = [
-        {tuple(int(v == j) for v in range(n + 1)): point[k],
-         tuple(int(v == k) for v in range(n + 1)): -point[j]}
-        for j in range(n + 1)
-        for k in range(j + 1, n + 1)
-    ]
-    forms = [HomogeneousPoly.make(n, 1, form) for form in forms]
-    forms = [form for form in forms if not form.is_zero]
+    xs = sympy.symbols(f"x0:{n + 1}")
+    forms = [point[k] * xs[j] - point[j] * xs[k] for j in range(n + 1) for k in range(j + 1, n + 1)]
+    forms = [form for form in forms if form != 0]
     monomials = degree_monomials(n, d - 2)
-    f = HomogeneousPoly.make(n, d, {})
+    f = 0
     for _ in range(draw(st.integers(2, 5))):
         a, b = draw(st.sampled_from(forms)), draw(st.sampled_from(forms))
         coeffs = draw(st.dictionaries(st.sampled_from(monomials), st.integers(-3, 3),
                                       min_size=1, max_size=4))
-        f = f + HomogeneousPoly.make(n, d - 2, coeffs) * a * b
+        r = sum(c * prod(x**e for x, e in zip(xs, exp)) for exp, c in coeffs.items())
+        f += r * a * b
+    f = from_sympy(f, n, d)
     assume(not f.is_zero)
     return f, point
 
@@ -149,14 +152,13 @@ def binomial_partials(draw, planted: bool):
     n = draw(st.integers(2, 3))
     d = draw(st.integers(3, 5 if n == 2 else 4))
     image = draw(st.permutations(range(n + 1)))
-    f = HomogeneousPoly.make(n, d, {})
+    xs = sympy.symbols(f"x0:{n + 1}")
+    f = 0
     for i, j in enumerate(image):
         k = draw(st.integers(0, d - 1))
-        exp = [0] * (n + 1)
-        exp[i] += d - k
-        exp[j] += k
         c = draw(st.integers(-3, 3).filter(bool))
-        f = f + HomogeneousPoly.make(n, d, {tuple(exp): c})
+        f += c * xs[i] ** (d - k) * xs[j] ** k
+    f = from_sympy(f, n, d)
     if not planted:
         return f, None
     j = draw(st.integers(0, n))
@@ -464,15 +466,15 @@ class TestAnalyze:
 
     def test_kernel_fault_exits_internal(self, capsys, tmp_path, monkeypatch):
         # The rows and shifts are read from the column monomials of
-        # ``_monomials``; dropping one leaves a row entry with no column.  No
-        # input reaches this, so force it.
-        monomials, columns_degree = modp._monomials, macaulay_shape(2, 4)[0]
+        # ``grid.monomials``; dropping one leaves a row entry with no column.
+        # No input reaches this, so force it where modp reads it.
+        monomials, columns_degree = modp.monomial_rows, macaulay_shape(2, 4)[0]
 
         def fewer_columns(nvars, degree):
             out = monomials(nvars, degree)
             return out[:-1] if degree == columns_degree else out
 
-        monkeypatch.setattr(modp, "_monomials", fewer_columns)
+        monkeypatch.setattr(modp, "monomial_rows", fewer_columns)
         code, _, err = self.run(capsys, tmp_path, SMOOTH["klein-quartic"])
         assert code == EXIT_INTERNAL
         assert "internal consistency failure" in err

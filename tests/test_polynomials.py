@@ -26,12 +26,12 @@ from conftest import degree_monomials
 class TestParse:
     def test_spec_example(self):
         f = parse_poly("x0^2*x2 + x1^3", 2)
-        assert f.as_dict() == {(2, 0, 1): Fraction(1), (0, 3, 0): Fraction(1)}
+        assert dict(f.terms) == {(2, 0, 1): Fraction(1), (0, 3, 0): Fraction(1)}
         assert (f.n, f.d) == (2, 3)
 
     def test_cancellation(self):
         f = parse_poly("x0^3 - x0^3 + x1^3", 1)
-        assert f.as_dict() == {(0, 3): Fraction(1)}
+        assert dict(f.terms) == {(0, 3): Fraction(1)}
 
     def test_inhomogeneous_rejected(self):
         with pytest.raises(PolyError, match="inhomogeneous"):
@@ -74,7 +74,7 @@ class TestParse:
 
     def test_repeated_variable_factors_multiply(self):
         f = parse_poly("x0*x0*x1", 1)
-        assert f.as_dict() == {(2, 1): Fraction(1)}
+        assert dict(f.terms) == {(2, 1): Fraction(1)}
 
     def test_infer_n(self):
         f = parse_poly_infer("x0^2*x3^2 + x0*x2^3 + x1^4")
@@ -511,11 +511,14 @@ class TestCalculus:
             st.lists(st.sampled_from(monomials), min_size=1, max_size=5, unique=True)
         )
         f = HomogeneousPoly.make(n, d, {e: 1 for e in subset})
-        total = HomogeneousPoly.make(n, d, {})
-        for j in range(n + 1):
-            xj = HomogeneousPoly.make(n, 1, {tuple(int(k == j) for k in range(n + 1)): 1})
-            total = total + xj * f.partial_derivative(j)
-        assert total == f.scale(d)
+        # sum x_j * df/dx_j = d * f, checked at integer points.
+        points = data.draw(
+            st.lists(st.lists(st.integers(-2, 2), min_size=n + 1, max_size=n + 1),
+                     min_size=1, max_size=5)
+        )
+        for point in points:
+            total = sum(x * f.partial_derivative(j).evaluate(point) for j, x in enumerate(point))
+            assert total == d * f.evaluate(point)
 
 
 def _unipotent(n, entries, upper):
@@ -554,14 +557,6 @@ class TestLinearChange:
         f = parse_poly("x0^3", 1)
         with pytest.raises(Exception, match="size"):
             apply_linear_change(f, RationalMatrix.identity(3))
-
-    def test_distributes_over_addition(self):
-        f = parse_poly("x0^2*x1", 2)
-        g = parse_poly("x1^2*x2", 2)
-        sigma = _unipotent(2, [1, -2, 3], upper=True)
-        assert apply_linear_change(f + g, sigma) == apply_linear_change(
-            f, sigma
-        ) + apply_linear_change(g, sigma)
 
     @given(st.data())
     @settings(max_examples=30, deadline=None)

@@ -12,22 +12,17 @@ Stable it must find no certificate at all.
 from __future__ import annotations
 
 import json
-import os
-import subprocess
-import sys
 from fractions import Fraction
 from math import prod
-from pathlib import Path
 
 import pytest
 import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from hypstab import HomogeneousPoly, RationalMatrix, apply_linear_change, modp, parse_poly_infer, rank_bound
+from hypstab import HomogeneousPoly, RationalMatrix, apply_linear_change, modp, parse_poly_infer
 from hypstab.cli import EXIT_INTERNAL, EXIT_OK, main
-from hypstab.modp import PRIME, IntForm, prove_empty
-from hypstab.rank_bound import prove_hessian_rank
+from hypstab.modp import PRIME, IntForm, prove_empty, prove_hessian_rank
 from hypstab.report import AnalysisOptions, analyze
 from hypstab.search import SearchConfig, search_destabilization
 
@@ -179,9 +174,8 @@ def form(n: int, d: int, terms: dict) -> HomogeneousPoly:
 def planted(n: int, quadric: dict, rest: dict, rows) -> tuple[HomogeneousPoly, tuple]:
     """x_n * Q + C with Q and C forms in x_0..x_(n-1), moved by ``rows``:
     a double point at P whose Hessian rank is the rank of Q."""
-    f0 = form(n, 3, {e + (1,): c for e, c in quadric.items()}) + form(
-        n, 3, {e + (0,): c for e, c in rest.items()}
-    )
+    terms = {e + (1,): c for e, c in quadric.items()} | {e + (0,): c for e, c in rest.items()}
+    f0 = form(n, 3, terms)
     assume(not f0.is_zero)
     g, point = move(f0, rows)
     assert all(g.partial_derivative(j).evaluate(point) == 0 for j in range(g.nvars))
@@ -256,9 +250,9 @@ class TestPlantedPoints:
     def test_a_singular_line_never_gets_s_zero(self, parts):
         # x0^2 P0 + x0 x1 P1 + x1^2 P2 is singular along x0 = x1 = 0, which
         # meets every hyperplane.
-        x0, x1 = form(3, 1, {(1, 0, 0, 0): 1}), form(3, 1, {(0, 1, 0, 0): 1})
-        p0, p1, p2 = (form(3, 2, p) for p in parts)
-        f = x0 * x0 * p0 + x0 * x1 * p1 + x1 * x1 * p2
+        p0, p1, p2 = (sum(c * prod(x**e for x, e in zip(X, exp)) for exp, c in p.items()) for p in parts)
+        x0, x1 = X[:2]
+        f = form(3, 4, sympy.Poly(x0 * x0 * p0 + x0 * x1 * p1 + x1 * x1 * p2, *X).as_dict())
         assume(not f.is_zero)
         bound = prove_hessian_rank(f, 1)
         assert bound is None or (bound.s_max >= 1 and bound.hyperplane is None)
@@ -268,10 +262,26 @@ class TestPlantedPoints:
         assert (bound.rank, bound.s_max) == (2, 0)
         assert bound.hyperplane.ideal == "the partials on x3 = 2*x0 + 4*x1 + 8*x2"
 
+    def test_the_size_check_reads_the_kernel_cap(self, monkeypatch):
+        # r = 2 on a quartic surface: the 4 partials (cubics) and 21 minors
+        # (quartics) make the first matrix, in degree 4, 4*4 + 21 rows by
+        # 35 columns.  Under the cap no minor is computed.
+        def computed(*args):
+            raise AssertionError("a minor was computed")
+
+        f = parse_poly_infer(NODAL_QUARTIC)
+        assert modp.matrix_shape([3] * 4 + [4] * 21, 4, 4) == (37, 35)
+        monkeypatch.setattr(modp, "_hessian_minors", computed)
+        monkeypatch.setattr(modp, "MAX_CELLS", 37 * 35 - 1)
+        assert prove_hessian_rank(f, 2) is None
+        monkeypatch.setattr(modp, "MAX_CELLS", 37 * 35)
+        with pytest.raises(AssertionError, match="a minor was computed"):
+            prove_hessian_rank(f, 2)
+
     def test_the_hyperplane_misses_the_known_points(self):
         # [1:0:0:2] is on x3 = 2 x0 + 4 x1 + 8 x2, so t = 3 is taken.
-        assert rank_bound._hyperplane(3, [(1, 0, 0, 2)]) == [3, 9, 27]
-        assert rank_bound._hyperplane(3, [(0, 0, 0, 1)]) == [2, 4, 8]
+        assert modp._hyperplane(3, [(1, 0, 0, 2)]) == [3, 9, 27]
+        assert modp._hyperplane(3, [(0, 0, 0, 1)]) == [2, 4, 8]
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(2, 3), st.integers(3, 4), st.data())
@@ -288,7 +298,7 @@ class TestPlantedPoints:
         theirs = [sympy.Poly(sympy.diff(F, x).subs(xs[n], line), *xs[:n]).as_dict() for x in xs]
         ours = [
             {tuple(e): int(v) - PRIME * (v > PRIME // 2) for e, v in zip(g.exps.tolist(), g.values)}
-            for g in rank_bound._restricted_partials(form(n, d, terms), c)
+            for g in modp._restricted_partials(form(n, d, terms), c)
         ]
         columns = sorted({e for p in ours + theirs for e in p})
 
@@ -305,7 +315,7 @@ class TestPlantedPoints:
                     sum(int(c) * prod(x**e for x, e in zip(X, exp)) for exp, c in zip(m.exps.tolist(), m.values)),
                     *X,
                 ).as_expr()
-                for m in rank_bound._hessian_minors(f, r)
+                for m in modp._hessian_minors(f, r)
             }
             theirs = {
                 sympy.Poly(p, *X, modulus=PRIME).as_expr()
@@ -380,7 +390,7 @@ class TestAnalyze:
         def unexpected(*args):
             raise AssertionError("the rank proof ran under an asserted s")
 
-        monkeypatch.setattr("hypstab.rank_bound.prove_hessian_rank", unexpected)
+        monkeypatch.setattr("hypstab.report.prove_hessian_rank", unexpected)
         code, out, _ = self.run(
             capsys, tmp_path, SEMISTABLE["nodal-cubic#0"], "--s", "0", "--budget", "3", "--json", "-"
         )
@@ -388,26 +398,6 @@ class TestAnalyze:
         report = json.loads(out)
         assert report["basis"] == "heuristic"
         assert (report["search"]["frames_tried"], report["search"]["skipped"]) == (3, None)
-
-    def test_the_bound_is_imported_only_when_tried(self, tmp_path):
-        # A smooth input never tries the bound; a nodal cubic does.
-        src = Path(__file__).resolve().parent.parent / "src"
-        script = (
-            "import sys; from hypstab.cli import main; "
-            "main(['analyze', sys.argv[1], '--no-timestamp', '--json', sys.argv[2]]); "
-            "print('hypstab.rank_bound' in sys.modules)"
-        )
-        loaded = []
-        for text in ("x0^3*x1 + x1^3*x2 + x2^3*x0", SEMISTABLE["nodal-cubic#0"]):
-            path = tmp_path / "input.poly"
-            path.write_text(text + "\n")
-            proc = subprocess.run(
-                [sys.executable, "-c", script, str(path), str(tmp_path / "report.json")],
-                capture_output=True, text=True, timeout=60,
-                env={**os.environ, "PYTHONPATH": str(src)},
-            )
-            loaded.append(proc.stdout.splitlines()[-1])
-        assert loaded == ["False", "True"]
 
     def test_proof_fault_exits_internal(self, capsys, tmp_path, monkeypatch):
         # The disguised nodal cubic's node is found, so the smoothness proof
@@ -432,8 +422,8 @@ class TestAnalyze:
 
     def test_a_point_that_contradicts_the_proof_exits_internal(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setattr(
-            "hypstab.rank_bound.prove_hessian_rank",
-            lambda f, r, points: rank_bound.HessianRankBound(3, 0, prove_hessian_rank(f, r, points).minors),
+            "hypstab.report.prove_hessian_rank",
+            lambda f, r, points: modp.HessianRankBound(3, 0, prove_hessian_rank(f, r, points).minors),
         )
         code, _, err = self.run(capsys, tmp_path, SEMISTABLE["nodal-cubic#0"])
         assert code == EXIT_INTERNAL

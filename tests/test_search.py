@@ -439,9 +439,14 @@ class TestStructuredFrames:
             assert verify_certificate(f, outcome.nonstrict).status == Status.NOT_STABLE
 
     def test_planted_linear_factor_gives_a_frame(self):
-        # (2*x0 - x1 + 3*x2) times a conic with no rational linear factor.
+        # (2*x0 - x1 + 3*x2) times a conic with no rational linear factor,
+        # x0^2 + x1^2 - 5*x2^2 + x0*x2, expanded.
         line = parse_poly("2*x0 - x1 + 3*x2", 2)
-        f = line * parse_poly("x0^2 + x1^2 - 5*x2^2 + x0*x2", 2)
+        f = parse_poly(
+            "2*x0^3 - x0^2*x1 + 5*x0^2*x2 + 2*x0*x1^2 - x0*x1*x2 - 7*x0*x2^2 - x1^3"
+            " + 3*x1^2*x2 + 5*x1*x2^2 - 15*x2^3",
+            2,
+        )
         found = list(frames.linear_components(f))
         assert len(found) == 1
         # The linear factor is a multiple of the frame's last coordinate.
@@ -454,7 +459,7 @@ class TestStructuredFrames:
         # Three lines: one frame each, which makes that factor (a multiple
         # of) its last coordinate.
         factors = [parse_poly(text, 2) for text in ("x2", "x0 - x1", "x1 + 2*x2")]
-        f = factors[0] * factors[1] * factors[2]
+        f = parse_poly("x0*x1*x2 + 2*x0*x2^2 - x1^2*x2 - 2*x1*x2^2", 2)  # their product
         made_last = [
             [i for i, line in enumerate(factors)
              if apply_linear_change(line, frame).support() == ((0, 0, 1),)]
