@@ -13,7 +13,9 @@ Neither materializes a row: each caller evaluates the prefix and tile parts
 apart and combines them.  Every array is at most ``BLOCK_ROWS`` rows, so
 memory stays bounded whatever the box size.  A tile (and the canonical
 split's ``is_lead``) depends only on the box's shape, so it is built once
-per shape, cached and read-only.
+per shape, cached and read-only; the scan caches the residue and lead words
+of its checks on a canonical tile beside it, under the same key and the
+checks.
 ``exact_dtype`` is the package's one choice between int64 and Python ints,
 and ``monomials`` its one monomial order: the Macaulay columns of
 :mod:`~hypstab.modp` and, read backwards, the expansions of

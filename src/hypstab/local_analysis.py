@@ -11,12 +11,16 @@ heuristic evidence about the dimension of the singular locus, which is never
 computed exactly here.  Written in symmetric residues with first nonzero
 coordinate 1, the points of P^n(F_p) are canonical rows of the height box
 once p // 2 <= h, so one walk of the box gives the rational points and the
-counts for every such prime; a larger prime walks its own residue box.
+counts for every such prime; a larger prime walks its own residue box.  A
+row of a walk carries its checks as the bits of one unsigned word, cleared
+by table lookups: of its entries, for the residue boxes, and of each
+polynomial's value mod a product of the primes, for divisibility.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from itertools import chain
 from math import lcm, prod
 
@@ -173,9 +177,9 @@ class ScanResult:
     of P^n(F_p) at which F and every partial of F vanish mod p, F being f
     with its denominators cleared and its content removed; or None when
     P^n(F_p) has more than ``_FIELD_SCAN_LIMIT`` points.  The points and
-    the counts for the primes with p // 2 <= ``height_bound`` come from one
-    walk of the evaluator; each larger prime's count from one more walk, of
-    its residue box.  Neither proves anything about singular points outside
+    the counts for up to 63 primes with p // 2 <= ``height_bound`` come from
+    one walk of the evaluator; each larger prime's count from one more walk,
+    of its residue box.  Neither proves anything about singular points outside
     the height bound or with irrational coordinates.
     """
 
@@ -235,6 +239,11 @@ def _is_prime(p: int) -> bool:
     return True
 
 
+def _residues(p: int) -> range:
+    """The symmetric residues of p, [-((p - 1) // 2), p // 2]."""
+    return range(-((p - 1) // 2), p // 2 + 1)
+
+
 def _integer_table(polys) -> tuple[list[Exponent], list[list[int]]]:
     """The polynomials, {exponent: rational coefficient} mappings, each with
     its denominators cleared, as a monomial list and a (monomial x
@@ -273,53 +282,109 @@ def _monomial_values(points, exps, dtype):
     return values
 
 
+# A walk's checks are the bits of one unsigned word per row, 64 at most.
+_WALK_CHECKS = 64
+# The primes that share one residue table have a product of at most this;
+# a larger prime has a table of its own.
+_TABLE_SIZE = 2**16
+
+
 def _zero(values, check: int):
     """Where ``values`` passes ``check``: is 0 (check 0), or 0 mod the prime
     ``check``."""
-    return values % check == 0 if check else values == 0
+    return values == values // check * check if check else values == 0
 
 
-def _survivors(values, mask, checks):
-    """``(keep, mask)`` after one polynomial took ``values`` on some rows:
-    which rows some check still holds on, and those rows' masks.  With no
-    mask (one check on all its rows) ``keep`` is that check's filter."""
-    if mask is None:
+def _survivors(values, words, checks, tables):
+    """``(keep, words)`` after one polynomial took ``values`` on some rows:
+    which rows some check still holds on, and those rows' words.  With no
+    words (one check on all its rows) ``keep`` is that check's filter."""
+    if words is None:
         return _zero(values, checks[0]), None
-    mask = mask & np.stack([_zero(values, p) for p in checks], axis=-1)
-    keep = mask.any(axis=-1)
-    return keep, mask[keep]
+    # Bit 0, the exact check if it is walked, where the value is 0; each
+    # prime's bit where the table of the value's residue has it.
+    passed = values == 0 if checks[0] == 0 else 0
+    for table in tables:
+        m = len(table)
+        passed = passed | table[(values - values // m * m).astype(np.intp, copy=False)]
+    words = words & passed
+    keep = words != 0
+    return keep, words[keep]
 
 
-def _residue_mask(rows, checks, lead: bool):
-    """mask[i, c]: whether check c applies to ``rows[i]``, a part of a row.
-    Check 0 applies to every row.  A prime p applies where every entry is a
-    symmetric residue of p, in [-((p - 1) // 2), p // 2], and, if ``lead``
-    (the part holds the row's first nonzero entry), that entry is 1."""
-    mask = np.ones((len(rows), len(checks)), dtype=bool)
-    if lead:
-        first = rows[np.arange(len(rows)), (rows != 0).argmax(axis=1)]
+def _row_words(rows, by_value, low: int, lead):
+    """The residue word of each of ``rows``, the AND over its entries v of
+    ``by_value[v - low]``.  If ``lead`` is not None (the part holds the
+    row's first nonzero entry), the rows whose first nonzero entry is not 1
+    keep only the bits of ``lead``."""
+    words = np.full(len(rows), np.bitwise_or.reduce(by_value), dtype=by_value.dtype)
+    first = np.zeros(len(rows), dtype=np.int64)
+    for col in rows.T[::-1]:
+        words &= by_value[col - low]
+        first = np.where(col != 0, col, first)
+    if lead is not None:
+        words[first != 1] &= lead
+    return words
+
+
+@lru_cache(maxsize=16)
+def _check_words(values: range, top: int, width: int, checks: tuple[int, ...], cap: int):
+    """The read-only words of a walk with several checks, bit c for check c:
+    ``(by_value, tables, tile_words, lead_words)``.
+
+    ``by_value[v - values[0]]`` has the checks whose residues hold the value
+    v: check 0 every value, a prime p its symmetric residues.  ``tables``
+    split the checked primes, in order, into groups whose product M is at
+    most ``_TABLE_SIZE`` (or one prime above it): ``table[r]``, for r in
+    0..M-1, has the group's primes that divide r.  ``tile_words`` are the
+    residue words of the rows of the tile of ``grid.canonical_split(values,
+    top, width)``, and ``lead_words`` those words under the rule that a row
+    whose first nonzero entry is not 1 loses its prime bits.  ``cap`` is
+    ``grid.BLOCK_ROWS`` at the call, part of the key as in the tile's cache:
+    it decides the tile.
+    """
+    dtype = np.min_scalar_type((1 << len(checks)) - 1)
+    by_value = np.array(
+        [sum(1 << c for c, p in enumerate(checks) if not p or v in _residues(p)) for v in values],
+        dtype=dtype,
+    )
+    tables = []
     for c, p in enumerate(checks):
         if p:
-            mask[:, c] = ((rows >= -((p - 1) // 2)) & (rows <= p // 2)).all(axis=1)
-            if lead:
-                mask[:, c] &= first == 1
-    return mask
+            if not tables or len(tables[-1]) * p > _TABLE_SIZE:
+                tables.append(np.zeros(1, dtype=dtype))
+            table = np.tile(tables[-1], p)
+            table[::p] |= dtype.type(1 << c)
+            tables[-1] = table
+    tile = grid.canonical_split(values, top, width)[0]
+    tile_words = _row_words(tile, by_value, values[0], None)
+    lead_words = _row_words(tile, by_value, values[0], int(checks[0] == 0))
+    for array in (by_value, *tables, tile_words, lead_words):
+        array.flags.writeable = False
+    return by_value, tuple(tables), tile_words, lead_words
 
 
-def _canonical_zeros(exps, coeffs, values, top: int, checks: tuple[int, ...]):
+def _canonical_zeros(exps, coeffs, values: range, top: int, checks: tuple[int, ...]):
     """Walk the rows of ``product(values, repeat=nvars)`` whose first nonzero
-    entry is in 1..``top`` once, and yield ``(rows, mask)`` for the rows at
+    entry is in 1..``top`` once, and yield ``(rows, words)`` for the rows at
     which every polynomial passes some check: ``rows`` an int64 array of at
-    most ``grid.BLOCK_ROWS`` rows, ``mask`` a bool array with one column
-    per check, marking the checks that hold there, in no particular order.
+    most ``grid.BLOCK_ROWS`` rows, ``words`` one unsigned integer per row,
+    whose bit c is set when check c holds there, in no particular order.
 
     A check is 0, "every polynomial is 0", or a prime p, "every polynomial
     is 0 mod p, on a row of symmetric residues of p whose first nonzero
     entry is 1": those rows are the points of P^n(F_p), one each.  A lone
     check must apply to every row walked (0, or p on its own residue box
-    with ``top`` 1); then no mask is kept and each polynomial filters the
-    rows as one boolean test.  With several checks each row carries a mask
-    of the checks still alive, and is dropped when none is left.
+    with ``top`` 1); then each polynomial filters the rows as one boolean
+    test, and every word yielded is 1.  Up to ``_WALK_CHECKS`` checks share
+    a walk; then each row carries one word of the checks still alive, and
+    is dropped when it is 0.  A row starts with its residue word, the AND of
+    a per-value table over its entries, and loses every prime bit if its
+    first nonzero entry is not 1 (the tile's words are cached by
+    :func:`_check_words`).  Each polynomial leaves check 0's bit where its
+    value is 0 and, by one lookup of the value mod M in a table, M a product
+    of the checked primes, the bits of the primes that divide the value.  No
+    divisibility test in the walk uses ``%``.
 
     Column q of ``coeffs`` (monomial x polynomial) holds the integer
     coefficients of polynomial q on the monomials ``exps``, in the dtype of
@@ -357,42 +422,53 @@ def _canonical_zeros(exps, coeffs, values, top: int, checks: tuple[int, ...]):
 
     head, tail = slice(cut), slice(cut, None)
 
-    alive = np.arange(len(tile))
-    tile_mask = _residue_mask(tile, checks, lead=False) if masked else None
+    tables = tile_word = lead_word = None
+    if masked:
+        by_value, tables, tile_words, lead_words = _check_words(
+            values, top, nvars, checks, grid.BLOCK_ROWS
+        )
+        alive = np.flatnonzero(tile_words)
+        tile_word = tile_words[alive]
+    else:
+        alive = np.arange(len(tile))
     for s, c in on_tile:
-        keep, tile_mask = _survivors(values_on(tile[alive], tail, s, c), tile_mask, checks)
+        keep, tile_word = _survivors(values_on(tile[alive], tail, s, c), tile_word, checks, tables)
         alive = alive[keep]
     if not len(alive):
         return
     tile_values = _monomial_values(tile[alive], exps[:, tail], dtype)
     leading = np.flatnonzero(is_lead[alive])
-    lead_mask = None
     if masked and len(leading):
         # Under the zero prefix a tile row holds its row's first nonzero entry.
-        lead_mask = tile_mask[leading] & _residue_mask(tile[alive[leading]], checks, lead=True)
-        keep = lead_mask.any(axis=1)
-        leading, lead_mask = leading[keep], lead_mask[keep]
+        lead_word = tile_word[leading] & lead_words[alive[leading]]
+        keep = lead_word != 0
+        leading, lead_word = leading[keep], lead_word[keep]
     # (prefixes, whether they hold the first nonzero entry, tile rows).
-    parts = ((pre, True, alive, tile_values, tile_mask) for pre in prefixes)
+    parts = ((pre, True, alive, tile_values, tile_word) for pre in prefixes)
     if len(leading):
         zero = np.zeros((1, cut), dtype=np.int64)
-        parts = chain(parts, [(zero, False, alive[leading], tile_values[leading], lead_mask)])
-    for pre, lead, rows, row_values, row_mask in parts:
-        pre_mask = _residue_mask(pre, checks, lead) if masked else None
+        parts = chain(parts, [(zero, False, alive[leading], tile_values[leading], lead_word)])
+    for pre, lead, rows, row_values, row_word in parts:
+        pre_word = None
+        if masked:
+            pre_word = _row_words(pre, by_value, values[0], int(checks[0] == 0) if lead else None)
+            keep = pre_word != 0
+            pre, pre_word = pre[keep], pre_word[keep]
         for s, c in on_prefix:
-            keep, pre_mask = _survivors(values_on(pre, head, s, c), pre_mask, checks)
+            keep, pre_word = _survivors(values_on(pre, head, s, c), pre_word, checks, tables)
             pre = pre[keep]
         step = max(1, grid.BLOCK_ROWS // len(rows))
         for start in range(0, len(pre), step):
             batch = pre[start : start + step]
-            mask = pre_mask[start : start + step, None] & row_mask[None] if masked else None
+            words = pre_word[start : start + step, None] & row_word[None] if masked else None
             if mixed:
                 pre_values = _monomial_values(batch, exps[:, head], dtype)
                 s, c = mixed[0]
-                keep, mask = _survivors((pre_values[:, s] * c) @ row_values[:, s].T, mask, checks)
+                products = (pre_values[:, s] * c) @ row_values[:, s].T
+                keep, words = _survivors(products, words, checks, tables)
             elif masked:
-                keep = mask.any(axis=-1)
-                mask = mask[keep]
+                keep = words != 0
+                words = words[keep]
             else:
                 keep = np.ones((len(batch), len(rows)), dtype=bool)
             bi, ri = np.nonzero(keep)
@@ -400,13 +476,13 @@ def _canonical_zeros(exps, coeffs, values, top: int, checks: tuple[int, ...]):
                 if not len(bi):
                     break
                 sums = (pre_values[bi[:, None], s] * c * row_values[ri[:, None], s]).sum(axis=1)
-                keep, mask = _survivors(sums, mask, checks)
+                keep, words = _survivors(sums, words, checks, tables)
                 bi, ri = bi[keep], ri[keep]
             if len(bi):
                 out = np.empty((len(bi), nvars), dtype=np.int64)
                 out[:, :cut] = batch[bi]
                 out[:, cut:] = tile[rows[ri]]
-                yield out, mask if masked else np.ones((len(bi), 1), dtype=bool)
+                yield out, words if masked else np.ones(len(bi), dtype=np.uint8)
 
 
 def scan_singular_points(
@@ -421,8 +497,10 @@ def scan_singular_points(
     point of P^n(F_p) is one canonical row of the residues
     [-((p - 1) // 2), p // 2] with first nonzero coordinate 1, which lies in
     that box when p // 2 <= h.  So one walk of ``_canonical_zeros`` checks
-    every canonical row exactly and, on those rows, mod each such prime; a
-    prime with p // 2 > h gets its own walk over its residue box.  The
+    every canonical row exactly and, on those rows, mod each such prime, up
+    to ``_WALK_CHECKS`` checks in all: the next such primes walk again,
+    ``_WALK_CHECKS`` to a walk, over the residue box of the largest of them.
+    A prime with p // 2 > h gets its own walk over its residue box.  The
     partials of F, and F itself when a requested prime divides d, are
     evaluated in exact integers: int64 when max_j sum |c_j| * H^D < 2^63,
     for H the largest coordinate walked and D the largest degree, and Python
@@ -430,7 +508,7 @@ def scan_singular_points(
     so where the partials vanish, exactly or mod a prime not dividing d, F
     does too.)  The rows that pass the exact check with gcd 1 are the
     points, each re-checked in Python ints, apart from numpy; the count for
-    p is the number of rows that pass p's check, or None when P^n(F_p) has
+    p is the number of rows whose word has p's bit, or None when P^n(F_p) has
     more than ``_FIELD_SCAN_LIMIT`` points.  Field sizes must be primes
     below 2^64.  A row that passes the exact check but not the re-check
     raises :class:`InternalConsistencyError`.
@@ -453,19 +531,21 @@ def scan_singular_points(
     monomials, table = _integer_table(polys)
     exps = np.array(monomials, dtype=np.int64).reshape(len(monomials), nvars)
     h = height_bound
-    walks = [(range(-h, h + 1), h, (0, *[p for p in primes if p // 2 <= h]))] + [
-        (range(-((p - 1) // 2), p // 2 + 1), 1, (p,)) for p in primes if p // 2 > h
-    ]
+    shared = (0, *[p for p in primes if p // 2 <= h])
+    chunks = [shared[i : i + _WALK_CHECKS] for i in range(0, len(shared), _WALK_CHECKS)]
+    walks = [(range(-h, h + 1), h, chunks[0])]
+    walks += [(_residues(max(chunk)), 1, chunk) for chunk in chunks[1:]]
+    walks += [(_residues(p), 1, (p,)) for p in primes if p // 2 > h]
     found = []
     for values, top, checks in walks:
         dtype = _scan_dtype(monomials, table, max(-values[0], values[-1]))
         coeffs = np.array(table, dtype=dtype).reshape(len(monomials), len(polys))
-        for rows, mask in _canonical_zeros(exps, coeffs, values, top, checks):
-            for p, hits in zip(checks, mask.sum(axis=0).tolist()):
+        for rows, words in _canonical_zeros(exps, coeffs, values, top, checks):
+            for c, p in enumerate(checks):
                 if p:
-                    counts[p] += hits
+                    counts[p] += int(np.count_nonzero(words >> c & 1))
             if checks[0] == 0:
-                exact = rows[mask[:, 0]]
+                exact = rows[words & 1 == 1]
                 found += exact[np.gcd.reduce(exact, axis=1) == 1].tolist()
     points = []
     for coords in sorted(map(tuple, found)):

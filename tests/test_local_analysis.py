@@ -377,10 +377,10 @@ class TestScanReference:
         rows = (prime if prime and prime // 2 > h else 2 * h + 1) ** t
 
         def capped(*args):
-            for hits, mask in real(*args):
-                assert 0 < len(hits) == len(mask) <= rows
-                assert mask.any(axis=1).all()
-                yield hits, mask
+            for hits, words in real(*args):
+                assert 0 < len(hits) == len(words) <= rows
+                assert (words != 0).all()
+                yield hits, words
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(grid, "BLOCK_ROWS", rows)
@@ -471,6 +471,109 @@ class TestScanReference:
             assert [p.coords for p in scan.points] == points, f
             assert scan.field_counts == counts, f
 
+    def test_sixty_six_primes_take_two_walks(self, monkeypatch):
+        # At height 160 every prime up to 321 shares the box of a binary
+        # form: 66 primes and the exact check, three past the 64 bits of a
+        # word, which walk again over the residues of the largest of them.
+        # f = x0*x1^2*(x0 - 311*x1)*(x0 - 313*x1) has one singular point over
+        # most F_p and two over F_2, F_311 and F_313, so a dropped check
+        # reads 0 and one that wraps onto another bit reads that bit's count.
+        real = local_analysis._canonical_zeros
+        calls = []
+
+        def counted(*args):
+            calls.append(args[2:5])
+            return real(*args)
+
+        monkeypatch.setattr(local_analysis, "_canonical_zeros", counted)
+        primes = tuple(sympy.primerange(2, 322))
+        assert len(primes) == 66 and primes[-3:] == (311, 313, 317)
+        f = parse_poly("x0^3*x1^2 - 624*x0^2*x1^3 + 97343*x0*x1^4", 1)
+        scan = scan_singular_points(f, 160, field_sizes=primes)
+        assert calls == [
+            (range(-160, 161), 160, (0,) + primes[:63]),
+            (range(-158, 159), 1, primes[63:]),
+        ]
+        points, counts = _reference_scan(f, 160, primes)
+        assert [p.coords for p in scan.points] == points == [(1, 0)]
+        assert scan.field_counts == counts
+        assert {p for p, c in counts.items() if c == 2} == {2, 311, 313}
+        assert set(counts.values()) == {1, 2}
+
+    def test_walks_split_at_the_check_limit(self, monkeypatch):
+        # With three checks a word, the exact check and the six primes up to
+        # 13 take three walks of their own boxes; the last is 13's alone.
+        real = local_analysis._canonical_zeros
+        calls = []
+
+        def counted(*args):
+            calls.append(args[2:5])
+            return real(*args)
+
+        monkeypatch.setattr(local_analysis, "_canonical_zeros", counted)
+        monkeypatch.setattr(local_analysis, "_WALK_CHECKS", 3)
+        primes = (2, 3, 5, 7, 11, 13)
+        rng = random.Random(34)
+        for _ in range(12):
+            n = rng.randint(1, 2)
+            f = _random_form(rng, n, rng.randint(2, 4), rng.randint(1, 4))
+            monkeypatch.setattr(grid, "BLOCK_ROWS", rng.choice([1, 7, 30, 4096]))
+            calls.clear()
+            scan = scan_singular_points(f, 6, field_sizes=primes)
+            assert calls == [
+                (range(-6, 7), 6, (0, 2, 3)),
+                (range(-5, 6), 1, (5, 7, 11)),
+                (range(-6, 7), 1, (13,)),
+            ]
+            points, counts = _reference_scan(f, 6, primes)
+            assert [p.coords for p in scan.points] == points, f
+            assert scan.field_counts == counts, f
+
+    def test_cached_check_words(self, monkeypatch):
+        # The words of a tile are cached read-only beside it, under the same
+        # key, so a scan at a patched cap reads words for its own tile; caps
+        # below 7 make the tile 0 wide, one empty row, whose words read no
+        # entry.
+        values, top, width, checks = range(-3, 4), 3, 4, (0, 2, 3, 5, 7)
+
+        def expected(row):
+            residue = sum(
+                1 << c
+                for c, p in enumerate(checks)
+                if all(-((p - 1) // 2) <= v <= p // 2 for v in row) or not p
+            )
+            return residue, residue if next((v for v in row if v), 0) == 1 else residue & 1
+
+        f = family_poly("fn", 3)
+        points, counts = _reference_scan(f, top, checks[1:])
+        for rows in (4096, 50, 7, 2, 1):
+            monkeypatch.setattr(grid, "BLOCK_ROWS", rows)
+            scan = scan_singular_points(f, top, field_sizes=checks[1:])
+            assert ([p.coords for p in scan.points], scan.field_counts) == (points, counts)
+            tile = grid.canonical_split(values, top, width)[0]
+            words = local_analysis._check_words(values, top, width, checks, rows)
+            assert local_analysis._check_words(values, top, width, checks, rows) is words
+            by_value, tables, tile_words, lead_words = words
+            assert len(tile_words) == len(lead_words) == len(tile)
+            assert list(zip(tile_words.tolist(), lead_words.tolist())) == [
+                expected(row) for row in tile.tolist()
+            ]
+            for array in (by_value, *tables, tile_words, lead_words):
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0] = 0
+        assert tile.shape == (1, 0) and tile_words.tolist() == [31]
+
+    def test_residue_tables_split_past_2_to_the_16(self):
+        # 251 * 257 fits one table of 64507 residues; 263 gets its own.
+        checks = (0, 251, 257, 263)
+        _, tables, _, _ = local_analysis._check_words(range(-131, 132), 131, 2, checks, 4096)
+        assert [len(t) for t in tables] == [251 * 257, 263]
+        rng = random.Random(16)
+        for v in [0, 1, -1, 251 * 257 * 263] + [rng.randint(-(10**12), 10**12) for _ in range(200)]:
+            word = tables[0][v - v // len(tables[0]) * len(tables[0])]
+            word |= tables[1][v - v // 263 * 263]
+            assert word == sum(1 << c for c, p in enumerate(checks) if p and v % p == 0), v
+
     @pytest.mark.parametrize(
         "n, primes, forms",
         [
@@ -512,7 +615,7 @@ class TestScanReference:
 
     def test_false_hit_raises(self, corpus, monkeypatch):
         # A row the integer evaluator wrongly reports fails the exact re-check.
-        false_hit = (np.array([[1, 1, 1]]), np.array([[True]]))
+        false_hit = (np.array([[1, 1, 1]]), np.array([1], dtype=np.uint8))
         monkeypatch.setattr(local_analysis, "_canonical_zeros", lambda *args: iter([false_hit]))
         with pytest.raises(InternalConsistencyError, match="does not vanish"):
             scan_singular_points(corpus["f2"], 1)
