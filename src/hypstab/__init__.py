@@ -19,10 +19,10 @@ from .criteria import (
     evaluate_hessian_rank_bound,
     evaluate_mordant,
     evaluate_multiplicity_bound,
+    literature_lookup,
 )
 from .families import family_certificate, family_poly, family_weights
 from .linalg import RationalMatrix, apply_linear_change
-from .literature import literature_lookup
 from .local_analysis import (
     LocalData,
     ProjectivePoint,

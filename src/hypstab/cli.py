@@ -240,8 +240,9 @@ def _search_input(args) -> tuple[HomogeneousPoly, SearchConfig]:
 
 def cmd_search(args, f, cfg):
     scan = scan_singular_points(f, args.height)
-    local = (analyze_point(f, p) for p in scan.points)
-    outcome = search_destabilization(f, cfg, tuple(p for p in local if p.multiplicity >= 2))
+    # F and its gradient vanish at every scan point: multiplicity >= 2.
+    local = tuple(analyze_point(f, p) for p in scan.points)
+    outcome = search_destabilization(f, cfg, local)
     payload = {
         "polynomial": format_poly(f),
         "frames_tried": outcome.frames_tried,

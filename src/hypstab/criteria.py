@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .literature import literature_lookup
 from .verdicts import (
     InternalConsistencyError,
     Reason,
@@ -26,6 +25,27 @@ from .verdicts import (
 )
 
 _PAIRING_NOTE = "strict inequality gives Stable, equality gives SemiStable"
+
+_MUKAI = "Mukai, An introduction to invariants and moduli, Thm 7.14 and 7.20"
+_LAZA = "Laza, The moduli space of cubic fourfolds, Thm 1.1"
+
+# Published classifications, keyed by (n, d, singularity class).  A row never
+# overrides a computed certificate; it is merged into verdicts with a
+# ``literature`` provenance tag.
+LITERATURE: dict[tuple[int, int, str], tuple[Status, str]] = {
+    (2, 3, "A1"): (
+        Status.SEMISTABLE,
+        "Hoskins, Moduli problems and geometric invariant theory, Lemma 7.25",
+    ),
+    (3, 3, "A1"): (Status.STABLE, _MUKAI),
+    (3, 3, "A2"): (Status.SEMISTABLE, _MUKAI),
+    (5, 3, "Am"): (Status.STABLE, _LAZA),
+    (5, 3, "ADE"): (Status.STABLE, _LAZA),
+    (3, 4, "Am"): (Status.STABLE, "Shah, Degenerations of K3 surfaces of degree 4, Thm 2.4"),
+}
+
+# The degrees the Hessian criterion covers.
+HESSIAN_DEGREES = (3, 4)
 
 
 class ProfileError(ValueError):
@@ -193,7 +213,7 @@ def evaluate_degree_bound(p: SingularityProfile) -> StabilityVerdict:
 
 def _require_double_point_profile(p: SingularityProfile, criterion: str) -> None:
     problems = []
-    if p.d not in (3, 4):
+    if p.d not in HESSIAN_DEGREES:
         problems.append(f"d must be 3 or 4, got {p.d}")
     if p.s != 0:
         problems.append(f"s must be 0, got {p.s}")
@@ -203,6 +223,14 @@ def _require_double_point_profile(p: SingularityProfile, criterion: str) -> None
         problems.append("min_hessian_rank is required")
     if problems:
         raise ProfileError(f"{criterion} inapplicable: " + "; ".join(problems))
+
+
+def least_positive_hessian_rank(n: int, d: int) -> int | None:
+    """The least minimum Hessian rank, ceil(2(n+1)/d), at which the Hessian
+    criterion reads SemiStable or Stable; None when d is not 3 or 4, or when
+    that rank is above n."""
+    rank = -(-2 * (n + 1) // d)
+    return rank if d in HESSIAN_DEGREES and rank <= n else None
 
 
 def evaluate_hessian_rank_bound(p: SingularityProfile) -> StabilityVerdict:
@@ -319,6 +347,20 @@ def derived_singularity_classes(p: SingularityProfile) -> tuple[str, ...]:
     return ()
 
 
+def literature_lookup(n: int, d: int, singularity_class: str) -> StabilityVerdict | None:
+    """Verdict recorded in the literature for (n, d, class), if any."""
+    row = LITERATURE.get((n, d, singularity_class))
+    if row is None:
+        return None
+    status, source = row
+    reason = Reason(
+        criterion="literature",
+        note=f"published classification for n={n}, d={d}, class {singularity_class}",
+        inputs={"class": singularity_class},
+    )
+    return StabilityVerdict(status, [reason], literature=source)
+
+
 def combined_verdict(p: SingularityProfile, cone_free: bool | None = None) -> StabilityVerdict:
     """Strongest conclusion over every applicable sufficient criterion.
 
@@ -344,7 +386,7 @@ def combined_verdict(p: SingularityProfile, cone_free: bool | None = None) -> St
     reasons.extend(v_deg.reasons)
     statuses.append(v_mult.status)
 
-    if p.d in (3, 4) and p.s == 0 and p.delta == 2 and p.min_hessian_rank is not None:
+    if p.d in HESSIAN_DEGREES and p.s == 0 and p.delta == 2 and p.min_hessian_rank is not None:
         v_rank = evaluate_hessian_rank_bound(p)
         v_corank = evaluate_hessian_corank_bound(p)
         if v_rank.status != v_corank.status:

@@ -16,8 +16,7 @@ x_n^(d-2) coefficient Q there.  So the frames here are built from flags:
   for a hyperplane component of the hypersurface.
 
 Everything is exact, and :mod:`.search` re-verifies every certificate a
-frame gives.  The search imports this module when its frame stream first
-gets past the point frames.
+frame gives.
 """
 from __future__ import annotations
 

@@ -169,13 +169,13 @@ def analyze_point(f: HomogeneousPoly, p: ProjectivePoint) -> LocalData:
 class ScanResult:
     """Singular-point scan output.
 
+    F is f with its denominators cleared and its content removed.
     ``points`` is exact: every canonical rational point (integer, gcd one,
-    first nonzero coordinate positive) of height <= ``height_bound`` with
-    vanishing gradient, sorted by coordinates, each re-checked in Python
-    ints.  ``field_counts`` is heuristic evidence only: for each
+    first nonzero coordinate positive) of height <= ``height_bound`` at which
+    F and its gradient vanish, sorted by coordinates, each re-checked in
+    Python ints.  ``field_counts`` is heuristic evidence only: for each
     prime p, the number of singular points of F over F_p, that is of points
-    of P^n(F_p) at which F and every partial of F vanish mod p, F being f
-    with its denominators cleared and its content removed; or None when
+    of P^n(F_p) at which F and every partial of F vanish mod p; or None when
     P^n(F_p) has more than ``_FIELD_SCAN_LIMIT`` points.  The points and
     the counts for up to 63 primes with p // 2 <= ``height_bound`` come from
     one walk of the evaluator; each larger prime's count from one more walk,
@@ -488,8 +488,9 @@ def _canonical_zeros(exps, coeffs, values: range, top: int, checks: tuple[int, .
 def scan_singular_points(
     f: HomogeneousPoly, height_bound: int, field_sizes: tuple[int, ...] = ()
 ) -> ScanResult:
-    """All rational projective points of height <= bound with vanishing
-    gradient (exact), plus heuristic singular counts over finite fields.
+    """All rational projective points of height <= bound at which F and its
+    gradient vanish (exact), plus heuristic singular counts over finite
+    fields.
 
     F is f with its denominators cleared and its content removed; its
     partials have the rational zeros of f's.  Only canonical points are
@@ -501,17 +502,17 @@ def scan_singular_points(
     to ``_WALK_CHECKS`` checks in all: the next such primes walk again,
     ``_WALK_CHECKS`` to a walk, over the residue box of the largest of them.
     A prime with p // 2 > h gets its own walk over its residue box.  The
-    partials of F, and F itself when a requested prime divides d, are
-    evaluated in exact integers: int64 when max_j sum |c_j| * H^D < 2^63,
+    partials of F, and F itself when d = 0 or a requested prime divides d,
+    are evaluated in exact integers: int64 when max_j sum |c_j| * H^D < 2^63,
     for H the largest coordinate walked and D the largest degree, and Python
     ints otherwise.  (F is needed only then: by Euler, d*F = sum x_i dF/dx_i,
     so where the partials vanish, exactly or mod a prime not dividing d, F
-    does too.)  The rows that pass the exact check with gcd 1 are the
-    points, each re-checked in Python ints, apart from numpy; the count for
-    p is the number of rows whose word has p's bit, or None when P^n(F_p) has
-    more than ``_FIELD_SCAN_LIMIT`` points.  Field sizes must be primes
-    below 2^64.  A row that passes the exact check but not the re-check
-    raises :class:`InternalConsistencyError`.
+    does too.  A constant F vanishes nowhere.)  The rows that pass the exact
+    check with gcd 1 are the points, each re-checked in Python ints, apart
+    from numpy; the count for p is the number of rows whose word has p's
+    bit, or None when P^n(F_p) has more than ``_FIELD_SCAN_LIMIT`` points.
+    Field sizes must be primes below 2^64.  A row that passes the exact
+    check but not the re-check raises :class:`InternalConsistencyError`.
     """
     check_scan_options(height_bound, field_sizes)
     if f.is_zero:
@@ -522,9 +523,8 @@ def scan_singular_points(
     counts = {
         p: 0 for p in field_sizes if sum(p**k for k in range(nvars)) <= _FIELD_SCAN_LIMIT
     }
-    # With d = 0, F is the constant 1 or -1, which vanishes mod no prime.
-    primes = list(counts) if f.d else []
-    if any(f.d % p == 0 for p in primes):
+    primes = list(counts)
+    if not f.d or any(f.d % p == 0 for p in primes):
         polys = partials + [{exp: c.numerator for exp, c in F.terms}]
     else:
         polys = partials
@@ -550,9 +550,9 @@ def scan_singular_points(
     points = []
     for coords in sorted(map(tuple, found)):
         # The re-check, in Python ints, runs no numpy code.
-        if any(sum(c * prod(map(pow, coords, exp)) for exp, c in p.items()) for p in partials):
+        if any(sum(c * prod(map(pow, coords, exp)) for exp, c in p.items()) for p in polys):
             raise InternalConsistencyError(
-                f"integer scan found {coords}, where the gradient does not vanish"
+                f"integer scan found {coords}, where F or its gradient does not vanish"
             )
         points.append(ProjectivePoint(coords))
     field_counts = {p: counts.get(p) for p in field_sizes}

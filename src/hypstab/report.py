@@ -27,7 +27,12 @@ import datetime
 from dataclasses import dataclass, field, replace
 
 from . import __version__
-from .criteria import ProfileError, SingularityProfile, combined_verdict
+from .criteria import (
+    ProfileError,
+    SingularityProfile,
+    combined_verdict,
+    least_positive_hessian_rank,
+)
 from .local_analysis import (
     LocalData,
     ProjectivePoint,
@@ -334,9 +339,9 @@ def analyze(f: HomogeneousPoly, options: AnalysisOptions) -> AnalysisReport:
     criteria_verdict = combined_verdict(profile, cone_free)
     # The Hessian criterion's rank, proven at every singular point, bounds
     # the whole profile (the argument is in the :mod:`.modp` docstring).
-    rank = -(-2 * (f.n + 1) // f.d)
+    rank = least_positive_hessian_rank(f.n, f.d)
     heuristic = basis == "heuristic" and options.s is None
-    if heuristic and criteria_verdict.status.is_positive and f.d in (3, 4) and rank <= f.n:
+    if heuristic and criteria_verdict.status.is_positive and rank is not None:
         coords = [p.point.coords for p in singular]
         bound = prove_hessian_rank(f, rank, coords)
         if bound is not None:

@@ -43,9 +43,6 @@ class WeightVector:
     def __iter__(self):
         return iter(self.r)
 
-    def __getitem__(self, j: int) -> int:
-        return self.r[j]
-
     def __len__(self) -> int:
         return len(self.r)
 

@@ -385,8 +385,8 @@ class TestSearchCmd:
 
     def test_constant_form_passes_no_point(self, capsys, poly_file, monkeypatch):
         # A nonzero constant vanishes nowhere, although its gradient vanishes
-        # on the whole scan box: like analyze, the search gets only the
-        # points of multiplicity >= 2, so none.
+        # on the whole scan box: the scan finds no point, so the search gets
+        # none.
         passed = []
 
         def spy(f, cfg, points=(), nonstrict_only=False):

@@ -17,8 +17,12 @@ from hypstab import (
     evaluate_multiplicity_bound,
     literature_lookup,
 )
-from hypstab.criteria import ProfileError, degree_threshold
-from hypstab.literature import literature_table
+from hypstab.criteria import (
+    LITERATURE,
+    ProfileError,
+    degree_threshold,
+    least_positive_hessian_rank,
+)
 from hypstab.verdicts import positive_strength
 
 
@@ -123,6 +127,21 @@ class TestHessianForms:
                         == evaluate_hessian_corank_bound(p).status
                     ), (n, d, rank)
 
+    @pytest.mark.parametrize("d", [3, 4])
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_least_positive_rank(self, n, d):
+        # The least rank of 0..n at which the rank form reads positive.
+        positive = [
+            rank
+            for rank in range(n + 1)
+            if evaluate_hessian_rank_bound(profile(n, d, 0, 2, rank)).status.is_positive
+        ]
+        assert least_positive_hessian_rank(n, d) == min(positive, default=None)
+
+    def test_least_positive_rank_outside_the_criterion(self):
+        assert least_positive_hessian_rank(3, 5) is None  # d is not 3 or 4
+        assert least_positive_hessian_rank(1, 3) is None  # ceil(4/3) = 2 > n
+
 
 class TestMordant:
     def test_semistable_at_triple_delta(self):
@@ -176,7 +195,40 @@ class TestDegreeThresholdArithmetic:
         assert t.compare_to(3) == 0
 
 
+# Every published row, written out apart from ``criteria.LITERATURE`` so that
+# no row can be dropped or altered unnoticed: (n, d, class, status, source).
+PUBLISHED = [
+    (2, 3, "A1", "SemiStable", "Hoskins, Moduli problems and geometric invariant theory, Lemma 7.25"),
+    (3, 3, "A1", "Stable", "Mukai, An introduction to invariants and moduli, Thm 7.14 and 7.20"),
+    (3, 3, "A2", "SemiStable", "Mukai, An introduction to invariants and moduli, Thm 7.14 and 7.20"),
+    (5, 3, "Am", "Stable", "Laza, The moduli space of cubic fourfolds, Thm 1.1"),
+    (5, 3, "ADE", "Stable", "Laza, The moduli space of cubic fourfolds, Thm 1.1"),
+    (3, 4, "Am", "Stable", "Shah, Degenerations of K3 surfaces of degree 4, Thm 2.4"),
+]
+
+
 class TestLiterature:
+    def test_keys(self):
+        assert sorted(LITERATURE) == sorted((n, d, tag) for n, d, tag, _, _ in PUBLISHED)
+
+    @pytest.mark.parametrize("n, d, tag, status, source", PUBLISHED)
+    def test_row(self, n, d, tag, status, source):
+        assert literature_lookup(n, d, tag).to_json() == {
+            "status": status,
+            "reasons": [
+                {
+                    "criterion": "literature",
+                    "note": f"published classification for n={n}, d={d}, class {tag}",
+                    "inputs": {"class": tag},
+                }
+            ],
+            "literature": source,
+        }
+
+    def test_miss(self):
+        # A class with no row at a shape that has rows.
+        assert literature_lookup(3, 3, "A3") is None
+
     def test_entries(self):
         assert literature_lookup(2, 3, "A1").status == Status.SEMISTABLE
         assert literature_lookup(5, 3, "ADE").status == Status.STABLE
@@ -187,7 +239,7 @@ class TestLiterature:
 
     def test_no_smooth_row(self):
         # combined_verdict returns on a smooth profile before any lookup.
-        assert all(entry.singularity_class != "smooth" for entry in literature_table())
+        assert all(tag != "smooth" for _, _, tag in LITERATURE)
         assert combined_verdict(SingularityProfile(2, 3, -1, 1)).literature is None
 
     def test_source_attached(self):

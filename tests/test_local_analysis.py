@@ -188,16 +188,17 @@ class TestScan:
 
 def _reference_scan(f, height_bound, primes):
     """The scan as a per-point loop: Fraction partials over the whole box,
+    and f itself when d = 0 (by Euler it vanishes with them when d >= 1),
     and for each field the points of P^n(F_p) at which F and every partial
     of F vanish, F being f with denominators cleared and content removed,
     counted one point at a time."""
     nvars = f.n + 1
-    partials = [f.partial_derivative(j) for j in range(nvars)]
+    checked = [f.partial_derivative(j) for j in range(nvars)] + ([] if f.d else [f])
     points = []
     for coords in product(range(-height_bound, height_bound + 1), repeat=nvars):
         if not any(coords) or gcd(*coords) != 1 or next(c for c in coords if c) < 0:
             continue
-        if all(p.evaluate(coords) == 0 for p in partials):
+        if all(p.evaluate(coords) == 0 for p in checked):
             points.append(coords)
     scale = lcm(*(c.denominator for _, c in f.terms))
     content = gcd(*(int(c * scale) for _, c in f.terms))
@@ -422,7 +423,7 @@ class TestScanReference:
             ("x0^2*x3^2 + x0*x2^3 + x1^4", 3),  # 2 divides d
             ("6*x0^2 + 10*x0*x1 - 15*x1^2", 1),
             ("x0*x1", 1),
-            ("x0^0*x1^0*x2^0", 2),  # d = 0: F is 1, every gradient is 0
+            ("x0^0*x1^0*x2^0", 2),  # d = 0: F is 1, so no point vanishes
         ],
     )
     def test_counts_match_brute_force(self, text, n):

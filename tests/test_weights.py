@@ -72,7 +72,7 @@ class TestMembership:
             g = apply_linear_change(f, sigma)
             permuted = [0] * 3
             for j, k in enumerate(images):
-                permuted[k] = r[j]
+                permuted[k] = r.r[j]
             assert membership(g, WeightVector(tuple(permuted)), True) == membership(f, r, True)
 
     def test_positive_scaling_invariance(self, corpus):
@@ -95,12 +95,12 @@ class TestSortedWeightStructure:
     def test_top_bottom_combination_forces_shape(self, n):
         checked = 0
         for r in sorted_weight_grid(n, 10):
-            if r[0] + 2 * r[n] < 0:
+            if r.r[0] + 2 * r.r[n] < 0:
                 continue
             checked += 1
-            assert r[n - 1] < 0
+            assert r.r[n - 1] < 0
             if n >= 3:
-                assert r[n - 2] <= 0
-                if r[n - 2] == 0:
-                    assert all(r[j] == 0 for j in range(1, n - 1))
+                assert r.r[n - 2] <= 0
+                if r.r[n - 2] == 0:
+                    assert all(r.r[j] == 0 for j in range(1, n - 1))
         assert checked > 0
