@@ -211,16 +211,20 @@ def evaluate_degree_bound(p: SingularityProfile) -> StabilityVerdict:
     return StabilityVerdict(_paired_status(-cmp), [reason])
 
 
+def _hessian_problems(p: SingularityProfile) -> list[str]:
+    """Why the Hessian criterion does not apply to ``p``: none exactly for
+    isolated double points (s = 0, delta = 2, a minimum Hessian rank) in
+    degree 3 or 4."""
+    return [problem for failed, problem in (
+        (p.d not in HESSIAN_DEGREES, f"d must be 3 or 4, got {p.d}"),
+        (p.s != 0, f"s must be 0, got {p.s}"),
+        (p.delta != 2, f"delta must be 2, got {p.delta}"),
+        (p.min_hessian_rank is None, "min_hessian_rank is required"),
+    ) if failed]
+
+
 def _require_double_point_profile(p: SingularityProfile, criterion: str) -> None:
-    problems = []
-    if p.d not in HESSIAN_DEGREES:
-        problems.append(f"d must be 3 or 4, got {p.d}")
-    if p.s != 0:
-        problems.append(f"s must be 0, got {p.s}")
-    if p.delta != 2:
-        problems.append(f"delta must be 2, got {p.delta}")
-    if p.min_hessian_rank is None:
-        problems.append("min_hessian_rank is required")
+    problems = _hessian_problems(p)
     if problems:
         raise ProfileError(f"{criterion} inapplicable: " + "; ".join(problems))
 
@@ -386,7 +390,7 @@ def combined_verdict(p: SingularityProfile, cone_free: bool | None = None) -> St
     reasons.extend(v_deg.reasons)
     statuses.append(v_mult.status)
 
-    if p.d in HESSIAN_DEGREES and p.s == 0 and p.delta == 2 and p.min_hessian_rank is not None:
+    if not _hessian_problems(p):
         v_rank = evaluate_hessian_rank_bound(p)
         v_corank = evaluate_hessian_corank_bound(p)
         if v_rank.status != v_corank.status:

@@ -1,20 +1,26 @@
 """Analysis pipeline and machine-readable reports.
 
-The analyze pipeline: scan for rational singular points, compute local
-invariants at found and supplied points; when none is singular and no s is
-asserted, try to prove smoothness modulo a prime (:mod:`.modp`); build a
-singularity profile (with per-field provenance: user-asserted, exact,
-verified-at-points, or heuristic) and run every sufficient criterion.  When
-they read positive on heuristic data for a cubic or quartic, try to prove
-the Hessian criterion's rank at every singular point with the same kernel
-(:func:`~.modp.prove_hessian_rank`); its bounds replace the profile by the
-weakest one they allow.  When that reads ``SemiStable``, each higher rank
-up to the least at a known point is tried, and the first proven one that
-reads ``Stable`` is kept.  Then search for destabilization certificates.
-A proven ``Stable`` skips the search: no certificate of either kind can
-exist (Hilbert-Mumford).  A proven ``SemiStable`` skips the strict
-decisions, since no strict certificate can exist, and stops at the first
-non-strict one.
+The analyze pipeline scans for rational singular points and computes local
+invariants at found and supplied points.  One builder,
+:func:`settle_profile`, turns what is known into the singularity profile
+that the criteria read: s, delta and the minimum Hessian rank.  The found
+points bound each datum from one side and a proof from the other; every
+integer profile in that box is evaluated by every sufficient criterion, and
+the weakest verdict is kept with its profile.  With no proof each datum is
+closed at its found end, so the box is one profile.  Each datum carries its
+provenance: user-asserted, exact, verified-at-points or heuristic.
+
+The proofs come from :mod:`.modp`.  When no point is singular and no s is
+asserted, a smoothness proof makes s = -1.  When the criteria read positive
+on heuristic data for a cubic or quartic, the Hessian criterion's rank is
+proven at every singular point (:func:`~.modp.prove_hessian_rank`), which
+bounds s, delta and the rank.  When that reads ``SemiStable``, each higher
+rank up to the least at a known point is tried, and the first proven one
+that reads ``Stable`` is kept.  Then the search looks for destabilizing
+certificates.  A proven ``Stable`` skips the search: no certificate of
+either kind can exist (Hilbert-Mumford).  A proven ``SemiStable`` skips the
+strict decisions, since no strict certificate can exist, and stops at the
+first non-strict one.
 
 Negative claims always carry an exactly verified certificate; positive
 claims inherit the profile's basis, reported as ``basis``.  A verified
@@ -172,104 +178,92 @@ class AnalysisReport:
         return "\n".join(lines)
 
 
-def build_profile(
+def settle_profile(
     singular: list[LocalData],
     n: int,
     d: int,
-    s_user: int | None,
-    proof: MacaulayProof | None,
-) -> tuple[SingularityProfile, bool | None, str]:
-    """Profile, tangent-cone summary and basis from analyzed singular points.
+    s_user: int | None = None,
+    proof: MacaulayProof | None = None,
+    bound: HessianRankBound | None = None,
+) -> tuple[SingularityProfile, bool | None, StabilityVerdict, str]:
+    """The weakest criteria verdict over every profile that the analyzed
+    singular points and a proof allow, with that profile, its tangent-cone
+    summary and its basis: ``exact-bound``, ``asserted`` or ``heuristic``.
 
-    A smoothness proof makes s = -1 (and so delta = 1) exact.  Everything
-    else not asserted by the user is tagged heuristic: the scan only sees
-    rational points of bounded height.  The basis is the weakest tag among
-    the data: ``exact-bound``, ``asserted`` or ``heuristic``.
+    The points give s >= 0, delta >= their largest multiplicity and a
+    minimum Hessian rank <= their least.  A smoothness ``proof`` gives
+    s = -1; a Hessian-rank ``bound`` gives delta <= 2, s <= ``bound.s_max``
+    and a rank from ``bound.rank`` up to n - s (the rank along an
+    s-dimensional component).  An asserted ``s_user`` replaces the points'
+    end of s.  With neither proof, each datum is closed at its found end and
+    tagged heuristic (``s_user`` as user-asserted).  The criteria are not
+    monotone in s, so every integer profile in the box is evaluated, s first
+    and then the rank; on a tie the later, more singular one is kept.
+    Points that contradict the proof leave the box empty and raise
+    :class:`InternalConsistencyError`.  A double point's tangent cone is a
+    quadric in n variables, so it is a cone exactly when its rank is below n.
     """
-    provenance = {}
-    if not singular:
-        if s_user is not None and s_user != -1:
-            raise AssertedProfileError(
-                f"--s {s_user} asserted but no singular points were found to analyze"
-            )
-        if s_user is not None:
-            provenance["s"] = provenance["delta"] = "user-asserted"
-            basis = "asserted"
-        elif proof is not None:
-            provenance["s"] = f"exact: {proof}"
-            provenance["delta"] = "exact (smooth)"
-            basis = "exact-bound"
-        else:
-            provenance["s"] = provenance["delta"] = "heuristic"
-            basis = "heuristic"
-        return SingularityProfile(n, d, -1, 1, provenance=provenance), None, basis
-
-    if s_user == -1:
-        raise AssertedProfileError("--s -1 (smooth) asserted but singular points were found")
-
-    delta = max(p.multiplicity for p in singular)
-    provenance["delta"] = "verified-at-points (lower bound); heuristic as maximum"
-    if s_user is not None:
-        s = s_user
-        provenance["s"] = "user-asserted"
+    if s_user is not None and (s_user == -1) == bool(singular):
+        raise AssertedProfileError(
+            "--s -1 (smooth) asserted but singular points were found"
+            if singular
+            else f"--s {s_user} asserted but no singular points were found to analyze"
+        )
+    s_lo = s_hi = (0 if singular else -1) if s_user is None else s_user
+    delta = delta_hi = max((p.multiplicity for p in singular), default=1)
+    top = rank_lo = min((p.hessian_rank for p in singular if p.multiplicity == 2), default=n)
+    tag = "heuristic" if s_user is None else "user-asserted"
+    if bound is not None:
+        reason = f"Hessian rank >= {bound.rank} at every singular point"
+        provenance = {
+            "s": f"exact upper bound {bound.s_max} ("
+            + (str(bound.hyperplane) if bound.hyperplane else f"n - {bound.rank}, {reason}")
+            + ")",
+            "delta": f"exact upper bound 2 ({reason})",
+            "min_hessian_rank": f"exact lower bound {bound.rank} ({bound.minors})",
+        }
+        s_hi, delta_hi, rank_lo = bound.s_max, 2, bound.rank
+    elif proof is not None:
+        provenance = {"s": f"exact: {proof}", "delta": "exact (smooth)"}
+        s_hi = -1
+    elif singular:
+        provenance = {
+            "delta": "verified-at-points (lower bound); heuristic as maximum",
+            "s": "heuristic (isolated rational points found)" if s_user is None else tag,
+        }
+        if delta == 2:
+            provenance["min_hessian_rank"] = "verified-at-points; heuristic as minimum"
     else:
-        s = 0
-        provenance["s"] = "heuristic (isolated rational points found)"
-    rank = None
-    if delta == 2 and all(p.multiplicity == 2 for p in singular):
-        rank = min(p.hessian_rank for p in singular)
-        provenance["min_hessian_rank"] = "verified-at-points; heuristic as minimum"
-    worst = [p for p in singular if p.multiplicity == delta]
-    cone_free = all(not is_cone(p.tangent_cone) for p in worst)
-    profile = SingularityProfile(n, d, s, delta, rank, provenance=provenance)
-    return profile, cone_free, "heuristic"
-
-
-def bounded_profile(
-    singular: list[LocalData], n: int, d: int, bound: HessianRankBound
-) -> tuple[SingularityProfile, bool | None, StabilityVerdict]:
-    """The weakest criteria verdict over every profile that ``bound``
-    allows, with that profile and its tangent-cone summary.
-
-    The bound allows s = -1 when no singular point is known, and s from 0 to
-    ``bound.s_max`` with delta = 2 and a minimum Hessian rank from
-    ``bound.rank`` up to n - s (the rank along an s-dimensional component)
-    and to the least rank at a known point.  The criteria are not monotone in
-    s, so each profile is evaluated; on a tie the more singular one is kept.
-    A minimum rank of n makes every tangent cone a quadric of full rank, so
-    none is a cone.  A known point of higher multiplicity or of lower rank
-    contradicts the proof and raises :class:`InternalConsistencyError`.
-    """
-    for p in singular:
-        if p.multiplicity != 2 or p.hessian_rank < bound.rank:
-            raise InternalConsistencyError(
-                f"singular point {p.point} (multiplicity {p.multiplicity}, Hessian rank "
-                f"{p.hessian_rank}) contradicts the proof: {bound.minors}"
-            )
-    reason = f"Hessian rank >= {bound.rank} at every singular point"
-    provenance = {
-        "s": f"exact upper bound {bound.s_max} ("
-        + (str(bound.hyperplane) if bound.hyperplane else f"n - {bound.rank}, {reason}")
-        + ")",
-        "delta": f"exact upper bound 2 ({reason})",
-        "min_hessian_rank": f"exact lower bound {bound.rank} ({bound.minors})",
-    }
-    candidates: list[tuple[SingularityProfile, bool | None]] = []
-    if not singular:
-        candidates.append((SingularityProfile(n, d, -1, 1), None))
-    top = min((p.hessian_rank for p in singular), default=n)
-    for s in range(bound.s_max + 1):
-        for rank in range(bound.rank, min(top, n - s) + 1):
-            candidates.append((SingularityProfile(n, d, s, 2, rank), rank == n))
-    provenance["profile"] = (
-        f"the weakest of {len(candidates)} profile{'s' * (len(candidates) > 1)} "
-        "allowed by the exact bounds"
-    )
-    evaluated = [(p, cone_free, combined_verdict(p, cone_free)) for p, cone_free in candidates]
+        provenance = {"s": tag, "delta": tag}
+    asserted = s_user is not None and not singular
+    basis = "exact-bound" if bound or proof else "asserted" if asserted else "heuristic"
+    box = [
+        (s, m, rank)
+        for s in range(s_lo, s_hi + 1)
+        for m in range(delta, delta_hi + 1)
+        if (s == -1) == (m == 1)  # smooth exactly when delta = 1
+        for rank in (range(rank_lo, min(top, n - s if bound else n) + 1) if m == 2 else [None])
+    ]
+    if not box:
+        raise InternalConsistencyError(
+            f"the data of the singular points {', '.join(str(p.point) for p in singular)} "
+            f"contradicts the proof: {proof if bound is None else bound.minors}"
+        )
+    evaluated = []
+    for s, m, rank in box:
+        cones = [is_cone(p.tangent_cone) for p in singular if m > 2 and p.multiplicity == m]
+        cone_free = None if s == -1 else rank == n if m == 2 else bool(cones) and not any(cones)
+        profile = SingularityProfile(n, d, s, m, rank)
+        evaluated.append((profile, cone_free, combined_verdict(profile, cone_free)))
+    if bound is not None:
+        provenance["profile"] = (
+            f"the weakest of {len(box)} profile{'s' * (len(box) > 1)} "
+            "allowed by the exact bounds"
+        )
     profile, cone_free, verdict = min(
         reversed(evaluated), key=lambda e: positive_strength(e[2].status)
     )
-    return replace(profile, provenance=provenance), cone_free, verdict
+    return replace(profile, provenance=provenance), cone_free, verdict, basis
 
 
 def _merge_with_certificates(
@@ -335,31 +329,30 @@ def analyze(f: HomogeneousPoly, options: AnalysisOptions) -> AnalysisReport:
     singular = [p for p in local if p.multiplicity >= 2]
 
     proof = prove_smooth(f) if not singular and options.s is None else None
-    profile, cone_free, basis = build_profile(singular, f.n, f.d, options.s, proof)
-    criteria_verdict = combined_verdict(profile, cone_free)
+    profile, cone_free, criteria_verdict, basis = settle_profile(
+        singular, f.n, f.d, options.s, proof
+    )
     # The Hessian criterion's rank, proven at every singular point, bounds
     # the whole profile (the argument is in the :mod:`.modp` docstring).
     rank = least_positive_hessian_rank(f.n, f.d)
     heuristic = basis == "heuristic" and options.s is None
     if heuristic and criteria_verdict.status.is_positive and rank is not None:
         coords = [p.point.coords for p in singular]
-        bound = prove_hessian_rank(f, rank, coords)
-        if bound is not None:
-            proven = bounded_profile(singular, f.n, f.d, bound)
-            # A higher rank, up to the least at a known point, allows fewer
-            # profiles; the first one proven that reads Stable is kept.
-            top = min((p.hessian_rank for p in singular), default=f.n)
-            for higher in range(rank + 1, top + 1):
-                if proven[2].status != Status.SEMISTABLE:
-                    break
-                bound = prove_hessian_rank(f, higher, coords)
-                if bound is not None:
-                    stronger = bounded_profile(singular, f.n, f.d, bound)
-                    if stronger[2].status == Status.STABLE:
-                        proven = stronger
-            if proven[2].status.is_positive:
-                profile, cone_free, criteria_verdict = proven
-                basis = "exact-bound"
+        # A higher rank, up to the least at a known point (n when none is a
+        # double point), allows fewer profiles.  While the proven verdict
+        # reads SemiStable, the first higher rank proven that reads Stable is
+        # kept.
+        proven = None
+        for r in range(rank, (profile.min_hessian_rank or f.n) + 1):
+            bound = prove_hessian_rank(f, r, coords)
+            if bound is not None:
+                settled = settle_profile(singular, f.n, f.d, bound=bound)
+                if proven is None or settled[2].status == Status.STABLE:
+                    proven = settled
+            if proven is None or proven[2].status != Status.SEMISTABLE:
+                break
+        if proven is not None and proven[2].status.is_positive:
+            profile, cone_free, criteria_verdict, basis = proven
 
     if basis == "exact-bound" and criteria_verdict.status == Status.STABLE:
         # Stable rules out every certificate, strict or not, so no frame

@@ -4,10 +4,15 @@
 - A top-level function or class must be named somewhere outside its own
   definition.
 - A method or property of a top-level class must be read as an attribute
-  (``.name``) somewhere outside its own definition.  Dunders are exempt:
-  operators and the language reach them.  Attributes are matched by name
-  alone, so a method shares its callers with every other attribute of that
-  name.
+  (``.name``) somewhere outside its own definition.  Attributes are matched
+  by name alone, so a method shares its callers with every other attribute
+  of that name.
+- An operator dunder (``__matmul__``, ``__radd__``, ``__lt__``, ...) must
+  have its operator node somewhere outside its own definition, and
+  ``__float__``, ``__int__``, ``__len__`` and ``__abs__`` a call of that
+  builtin.  The dunders the language calls implicitly (``IMPLICIT``) are
+  exempt; any other dunder counts as uncalled until ``REACHED_BY`` names
+  what reaches it.
 
 A helper that only the tests and the package exports use is dead code.  The
 files are parsed, never imported or changed."""
@@ -22,14 +27,41 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "hypstab"
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
+IMPLICIT = frozenset(
+    {"__init__", "__post_init__", "__str__", "__repr__", "__eq__", "__hash__", "__iter__"}
+)
+_BINARY = {
+    "Add": "add", "Sub": "sub", "Mult": "mul", "MatMult": "matmul", "Div": "truediv",
+    "FloorDiv": "floordiv", "Mod": "mod", "Pow": "pow", "LShift": "lshift",
+    "RShift": "rshift", "BitAnd": "and", "BitOr": "or", "BitXor": "xor",
+}
+_OTHER = {
+    "USub": "neg", "UAdd": "pos", "Invert": "invert",
+    "Lt": "lt", "LtE": "le", "Gt": "gt", "GtE": "ge", "NotEq": "ne",
+}
+# The operator node, or the builtin call, that reaches each dunder.
+REACHED_BY = (
+    {f"__{side}{name}__": op for op, name in _BINARY.items() for side in ("", "r", "i")}
+    | {f"__{name}__": op for op, name in _OTHER.items()}
+    | {f"__{name}__": f"{name}()" for name in ("float", "int", "len", "abs")}
+)
 
-def _mentions(tree: ast.AST) -> tuple[list[tuple[str, int]], list[tuple[str, int]]]:
+
+def _mentions(tree: ast.AST) -> tuple[list[tuple[str, int]], ...]:
     """Every name the code refers to, with its line: identifiers, attributes,
     imported names and the parts of dotted strings (the benchmark tracer
-    names its wrap points as strings); and, apart, the attributes alone."""
-    names, attributes = [], []
+    names its wrap points as strings); apart, the attributes alone; and the
+    operators and builtin calls that reach dunders, as ``REACHED_BY`` names
+    them."""
+    names, attributes, operators = [], [], []
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, (ast.BinOp, ast.AugAssign, ast.UnaryOp)):
+            operators.append((type(node.op).__name__, node.lineno))
+        elif isinstance(node, ast.Compare):
+            operators.extend((type(op).__name__, node.lineno) for op in node.ops)
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+            operators.append((f"{node.func.id}()", node.lineno))
+        elif isinstance(node, ast.Name):
             names.append((node.id, node.lineno))
         elif isinstance(node, ast.Attribute):
             names.append((node.attr, node.lineno))
@@ -38,7 +70,7 @@ def _mentions(tree: ast.AST) -> tuple[list[tuple[str, int]], list[tuple[str, int
             names.extend((part, node.lineno) for part in node.name.split("."))
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
             names.extend((part, node.lineno) for part in node.value.split("."))
-    return names, attributes
+    return names, attributes, operators
 
 
 def _is_dunder(name: str) -> bool:
@@ -49,13 +81,12 @@ def _is_dunder(name: str) -> bool:
 def uncalled() -> frozenset[str]:
     sources = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
     program = sources + sorted((ROOT / "scripts").rglob("*.py")) + sorted((ROOT / "perfbench").rglob("*.py"))
-    named, read = defaultdict(list), defaultdict(list)
+    named, read, reached = defaultdict(list), defaultdict(list), defaultdict(list)
     for path in program:
-        names, attributes = _mentions(ast.parse(path.read_text(encoding="utf-8")))
-        for name, line in names:
-            named[name].append((path, line))
-        for name, line in attributes:
-            read[name].append((path, line))
+        mentions = _mentions(ast.parse(path.read_text(encoding="utf-8")))
+        for uses, found in zip((named, read, reached), mentions):
+            for name, line in found:
+                uses[name].append((path, line))
 
     def only_inside(node: ast.AST, path: Path, uses: list) -> bool:
         own = range(node.lineno, node.end_lineno + 1)
@@ -70,9 +101,14 @@ def uncalled() -> frozenset[str]:
                 missing.add(node.name)
             if isinstance(node, ast.ClassDef):
                 for member in node.body:
-                    if isinstance(member, DEFINITIONS[:2]) and not _is_dunder(member.name):
-                        if only_inside(member, path, read[member.name]):
-                            missing.add(f"{node.name}.{member.name}")
+                    if not isinstance(member, DEFINITIONS[:2]) or member.name in IMPLICIT:
+                        continue
+                    if _is_dunder(member.name):
+                        uses = reached[REACHED_BY.get(member.name)]
+                    else:
+                        uses = read[member.name]
+                    if only_inside(member, path, uses):
+                        missing.add(f"{node.name}.{member.name}")
     return frozenset(missing)
 
 

@@ -28,7 +28,7 @@ from hypstab.criteria import ProfileError, SingularityProfile
 from hypstab.linalg import MatrixError
 from hypstab.local_analysis import PointError
 from hypstab.polynomials import HomogeneousPoly, PolyError, format_poly
-from hypstab.report import _merge_with_certificates, build_profile
+from hypstab.report import _merge_with_certificates, settle_profile
 from hypstab.search import SearchOutcome
 from hypstab.torus import TorusDecision
 from hypstab.verdicts import Reason, StabilityVerdict
@@ -180,7 +180,7 @@ class TestAnalyze:
         scan = scan_singular_points(f, 3)
         singular = [analyze_point(f, p) for p in scan.points]
         with pytest.raises(ProfileError, match=re.escape(message)):
-            build_profile(singular, 2, 3, int(s), None)
+            settle_profile(singular, 2, 3, int(s))
         code, _, err = run(capsys, ["analyze", poly_file(text), "--s", s, "--budget", "2"])
         assert code == EXIT_INPUT
         lines = err.strip().splitlines()

@@ -1,7 +1,9 @@
 """Sufficient-criterion evaluators, bound comparison, combined verdicts."""
 from __future__ import annotations
 
+import re
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -116,6 +118,24 @@ class TestHessianForms:
             evaluate_hessian_rank_bound(profile(3, 5, 0, 2, 3))
         with pytest.raises(ProfileError, match="min_hessian_rank"):
             evaluate_hessian_rank_bound(profile(3, 3, 0, 2))
+        message = (
+            "hessian-corank inapplicable: d must be 3 or 4, got 5; s must be 0, got 1; "
+            "delta must be 2, got 3; min_hessian_rank is required"
+        )
+        with pytest.raises(ProfileError, match=f"^{re.escape(message)}$"):
+            evaluate_hessian_corank_bound(profile(3, 5, 1, 3))
+
+    def test_combined_reads_the_criterion_exactly_where_it_applies(self):
+        for n, d, s, delta, rank in product((2, 3), (3, 4, 5), (0, 1), (2, 3), (None, 1, 2)):
+            if delta > 2 and rank is not None:
+                continue
+            p = profile(n, d, s, delta, rank)
+            applies = d in (3, 4) and s == 0 and delta == 2 and rank is not None
+            read = {r.criterion for r in combined_verdict(p).reasons}
+            assert ({"hessian-rank", "hessian-corank"} <= read) == applies, p
+            if not applies:
+                with pytest.raises(ProfileError, match="^hessian-rank inapplicable: "):
+                    evaluate_hessian_rank_bound(p)
 
     def test_rank_corank_equivalence_grid(self):
         for d in (3, 4):

@@ -703,6 +703,18 @@ class TestAnalyzePoint:
             assert data.multiplicity >= 2
             assert (data.hessian_rank is not None) == (data.multiplicity == 2)
 
+    def test_a_double_point_is_a_cone_exactly_below_full_rank(self, corpus):
+        # The tangent cone at a double point is a quadric in n variables, so
+        # the profile builder reads "not a cone" from Hessian rank n.
+        doubles = [
+            (f.n, data)
+            for f in corpus.values()
+            for data in (analyze_point(f, p) for p in scan_singular_points(f, 2).points)
+            if data.multiplicity == 2
+        ]
+        assert {d.hessian_rank < n for n, d in doubles} == {True, False}
+        assert all(is_cone(d.tangent_cone) == (d.hessian_rank < n) for n, d in doubles)
+
     def test_point_off_the_hypersurface_builds_no_chart(self, corpus, monkeypatch):
         monkeypatch.setattr(local_analysis, "apply_linear_change", None)
         data = analyze_point(corpus["f2"], P(1, 1, 1))

@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 
 from hypstab import HomogeneousPoly, RationalMatrix, apply_linear_change, modp, parse_poly_infer
 from hypstab.cli import EXIT_INTERNAL, EXIT_OK, main
+from hypstab.local_analysis import ProjectivePoint, analyze_point, is_cone
 from hypstab.modp import PRIME, IntForm, prove_empty, prove_hessian_rank
 from hypstab.report import AnalysisOptions, analyze
 from hypstab.search import SearchConfig, search_destabilization
@@ -179,6 +180,10 @@ def planted(n: int, quadric: dict, rest: dict, rows) -> tuple[HomogeneousPoly, t
     assume(not f0.is_zero)
     g, point = move(f0, rows)
     assert all(g.partial_derivative(j).evaluate(point) == 0 for j in range(g.nvars))
+    # A double point's tangent cone is a quadric in n variables: a cone
+    # exactly when its rank is below n, as the profile builder reads it.
+    local = analyze_point(g, ProjectivePoint.make(point))
+    assert local.multiplicity != 2 or is_cone(local.tangent_cone) == (local.hessian_rank < n)
     return g, point
 
 
@@ -353,6 +358,50 @@ def test_full_search_finds_no_certificate_on_proven_stable(name, seed):
     assert report.search_outcome.frames_tried == 0
     outcome = search_destabilization(f, SearchConfig(budget=50, seed=seed), singular)
     assert outcome.strict is None and outcome.nonstrict is None
+
+
+# The proof that planted Hessian-rank bounds name.
+PROOF = modp.MacaulayProof("a test ideal", PRIME, 4, 15)
+
+
+def node_of_full_rank(n: int) -> HomogeneousPoly:
+    """x_n^2 (x_0^2 + ... + x_(n-1)^2) + x_0^4 + ... + x_(n-1)^4: its one
+    singular point is a node of Hessian rank n at e_n."""
+    squares = {tuple(2 * (j == i) + 2 * (j == n) for j in range(n + 1)): 1 for i in range(n)}
+    return form(n, 4, squares | {tuple(4 * (j == i) for j in range(n + 1)): 1 for i in range(n)})
+
+
+@pytest.mark.parametrize(
+    "n, s_max, tried, kept",
+    [
+        # 3 > 10/4 reads Stable at once.
+        (4, {3: 0, 4: 0}, [3], 3),
+        # 3 = 12/4 reads SemiStable; rank 4 with s <= 1 allows s = 1, which
+        # reads Inconclusive and is not kept; rank 5 reads Stable.
+        (5, {3: 0, 4: 1, 5: 0}, [3, 4, 5], 5),
+        (5, {3: 0, 5: 0}, [3, 4, 5], 5),
+        (5, {3: 0, 4: 1}, [3, 4, 5], 3),
+        # A failed first proof leaves the heuristic profile.
+        (5, {4: 0, 5: 0}, [3], None),
+    ],
+)
+def test_the_rank_ramp_order(monkeypatch, n, s_max, tried, kept):
+    calls = []
+
+    def bound(f, r, points):
+        calls.append(r)
+        return modp.HessianRankBound(r, s_max[r], PROOF) if r in s_max else None
+
+    monkeypatch.setattr("hypstab.report.prove_hessian_rank", bound)
+    options = AnalysisOptions(height=1, search=SearchConfig(budget=1), timestamp=False)
+    report = analyze(node_of_full_rank(n), options)
+    assert [p.point.coords for p in report.points] == [(0,) * n + (1,)]
+    assert calls == tried
+    rank = report.profile.provenance["min_hessian_rank"]
+    if kept is None:
+        assert (report.basis, rank) == ("heuristic", "verified-at-points; heuristic as minimum")
+    else:
+        assert report.basis == "exact-bound" and rank.startswith(f"exact lower bound {kept} ")
 
 
 class TestAnalyze:
