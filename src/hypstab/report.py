@@ -193,10 +193,12 @@ def settle_profile(
     The points give s >= 0, delta >= their largest multiplicity and a
     minimum Hessian rank <= their least.  A smoothness ``proof`` gives
     s = -1; a Hessian-rank ``bound`` gives delta <= 2, s <= ``bound.s_max``
-    and a rank from ``bound.rank`` up to n - s (the rank along an
-    s-dimensional component).  An asserted ``s_user`` replaces the points'
-    end of s.  With neither proof, each datum is closed at its found end and
-    tagged heuristic (``s_user`` as user-asserted).  The criteria are not
+    and a rank from ``bound.rank``.  The rank is at most n - s, the rank
+    along an s-dimensional component of double points, so under an asserted
+    s >= 1 no double point's tangent cone is cone-free.  An asserted
+    ``s_user`` replaces the points' end of s.  With neither proof, each
+    datum is closed at its found end and tagged heuristic (``s_user`` as
+    user-asserted).  The criteria are not
     monotone in s, so every integer profile in the box is evaluated, s first
     and then the rank; on a tie the later, more singular one is kept.
     Points that contradict the proof leave the box empty and raise
@@ -211,7 +213,8 @@ def settle_profile(
         )
     s_lo = s_hi = (0 if singular else -1) if s_user is None else s_user
     delta = delta_hi = max((p.multiplicity for p in singular), default=1)
-    top = rank_lo = min((p.hessian_rank for p in singular if p.multiplicity == 2), default=n)
+    found = min((p.hessian_rank for p in singular if p.multiplicity == 2), default=n)
+    top = rank_lo = min(found, n - max(s_lo, 0))
     tag = "heuristic" if s_user is None else "user-asserted"
     if bound is not None:
         reason = f"Hessian rank >= {bound.rank} at every singular point"
@@ -232,7 +235,12 @@ def settle_profile(
             "s": "heuristic (isolated rational points found)" if s_user is None else tag,
         }
         if delta == 2:
-            provenance["min_hessian_rank"] = "verified-at-points; heuristic as minimum"
+            provenance["min_hessian_rank"] = (
+                "verified-at-points; heuristic as minimum"
+                if top == found
+                else f"at most n - s = {top} along the asserted {s_lo}-dimensional "
+                "singular locus; heuristic as minimum"
+            )
     else:
         provenance = {"s": tag, "delta": tag}
     asserted = s_user is not None and not singular
@@ -242,7 +250,7 @@ def settle_profile(
         for s in range(s_lo, s_hi + 1)
         for m in range(delta, delta_hi + 1)
         if (s == -1) == (m == 1)  # smooth exactly when delta = 1
-        for rank in (range(rank_lo, min(top, n - s if bound else n) + 1) if m == 2 else [None])
+        for rank in (range(rank_lo, min(top, n - s) + 1) if m == 2 else [None])
     ]
     if not box:
         raise InternalConsistencyError(

@@ -40,18 +40,24 @@ order, as tile rows under batches of prefixes.  On each row every monomial
 bounds ``r_{n-1}`` linearly, so the row's members are one integer interval,
 computed exactly with integer floor division; the first row with a
 non-empty interval gives the first member at its lower end (see
-``enumerate_weight_oracle``).
+``enumerate_weight_oracle``).  What depends only on the box (the tile, its
+row sums, its zero row and the interval's ends from the box) is cached per
+box, read-only, beside :mod:`~hypstab.grid`'s tile, so a call evaluates
+only its form.  A box whose tile holds every walked coordinate (up to
+``(2 bound + 1)**(n-1) <= grid.BLOCK_ROWS``) has no prefix: the tile is its
+one block.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
 from . import grid
 from .linalg import integer_rank, nullspace_vector, primitive_row
-from .polynomials import Exponent, HomogeneousPoly
+from .polynomials import Exponent, HomogeneousPoly, PolyError
 from .simplex import SimplexError, solve_lp
 from .verdicts import InternalConsistencyError
 from .weights import WeightError, WeightVector, membership
@@ -131,11 +137,19 @@ def _corners(support, n: int, d: int) -> list[Exponent] | None:
     return corners if all(c in present for c in corners) else None
 
 
-def torus_destabilize(f: HomogeneousPoly, strict: bool) -> TorusDecision:
-    """Decide destabilizability of ``f`` by a diagonal torus in the given
-    coordinates; total function over nonzero polynomials."""
+def _check_form(f: HomogeneousPoly) -> None:
+    """Refuse what is not a hypersurface: the zero polynomial, and a form in
+    one variable (n = 0), whose only zero-sum weight is 0."""
     if f.is_zero:
         raise ValueError("cannot destabilize the zero polynomial")
+    if f.n < 1:
+        raise PolyError(f"need at least two variables, got n = {f.n}")
+
+
+def torus_destabilize(f: HomogeneousPoly, strict: bool) -> TorusDecision:
+    """Decide destabilizability of ``f`` by a diagonal torus in the given
+    coordinates; total function over hypersurfaces in two or more variables."""
+    _check_form(f)
     support = f.support()
     n, d = f.n, f.d
 
@@ -174,6 +188,68 @@ def torus_destabilize(f: HomogeneousPoly, strict: bool) -> TorusDecision:
     return TorusDecision(False, strict, certificate=cert)
 
 
+def _box_ends(bound: int, sums):
+    """The ends of ``r_{n-1}`` from ``|r_{n-1}| <= bound`` and
+    ``|r_n| <= bound`` on rows of ``r[:n-1]`` whose sums are ``sums``."""
+    return np.maximum(-bound, -bound - sums), np.minimum(bound, bound - sums)
+
+
+@lru_cache(maxsize=16)
+def _oracle_box(bound: int, width: int, cap: int):
+    """The read-only arrays of the oracle's box ``[-bound, bound]^width``
+    that no form changes: ``(tile, sums, zero, lo, hi)``.
+
+    ``tile`` is the tile of ``grid.box_split``, ``sums`` its row sums,
+    ``zero`` the index of its zero row, and ``lo`` and ``hi`` the ends of
+    ``r_{n-1}`` on each tile row under the zero prefix from
+    ``|r_{n-1}| <= bound`` and ``|r_n| <= bound``.  ``cap`` is
+    ``grid.BLOCK_ROWS`` at the call, part of the key as in the tile's cache:
+    it decides the tile.
+    """
+    tile = grid.box_split(range(-bound, bound + 1), width)[0]
+    sums = tile.sum(axis=1)
+    lo, hi = _box_ends(bound, sums)
+    for array in (sums, lo, hi):
+        array.flags.writeable = False
+    return tile, sums, int(np.flatnonzero(~tile.any(axis=1))[0]), lo, hi
+
+
+def _first_member(ends, deficit, last, zero):
+    """``(row, r_{n-1})`` of the first row of a block with a member, or None.
+
+    ``deficit`` has one row per monomial, over the block's rows, offset so
+    that ``deficit // a`` is the monomial's end of ``r_{n-1}`` (``a`` its
+    entry of ``last``) and, where ``a = 0``, ``deficit <= 0`` is its
+    condition.  ``ends`` are the rows' ends from the box, and ``zero`` the
+    index of the zero row of ``r[:n-1]`` in the block, or None.  Nothing is
+    written to ``ends``, which may be cached.
+    """
+    lo, hi = ends
+    level = None
+    # One scalar divisor per monomial, so ``//`` takes NumPy's fast path
+    # for a scalar integer divisor.
+    for q, a in zip(deficit, last):
+        if a > 0:
+            lo = np.maximum(lo, q // a)
+        elif a < 0:
+            hi = np.minimum(hi, q // a)
+        elif level is None:
+            level = q <= 0
+        else:
+            level &= q <= 0
+    ok = lo <= hi
+    if level is not None:
+        ok &= level
+    if zero is not None and lo[zero] == 0:
+        # The zero row's lower end 0 is r = 0: it starts at 1.
+        ok[zero] &= hi[zero] >= 1
+    h = int(ok.argmax())
+    if not ok[h]:
+        return None
+    value = int(lo[h])
+    return h, value + (h == zero and value == 0)
+
+
 def enumerate_weight_oracle(f: HomogeneousPoly, bound: int, strict: bool) -> WeightVector | None:
     """Exhaustive scan of integer vectors with entries in [-bound, bound],
     zero sum, returning the lexicographically first member of the weight
@@ -195,49 +271,62 @@ def enumerate_weight_oracle(f: HomogeneousPoly, bound: int, strict: bool) -> Wei
     - ``|r_{n-1}| <= bound`` and ``|sum(r[:n-1]) + r_{n-1}| <= bound``;
     - on the zero row a lower end of 0 becomes 1, skipping ``r = 0``.
 
-    The first row with a non-empty interval, at its lower end, is the first
-    member in the box.  Rows are evaluated as prefixes times the tile, at
-    most ``grid.BLOCK_ROWS`` at a time, and the hit is re-checked by
-    ``membership``.
+    Each end is one int64 floor division per row.  The first row with a
+    non-empty interval, at its lower end, is the first member in the box,
+    and it is re-checked by ``membership``.  What depends only on the box
+    (the tile, its row sums, its zero row and the ends from the box) is
+    cached per box by :func:`_oracle_box`, so a call evaluates only its
+    form.  When the tile holds every walked coordinate, as it does up to
+    ``(2 bound + 1)**(n-1) <= grid.BLOCK_ROWS``, the box has no prefix and
+    the tile is its one block.  Otherwise rows are evaluated as prefixes
+    times the tile, ``grid.BLOCK_ROWS // len(tile)`` prefixes at a time.
     """
     if bound < 1:
         raise WeightError("bound must be >= 1")
-    if f.is_zero:
-        raise ValueError("cannot destabilize the zero polynomial")
+    _check_form(f)
     supp = np.array(f.support(), dtype=np.int64)
-    cols = (supp[:, :-1] - supp[:, -1:]).T
-    least = 1 if strict else 0
-    tile, prefixes = grid.box_split(range(-bound, bound + 1), f.n - 1)
+    cols = supp[:, :-1] - supp[:, -1:]
+    last = cols[:, -1].tolist()
+    # Each monomial's deficit least - P, plus a - 1 where a > 0, so that
+    # deficit // a is its end of r_{n-1}: ceil(x / a) is (x + a - 1) // a.
+    offset = np.maximum(cols[:, -1:] - 1, 0) + (1 if strict else 0)
+    tile, tile_sums, zero, lo, hi = _oracle_box(bound, f.n - 1, grid.BLOCK_ROWS)
     cut = f.n - 1 - tile.shape[1]
-    # One row per monomial: its slack P - least, from the tile and prefix parts.
-    tails = cols[cut:-1].T @ tile.T - least
-    tile_sums, tile_zero = tile.sum(axis=1), ~tile.any(axis=1)
+    # The tile is every combination of the values in lexicographic order, so
+    # the deficit on it is built one column at a time: each column repeats
+    # every row once per value, less the value times the monomial's entry.
+    # (An int64 matmul with the tile takes about twice as long.)
+    values = np.arange(-bound, bound + 1, dtype=np.int64)
+    deficit = offset
+    for c in cols[:, cut:-1].T:
+        deficit = (deficit[:, :, None] - np.multiply.outer(c, values)[:, None, :]).reshape(
+            len(supp), -1
+        )
+    if not cut:
+        hit = _first_member((lo, hi), deficit, last, zero)
+        if hit is None:
+            return None
+        return _verified(f, strict, [*map(int, tile[hit[0]]), hit[1]])
+    _, prefixes = grid.box_split(range(-bound, bound + 1), f.n - 1)
     step = grid.BLOCK_ROWS // len(tile)
     for batch in prefixes:
-        heads = cols[:cut].T @ batch.T
+        heads = cols[:, :cut] @ batch.T
         for k in range(0, len(batch), step):
             pre = batch[k : k + step]
-            slack = (heads[:, k : k + step, None] + tails[:, None, :]).reshape(len(supp), -1)
-            sums = (pre.sum(axis=1)[:, None] + tile_sums).ravel()
-            lo, hi = np.maximum(-bound, -bound - sums), np.minimum(bound, bound - sums)
-            level = np.ones(len(sums), dtype=bool)
-            # One scalar divisor per monomial, so ``//`` takes NumPy's fast
-            # path for a scalar integer divisor.
-            for q, a in zip(slack, cols[-1].tolist()):
-                if a > 0:
-                    lo = np.maximum(lo, -(q // a))
-                elif a < 0:
-                    hi = np.minimum(hi, (-q) // a)
-                else:
-                    level &= q >= 0
-            lo += (lo == 0) & (~pre.any(axis=1)[:, None] & tile_zero).ravel()
-            hits = np.flatnonzero(level & (lo <= hi))
-            if hits.size:
-                h = int(hits[0])
-                i, j = divmod(h, len(tile))
-                r = [int(v) for v in pre[i]] + [int(v) for v in tile[j]] + [int(lo[h])]
-                candidate = WeightVector(tuple(r + [-sum(r)]))
-                if not membership(f, candidate, strict):
-                    raise InternalConsistencyError("oracle produced a non-member; enumeration bug")
-                return candidate
+            block = (deficit[:, None, :] - heads[:, k : k + step, None]).reshape(len(supp), -1)
+            ends = _box_ends(bound, (pre.sum(axis=1)[:, None] + tile_sums).ravel())
+            at_zero = np.flatnonzero(~pre.any(axis=1))
+            row = int(at_zero[0]) * len(tile) + zero if at_zero.size else None
+            hit = _first_member(ends, block, last, row)
+            if hit is not None:
+                i, j = divmod(hit[0], len(tile))
+                return _verified(f, strict, [*map(int, pre[i]), *map(int, tile[j]), hit[1]])
     return None
+
+
+def _verified(f: HomogeneousPoly, strict: bool, head: list[int]) -> WeightVector:
+    """The oracle's member ``head + [-sum(head)]``, re-checked by ``membership``."""
+    candidate = WeightVector(tuple(head + [-sum(head)]))
+    if not membership(f, candidate, strict):
+        raise InternalConsistencyError("oracle produced a non-member; enumeration bug")
+    return candidate

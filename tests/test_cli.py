@@ -168,6 +168,26 @@ class TestAnalyze:
         report = json.loads(out)
         assert report["profile"]["provenance"]["s"] == "user-asserted"
 
+    def test_asserted_s_caps_the_hessian_rank(self, capsys, poly_file):
+        # The nodal quartic surface has one rational node, of Hessian rank 3.
+        # Along an asserted curve of double points the rank is at most
+        # n - s = 2, so every tangent cone is a cone and the tangent-cone
+        # criterion does not apply.
+        path = poly_file(
+            "x0^2*x3^2 + x1^2*x3^2 + x2^2*x3^2 + x0^4 + x1^4 + x2^4 - x0*x1*x2*x3"
+        )
+        argv = ["analyze", path, "--s", "1", "--budget", "5", "--no-timestamp", "--json", "-"]
+        code, out, _ = run(capsys, argv)
+        assert code == EXIT_OK
+        report = json.loads(out)
+        assert [p["hessian_rank"] for p in report["points"]] == [3]
+        profile = report["profile"]
+        assert (profile["s"], profile["delta"], profile["min_hessian_rank"]) == (1, 2, 2)
+        assert profile["provenance"]["min_hessian_rank"].startswith("at most n - s = 2")
+        assert report["cone_free"] is False
+        assert "mordant-tangent-cone" not in [r["criterion"] for r in report["reasons"]]
+        assert report["status"] != "SemiStable"
+
     @pytest.mark.parametrize(
         "text, s, message",
         [

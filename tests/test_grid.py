@@ -8,7 +8,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from hypstab import enumerate_weight_oracle, grid, parse_poly
+from hypstab import enumerate_weight_oracle, grid, parse_poly, torus
 from hypstab.grid import BLOCK_ROWS, box_split
 
 from conftest import random_support_poly
@@ -64,6 +64,27 @@ def test_cached_tiles_are_read_only(monkeypatch):
     monkeypatch.setattr(grid, "BLOCK_ROWS", 5)
     assert box_split(range(-2, 3), 3)[0].shape == (5, 1)
     assert grid.canonical_split(range(-2, 3), 2, 3)[0].shape == (5, 1)
+
+
+def test_oracle_box_arrays_are_cached_read_only(monkeypatch):
+    """The oracle's box arrays are built once per (bound, width, cap),
+    beside the box's tile, and nothing can write to them."""
+    tile, sums, zero, lo, hi = cached = torus._oracle_box(3, 2, grid.BLOCK_ROWS)
+    assert all(a is b for a, b in zip(torus._oracle_box(3, 2, grid.BLOCK_ROWS), cached))
+    assert tile is box_split(range(-3, 4), 2)[0]
+    for array in (tile, sums, lo, hi):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
+    rows = list(product(range(-3, 4), repeat=2))
+    assert sums.tolist() == [sum(r) for r in rows] and rows[zero] == (0, 0)
+    assert lo.tolist() == [max(-3, -3 - sum(r)) for r in rows]
+    assert hi.tolist() == [min(3, 3 - sum(r)) for r in rows]
+    # A patched cap gets its own entry: here a one-column tile.
+    monkeypatch.setattr(grid, "BLOCK_ROWS", 7)
+    narrow = torus._oracle_box(3, 2, grid.BLOCK_ROWS)
+    assert narrow[0].shape == (7, 1) and narrow[0] is box_split(range(-3, 4), 2)[0]
+    assert narrow[2] == 3 and narrow[1].tolist() == list(range(-3, 4))
+    assert torus._oracle_box(3, 2, 4096)[0] is tile
 
 
 def test_exact_dtype_switches_at_2_to_the_63():

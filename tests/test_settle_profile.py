@@ -97,3 +97,19 @@ def test_only_the_worst_points_tangent_cones_are_read():
     quadruple = LocalData(ProjectivePoint((0, 1, 0, 0)), 4, parse_poly("x0^4", 2))
     assert settle_profile([triple, quadruple], 3, 5)[1] is False
     assert settle_profile([cusp], 3, 5)[1] is False
+
+
+@pytest.mark.parametrize("n, s", [(2, 1), (3, 1), (3, 2), (4, 2)])
+def test_an_asserted_s_caps_the_found_rank(n, s):
+    """Along an s-dimensional component of double points the rank is at
+    most n - s, so no tangent cone there is cone-free, whatever rank the
+    found points have."""
+    for found in range(1, n + 1):
+        profile, cone_free, _, basis = settle_profile([double_point(n, 0, found)], n, 4, s)
+        assert (profile.s, profile.delta) == (s, 2)
+        assert profile.min_hessian_rank == min(found, n - s)
+        assert (cone_free, basis) == (False, "heuristic")
+        capped = found > n - s
+        assert profile.provenance["min_hessian_rank"].startswith(
+            f"at most n - s = {n - s}" if capped else "verified-at-points"
+        )

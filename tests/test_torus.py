@@ -17,7 +17,7 @@ from hypstab import (
     torus_destabilize,
 )
 from hypstab.linalg import integer_rank, nullspace_vector, primitive_row, rational_rank, scaled_integers
-from hypstab.polynomials import parse_poly_infer
+from hypstab.polynomials import PolyError, parse_poly_infer
 from hypstab.simplex import SimplexError, solve_lp
 from hypstab.torus import TorusDecision, _verify_barycentric
 from hypstab.weights import WeightError
@@ -114,6 +114,20 @@ class TestNonStrictMode:
 
         with pytest.raises(ValueError):
             torus_destabilize(HomogeneousPoly.make(2, 3, {}), strict=False)
+
+
+@pytest.mark.parametrize("strict", [True, False])
+@pytest.mark.parametrize(
+    "decide",
+    [torus_destabilize, lambda f, strict: enumerate_weight_oracle(f, 3, strict)],
+    ids=["lp", "oracle"],
+)
+def test_one_variable_forms_are_refused(decide, strict):
+    # A form in one variable has no nonzero zero-sum weight: both routes
+    # refuse it with the parser's message.
+    f = HomogeneousPoly.make(0, 3, {(3,): 1})
+    with pytest.raises(PolyError, match=r"^need at least two variables, got n = 0$"):
+        decide(f, strict)
 
 
 class TestOracle:
