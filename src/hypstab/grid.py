@@ -16,9 +16,11 @@ split's ``is_lead``) depends only on the box's shape, so it is built once
 per shape, cached and read-only; the scan caches the residue and lead words
 of its checks on a canonical tile beside it, under the same key and the
 checks, and the weight oracle its tile's row sums, zero row and ends of the
-last coordinate, under the same key.  A box whose tile holds every
-coordinate has no prefix: ``box_split`` then yields one empty prefix, and
-the oracle walks the tile alone.
+last coordinate, under the same key.  :mod:`~hypstab.modp` caches the same
+way, per Macaulay matrix shape, the column and shift codes and the row
+numbering its proofs would otherwise rebuild from ``monomials``.  A box
+whose tile holds every coordinate has no prefix: ``box_split`` then yields
+one empty prefix, and the oracle walks the tile alone.
 ``exact_dtype`` is the package's one choice between int64 and Python ints,
 and ``monomials`` its one monomial order: the Macaulay columns of
 :mod:`~hypstab.modp` and, read backwards, the expansions of

@@ -51,6 +51,17 @@ restricted to a hyperplane x_n = sum c_i x_i with every c_i != 0.  A
 singular locus of dimension >= 1 meets every hyperplane, so partials without
 a common zero on the hyperplane leave at most finitely many singular points.
 
+Construction.  What the matrix's shape (the number of variables, D and the
+generator degrees in order) decides is built once per shape and kept
+read-only in a bounded cache of 16 shapes, beside the tiles of
+:mod:`~hypstab.grid`: the column monomials' codes with their radix and
+dtype, the codes of the shifts of each generator degree, and Macaulay's
+square choice with its row numbering.  Its row and column counts must be
+:func:`matrix_shape`'s.  A call builds only what its forms decide: their
+term codes and values, the entries, and the check that every entry has a
+column.  The ``MAX_CELLS`` cap is checked on :func:`matrix_shape` before
+anything is built.
+
 Elimination.  Rows with at most two nonzero entries pivot first.  A pivot
 on such a row in its column a subtracts a multiple of it from every row with
 an entry in a: that row loses the entry in a and gains or changes at most
@@ -74,7 +85,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement, count
+from functools import lru_cache
+from itertools import accumulate, combinations, combinations_with_replacement, count
 from math import comb
 from typing import Mapping, Sequence
 
@@ -152,6 +164,66 @@ def macaulay_shape(n: int, d: int) -> tuple[int, int, int]:
     return (degree, *matrix_shape([d - 1] * (n + 1), n + 1, degree))
 
 
+@lru_cache(maxsize=16)
+def _skeleton(nvars: int, degree: int, degrees: tuple[int, ...]):
+    """The read-only tables of the Macaulay matrix in ``degree`` of forms of
+    ``degrees``, in this order, in ``nvars`` variables, which no form's
+    coefficients change: ``(radix, ascending, shifts, first, numbers,
+    nsquare)``.
+
+    ``radix`` packs an exponent vector into its code, ``ascending`` holds
+    the codes of the columns in ascending order, and ``shifts`` pairs each
+    generator degree e, ascending, with the codes of the shifts m of degree
+    D - e, ascending.  The rows of form j are ``numbers[first[j]:first[j +
+    1]]``, one per shift, and the ``nsquare`` rows of Macaulay's square
+    choice are numbered first.  Its row and column counts are
+    :func:`matrix_shape`'s, or the program is at fault."""
+    # Exponents packed base degree+1, so a product's code is the sum of codes
+    # and the codes of the degree-D monomials descend in column order.  Codes
+    # are below (degree+1)^nvars; Python ints hold them where int64 cannot
+    # (a quadric in 64 or more variables).
+    dtype = exact_dtype((degree + 1) ** nvars - 1)
+    radix = np.array([(degree + 1) ** k for k in range(nvars)], dtype=dtype)
+    columns = monomial_rows(nvars, degree)
+    codes = columns @ radix
+    ascending = codes[::-1]
+    # For each generator degree e, the shifts m of degree D-e, ascending, and
+    # their codes: the columns x_n^e * m, in order, less e on x_n.  The
+    # square choice reads only the exponents of x_0..x_(n-1).
+    shifts = {}
+    for e in sorted(set(degrees)):
+        above = columns[:, -1] >= e
+        shifts[e] = (columns[above][::-1, :-1], codes[above][::-1] - e * radix[-1])
+    first = np.array(list(accumulate((len(shifts[e][1]) for e in degrees), initial=0)))
+    # Macaulay's square choice: for each degree e among the first nvars
+    # forms, whether a shift m has m_i < e_i for every i < j, for each j.
+    lower = degrees[:nvars]
+    below = {}
+    for e in set(lower):
+        below[e] = np.ones((len(shifts[e][1]), len(lower)), dtype=bool)
+        np.logical_and.accumulate(
+            shifts[e][0][:, : len(lower) - 1] < lower[:-1], axis=1, out=below[e][:, 1:]
+        )
+    square = np.concatenate(
+        [below[e][:, j] for j, e in enumerate(lower)]
+        + [np.zeros(first[-1] - first[len(lower)], dtype=bool)]
+    )
+    nsquare = int(np.count_nonzero(square))
+    numbers = np.empty(square.size, dtype=np.int64)
+    numbers[square] = np.arange(nsquare)
+    numbers[~square] = np.arange(nsquare, square.size)
+    expected = matrix_shape(degrees, nvars, degree)
+    if (int(first[-1]), ascending.size) != expected:
+        raise InternalConsistencyError(
+            f"Macaulay matrix in degree {degree} built with {first[-1]} rows and "
+            f"{ascending.size} columns, not the {expected[0]} and {expected[1]} of its shape"
+        )
+    by_degree = tuple((e, table[1]) for e, table in shifts.items())
+    for array in (radix, ascending, first, numbers, *(codes for _, codes in by_degree)):
+        array.flags.writeable = False
+    return radix, ascending, by_degree, first, numbers, nsquare
+
+
 def _macaulay_rows(
     forms: Sequence[IntForm], nvars: int, degree: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
@@ -167,44 +239,23 @@ def _macaulay_rows(
     numbered in ascending order of leading term, and the entries run degree
     by degree and, for the forms of one degree, shift by shift, each over
     their terms in order.  On a dense disguised quintic surface, ascending
-    columns eliminate 3x slower and descending rows 1.4x slower."""
-    # Exponents packed base degree+1, so a product's code is the sum of codes
-    # and the codes of the degree-D monomials descend in column order.  Codes
-    # are below (degree+1)^nvars; Python ints hold them where int64 cannot
-    # (a quadric in 64 or more variables).
-    dtype = exact_dtype((degree + 1) ** nvars - 1)
-    radix = np.array([(degree + 1) ** k for k in range(nvars)], dtype=dtype)
-    columns = monomial_rows(nvars, degree)
-    codes = columns @ radix
-    ascending = codes[::-1]
-    # For each generator degree e, the shifts m of degree D-e, ascending, and
-    # their codes: the columns x_n^e * m, in order, less e on x_n.  The
-    # square choice reads only the exponents of x_0..x_(n-1).
-    shifts = {}
-    for e in sorted({g.degree for g in forms}):
-        above = columns[:, -1] >= e
-        shifts[e] = (columns[above][::-1, :-1], codes[above][::-1] - e * radix[-1])
-    sizes = [len(shifts[g.degree][1]) for g in forms]
-    first = np.cumsum([0] + sizes)
-    lower = np.array([g.degree for g in forms[:nvars]])
-    square = np.concatenate(
-        [np.all(shifts[e][0][:, :j] < lower[:j], axis=1) for j, e in enumerate(lower.tolist())]
-        + [np.zeros(first[-1] - first[len(lower)], dtype=bool)]
-    )
-    nsquare = int(np.count_nonzero(square))
-    numbers = np.where(square, np.cumsum(square) - 1, nsquare + np.cumsum(~square) - 1)
+    columns eliminate 3x slower and descending rows 1.4x slower.  What the
+    shape decides comes from :func:`_skeleton`; a call builds only its
+    forms' term codes, values and entries, and checks that every entry has
+    a column."""
+    degrees = tuple(g.degree for g in forms)
+    radix, ascending, shifts, first, numbers, nsquare = _skeleton(nvars, degree, degrees)
     # Every term of every form at once: its form, exponent and value.
     owner = np.repeat(np.arange(len(forms)), [len(g.values) for g in forms])
     exps = np.concatenate([g.exps for g in forms])
     value = np.concatenate([g.values for g in forms])
     keep = value != 0
     owner, term_codes, value = owner[keep], exps[keep] @ radix, value[keep]
-    degree_of = np.array([g.degree for g in forms])[owner]
     # The entries of the forms of each degree, shift by shift, each over
     # their terms in order.
     blocks = []
-    for e, (_, shift_codes) in shifts.items():
-        sel = np.flatnonzero(degree_of == e) if len(shifts) > 1 else slice(None)
+    for e, shift_codes in shifts:
+        sel = np.flatnonzero(np.array(degrees)[owner] == e) if len(shifts) > 1 else slice(None)
         local = np.arange(len(shift_codes))[:, None]
         blocks.append((
             numbers[first[owner[sel]] + local],

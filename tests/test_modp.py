@@ -235,9 +235,10 @@ class TestKernel:
         f = parse_poly_infer(text)
         assert prove_smooth(f.scale(c)) == prove_smooth(f)
 
-    def test_above_the_size_bound_is_not_tested(self, monkeypatch):
+    def test_above_the_size_bound_is_not_tested(self, monkeypatch, fresh_skeletons):
         monkeypatch.setattr(modp, "MAX_CELLS", 880 * 560 - 1)
         assert prove_smooth(parse_poly_infer(SMOOTH["fermat-quintic-surface"])) is None
+        assert modp._skeleton.cache_info().currsize == 0  # checked before anything is built
         assert prove_smooth(parse_poly_infer(SMOOTH["klein-quartic"])) is not None
 
 
@@ -248,28 +249,35 @@ def reference_monomials(nvars: int, degree: int) -> list[tuple[int, ...]]:
     ]
 
 
-def reference_macaulay_rows(f: HomogeneousPoly, degree: int) -> tuple[list[dict[int, int]], int]:
-    """The rows built one dict per shift in pure Python, square rows
-    first: the reference for the numpy construction."""
-    nvars = f.nvars
-    F = primitive_form(f)
-    radix = [(degree + 1) ** k for k in range(nvars)]
-
-    def code(exp) -> int:
-        return sum(e * r for e, r in zip(exp, radix))
-
-    column = {code(exp): j for j, exp in enumerate(reference_monomials(nvars, degree))}
-    shifts = [(m, code(m)) for m in reversed(reference_monomials(nvars, degree - f.d + 1))]
+def reference_macaulay_rows(
+    forms: list[modp.IntForm], nvars: int, degree: int
+) -> tuple[list[dict[int, int]], int]:
+    """The rows built one dict per shift in pure Python, square rows first:
+    the reference for the numpy construction.  Row (j, m) holds m * g_j,
+    for the shifts m of each form in ascending column order, and is square
+    when j < nvars and m_i < e_i for every i < j."""
+    column = {exp: k for k, exp in enumerate(reference_monomials(nvars, degree))}
+    lower = [g.degree for g in forms[:nvars]]
     square, extra = [], []
-    for i in range(nvars):
-        partial = [
-            (code(exp) - radix[i], c.numerator * exp[i] % PRIME) for exp, c in F.terms if exp[i]
-        ]
-        partial = [(e, v) for e, v in partial if v]
-        for m, m_code in shifts:
-            row = {column[m_code + e]: v for e, v in partial}
-            (square if max(m[:i], default=0) < f.d - 1 else extra).append(row)
+    for j, g in enumerate(forms):
+        if g.degree > degree:
+            continue
+        terms = [(exp, v) for exp, v in zip(g.exps.tolist(), g.values.tolist()) if v]
+        for m in reversed(reference_monomials(nvars, degree - g.degree)):
+            row = {column[tuple(a + b for a, b in zip(m, exp))]: v for exp, v in terms}
+            (square if j < nvars and all(m[i] < lower[i] for i in range(j)) else extra).append(row)
     return square + extra, len(square)
+
+
+def reference_partials(f: HomogeneousPoly) -> list[modp.IntForm]:
+    """The partials of f with its content removed, term by term."""
+    F = primitive_form(f)
+    return [
+        modp.IntForm.from_terms(f.d - 1, f.nvars, {
+            exp[:i] + (exp[i] - 1,) + exp[i + 1:]: c.numerator * exp[i] for exp, c in F.terms if exp[i]
+        })
+        for i in range(f.nvars)
+    ]
 
 
 def reference_full_column_rank(rows: list[dict[int, int]], ncols: int) -> bool:
@@ -306,18 +314,64 @@ def coo(rows: list[dict[int, int]]) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     return tuple(np.array([e[k] for e in entries], dtype=np.int64) for k in range(3))
 
 
-def macaulay_dicts(f: HomogeneousPoly) -> tuple[list[dict[int, int]], int]:
-    degree, nrows, _ = macaulay_shape(f.n, f.d)
-    partials = [
-        modp.IntForm.from_terms(f.d - 1, f.nvars, p)
-        for p in modp.partial_terms(primitive_form(f))
-    ]
-    row, col, value, late = modp._macaulay_rows(partials, f.nvars, degree)
+def macaulay_dicts(
+    forms: list[modp.IntForm], nvars: int, degree: int
+) -> tuple[list[dict[int, int]], int]:
+    nrows, _ = modp.matrix_shape([g.degree for g in forms], nvars, degree)
+    row, col, value, late = modp._macaulay_rows(forms, nvars, degree)
     rows = [{} for _ in range(nrows)]
     for r, c, v in zip(row.tolist(), col.tolist(), value.tolist()):
         assert c not in rows[r]
         rows[r][c] = v
     return rows, late
+
+
+def partials_match(f: HomogeneousPoly) -> bool:
+    """The rows of f's partials in the degree of the smoothness proof match
+    the reference."""
+    degree = macaulay_shape(f.n, f.d)[0]
+    rows = macaulay_dicts(modp._partials(primitive_form(f)), f.nvars, degree)
+    return rows == reference_macaulay_rows(reference_partials(f), f.nvars, degree)
+
+
+def ramp_matches(forms: list[modp.IntForm], nvars: int, top: int) -> int:
+    """Compare the rows with the reference in every degree of the ramp from
+    the largest generator degree to ``top`` within 20,000 cells; returns the
+    number of degrees compared."""
+    degrees = [g.degree for g in forms]
+    compared = 0
+    for degree in range(max(degrees), top + 1):
+        nrows, ncols = modp.matrix_shape(degrees, nvars, degree)
+        if nrows * ncols <= 20_000:
+            assert macaulay_dicts(forms, nvars, degree) == reference_macaulay_rows(forms, nvars, degree)
+            compared += 1
+    return compared
+
+
+@st.composite
+def form_lists(draw):
+    """One to six forms in one to four variables, of degrees 1 to 4 in any
+    order, some coefficients zero mod PRIME, and a degree from the largest
+    generator degree up."""
+    nvars = draw(st.integers(1, 4))
+    values = st.one_of(st.just(0), st.integers(1, 3), st.integers(0, PRIME - 1))
+    forms = []
+    for _ in range(draw(st.integers(1, 6))):
+        e = draw(st.integers(1, 4))
+        terms = draw(st.dictionaries(st.sampled_from(degree_monomials(nvars - 1, e)), values,
+                                     min_size=1, max_size=5))
+        forms.append(modp.IntForm.from_terms(e, nvars, terms))
+    degree = draw(st.integers(max(g.degree for g in forms), max(g.degree for g in forms) + 2))
+    return forms, nvars, degree
+
+
+@pytest.fixture
+def fresh_skeletons():
+    """An empty skeleton cache, so that a test's patches reach the build,
+    and no skeleton built under them outlives the test."""
+    modp._skeleton.cache_clear()
+    yield
+    modp._skeleton.cache_clear()
 
 
 class TestElimination:
@@ -330,12 +384,68 @@ class TestElimination:
         + ["rational", "prime-coefficient"],
     )
     def test_rows_match_the_dict_construction(self, f):
-        assert macaulay_dicts(f) == reference_macaulay_rows(f, macaulay_shape(f.n, f.d)[0])
+        assert partials_match(f)
 
     @given(st.one_of(sparse_forms(), binomial_partials(planted=False).map(lambda case: case[0])))
     @settings(max_examples=60, deadline=None)
     def test_random_rows_match_the_dict_construction(self, f):
-        assert macaulay_dicts(f) == reference_macaulay_rows(f, macaulay_shape(f.n, f.d)[0])
+        assert partials_match(f)
+
+    @pytest.mark.parametrize(
+        "text",
+        [SINGULAR["nodal-cubic"], SINGULAR["cusp"], SMOOTH["klein-quartic"],
+         SMOOTH["cyclic-cubic-surface"], "x0*x1*x2 + x0*x1*x3 + x0*x2*x3 + x1*x2*x3"],
+        ids=["nodal-cubic", "cusp", "klein-quartic", "cyclic-cubic-surface", "cayley-cubic"],
+    )
+    def test_hessian_ideal_rows_match_the_dict_construction(self, text):
+        # The partials of degree d-1 and the r x r minors of degree r(d-2):
+        # mixed degrees whenever r(d-2) != d-1.
+        f = parse_poly_infer(text)
+        F = primitive_form(f)
+        for r in range(1, f.n + 1):
+            forms = modp._partials(F) + modp._hessian_minors(F, r)
+            assert ramp_matches(forms, f.nvars, macaulay_shape(f.n, f.d)[0]) >= 1
+
+    @pytest.mark.parametrize("name", ["fermat-cubic-surface", "fermat-cubic-threefold"])
+    def test_restricted_partials_rows_match_the_dict_construction(self, name):
+        f = disguised(name)
+        forms = modp._restricted_partials(primitive_form(f), modp._hyperplane(f.n, ()))
+        top = macaulay_shape(f.n, f.d)[0]
+        assert ramp_matches(forms, f.n, top) == len(range(f.d - 1, top + 1))  # every degree
+
+    @given(form_lists())
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_form_lists_match_the_dict_construction(self, case):
+        forms, nvars, degree = case
+        assert macaulay_dicts(forms, nvars, degree) == reference_macaulay_rows(forms, nvars, degree)
+
+    def test_forms_of_one_shape_get_their_own_entries(self, fresh_skeletons):
+        # Both in three variables with partials of degree 3: one skeleton,
+        # and each form's own entries from it.
+        forms = [parse_poly_infer(SMOOTH["klein-quartic"]), disguised("fermat-quartic-curve")]
+        built = [macaulay_dicts(modp._partials(primitive_form(f)), 3, 7) for f in forms]
+        assert modp._skeleton.cache_info()[:2] == (1, 1)  # one hit, one build
+        assert built[0] != built[1]
+        for f, rows in zip(forms, built):
+            assert rows == reference_macaulay_rows(reference_partials(f), 3, 7)
+
+    def test_skeleton_is_cached_read_only(self):
+        """The tables a shape decides are built once per (nvars, degree,
+        generator degrees), and nothing can write to them."""
+        radix, ascending, shifts, first, numbers, nsquare = cached = modp._skeleton(3, 7, (3, 3, 3))
+        assert all(a is b for a, b in zip(modp._skeleton(3, 7, (3, 3, 3)), cached))
+        assert isinstance(shifts, tuple) and [e for e, _ in shifts] == [3]
+        for array in (radix, ascending, first, numbers, shifts[0][1]):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
+        # A general form's partials: the square choice is square.
+        assert (len(numbers), len(ascending), nsquare) == (45, 36, 36)
+        # Another tuple of generator degrees, or the same in another order,
+        # gets its own entry.
+        for degrees in [(3, 3, 2), (2, 3, 3)]:
+            other = modp._skeleton(3, 7, degrees)
+            assert other[4] is not numbers and len(other[4]) == modp.matrix_shape(degrees, 3, 7)[0]
+        assert not np.array_equal(modp._skeleton(3, 7, (3, 3, 2))[4], modp._skeleton(3, 7, (2, 3, 3))[4])
 
     @pytest.mark.parametrize("nvars", [63, 64, 70])
     def test_codes_beyond_int64(self, nvars):
@@ -343,7 +453,7 @@ class TestElimination:
         # Python ints.
         squares = {tuple(2 * (k == j) for k in range(nvars)): 1 for j in range(nvars)}
         f = HomogeneousPoly.make(nvars - 1, 2, squares)
-        assert macaulay_dicts(f) == reference_macaulay_rows(f, 1)
+        assert partials_match(f)
         assert prove_smooth(f) is not None
         assert prove_smooth(HomogeneousPoly.make(nvars - 1, 2, dict(list(squares.items())[1:]))) is None
 
@@ -464,19 +574,46 @@ class TestAnalyze:
         assert (report["search"]["budget"], report["search"]["frames_tried"]) == (4, 4)
         assert report["search"]["skipped"] is None
 
-    def test_kernel_fault_exits_internal(self, capsys, tmp_path, monkeypatch):
+    def test_kernel_fault_exits_internal(self, capsys, tmp_path, monkeypatch, fresh_skeletons):
         # The rows and shifts are read from the column monomials of
-        # ``grid.monomials``; dropping one leaves a row entry with no column.
-        # No input reaches this, so force it where modp reads it.
+        # ``grid.monomials``; repeating the column before x0^7 in its place
+        # keeps the matrix's shape but leaves x0^7, which x0^4 times the x1
+        # partial x0^3 + 3*x1^2*x2 reaches, with no column.  No input reaches
+        # this, so force it where modp reads it.
         monomials, columns_degree = modp.monomial_rows, macaulay_shape(2, 4)[0]
 
-        def fewer_columns(nvars, degree):
+        def lost_column(nvars, degree):
             out = monomials(nvars, degree)
-            return out[:-1] if degree == columns_degree else out
+            return np.concatenate([out[:-1], out[-2:-1]]) if degree == columns_degree else out
 
-        monkeypatch.setattr(modp, "monomial_rows", fewer_columns)
+        monkeypatch.setattr(modp, "monomial_rows", lost_column)
         code, _, err = self.run(capsys, tmp_path, SMOOTH["klein-quartic"])
         assert code == EXIT_INTERNAL
         assert "internal consistency failure" in err
         assert "Macaulay row of generator" in err
         assert "Traceback" not in err
+        assert "generator 1 has a monomial (7, 0, 0) outside the degree-7 columns" in err
+
+    @pytest.mark.parametrize("patch, built", [("matrix_shape", "45 rows and 36 columns, not the 46 and 36"),
+                                              ("monomial_rows", "45 rows and 35 columns, not the 45 and 36")])
+    def test_skeleton_of_another_shape_exits_internal(
+        self, capsys, tmp_path, monkeypatch, fresh_skeletons, patch, built
+    ):
+        # The cap check reads ``matrix_shape`` and the build the skeleton; a
+        # skeleton of another shape (one row more expected, or one column
+        # dropped) is a fault.
+        original, columns_degree = getattr(modp, patch), macaulay_shape(2, 4)[0]
+
+        def wrong_shape(*args):
+            out = original(*args)
+            if args[-1] != columns_degree:
+                return out
+            return (out[0] + 1, out[1]) if patch == "matrix_shape" else out[:-1]
+
+        monkeypatch.setattr(modp, patch, wrong_shape)
+        code, _, err = self.run(capsys, tmp_path, SMOOTH["klein-quartic"])
+        assert code == EXIT_INTERNAL
+        assert err.splitlines() == [
+            "internal consistency failure: InternalConsistencyError: "
+            f"Macaulay matrix in degree 7 built with {built} of its shape"
+        ]
