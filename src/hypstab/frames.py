@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, product
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt
 from typing import Iterable, Iterator, Sequence
 
 from .linalg import (
@@ -32,7 +32,6 @@ from .linalg import (
     nullspace_basis,
     nullspace_vector,
     primitive_row,
-    scaled_integers,
 )
 from .local_analysis import LocalData, quadratic_form_matrix
 from .polynomials import HomogeneousPoly, last_coefficient
@@ -169,11 +168,10 @@ _ROOT_LIMIT = 10**8
 
 def _on_line(f: HomogeneousPoly, p: Sequence[int], q: Sequence[int]) -> list[int]:
     """The coefficients of f(s*p + q) in s, lowest degree first, times the
-    lcm of f's denominators: f restricted to the line through the integer
-    points p and q, read at t = 1 of s*p + t*q."""
+    lcm of f's denominators (the integers of its view): f restricted to the
+    line through the integer points p and q, read at t = 1 of s*p + t*q."""
     out = [0] * (f.d + 1)
-    scale = lcm(*(c.denominator for _, c in f.terms))
-    for (exp, _), c in zip(f.terms, scaled_integers((c for _, c in f.terms), scale)):
+    for (exp, _), c in zip(f.terms, f.integer_view.ints):
         poly = [c]
         for j, e in enumerate(exp):
             for _ in range(e):

@@ -7,11 +7,15 @@ when ``rows`` is read.  Products multiply the stored integers and divide the
 scale out once.  Determinants, ranks and nullspaces share one fraction-free
 (Bareiss) forward elimination, on the stored integers sA for a determinant
 (det(A) = det(sA) / s^n) and on integer-scaled rows for a nullspace, which
-back-substitutes through the rows it leaves.  Coordinate changes expand the
-integer-scaled polynomial under the stored integers and emit its terms
-already in canonical order.  When only the support of the result is needed,
-:func:`transformed_supports` expands it for many matrices at once in numpy,
-over the monomials of :func:`~hypstab.grid.monomials` read backwards.
+back-substitutes through the rows it leaves.  Coordinate changes read the
+form's cached integer view (``HomogeneousPoly.integer_view``), so no call
+clears a form's denominators again, check that the change is invertible
+from the Bareiss pivots of its stored integers (full rank, with no
+determinant built), expand the integer-scaled polynomial under those
+integers and emit its terms already in canonical order.  When only the
+support of the result is needed, :func:`transformed_supports` expands it for
+many matrices at once in numpy, over the monomials of
+:func:`~hypstab.grid.monomials` read backwards.
 """
 from __future__ import annotations
 
@@ -20,6 +24,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import compress
 from math import gcd, lcm
+from operator import index
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -205,16 +210,24 @@ def matrix_moving_point_last(coords: Sequence[int]) -> RationalMatrix:
 
     Used to relocate a rational projective point to [0:...:0:1]: applying the
     resulting matrix as a coordinate change turns the expansion in powers of
-    the last coordinate into the local picture at the point.
+    the last coordinate into the local picture at the point.  A coordinate
+    that is not an integer (``operator.index`` refuses it, as it does a
+    Fraction, which ``int`` would truncate to another point) raises
+    :class:`MatrixError`.
     """
-    coords = [int(c) for c in coords]
-    pivot = next((j for j, c in enumerate(coords) if c != 0), None)
+    ints = []
+    for j, c in enumerate(coords):
+        try:
+            ints.append(index(c))
+        except TypeError as exc:
+            raise MatrixError(f"point coordinate {j} is not an integer: {c!r}") from exc
+    pivot = next((j for j, c in enumerate(ints) if c != 0), None)
     if pivot is None:
         raise MatrixError("zero vector is not a projective point")
-    size = len(coords)
-    rows = [[int(i == j) for i in range(size)] for j in range(size) if j != pivot]
-    rows.append(coords)
-    return RationalMatrix.from_rows(rows)
+    size = len(ints)
+    rows = [tuple(int(i == j) for i in range(size)) for j in range(size) if j != pivot]
+    rows.append(tuple(ints))
+    return RationalMatrix(1, tuple(rows))
 
 
 def apply_linear_change(f: HomogeneousPoly, sigma: RationalMatrix) -> HomogeneousPoly:
@@ -223,37 +236,33 @@ def apply_linear_change(f: HomogeneousPoly, sigma: RationalMatrix) -> Homogeneou
     The action satisfies ``apply(apply(f, tau), sigma) == apply(f, sigma @ tau)``
     and the identity matrix acts trivially.
 
-    The expansion runs on integers: ``fden * f`` is integral for the lcm
-    ``fden`` of its denominators, ``sigma`` stores ``s * sigma`` as integers,
-    each exponent tuple is packed base ``d + 1`` into one int (no carries,
-    since every exponent is at most ``d``), and the sum is divided by
-    ``fden * s**d`` once at the end.
+    The expansion runs on integers: f's integer view holds ``fden * f`` for
+    the lcm ``fden`` of its denominators, ``sigma`` stores ``s * sigma`` as
+    integers, each exponent tuple is packed base ``d + 1`` into one int (no
+    carries, since every exponent is at most ``d``), and the sum is divided
+    by ``fden * s**d`` once at the end.
     The result's terms are built in canonical order, not through
     :meth:`HomogeneousPoly.make`.
     """
     size = f.n + 1
-    if not sigma.is_square or sigma.nrows != size:
-        raise MatrixError(f"matrix size {sigma.nrows}x{sigma.ncols} does not match {size} variables")
-    if sigma.determinant() == 0:
-        raise MatrixError("coordinate change must be invertible")
+    _check_change(sigma, size)
 
     base = f.d + 1
     # x0 is the most significant digit, so descending keys are descending
     # lex order on exponents.
     place = [base ** (size - 1 - k) for k in range(size)]
-    fden = lcm(*(c.denominator for _, c in f.terms))
+    fden, coeffs = f.integer_view
     forms = [{place[k]: row[j] for k, row in enumerate(sigma.ints) if row[j]} for j in range(size)]
 
     # powers[j][t - 1] = forms[j] ** t, up to the largest power of x_j in f.
     powers = []
-    for j, form in enumerate(forms):
+    for form, top in zip(forms, map(max, zip(*f.support()))):
         chain = [form]
-        for _ in range(1, max((exp[j] for exp, _ in f.terms), default=1)):
+        for _ in range(1, top):
             chain.append(_packed_product(chain[-1], form))
         powers.append(chain)
 
     acc: dict[int, int] = {}
-    coeffs = scaled_integers((c for _, c in f.terms), fden)
     for (exp, _), coeff in zip(f.terms, coeffs):
         prod = {0: coeff}
         for j, t in enumerate(exp):
@@ -274,6 +283,16 @@ def apply_linear_change(f: HomogeneousPoly, sigma: RationalMatrix) -> Homogeneou
     if result.is_zero and not f.is_zero:
         raise InternalConsistencyError("invertible change of coordinates produced zero polynomial")
     return result
+
+
+def _check_change(sigma: RationalMatrix, size: int) -> None:
+    """Raise :class:`MatrixError` unless sigma is an invertible change of
+    ``size`` variables: square of that size, and of full rank by the Bareiss
+    pivots of its stored integers."""
+    if not sigma.is_square or sigma.nrows != size:
+        raise MatrixError(f"matrix size {sigma.nrows}x{sigma.ncols} does not match {size} variables")
+    if len(_bareiss(sigma.ints)[1]) < size:
+        raise MatrixError("coordinate change must be invertible")
 
 
 def _packed_product(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
@@ -310,17 +329,13 @@ def transformed_supports(
     """
     size = f.n + 1
     for sigma in sigmas:
-        if not sigma.is_square or sigma.nrows != size:
-            raise MatrixError(f"matrix size {sigma.nrows}x{sigma.ncols} does not match {size} variables")
-        if len(_bareiss(sigma.ints)[1]) < size:
-            raise MatrixError("coordinate change must be invertible")
+        _check_change(sigma, size)
     if f.is_zero or f.d == 0 or not sigmas:
         return [f.support()] * len(sigmas)
 
     d = f.d
     monomials, lower = _expansion_tables(size, d)
-    fden = lcm(*(c.denominator for _, c in f.terms))
-    coeffs = scaled_integers((c for _, c in f.terms), fden)
+    coeffs = f.integer_view.ints
     column_sum = max(sum(map(abs, col)) for sigma in sigmas for col in zip(*sigma.ints))
     dtype = exact_dtype(sum(map(abs, coeffs)) * column_sum**d)
     # S[f, k, j]: the coefficient of y_k in L_j for frame f, with a zero row

@@ -4,25 +4,28 @@ An exact integer coordinate change moves the point to [0:...:0:1], and the
 moved form g is read by the powers of x_n: the multiplicity m is d minus the
 largest x_n exponent in g, the tangent cone is the form that multiplies
 x_n^(d-m), and at a double point the Hessian rank is the rank of that
-quadratic form, computed by fraction-free elimination.  The singular-point
-scan enumerates rational points of bounded height exactly and, optionally,
-counts singular points over small finite fields as (clearly labelled)
-heuristic evidence about the dimension of the singular locus, which is never
-computed exactly here.  Written in symmetric residues with first nonzero
-coordinate 1, the points of P^n(F_p) are canonical rows of the height box
-once p // 2 <= h, so one walk of the box gives the rational points and the
-counts for every such prime; a larger prime walks its own residue box.  A
-row of a walk carries its checks as the bits of one unsigned word, cleared
-by table lookups: of its entries, for the residue boxes, and of each
-polynomial's value mod a product of the primes, for divisibility.
+quadratic form Q.  It is computed by fraction-free elimination on the
+integer symmetric matrix of 2L*Q, L the lcm of Q's denominators from Q's
+cached integer view: a positive multiple of Q's rational matrix, so of the
+same rank and kernel.  f's own view clears the denominators of f(p) and of
+the coordinate change, once per form, however many points are analyzed.
+The singular-point scan enumerates rational points of bounded height exactly
+and, optionally, counts singular points over small finite fields as (clearly
+labelled) heuristic evidence about the dimension of the singular locus,
+which is never computed exactly here.  Written in symmetric residues with
+first nonzero coordinate 1, the points of P^n(F_p) are canonical rows of the
+height box once p // 2 <= h, so one walk of the box gives the rational
+points and the counts for every such prime; a larger prime walks its own
+residue box.  A row of a walk carries its checks as the bits of one unsigned
+word, cleared by table lookups: of its entries, for the residue boxes, and
+of each polynomial's value mod a product of the primes, for divisibility.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
-from math import lcm, prod
+from math import prod
 
 import numpy as np
 
@@ -30,6 +33,7 @@ from . import grid
 from .linalg import (
     RationalMatrix,
     apply_linear_change,
+    integer_rank,
     matrix_moving_point_last,
     primitive_row,
     rational_rank,
@@ -40,7 +44,6 @@ from .polynomials import (
     HomogeneousPoly,
     PolyError,
     last_coefficient,
-    primitive_form,
 )
 from .verdicts import InternalConsistencyError
 
@@ -77,19 +80,22 @@ class ProjectivePoint:
         return [str(c) for c in self.coords]
 
 
-def quadratic_form_matrix(q: HomogeneousPoly) -> list[list[Fraction]]:
+def quadratic_form_matrix(q: HomogeneousPoly) -> list[list[int]]:
+    """The integer symmetric matrix of 2L*q, for L the lcm of q's
+    denominators (q's integer view): a positive multiple of q's symmetric
+    matrix, so of the same rank and kernel.  A square x_i^2 with integer
+    coefficient C = L*c puts 2C at (i, i), a cross term x_i*x_j puts C at
+    (i, j) and (j, i)."""
     if q.d != 2:
         raise PolyError(f"a quadratic form has degree 2, got {q.d}")
     m = q.nvars
-    mat = [[Fraction(0)] * m for _ in range(m)]
-    for exp, c in q.terms:
-        idx = [j for j, e in enumerate(exp) for _ in range(e)]
-        i, j = idx
+    mat = [[0] * m for _ in range(m)]
+    for (exp, _), c in zip(q.terms, q.integer_view.ints):
+        i, j = [k for k, e in enumerate(exp) for _ in range(e)]
         if i == j:
-            mat[i][i] = c
+            mat[i][i] = 2 * c
         else:
-            mat[i][j] = c / 2
-            mat[j][i] = c / 2
+            mat[i][j] = mat[j][i] = c
     return mat
 
 
@@ -97,7 +103,7 @@ def quadratic_form_rank(q: HomogeneousPoly) -> int:
     """Rank of the symmetric matrix of a quadratic form; 0 for the zero form."""
     if q.is_zero:
         return 0
-    return rational_rank(quadratic_form_matrix(q))
+    return integer_rank(quadratic_form_matrix(q))
 
 
 def essential_variable_count(h: HomogeneousPoly) -> int:
@@ -245,15 +251,10 @@ def _residues(p: int) -> range:
 
 
 def _integer_table(polys) -> tuple[list[Exponent], list[list[int]]]:
-    """The polynomials, {exponent: rational coefficient} mappings, each with
-    its denominators cleared, as a monomial list and a (monomial x
-    polynomial) integer coefficient table."""
-    cleared = []
-    for poly in polys:
-        denom = lcm(*(c.denominator for c in poly.values()))
-        cleared.append({exp: int(c * denom) for exp, c in poly.items()})
-    monomials = sorted({exp for poly in cleared for exp in poly})
-    return monomials, [[poly.get(exp, 0) for poly in cleared] for exp in monomials]
+    """The polynomials, {exponent: integer coefficient} mappings, as a
+    monomial list and a (monomial x polynomial) coefficient table."""
+    monomials = sorted({exp for poly in polys for exp in poly})
+    return monomials, [[poly.get(exp, 0) for poly in polys] for exp in monomials]
 
 
 def _scan_dtype(monomials: list[Exponent], table: list[list[int]], height_bound: int):
@@ -518,7 +519,7 @@ def scan_singular_points(
     if f.is_zero:
         raise PolyError("cannot scan the zero polynomial")
     nvars = f.n + 1
-    F = primitive_form(f)
+    F = f.primitive
     partials = partial_terms(F)
     counts = {
         p: 0 for p in field_sizes if sum(p**k for k in range(nvars)) <= _FIELD_SCAN_LIMIT

@@ -94,7 +94,7 @@ import numpy as np
 
 from .grid import exact_dtype, monomials as monomial_rows
 from .linalg import RationalMatrix, apply_linear_change
-from .polynomials import Exponent, HomogeneousPoly, primitive_form
+from .polynomials import Exponent, HomogeneousPoly
 from .verdicts import InternalConsistencyError
 
 PRIME = 2**31 - 1
@@ -454,7 +454,7 @@ def prove_smooth(f: HomogeneousPoly) -> MacaulayProof | None:
     if f.d < 2:
         return None
     degree = macaulay_shape(f.n, f.d)[0]
-    return prove_empty(_partials(primitive_form(f)), f.nvars, degree, degree, "the partials")
+    return prove_empty(_partials(f.primitive), f.nvars, degree, degree, "the partials")
 
 
 def _hessian_minors(F: HomogeneousPoly, r: int) -> list[IntForm]:
@@ -545,7 +545,7 @@ def prove_hessian_rank(
     :func:`prove_empty` ramps its degree up to (n+1)(d-2)+1 at most."""
     if not 1 <= r <= f.n or f.d < 3:
         return None
-    F = primitive_form(f)
+    F = f.primitive
     top = macaulay_shape(f.n, f.d)[0]
     # Every minor counted: a matrix over the cap at the first degree is not
     # tried, and its minors are not computed.

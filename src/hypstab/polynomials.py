@@ -6,17 +6,33 @@ and are never zero in stored form.  Terms are kept in graded-lexicographic
 order (total degree first, then lexicographic, both descending), which fixes
 formatting, hashing and iteration order once and for all.
 
-All values are immutable: every operation returns a new polynomial, so
-instances can be shared freely between concurrent tasks.
+Each form also has an integer view, computed on first use and cached on the
+instance: the lcm L of its coefficients' denominators and the integers L*c
+in term order (:class:`IntegerView`), and from it the primitive form, with
+its content removed as well.  The exact kernels that need integer
+coefficients read the view instead of clearing denominators on each call:
+:meth:`HomogeneousPoly.evaluate`, :attr:`HomogeneousPoly.primitive` (so
+the singular scan and both Macaulay proofs of :mod:`~hypstab.modp` share
+one primitive form per input), :func:`~hypstab.linalg.apply_linear_change`,
+:func:`~hypstab.linalg.transformed_supports`, the quadratic-form matrix of
+:mod:`~hypstab.local_analysis` and the line restriction of
+:mod:`~hypstab.frames`.  ``terms`` stays the canonical storage: equality,
+hashing and formatting read only ``n``, ``d`` and ``terms``.
+
+All values are immutable: every operation returns a new polynomial, and the
+cached view is a pure function of the immutable terms (two tasks that both
+compute it get equal values), so instances can be shared freely between
+concurrent tasks.
 """
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 from operator import index
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 Exponent = tuple[int, ...]
 TermSeq = tuple[tuple[Exponent, Fraction], ...]
@@ -63,6 +79,15 @@ def _validate_exponent(exp: Exponent, nvars: int) -> None:
         raise PolyError(f"negative exponent in {exp}")
 
 
+class IntegerView(NamedTuple):
+    """A form's coefficients over one denominator: the coefficient of term k
+    is ``ints[k] / scale``, with ``scale`` the lcm of the denominators (1,
+    and no ints, for the zero form)."""
+
+    scale: int
+    ints: tuple[int, ...]
+
+
 @dataclass(frozen=True)
 class HomogeneousPoly:
     """Homogeneous polynomial of degree ``d`` in ``n + 1`` variables x0..xn.
@@ -98,6 +123,29 @@ class HomogeneousPoly:
     def nvars(self) -> int:
         return self.n + 1
 
+    @cached_property
+    def integer_view(self) -> IntegerView:
+        """The coefficients over their lcm denominator, computed once.  A
+        cached property writes the instance's ``__dict__`` and no field, so
+        a frozen form stays frozen, equal and hashed as before."""
+        scale = lcm(*(c.denominator for _, c in self.terms))
+        ints = tuple(c.numerator * (scale // c.denominator) for _, c in self.terms)
+        return IntegerView(scale, ints)
+
+    @cached_property
+    def primitive(self) -> "HomogeneousPoly":
+        """The form with its denominators cleared and its content removed:
+        integer coefficients with gcd one and the form's signs (the zero
+        form stays zero).  Built once from the integer view, always as a new
+        form (a form caching itself would be a reference cycle), which shares
+        the terms of a form that is already primitive."""
+        scale, ints = self.integer_view
+        content = gcd(*ints)
+        if scale == 1 and content <= 1:
+            return HomogeneousPoly(self.n, self.d, self.terms)
+        terms = tuple((e, Fraction(c // content)) for (e, _), c in zip(self.terms, ints))
+        return HomogeneousPoly(self.n, self.d, terms)
+
     def support(self) -> tuple[Exponent, ...]:
         return tuple(exp for exp, _ in self.terms)
 
@@ -106,12 +154,6 @@ class HomogeneousPoly:
             if e == tuple(exp):
                 return c
         return Fraction(0)
-
-    def scale(self, factor) -> "HomogeneousPoly":
-        factor = Fraction(factor)
-        if factor == 0:
-            return HomogeneousPoly(self.n, self.d, ())
-        return HomogeneousPoly(self.n, self.d, tuple((e, c * factor) for e, c in self.terms))
 
     def partial_derivative(self, j: int) -> "HomogeneousPoly":
         if not 0 <= j <= self.n:
@@ -127,17 +169,18 @@ class HomogeneousPoly:
 
     def evaluate(self, point: Iterable) -> Fraction:
         """f(point), exactly.  With c = C / L over the coefficients' common
-        denominator L and x = X / Q over the coordinates' Q, homogeneity
-        gives f(x) = (sum of C * X^exp) / (L * Q^d), a sum in integers."""
-        coords = [Fraction(x) for x in point]
+        denominator L (the integer view) and x = X / Q over the coordinates'
+        Q, homogeneity gives f(x) = (sum of C * X^exp) / (L * Q^d), a sum in
+        integers.  An int coordinate is used as it is; any other goes through
+        ``Fraction`` (which takes numpy integers and text such as "1/2")."""
+        coords = [x if type(x) is int else Fraction(x) for x in point]
         if len(coords) != self.n + 1:
             raise PolyError(f"point has {len(coords)} coordinates, expected {self.n + 1}")
         scale = lcm(*(x.denominator for x in coords))
         xs = [x.numerator * (scale // x.denominator) for x in coords]
-        den = lcm(*(c.denominator for _, c in self.terms))
+        den, ints = self.integer_view
         total = 0
-        for exp, c in self.terms:
-            v = c.numerator * (den // c.denominator)
+        for (exp, _), v in zip(self.terms, ints):
             for x, e in zip(xs, exp):
                 if e:
                     v *= x**e
@@ -328,10 +371,3 @@ def last_coefficient(g: HomogeneousPoly, k: int) -> HomogeneousPoly:
     top = g.d - k
     return HomogeneousPoly(g.n - 1, k, tuple((e[:-1], c) for e, c in g.terms if e[-1] == top))
 
-
-def primitive_form(f: HomogeneousPoly) -> HomogeneousPoly:
-    """f with its denominators cleared and its content removed: integer
-    coefficients with gcd one (the zero polynomial stays zero)."""
-    scale = lcm(*(c.denominator for _, c in f.terms))
-    content = gcd(*(c.numerator * (scale // c.denominator) for _, c in f.terms))
-    return f.scale(Fraction(scale, content)) if content else f

@@ -3,14 +3,16 @@ changes."""
 from __future__ import annotations
 
 import gc
+import re
 from fractions import Fraction
 from math import gcd, lcm
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from hypstab import HomogeneousPoly, RationalMatrix
+from hypstab import HomogeneousPoly, ProjectivePoint, RationalMatrix, analyze_point
 from hypstab.linalg import (
     MatrixError,
     apply_linear_change,
@@ -122,6 +124,35 @@ class TestPointMove:
     def test_zero_vector_rejected(self):
         with pytest.raises(MatrixError):
             matrix_moving_point_last([0, 0, 0])
+
+    def test_integer_matrix_built_directly(self):
+        sigma = matrix_moving_point_last([np.int64(0), 3, -2])
+        assert sigma == RationalMatrix.from_rows([[1, 0, 0], [0, 0, 1], [0, 3, -2]])
+        assert sigma.scale == 1 and all(type(v) is int for row in sigma.ints for v in row)
+
+    @pytest.mark.parametrize(
+        "coords, shown",
+        [
+            ([Fraction(1, 2), 1, 1], "Fraction(1, 2)"),
+            ([1, Fraction(4, 1), 1], "Fraction(4, 1)"),
+            ([2, 1.0, 0], "1.0"),
+            ([0, 0, "1"], "'1'"),
+        ],
+    )
+    def test_non_integer_coordinate_rejected(self, coords, shown):
+        # int() would truncate [1/2, 1, 1] to [0, 1, 1], another point.
+        j = next(j for j, c in enumerate(coords) if type(c) is not int)
+        with pytest.raises(MatrixError, match=f"coordinate {j} .*: {re.escape(shown)}$"):
+            matrix_moving_point_last(coords)
+
+    def test_analyze_point_refuses_a_fraction_coordinate(self):
+        # -4*x0^2 + x1^2 vanishes at [1/2 : 1 : 1], so the analysis reaches
+        # the coordinate change.
+        f = HomogeneousPoly.make(2, 2, {(2, 0, 0): -4, (0, 2, 0): 1})
+        point = ProjectivePoint((Fraction(1, 2), 1, 1))
+        assert f.evaluate(point.coords) == 0
+        with pytest.raises(MatrixError, match=r"coordinate 0 .*: Fraction\(1, 2\)$"):
+            analyze_point(f, point)
 
 
 # --- differential tests against the Fraction implementations ---------------
@@ -358,6 +389,52 @@ def test_product_matches_fraction_product(data):
     product = RationalMatrix.from_rows(a) @ RationalMatrix.from_rows(b)
     assert product.rows == reference_matmul(a, b)
     assert all(type(v) is Fraction for row in product.rows for v in row)
+
+
+@st.composite
+def rational_forms_and_scaled_changes(draw):
+    """A form whose denominators have an lcm above 1, and an invertible
+    change with a non-integer entry, so that its stored scale is above 1."""
+    n = draw(st.integers(1, 3))
+    d = draw(st.integers(1, 4))
+    support = draw(st.lists(st.sampled_from(degree_monomials(n, d)), min_size=1, max_size=6, unique=True))
+    coeffs = [draw(rationals(7, 6).filter(bool)) for _ in support]
+    coeffs[0] = Fraction(draw(st.sampled_from([-5, -1, 1, 3])), draw(st.sampled_from([2, 4, 9])))
+    f = HomogeneousPoly.make(n, d, dict(zip(support, coeffs)))
+    sigma = draw(invertible_matrices(n + 1, max_den=6).filter(lambda m: m.scale > 1))
+    return f, sigma
+
+
+def fraction_expansion(f, sigma):
+    """f(x sigma) term by term: each coefficient times the product of the
+    linear forms sum_k sigma[k][j] x_k, one factor per power, in Fractions."""
+    size = f.n + 1
+    rows = sigma.rows
+    acc = {}
+    for exp, coeff in f.terms:
+        prod = {(0,) * size: coeff}
+        for j, t in enumerate(exp):
+            for _ in range(t):
+                nxt = {}
+                for e, c in prod.items():
+                    for k in range(size):
+                        if rows[k][j]:
+                            key = e[:k] + (e[k] + 1,) + e[k + 1:]
+                            nxt[key] = nxt.get(key, Fraction(0)) + c * rows[k][j]
+                prod = nxt
+        for e, c in prod.items():
+            acc[e] = acc.get(e, Fraction(0)) + c
+    return {e: c for e, c in acc.items() if c}
+
+
+@given(rational_forms_and_scaled_changes())
+@settings(max_examples=150, derandomize=True, deadline=None)
+def test_rational_change_matches_term_by_term_fractions(case):
+    f, sigma = case
+    assert f.integer_view.scale > 1 and sigma.scale > 1
+    g = apply_linear_change(f, sigma)
+    assert dict(g.terms) == fraction_expansion(f, sigma)
+    assert list(g.terms) == sorted(g.terms, key=lambda t: (sum(t[0]), t[0]), reverse=True)
 
 
 @given(forms_and_changes())

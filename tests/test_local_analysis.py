@@ -23,7 +23,9 @@ from hypstab import (
 )
 from hypstab import grid, local_analysis
 from hypstab.families import family_poly
+from hypstab.frames import HessianKernel
 from hypstab.local_analysis import (
+    LocalData,
     PointError,
     _integer_table,
     _is_prime,
@@ -32,7 +34,7 @@ from hypstab.local_analysis import (
     is_cone,
 )
 from hypstab.linalg import matrix_moving_point_last
-from hypstab.polynomials import HomogeneousPoly, PolyError, format_terms, primitive_form
+from hypstab.polynomials import HomogeneousPoly, PolyError, format_terms
 from hypstab.verdicts import InternalConsistencyError
 
 from conftest import degree_monomials
@@ -103,6 +105,79 @@ class TestHessianRank:
         g3 = parse_poly("x0^2*x3^2 + x0*x2^3 + x1^4", 3)
         rank, corank = hessian(g3, P(0, 0, 0, 1))
         assert (rank, corank) == (1, 2)
+
+
+def _fraction_matrix(q):
+    """The symmetric matrix of q in Fractions: c on the diagonal for c*x_i^2,
+    c/2 twice for c*x_i*x_j."""
+    m = q.nvars
+    mat = [[Fraction(0)] * m for _ in range(m)]
+    for exp, c in q.terms:
+        i, j = [k for k, e in enumerate(exp) for _ in range(e)]
+        mat[i][j] += c if i == j else c / 2
+        if i != j:
+            mat[j][i] += c / 2
+    return mat
+
+
+@st.composite
+def _quadratic_forms(draw):
+    """Quadratic forms in 1-5 variables with rational coefficients, odd
+    cross coefficients among them: sparse random ones, and sums of r < m
+    weighted squares of integer linear forms, whose rank is below m."""
+    m = draw(st.integers(1, 5), label="m")
+    if draw(st.booleans(), label="low rank"):
+        acc = {}
+        for _ in range(draw(st.integers(0, m - 1))):
+            weight = Fraction(draw(st.integers(-3, 3).filter(bool)), draw(st.sampled_from([1, 2, 3])))
+            line = draw(st.lists(st.integers(-2, 2), min_size=m, max_size=m))
+            for i, j in product(range(m), repeat=2):
+                if i <= j and line[i] * line[j]:
+                    e = tuple((k == i) + (k == j) for k in range(m))
+                    acc[e] = acc.get(e, 0) + weight * line[i] * line[j] * (1 if i == j else 2)
+        return HomogeneousPoly.make(m - 1, 2, acc)
+    support = draw(st.lists(st.sampled_from(degree_monomials(m - 1, 2)), max_size=6, unique=True))
+    coeffs = st.one_of(st.sampled_from([-3, -1, 1, 3, 5]), st.fractions(-7, 7, max_denominator=4))
+    return HomogeneousPoly.make(m - 1, 2, {e: draw(coeffs) for e in support})
+
+
+def _primitive(v):
+    scale = lcm(*(x.denominator for x in v))
+    ints = [int(x * scale) for x in v]
+    return tuple(x // gcd(*ints) for x in ints)
+
+
+class TestQuadraticFormMatrix:
+    """The integer matrix of 2L*Q against sympy on Q's Fraction matrix."""
+
+    def test_odd_cross_coefficient(self):
+        q = parse_poly("x0^2 + 3*x0*x1 - 1/2*x1^2", 1)
+        assert local_analysis.quadratic_form_matrix(q) == [[4, 6], [6, -2]]
+
+    @given(_quadratic_forms())
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    def test_matrix_is_2L_times_the_fraction_matrix(self, q):
+        scale = q.integer_view.scale
+        ints = local_analysis.quadratic_form_matrix(q)
+        assert ints == [[2 * scale * x for x in row] for row in _fraction_matrix(q)]
+        assert all(type(x) is int for row in ints for x in row)
+
+    @given(_quadratic_forms())
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    def test_rank_and_kernel_match_sympy(self, q):
+        reference = sympy.Matrix(_fraction_matrix(q)).applyfunc(sympy.Rational)
+        assert local_analysis.quadratic_form_rank(q) == reference.rank()
+        point = ProjectivePoint((0,) * q.nvars + (1,))
+        data = LocalData(point, 2, q, frame=RationalMatrix.identity(q.nvars + 1))
+        kernel = HessianKernel.of(data)
+        # sympy's nullspace is the reduced echelon basis too: per free column,
+        # free variable 1 and the other free variables 0.
+        expected = [_primitive([Fraction(int(x.p), int(x.q)) for x in v]) for v in reference.nullspace()]
+        assert list(kernel.vectors) == expected
+
+    def test_not_quadratic_rejected(self):
+        with pytest.raises(PolyError, match="degree 2"):
+            local_analysis.quadratic_form_matrix(parse_poly("x0^3 + x1^3", 1))
 
 
 class TestEssentialVariables:
@@ -253,12 +328,17 @@ def _blocks(values, width, head):
         yield np.array(block, dtype=np.int64)
 
 
+def _cleared(p):
+    """p with its denominators cleared, as {exponent: integer coefficient}."""
+    return dict(zip(p.support(), p.integer_view.ints))
+
+
 def _blockwise_scan(f, height_bound, primes):
     """The scan over plain ``product`` blocks with the block evaluator: rows
     with gcd != 1 dropped first, then every polynomial evaluated on every row."""
     nvars = f.n + 1
     partials = [f.partial_derivative(j) for j in range(nvars)]
-    monomials, table = _integer_table([dict(p.terms) for p in partials])
+    monomials, table = _integer_table([_cleared(p) for p in partials])
     exps = np.array(monomials, dtype=np.int64)
     coeffs = np.array(table, dtype=_scan_dtype(monomials, table, height_bound))
     box = range(-height_bound, height_bound + 1)
@@ -269,9 +349,9 @@ def _blockwise_scan(f, height_bound, primes):
                 block = block[np.gcd.reduce(block, axis=1) == 1]
                 hits = block[_gradient_vanishes(block, exps, coeffs)]
                 points += [tuple(int(c) for c in row) for row in hits]
-    F = primitive_form(f)
+    F = f.primitive
     polys = [F] + [F.partial_derivative(j) for j in range(nvars)]
-    monomials, table = _integer_table([dict(p.terms) for p in polys])
+    monomials, table = _integer_table([_cleared(p) for p in polys])
     exps = np.array(monomials, dtype=np.int64)
     counts = {}
     for p in primes:
@@ -286,7 +366,7 @@ def _blockwise_scan(f, height_bound, primes):
 
 def _dtype_for(f, height_bound):
     partials = [f.partial_derivative(j) for j in range(f.n + 1)]
-    return _scan_dtype(*_integer_table([dict(p.terms) for p in partials]), height_bound)
+    return _scan_dtype(*_integer_table([_cleared(p) for p in partials]), height_bound)
 
 
 def _draw_form(data, max_n, max_d):

@@ -25,7 +25,6 @@ from hypstab import HomogeneousPoly, RationalMatrix, apply_linear_change, modp, 
 from hypstab.cli import EXIT_INTERNAL, EXIT_OK, main
 from hypstab.families import family_poly
 from hypstab.modp import PRIME, macaulay_shape, prove_smooth
-from hypstab.polynomials import primitive_form
 from hypstab.search import SearchConfig, search_destabilization
 
 from conftest import degree_monomials
@@ -233,7 +232,8 @@ class TestKernel:
     def test_content_is_removed(self, text, c):
         # A content divisible by PRIME would zero the whole matrix mod PRIME.
         f = parse_poly_infer(text)
-        assert prove_smooth(f.scale(c)) == prove_smooth(f)
+        scaled = HomogeneousPoly.make(f.n, f.d, {e: a * c for e, a in f.terms})
+        assert prove_smooth(scaled) == prove_smooth(f)
 
     def test_above_the_size_bound_is_not_tested(self, monkeypatch, fresh_skeletons):
         monkeypatch.setattr(modp, "MAX_CELLS", 880 * 560 - 1)
@@ -271,7 +271,7 @@ def reference_macaulay_rows(
 
 def reference_partials(f: HomogeneousPoly) -> list[modp.IntForm]:
     """The partials of f with its content removed, term by term."""
-    F = primitive_form(f)
+    F = f.primitive
     return [
         modp.IntForm.from_terms(f.d - 1, f.nvars, {
             exp[:i] + (exp[i] - 1,) + exp[i + 1:]: c.numerator * exp[i] for exp, c in F.terms if exp[i]
@@ -330,7 +330,7 @@ def partials_match(f: HomogeneousPoly) -> bool:
     """The rows of f's partials in the degree of the smoothness proof match
     the reference."""
     degree = macaulay_shape(f.n, f.d)[0]
-    rows = macaulay_dicts(modp._partials(primitive_form(f)), f.nvars, degree)
+    rows = macaulay_dicts(modp._partials(f.primitive), f.nvars, degree)
     return rows == reference_macaulay_rows(reference_partials(f), f.nvars, degree)
 
 
@@ -401,7 +401,7 @@ class TestElimination:
         # The partials of degree d-1 and the r x r minors of degree r(d-2):
         # mixed degrees whenever r(d-2) != d-1.
         f = parse_poly_infer(text)
-        F = primitive_form(f)
+        F = f.primitive
         for r in range(1, f.n + 1):
             forms = modp._partials(F) + modp._hessian_minors(F, r)
             assert ramp_matches(forms, f.nvars, macaulay_shape(f.n, f.d)[0]) >= 1
@@ -409,7 +409,7 @@ class TestElimination:
     @pytest.mark.parametrize("name", ["fermat-cubic-surface", "fermat-cubic-threefold"])
     def test_restricted_partials_rows_match_the_dict_construction(self, name):
         f = disguised(name)
-        forms = modp._restricted_partials(primitive_form(f), modp._hyperplane(f.n, ()))
+        forms = modp._restricted_partials(f.primitive, modp._hyperplane(f.n, ()))
         top = macaulay_shape(f.n, f.d)[0]
         assert ramp_matches(forms, f.n, top) == len(range(f.d - 1, top + 1))  # every degree
 
@@ -423,7 +423,7 @@ class TestElimination:
         # Both in three variables with partials of degree 3: one skeleton,
         # and each form's own entries from it.
         forms = [parse_poly_infer(SMOOTH["klein-quartic"]), disguised("fermat-quartic-curve")]
-        built = [macaulay_dicts(modp._partials(primitive_form(f)), 3, 7) for f in forms]
+        built = [macaulay_dicts(modp._partials(f.primitive), 3, 7) for f in forms]
         assert modp._skeleton.cache_info()[:2] == (1, 1)  # one hit, one build
         assert built[0] != built[1]
         for f, rows in zip(forms, built):

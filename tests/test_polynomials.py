@@ -1,8 +1,10 @@
 """Polynomial core: parsing, formatting, calculus, coordinate changes."""
 from __future__ import annotations
 
+import gc
 import re
 from fractions import Fraction
+from math import gcd
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from hypstab import (
     format_poly,
     parse_poly,
 )
+from hypstab import polynomials
 from hypstab.polynomials import format_terms, parse_poly_infer
 
 from conftest import degree_monomials
@@ -519,6 +522,151 @@ class TestCalculus:
         for point in points:
             total = sum(x * f.partial_derivative(j).evaluate(point) for j, x in enumerate(point))
             assert total == d * f.evaluate(point)
+
+
+@st.composite
+def rational_forms(draw):
+    """Forms whose coefficients are content * numerator / denominator, so
+    that the lcm L of the denominators and the content of L*f both range
+    above 1, with either sign first; the zero form is drawn too."""
+    n = draw(st.integers(1, 3))
+    d = draw(st.integers(0, 4))
+    support = draw(st.lists(st.sampled_from(degree_monomials(n, d)), max_size=6, unique=True))
+    content = draw(st.sampled_from([1, 2, 6, 35]))
+    coeffs = {
+        e: content * Fraction(draw(st.integers(-9, 9).filter(bool)), draw(st.sampled_from([1, 2, 3, 4, 9])))
+        for e in support
+    }
+    return HomogeneousPoly.make(n, d, coeffs)
+
+
+class TestIntegerView:
+    """The cached integer view and the primitive form, against Fraction
+    arithmetic done here."""
+
+    @given(rational_forms())
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    def test_view_clears_the_denominators_with_their_lcm(self, f):
+        scale, ints = f.integer_view
+        assert scale >= 1 and len(ints) == len(f.terms)
+        assert all(Fraction(v, scale) == c for v, (_, c) in zip(ints, f.terms))
+        # Every common denominator is a multiple of the lcm, and a multiple
+        # k * L > L would leave k dividing scale and every integer.
+        assert gcd(scale, *ints) == 1
+        assert f.integer_view is f.integer_view
+
+    @given(rational_forms())
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    def test_primitive_form_is_the_coprime_positive_multiple(self, f):
+        g = f.primitive
+        assert g is f.primitive
+        assert (g.n, g.d, g.support()) == (f.n, f.d, f.support())
+        if f.is_zero:
+            assert g == f
+            return
+        ratios = {c / a for (_, a), (_, c) in zip(f.terms, g.terms)}
+        assert len(ratios) == 1 and ratios.pop() > 0
+        assert all(c.denominator == 1 for _, c in g.terms)
+        assert gcd(*(c.numerator for _, c in g.terms)) == 1
+        assert g.integer_view == (1, tuple(c.numerator for _, c in g.terms))
+
+    @pytest.mark.parametrize(
+        "text, view, primitive",
+        [
+            ("-3/4*x0^2 + 9/2*x0*x1 - 3*x1^2", (4, (-3, 18, -12)), "-x0^2 + 6*x0*x1 - 4*x1^2"),
+            ("6*x0^3 + 10*x1^3", (1, (6, 10)), "3*x0^3 + 5*x1^3"),
+            ("1/6*x0*x1 - 1/10*x1^2", (30, (5, -3)), "5*x0*x1 - 3*x1^2"),
+            ("x0^2 - 2*x1^2", (1, (1, -2)), "x0^2 - 2*x1^2"),
+        ],
+    )
+    def test_examples(self, text, view, primitive):
+        f = parse_poly_infer(text)
+        assert f.integer_view == view
+        assert str(f.primitive) == primitive
+        assert (f.primitive == f) == (text == primitive)
+
+    def test_zero_form(self):
+        f = HomogeneousPoly.make(2, 3, {})
+        assert f.integer_view == (1, ())
+        assert f.primitive == f and f.primitive.is_zero
+
+    @pytest.mark.parametrize("text", ["x0^2 - 2*x1^2", "6*x0^3 + 10*x1^3"])
+    def test_cached_view_leaves_no_cyclic_garbage(self, text):
+        # A primitive form caching itself as its primitive form would be a
+        # cycle, freed only by the cyclic collector.
+        f = parse_poly_infer(text)
+        gc.collect()
+        gc.disable()
+        try:
+            f.integer_view, f.primitive.integer_view, f.primitive.primitive
+            del f
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    @given(rational_forms())
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    def test_reading_the_view_changes_no_equality_hash_or_text(self, f):
+        twin = HomogeneousPoly(f.n, f.d, f.terms)
+        before = (hash(f), str(f), repr(f))
+        f.integer_view, f.primitive
+        assert f == twin and twin == f
+        assert (hash(f), str(f), repr(f)) == before == (hash(twin), str(twin), repr(twin))
+        assert {f: 1}[twin] == 1
+
+
+class TestEvaluateInputs:
+    """``evaluate`` takes what it took before the integer view: ints,
+    Fractions, numpy integers and rational text, alone or mixed."""
+
+    f = parse_poly("1/2*x0^2*x1 - 3*x1^3 + 2/3*x0*x1*x2", 2)
+
+    def reference(self, point):
+        total = Fraction(0)
+        for exp, c in self.f.terms:
+            term = c
+            for x, e in zip(point, exp):
+                term *= Fraction(x) ** e
+            total += term
+        return total
+
+    @pytest.mark.parametrize(
+        "point",
+        [
+            (1, -2, 3),
+            (Fraction(1, 2), Fraction(-2, 3), Fraction(5)),
+            (np.int64(4), np.int64(-1), np.int64(2)),
+            ("1/2", "-3", "2/7"),
+            (1, Fraction(1, 3), np.int64(-2)),
+            ("3/4", 2, np.int64(5)),
+            [True, 0, 1],
+        ],
+        ids=["ints", "fractions", "numpy", "text", "int-fraction-numpy", "text-int-numpy", "bools"],
+    )
+    def test_accepted_coordinates(self, point):
+        value = self.f.evaluate(point)
+        assert isinstance(value, Fraction)
+        assert value == self.reference(point)
+
+    def test_iterator_point(self):
+        assert self.f.evaluate(iter([2, 1, 0])) == self.reference((2, 1, 0)) == -1
+
+    def test_int_coordinates_make_no_fraction(self, monkeypatch):
+        # Only the value itself is a Fraction: the ints are summed as ints.
+        made = []
+
+        def counting(*args):
+            made.append(args)
+            return Fraction(*args)
+
+        monkeypatch.setattr(polynomials, "Fraction", counting)
+        assert self.f.evaluate((3, -1, 2)) == self.reference((3, -1, 2))
+        assert len(made) == 1
+
+    @pytest.mark.parametrize("point", [(1, 2), (1, 2, 3, 4), (), ("1/2", 1)])
+    def test_wrong_length_raises(self, point):
+        with pytest.raises(PolyError, match="coordinates, expected 3"):
+            self.f.evaluate(point)
 
 
 def _unipotent(n, entries, upper):
