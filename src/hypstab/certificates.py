@@ -1,9 +1,11 @@
 """Destabilization certificates and their exact verification.
 
 A certificate is a pair (sigma, r): an invertible rational coordinate change
-and a weight vector.  It claims non-stability (non-strict) or
-non-semistability (strict); verification recomputes sigma(f) and checks every
-support weight, so accepting a certificate never depends on how it was found.
+(a :class:`~hypstab.linalg.RationalMatrix`, which refuses a singular or
+non-square matrix when it is built) and one weight per variable.  It claims
+non-stability (non-strict) or non-semistability (strict); verification
+recomputes sigma(f) and checks every support weight, so accepting a
+certificate never depends on how it was found.
 """
 from __future__ import annotations
 
@@ -27,10 +29,8 @@ class Certificate:
     strict: bool
 
     def __post_init__(self):
-        if not self.sigma.is_square or self.sigma.nrows != len(self.r):
+        if self.sigma.nrows != len(self.r):
             raise CertificateError("matrix size does not match weight vector length")
-        if self.sigma.determinant() == 0:
-            raise CertificateError("certificate matrix is singular")
 
     def to_json(self) -> dict:
         return {
@@ -59,17 +59,24 @@ class Certificate:
         return Certificate(sigma, r, strict)
 
 
+def check_weight_count(f: HomogeneousPoly, cert: Certificate) -> None:
+    """Raise :class:`CertificateError` unless ``cert`` has one weight per
+    variable of ``f``."""
+    if len(cert.r) != f.n + 1:
+        raise CertificateError(
+            f"certificate has {len(cert.r)} weights but polynomial has {f.n + 1} variables"
+        )
+
+
 def verify_certificate(f: HomogeneousPoly, cert: Certificate) -> StabilityVerdict:
     """Exactly verify a certificate against ``f``.
 
     Returns NotSemiStable (strict) or NotStable (non-strict) on success; on
     failure returns Inconclusive with the first violating monomial and its
-    weight.  Raises for dimension mismatches or a singular matrix.
+    weight.  Raises :class:`CertificateError` for a weight count that does
+    not match f's variables.
     """
-    if len(cert.r) != f.n + 1:
-        raise CertificateError(
-            f"certificate has {len(cert.r)} weights but polynomial has {f.n + 1} variables"
-        )
+    check_weight_count(f, cert)
     g = apply_linear_change(f, cert.sigma)
     violation = first_violation(g, cert.r, cert.strict)
     if violation is None:

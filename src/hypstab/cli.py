@@ -34,7 +34,7 @@ from json.encoder import encode_basestring_ascii as _escape
 from typing import Callable
 
 from . import __version__
-from .certificates import Certificate, CertificateError, verify_certificate
+from .certificates import Certificate, check_weight_count, verify_certificate
 from .criteria import ProfileError, SingularityProfile, check_shape, combined_verdict
 from .families import FAMILIES, family_certificate
 from .local_analysis import (
@@ -306,10 +306,7 @@ def _certify_input(args) -> tuple[HomogeneousPoly, Certificate]:
     f = _read_poly_file(args.file)
     with open(args.cert, "r", encoding="utf-8") as fh:
         cert = Certificate.from_json(json.load(fh))
-    if len(cert.r) != f.n + 1:
-        raise CertificateError(
-            f"certificate has {len(cert.r)} weights but polynomial has {f.n + 1} variables"
-        )
+    check_weight_count(f, cert)
     return f, cert
 
 

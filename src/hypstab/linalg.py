@@ -1,21 +1,22 @@
 """Exact rational matrices, ranks, and linear coordinate changes.
 
-Everything here is exact.  Matrices are immutable and hold Python integers
-over one positive denominator s, the lcm of the entries' denominators, so
-the form is canonical; :class:`~fractions.Fraction` entries are built only
-when ``rows`` is read.  Products multiply the stored integers and divide the
-scale out once.  Determinants, ranks and nullspaces share one fraction-free
-(Bareiss) forward elimination, on the stored integers sA for a determinant
-(det(A) = det(sA) / s^n) and on integer-scaled rows for a nullspace, which
+Everything here is exact.  A :class:`RationalMatrix` is an invertible
+coordinate change: it is immutable, holds Python integers over one positive
+denominator s, the lcm of the entries' denominators, so the form is
+canonical, and every constructor refuses an empty, non-square or singular
+matrix by the Bareiss pivots of its stored integers, once, when it is built.
+:class:`~fractions.Fraction` entries are built only when ``rows`` is read.
+Products multiply the stored integers and divide the scale out once.  Ranks,
+nullspaces and that invertibility check share one fraction-free (Bareiss)
+forward elimination, on integer-scaled rows for a nullspace, which
 back-substitutes through the rows it leaves.  Coordinate changes read the
 form's cached integer view (``HomogeneousPoly.integer_view``), so no call
-clears a form's denominators again, check that the change is invertible
-from the Bareiss pivots of its stored integers (full rank, with no
-determinant built), expand the integer-scaled polynomial under those
-integers and emit its terms already in canonical order.  When only the
-support of the result is needed, :func:`transformed_supports` expands it for
-many matrices at once in numpy, over the monomials of
-:func:`~hypstab.grid.monomials` read backwards.
+clears a form's denominators again, and run no elimination: they check only
+that the matrix's size matches the form's variables, expand the
+integer-scaled polynomial under its integers and emit its terms already in
+canonical order.  When only the support of the result is needed,
+:func:`transformed_supports` expands it for many matrices at once in numpy,
+over the monomials of :func:`~hypstab.grid.monomials` read backwards.
 """
 from __future__ import annotations
 
@@ -40,20 +41,26 @@ class MatrixError(ValueError):
 
 @dataclass(frozen=True)
 class RationalMatrix:
-    """Entry (i, j) is ``ints[i][j] / scale``, with ``scale`` the lcm of the
-    entries' denominators, so equal matrices have equal fields."""
+    """An invertible coordinate change: entry (i, j) is ``ints[i][j] / scale``,
+    with ``scale`` the lcm of the entries' denominators, so equal matrices
+    have equal fields.  Every matrix is checked once, when it is built: an
+    empty, non-square or singular one raises :class:`MatrixError`."""
 
     scale: int
     ints: tuple[tuple[int, ...], ...]
 
+    def __post_init__(self):
+        size = len(self.ints)
+        if not size:
+            raise MatrixError("empty matrix")
+        if any(len(row) != size for row in self.ints):
+            raise MatrixError("coordinate change must be square")
+        if len(_bareiss(self.ints)[1]) < size:
+            raise MatrixError("coordinate change must be invertible")
+
     @staticmethod
     def from_rows(data: Iterable[Iterable]) -> "RationalMatrix":
         rows = [[as_rational(x) for x in row] for row in data]
-        if not rows:
-            raise MatrixError("empty matrix")
-        width = len(rows[0])
-        if width == 0 or any(len(r) != width for r in rows):
-            raise MatrixError("rows have inconsistent lengths")
         scale = lcm(*(v.denominator for row in rows for v in row))
         return RationalMatrix(scale, tuple(tuple(scaled_integers(row, scale)) for row in rows))
 
@@ -80,16 +87,8 @@ class RationalMatrix:
     def nrows(self) -> int:
         return len(self.ints)
 
-    @property
-    def ncols(self) -> int:
-        return len(self.ints[0])
-
-    @property
-    def is_square(self) -> bool:
-        return self.nrows == self.ncols
-
     def __matmul__(self, other: "RationalMatrix") -> "RationalMatrix":
-        if self.ncols != other.nrows:
+        if self.nrows != other.nrows:
             raise MatrixError("dimension mismatch in product")
         cols = list(zip(*other.ints))
         ints = [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in self.ints]
@@ -98,16 +97,6 @@ class RationalMatrix:
         return RationalMatrix(
             scale // content, tuple(tuple(v // content for v in row) for row in ints)
         )
-
-    def determinant(self) -> Fraction:
-        """det(sA) / s^n, with det(sA) from one Bareiss elimination of the
-        stored integers sA."""
-        if not self.is_square:
-            raise MatrixError("determinant of a non-square matrix")
-        _, pivots, last = _bareiss(self.ints)
-        if len(pivots) < self.nrows:
-            return Fraction(0)
-        return Fraction(last, self.scale**self.nrows)
 
     def to_strings(self) -> list[list[str]]:
         return [[str(x) for x in row] for row in self.rows]
@@ -119,17 +108,16 @@ def as_rational(x) -> int | Fraction:
     return x if isinstance(x, (int, Fraction)) else Fraction(x)
 
 
-def _bareiss(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int], int]:
+def _bareiss(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int]]:
     """Fraction-free (Bareiss) forward elimination on integer rows: each
     step's division by the previous pivot is exact.  Returns the rows, whose
     row i below the rank is exact from its pivot column on (an echelon form;
-    entries left of a pivot are not cleared), the pivot columns (the rank
-    profile), and the last pivot times the sign of the row swaps, which for a
-    square matrix of full rank is its determinant."""
+    entries left of a pivot are not cleared), and the pivot columns (the rank
+    profile)."""
     m = [list(row) for row in rows]
     nrows, ncols = len(m), len(m[0]) if m else 0
     pivots: list[int] = []
-    sign, prev = 1, 1
+    prev = 1
     for col in range(ncols):
         rank = len(pivots)
         if rank == nrows:
@@ -139,7 +127,6 @@ def _bareiss(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int],
             continue
         if pivot != rank:
             m[rank], m[pivot] = m[pivot], m[rank]
-            sign = -sign
         pivot_row, p = m[rank], m[rank][col]
         for row in m[rank + 1:]:
             factor = row[col]
@@ -147,7 +134,7 @@ def _bareiss(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int],
                 row[c] = (row[c] * p - factor * pivot_row[c]) // prev
         prev = p
         pivots.append(col)
-    return m, pivots, sign * prev
+    return m, pivots
 
 
 def integer_rank(rows: list[list[int]]) -> int:
@@ -180,7 +167,7 @@ def _nullspace(rows: Iterable[Iterable]) -> Iterator[list[Fraction]]:
     reduced echelon basis, unique, so deterministic), each back-substituted
     through the Bareiss rows of the integer-scaled rows.  The solution for
     free column c is zero after c, so only the pivot rows before c count."""
-    m, pivots, _ = _bareiss([primitive_row(row) for row in rows])
+    m, pivots = _bareiss([primitive_row(row) for row in rows])
     if not m:
         return
     ncols, pivot_set = len(m[0]), set(pivots)
@@ -286,13 +273,10 @@ def apply_linear_change(f: HomogeneousPoly, sigma: RationalMatrix) -> Homogeneou
 
 
 def _check_change(sigma: RationalMatrix, size: int) -> None:
-    """Raise :class:`MatrixError` unless sigma is an invertible change of
-    ``size`` variables: square of that size, and of full rank by the Bareiss
-    pivots of its stored integers."""
-    if not sigma.is_square or sigma.nrows != size:
-        raise MatrixError(f"matrix size {sigma.nrows}x{sigma.ncols} does not match {size} variables")
-    if len(_bareiss(sigma.ints)[1]) < size:
-        raise MatrixError("coordinate change must be invertible")
+    """Raise :class:`MatrixError` unless sigma is a change of ``size``
+    variables (its invertibility was checked when it was built)."""
+    if sigma.nrows != size:
+        raise MatrixError(f"matrix size {sigma.nrows} does not match {size} variables")
 
 
 def _packed_product(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
@@ -324,8 +308,7 @@ def transformed_supports(
     of the terms c * prod S[k_i][j_i] of the full expansion, so it is at most
     sum |c| * M^d in absolute value, where M is the largest column abs-sum of
     any S, and :func:`~hypstab.grid.exact_dtype` picks int64 or Python ints
-    (``object`` dtype) from that bound.  A singular sigma raises
-    :class:`MatrixError`.
+    (``object`` dtype) from that bound.
     """
     size = f.n + 1
     for sigma in sigmas:

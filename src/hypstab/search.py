@@ -43,13 +43,13 @@ S, c the centroid, and T a support containing S.
   r.i = 0 on S, so r is orthogonal to the whole zero-sum space: r = 0.
 
 A non-strict refutation is therefore also a strict one.  Before calling
-the LP the search returns the first refutation found earlier in the same
-search (for a strict decision, of either mode) whose monomials all lie in
-the frame's support.  Witnesses come only from the LP, on the supports
-where it would run without reuse, so the outcome is unchanged.  This is the
-search's only memo: the lists only grow at their end, so a support seen
-before gets the refutation that first settled it, and a feasible decision
-is never asked again (a witness ends the queries of its mode).
+the LP the search decides a frame infeasible when a refutation found
+earlier in the same search (for a strict decision, of either mode) has all
+its monomials in the frame's support.  Witnesses come only from the LP, on
+the supports where it would run without reuse, so the outcome is unchanged.
+This is the search's only memo: a support refuted before is refuted again
+without an LP, and a feasible decision is never asked again (a witness
+ends the queries of its mode).
 
 The reuse test and the choice to call the LP read only the support of
 g = f∘sigma, so that is all most frames need.  Frame 0 is the identity,
@@ -63,9 +63,10 @@ twice the frames it tries, and one that stops at the identity or a point
 frame expands none and builds no structured frame.  Only an expanded frame
 whose decision goes to the LP is expanded again by ``apply_linear_change``,
 and its support must equal the batched one; a mismatch raises
-:class:`InternalConsistencyError`.  Any other error inside
-the search, such as a frame that the kernel rejects as singular, is a fault
-of the program too and propagates with its own type.
+:class:`InternalConsistencyError`.  Any other error inside the search,
+such as a singular frame, which :class:`~hypstab.linalg.RationalMatrix`
+refuses when the frame is built, is a fault of the program too and
+propagates with its own type.
 """
 from __future__ import annotations
 
@@ -79,7 +80,7 @@ from .certificates import Certificate, verify_certificate
 from .linalg import RationalMatrix, apply_linear_change, transformed_supports
 from .local_analysis import LocalData
 from .polynomials import Exponent, HomogeneousPoly
-from .torus import BarycentricCertificate, TorusDecision, torus_destabilize
+from .torus import torus_destabilize
 from .verdicts import InternalConsistencyError, Status
 # perfbench wraps ``hypstab.search.membership`` as its membership layer.
 from .weights import membership  # noqa: F401
@@ -209,11 +210,8 @@ def search_destabilization(
     certificate: every strict decision is skipped (its record reads None)
     and the search ends at the first non-strict certificate."""
     outcome = SearchOutcome()
-    # Per mode: (monomials, certificate) of every refutation found so far.
-    refutations: dict[bool, list[tuple[frozenset[Exponent], BarycentricCertificate]]] = {
-        True: [],
-        False: [],
-    }
+    # Per mode: the monomials of every refutation found so far.
+    refutations: dict[bool, list[frozenset[Exponent]]] = {True: [], False: []}
 
     def transformed(frame: _Frame) -> HomogeneousPoly:
         """f∘sigma for an LP, which must have the batched support."""
@@ -225,18 +223,27 @@ def search_destabilization(
                 )
         return frame.g
 
-    def decide(frame: _Frame, strict: bool) -> TorusDecision:
+    def decide(frame: _Frame, strict: bool) -> tuple[bool, Certificate | None]:
+        """Whether the frame's torus is feasible in this mode, and the
+        certificate of its witness (None without one), re-verified from
+        scratch."""
         present = frozenset(frame.support)
-        reused = next((cert for mons, cert in refutations[strict] if mons <= present), None)
-        if reused is not None:
-            return TorusDecision(False, strict, certificate=reused)
+        if any(mons <= present for mons in refutations[strict]):
+            return False, None
         decision = torus_destabilize(transformed(frame), strict)
         if not decision.feasible:
-            entry = (frozenset(exp for exp, _ in decision.certificate), decision.certificate)
-            refutations[strict].append(entry)
+            mons = frozenset(exp for exp, _ in decision.certificate)
+            refutations[strict].append(mons)
             if not strict:
-                refutations[True].append(entry)
-        return decision
+                refutations[True].append(mons)
+        if decision.witness is None:
+            return decision.feasible, None
+        cert = Certificate(frame.sigma, decision.witness.reduced(), strict)
+        expected = Status.NOT_SEMISTABLE if strict else Status.NOT_STABLE
+        if verify_certificate(f, cert).status != expected:
+            mode = "strict" if strict else "non-strict"
+            raise InternalConsistencyError(f"{mode} certificate failed final re-verification")
+        return True, cert
 
     stream = _frames(cfg, f, points)
     # zip asks for a g before it draws a frame, so it draws none past the
@@ -247,32 +254,17 @@ def search_destabilization(
         _frames_with_supports(f, stream, cfg.budget - 1 - len(points)),
     )
     for index, frame in enumerate(islice(frames, cfg.budget)):
-        strategy, sigma = frame.strategy, frame.sigma
-
         strict_feasible: bool | None = None
         if not nonstrict_only:
-            decision = decide(frame, strict=True)
-            strict_feasible = decision.feasible
-            if decision.witness is not None:
-                cert = Certificate(sigma, decision.witness.reduced(), strict=True)
-                if verify_certificate(f, cert).status != Status.NOT_SEMISTABLE:
-                    raise InternalConsistencyError(
-                        "strict certificate failed final re-verification"
-                    )
-                outcome.strict = cert
-                outcome.frames.append(FrameRecord(strategy, index, True, None))
+            strict_feasible, outcome.strict = decide(frame, strict=True)
+            if outcome.strict is not None:
+                outcome.frames.append(FrameRecord(frame.strategy, index, True, None))
                 return outcome
 
         nonstrict_feasible: bool | None = None
         if outcome.nonstrict is None:
-            nonstrict = decide(frame, strict=False)
-            nonstrict_feasible = nonstrict.feasible
-            if nonstrict.witness is not None:
-                cert = Certificate(sigma, nonstrict.witness.reduced(), strict=False)
-                if verify_certificate(f, cert).status != Status.NOT_STABLE:
-                    raise InternalConsistencyError("non-strict certificate failed final re-verification")
-                outcome.nonstrict = cert
-        outcome.frames.append(FrameRecord(strategy, index, strict_feasible, nonstrict_feasible))
+            nonstrict_feasible, outcome.nonstrict = decide(frame, strict=False)
+        outcome.frames.append(FrameRecord(frame.strategy, index, strict_feasible, nonstrict_feasible))
         if nonstrict_only and outcome.nonstrict is not None:
             break
     return outcome

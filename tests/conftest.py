@@ -11,6 +11,24 @@ from hypstab import HomogeneousPoly, WeightVector, parse_poly
 from hypstab.weights import weight_of
 
 
+def reference_is_invertible(rows) -> bool:
+    """Whether ``rows`` is a non-empty square matrix of nonzero determinant,
+    by Gaussian elimination in Fractions."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    size = len(m)
+    if not size or any(len(row) != size for row in m):
+        return False
+    for col in range(size):
+        pivot = next((r for r in range(col, size) if m[r][col] != 0), None)
+        if pivot is None:
+            return False
+        m[col], m[pivot] = m[pivot], m[col]
+        for r in range(col + 1, size):
+            factor = m[r][col] / m[col][col]
+            m[r] = [a - factor * b for a, b in zip(m[r], m[col])]
+    return True
+
+
 def degree_monomials(n: int, d: int) -> list[tuple[int, ...]]:
     """All exponent vectors of total degree d in n + 1 variables."""
     out = []

@@ -54,12 +54,11 @@ class TestVerify:
             verify_certificate(corpus["f2"], identity_cert((1, 1, 0, -2), False))
 
     def test_singular_matrix_rejected(self):
-        with pytest.raises(CertificateError):
-            Certificate(
-                RationalMatrix.from_rows([[1, 1, 0], [1, 1, 0], [0, 0, 1]]),
-                WeightVector((1, 0, -1)),
-                False,
-            )
+        # The matrix refuses itself when it is built, so a certificate with a
+        # singular sigma can only come from JSON, which refuses it too.
+        data = {"sigma": [[1, 1, 0], [1, 1, 0], [0, 0, 1]], "r": [1, 0, -1], "strict": False}
+        with pytest.raises(CertificateError, match="^bad certificate JSON: coordinate change must be invertible$"):
+            Certificate.from_json(data)
 
 
 class TestJson:

@@ -419,8 +419,9 @@ class TestSearchCmd:
         assert (code, err, passed) == (EXIT_OK, "", [()])
 
     def test_singular_search_frame_exits_internal(self, capsys, poly_file, monkeypatch):
-        # The frame stream builds invertible matrices only; a singular frame
-        # is a fault of the search, not of the input.
+        # The frame stream builds invertible matrices only; a singular frame,
+        # refused where the stream builds it, is a fault of the search, not
+        # of the input.
         def frames(cfg, f, points):
             size = f.n + 1
             yield "singular-point-to-Q", RationalMatrix.identity(size)
@@ -436,9 +437,12 @@ class TestSearchCmd:
 
     def test_singular_structured_frame_exits_internal(self, capsys, poly_file, monkeypatch):
         # The line times a conic has no rational singular point, so frame 1
-        # is its linear-component frame; here it comes out singular.
-        singular = RationalMatrix.from_rows([[1, 1, 0], [1, 1, 0], [0, 0, 1]])
-        monkeypatch.setattr(frames, "linear_components", lambda f: iter([singular]))
+        # is its linear-component frame; here it comes out singular, and is
+        # refused where the search draws it.
+        def components(f):
+            yield RationalMatrix.from_rows([[1, 1, 0], [1, 1, 0], [0, 0, 1]])
+
+        monkeypatch.setattr(frames, "linear_components", components)
         path = poly_file("x0^3 - 2*x0*x1^2 - 2*x1^2*x2 + x2^3")
         code, _, err = run(capsys, ["search", path, "--budget", "2"])
         assert code == EXIT_INTERNAL
@@ -677,6 +681,50 @@ class TestCertifyCmd:
         code, out, err = run(capsys, ["certify", path, "--cert", str(cert)])
         assert code == EXIT_INPUT, out
         assert "bad certificate JSON" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "sigma, message",
+        [
+            pytest.param(
+                [[1, 1, 0], [1, 1, 0], [0, 0, 1]],
+                "bad certificate JSON: coordinate change must be invertible",
+                id="singular",
+            ),
+            pytest.param(
+                [[1, 0, 0], [0, 1, 0]],
+                "bad certificate JSON: coordinate change must be square",
+                id="non-square",
+            ),
+            pytest.param(
+                [[1, 0, 0], [0, 1], [0, 0, 1]],
+                "bad certificate JSON: coordinate change must be square",
+                id="ragged",
+            ),
+            pytest.param(
+                [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+                "matrix size does not match weight vector length",
+                id="size-vs-weights",
+            ),
+        ],
+    )
+    def test_bad_matrix_exits_input(self, capsys, poly_file, tmp_path, sigma, message):
+        path = poly_file("x0^2*x2 + x1^3")
+        cert = tmp_path / "cert.json"
+        cert.write_text(json.dumps({"sigma": sigma, "r": [3, 1, -4], "strict": True}))
+        code, out, err = run(capsys, ["certify", path, "--cert", str(cert)])
+        assert (code, out) == (EXIT_INPUT, "")
+        assert err == f"error: {message}\n"
+
+    def test_weight_count_mismatch_exits_input(self, capsys, poly_file, tmp_path):
+        # A consistent certificate for four variables, checked in the input
+        # stage against a form in three.
+        path = poly_file("x0^2*x2 + x1^3")
+        cert = tmp_path / "cert.json"
+        identity = [[int(i == j) for j in range(4)] for i in range(4)]
+        cert.write_text(json.dumps({"sigma": identity, "r": [3, 1, 0, -4], "strict": True}))
+        code, out, err = run(capsys, ["certify", path, "--cert", str(cert)])
+        assert (code, out) == (EXIT_INPUT, "")
+        assert err == "error: certificate has 4 weights but polynomial has 3 variables\n"
 
 
 

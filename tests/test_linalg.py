@@ -24,15 +24,14 @@ from hypstab.linalg import (
     transformed_supports,
 )
 
-from conftest import degree_monomials
+from conftest import degree_monomials, reference_is_invertible
 
 
 class TestRationalMatrix:
     def test_identity_and_permutation(self):
         eye = RationalMatrix.identity(3)
-        assert eye.determinant() == 1
+        assert (eye.scale, eye.ints) == (1, ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
         perm = RationalMatrix.permutation([2, 1, 0])
-        assert perm.determinant() == -1
         assert perm @ perm == eye
 
     def test_permutation_column_convention(self):
@@ -42,16 +41,42 @@ class TestRationalMatrix:
         assert columns[0] == (0, 1, 0)
         assert columns[1] == (0, 0, 1)
 
-    def test_determinant_and_inverse(self):
+    def test_inverse_and_singular_refused(self):
         m = RationalMatrix.from_rows([[2, 1], [1, 1]])
-        assert m.determinant() == 1
         inv = RationalMatrix.from_rows([[1, -1], [-1, 2]])
         assert inv @ m == RationalMatrix.identity(2)
-        assert RationalMatrix.from_rows([[1, 2], [2, 4]]).determinant() == 0
+        with pytest.raises(MatrixError, match="^coordinate change must be invertible$"):
+            RationalMatrix.from_rows([[1, 2], [2, 4]])
 
     def test_fraction_entries(self):
         m = RationalMatrix.from_rows([[Fraction(1, 2), 0], [0, Fraction(3)]])
-        assert m.determinant() == Fraction(3, 2)
+        assert (m.scale, m.ints) == (2, ((1, 0), (0, 6)))
+        # 1/2 * 1 - 1/3 * 3/2 = 0.
+        with pytest.raises(MatrixError, match="^coordinate change must be invertible$"):
+            RationalMatrix.from_rows([[Fraction(1, 2), Fraction(1, 3)], [Fraction(3, 2), 1]])
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ([], "empty matrix"),
+            ([[]], "coordinate change must be square"),
+            ([[1, 2]], "coordinate change must be square"),
+            ([[1], [2]], "coordinate change must be square"),
+            ([[1, 0], [0]], "coordinate change must be square"),
+            ([[1, 0], [0, 1, 0]], "coordinate change must be square"),
+            ([[0]], "coordinate change must be invertible"),
+        ],
+    )
+    def test_empty_non_square_and_singular_refused(self, rows, message):
+        with pytest.raises(MatrixError, match=f"^{message}$"):
+            RationalMatrix.from_rows(rows)
+        ints = tuple(tuple(row) for row in rows)
+        with pytest.raises(MatrixError, match=f"^{message}$"):
+            RationalMatrix(1, ints)
+
+    def test_product_sizes_must_match(self):
+        with pytest.raises(MatrixError, match="dimension mismatch"):
+            RationalMatrix.identity(2) @ RationalMatrix.identity(3)
 
     def test_string_round_trip(self):
         m = RationalMatrix.from_rows([[Fraction(1, 2), -1], [3, 0]])
@@ -119,7 +144,7 @@ class TestPointMove:
     def test_general_point(self):
         sigma = matrix_moving_point_last([1, 0, 0, 0])
         assert sigma.rows[-1] == (1, 0, 0, 0)
-        assert sigma.determinant() != 0
+        assert reference_is_invertible(sigma.rows)
 
     def test_zero_vector_rejected(self):
         with pytest.raises(MatrixError):
@@ -203,28 +228,6 @@ def reference_nullspace_vector(rows):
 def reference_matmul(a, b):
     cols = list(zip(*b))
     return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in cols) for row in a)
-
-
-def reference_determinant(rows):
-    m = [list(row) for row in rows]
-    size = len(m)
-    det = Fraction(1)
-    for col in range(size):
-        pivot = next((r for r in range(col, size) if m[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = 1 / m[col][col]
-        for r in range(col + 1, size):
-            if m[r][col] == 0:
-                continue
-            factor = m[r][col] * inv
-            for c in range(col, size):
-                m[r][c] -= factor * m[col][c]
-    return det
 
 
 def reference_apply_linear_change(f, sigma):
@@ -319,9 +322,8 @@ def test_nullspace_matches_fraction_elimination(rows):
 @st.composite
 def invertible_matrices(draw, size, max_den=4):
     rows = [draw(st.lists(rationals(3, max_den), min_size=size, max_size=size)) for _ in range(size)]
-    sigma = RationalMatrix.from_rows(rows)
-    assume(sigma.determinant() != 0)
-    return sigma
+    assume(reference_is_invertible(rows))
+    return RationalMatrix.from_rows(rows)
 
 
 @st.composite
@@ -373,19 +375,43 @@ def square_matrices(draw):
     return rows
 
 
-@given(square_matrices())
-@settings(max_examples=200, deadline=None)
-def test_determinant_matches_fraction_elimination(rows):
-    det = RationalMatrix.from_rows(rows).determinant()
-    assert type(det) is Fraction
-    assert det == reference_determinant(rows)
+@st.composite
+def non_square_matrices(draw):
+    """1-5 rows, either all of one length other than their number or of
+    lengths 0-6 that are not all equal to it."""
+    nrows = draw(st.integers(1, 5))
+    if draw(st.booleans()):
+        return draw(matrices(nrows, draw(st.integers(1, 6).filter(lambda c: c != nrows))))
+    lengths = draw(st.lists(st.integers(0, 6), min_size=nrows, max_size=nrows)
+                   .filter(lambda ls: any(n != nrows for n in ls)))
+    return [draw(matrices(1, n))[0] for n in lengths]
+
+
+@given(st.one_of(square_matrices(), non_square_matrices()))
+@settings(max_examples=300, deadline=None)
+def test_construction_refuses_exactly_the_singular_and_non_square(rows):
+    # Construction refuses exactly what the Fraction reference calls
+    # singular or non-square, from rows and from stored integers alike.
+    square = all(len(row) == len(rows) for row in rows)
+    if reference_is_invertible(rows):
+        sigma = RationalMatrix.from_rows(rows)
+        assert sigma.rows == tuple(map(tuple, rows))
+        assert RationalMatrix(sigma.scale, sigma.ints) == sigma
+        return
+    message = "invertible" if square else "square"
+    with pytest.raises(MatrixError, match=f"^coordinate change must be {message}$"):
+        RationalMatrix.from_rows(rows)
+    scale = lcm(*(Fraction(v).denominator for row in rows for v in row))
+    with pytest.raises(MatrixError, match=f"^coordinate change must be {message}$"):
+        RationalMatrix(scale, tuple(tuple(int(v * scale) for v in row) for row in rows))
 
 
 @given(st.data())
 @settings(max_examples=100, deadline=None)
 def test_product_matches_fraction_product(data):
-    r, k, c = (data.draw(st.integers(1, 5)) for _ in range(3))
-    a, b = data.draw(matrices(r, k)), data.draw(matrices(k, c))
+    size = data.draw(st.integers(1, 5))
+    a, b = data.draw(matrices(size, size)), data.draw(matrices(size, size))
+    assume(reference_is_invertible(a) and reference_is_invertible(b))
     product = RationalMatrix.from_rows(a) @ RationalMatrix.from_rows(b)
     assert product.rows == reference_matmul(a, b)
     assert all(type(v) is Fraction for row in product.rows for v in row)
@@ -468,15 +494,17 @@ def test_transformed_supports_match_linear_change(case):
     assert transformed_supports(f, sigmas) == [apply_linear_change(f, s).support() for s in sigmas]
 
 
-@given(forms_and_frames(), st.data())
+@given(st.integers(1, 5).flatmap(invertible_matrices))
 @settings(max_examples=30, deadline=None)
-def test_transformed_supports_reject_a_singular_frame(case, data):
-    f, sigmas = case
-    rows = [list(row) for row in sigmas[0].rows]
-    rows[-1] = [sum(col[:-1]) for col in zip(*rows)]
-    sigmas.insert(data.draw(st.integers(0, len(sigmas))), RationalMatrix.from_rows(rows))
-    with pytest.raises(MatrixError, match="invertible"):
-        transformed_supports(f, sigmas)
+def test_singular_frame_is_refused_at_construction(sigma):
+    # An invertible frame with its last row replaced by the sum of the
+    # others (zero for one row) is refused before any expansion can see it.
+    ints = list(sigma.ints)
+    ints[-1] = tuple(sum(row[j] for row in ints[:-1]) for j in range(len(ints)))
+    with pytest.raises(MatrixError, match="^coordinate change must be invertible$"):
+        RationalMatrix(sigma.scale, tuple(ints))
+    with pytest.raises(MatrixError, match="^coordinate change must be invertible$"):
+        RationalMatrix.from_rows([[Fraction(v, sigma.scale) for v in row] for row in ints])
 
 
 @given(forms_and_frames(), st.integers(0, 2**10))

@@ -2,6 +2,8 @@
 from __future__ import annotations
 
 import random
+import sys
+from collections import Counter
 from fractions import Fraction
 from itertools import chain, islice, takewhile
 from math import lcm
@@ -25,13 +27,13 @@ from hypstab import (
     search_destabilization,
     verify_certificate,
 )
-from hypstab import frames, search
+from hypstab import frames, linalg, search
 from hypstab.linalg import nullspace_vector, transformed_supports
 from hypstab.local_analysis import ProjectivePoint
 from hypstab.search import FrameRecord, SearchOutcome
 from hypstab.torus import torus_destabilize
 
-from conftest import degree_monomials
+from conftest import degree_monomials, reference_is_invertible
 
 
 # gn2 and fn3 under integer changes of coordinates.
@@ -393,14 +395,74 @@ SHARPEST_BASES = {
 }
 
 
+def counted_search(f, cfg, points):
+    """Run the search, counting the Bareiss eliminations by the linalg
+    function that asks for them, the matrices built, and the eliminations
+    run inside each certificate's re-verification."""
+    eliminations = Counter()
+    built = []
+    during_verification = []
+    real_bareiss, real_init = linalg._bareiss, RationalMatrix.__init__
+
+    def bareiss(rows):
+        eliminations[sys._getframe(1).f_code.co_name] += 1
+        return real_bareiss(rows)
+
+    def init(self, *args, **kwargs):
+        real_init(self, *args, **kwargs)
+        built.append(self)
+
+    def verify(f, cert):
+        before = eliminations.total()
+        verdict = verify_certificate(f, cert)
+        during_verification.append(eliminations.total() - before)
+        return verdict
+
+    with mock.patch.object(linalg, "_bareiss", bareiss), mock.patch.object(
+        RationalMatrix, "__init__", init
+    ), mock.patch.object(search, "verify_certificate", verify):
+        outcome = search_destabilization(f, cfg, points)
+    return outcome, eliminations, built, during_verification
+
+
+class TestSingleElimination:
+    """Each coordinate change is eliminated once, when it is built: the
+    search's expansions, its certificates and their re-verification run no
+    elimination of their own.  The other eliminations are the rank and
+    nullspace computations of the torus LP and the structured frames."""
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            pytest.param(("fn3-disguised", 1), id="fn3-disguised"),
+            pytest.param((5, 0), id="nodal-cubic"),
+            pytest.param((7, 0), id="irrational-node-cubic"),
+        ],
+    )
+    def test_one_elimination_per_matrix_built(self, case):
+        which, seed = case
+        if which == "fn3-disguised":
+            f = parse_poly(FN3_DISGUISED, 3)
+            points = analyzed_points(f)
+        else:
+            f, points = disguised_bases()[which]
+        outcome, eliminations, built, during_verification = counted_search(
+            f, SearchConfig(budget=50, seed=seed), points
+        )
+        assert eliminations["__post_init__"] == len(built) > 0
+        assert set(eliminations) <= {"__post_init__", "integer_rank", "_nullspace"}
+        certificates = [c for c in (outcome.strict, outcome.nonstrict) if c is not None]
+        assert len(during_verification) == len(certificates) > 0
+        assert during_verification == [0] * len(certificates)
+
+
 @st.composite
 def disguises(draw, size):
     """Invertible integer matrices with entries in [-2, 2]."""
     entries = st.integers(-2, 2)
     rows = draw(st.lists(st.lists(entries, min_size=size, max_size=size), min_size=size, max_size=size))
-    sigma = RationalMatrix.from_rows(rows)
-    assume(sigma.determinant() != 0)
-    return sigma
+    assume(reference_is_invertible(rows))
+    return RationalMatrix.from_rows(rows)
 
 
 def moved_point(sigma, coords) -> ProjectivePoint:
