@@ -29,6 +29,7 @@ from typing import Iterable, Iterator, Sequence
 from .linalg import (
     RationalMatrix,
     apply_linear_change,
+    matrix_product,
     nullspace_basis,
     nullspace_vector,
     primitive_row,
@@ -104,11 +105,12 @@ class HessianKernel:
 
     def frame(self, kernel_rows: Iterable[Sequence[int]]) -> RationalMatrix:
         """B @ sigma_P for B with the rows: the complement, ``kernel_rows``
-        (vectors of ker Q), then e_n, so that P stays last."""
+        (vectors of ker Q), then e_n, so that P stays last.  B is integer
+        and only the product is built."""
         size = self.sigma_p.nrows
         rows = [list(v) + [0] for v in chain(self.complement, kernel_rows)]
         rows.append([0] * (size - 1) + [1])
-        return RationalMatrix.from_rows(rows) @ self.sigma_p
+        return matrix_product(rows, self.sigma_p.ints, self.sigma_p.scale)
 
     def vector(self, c: Iterable[int]) -> list[int]:
         """sum(c_i * vectors[i])."""

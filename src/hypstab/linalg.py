@@ -6,7 +6,9 @@ denominator s, the lcm of the entries' denominators, so the form is
 canonical, and every constructor refuses an empty, non-square or singular
 matrix by the Bareiss pivots of its stored integers, once, when it is built.
 :class:`~fractions.Fraction` entries are built only when ``rows`` is read.
-Products multiply the stored integers and divide the scale out once.  Ranks,
+A product is built from its factors' integer rows (:func:`matrix_product`),
+which divides the scale out once, so a frame composed of several factors is
+checked once, as the one matrix it is, and its factors are never built.  Ranks,
 nullspaces and that invertibility check share one fraction-free (Bareiss)
 forward elimination, on integer-scaled rows for a nullspace, which
 back-substitutes through the rows it leaves.  Coordinate changes read the
@@ -65,19 +67,11 @@ class RationalMatrix:
         return RationalMatrix(scale, tuple(tuple(scaled_integers(row, scale)) for row in rows))
 
     @staticmethod
+    @lru_cache(maxsize=16)
     def identity(size: int) -> "RationalMatrix":
+        """The identity of ``size`` variables, built once per size (a matrix
+        is immutable, so every caller shares it)."""
         return RationalMatrix(1, tuple(tuple(int(i == j) for j in range(size)) for i in range(size)))
-
-    @staticmethod
-    def permutation(images: Sequence[int]) -> "RationalMatrix":
-        """Coordinate change sending x_j to x_{images[j]}."""
-        size = len(images)
-        if sorted(images) != list(range(size)):
-            raise MatrixError(f"{images} is not a permutation")
-        rows = [[0] * size for _ in range(size)]
-        for j, k in enumerate(images):
-            rows[k][j] = 1
-        return RationalMatrix(1, tuple(map(tuple, rows)))
 
     @property
     def rows(self) -> tuple[tuple[Fraction, ...], ...]:
@@ -87,19 +81,31 @@ class RationalMatrix:
     def nrows(self) -> int:
         return len(self.ints)
 
-    def __matmul__(self, other: "RationalMatrix") -> "RationalMatrix":
-        if self.nrows != other.nrows:
-            raise MatrixError("dimension mismatch in product")
-        cols = list(zip(*other.ints))
-        ints = [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in self.ints]
-        scale = self.scale * other.scale
-        content = gcd(scale, *(v for row in ints for v in row))
-        return RationalMatrix(
-            scale // content, tuple(tuple(v // content for v in row) for row in ints)
-        )
-
     def to_strings(self) -> list[list[str]]:
         return [[str(x) for x in row] for row in self.rows]
+
+
+def permutation_rows(images: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+    """The integer rows of the coordinate change sending x_j to
+    x_{images[j]}: column j is the unit vector at ``images[j]``."""
+    size = len(images)
+    if sorted(images) != list(range(size)):
+        raise MatrixError(f"{images} is not a permutation")
+    return tuple(tuple(int(images[j] == k) for j in range(size)) for k in range(size))
+
+
+def matrix_product(
+    left: Sequence[Sequence[int]], right: Sequence[Sequence[int]], scale: int = 1
+) -> RationalMatrix:
+    """The coordinate change ``left @ right / scale`` of integer matrices
+    given by rows, in canonical form.  A frame composed of factors is built
+    from their integer rows, so only the product is checked."""
+    if any(len(row) != len(right) for row in left):
+        raise MatrixError("dimension mismatch in product")
+    cols = list(zip(*right))
+    ints = [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in left]
+    content = gcd(scale, *(v for row in ints for v in row))
+    return RationalMatrix(scale // content, tuple(tuple(v // content for v in row) for row in ints))
 
 
 def as_rational(x) -> int | Fraction:

@@ -77,7 +77,13 @@ from typing import Iterator
 
 from . import frames
 from .certificates import Certificate, verify_certificate
-from .linalg import RationalMatrix, apply_linear_change, transformed_supports
+from .linalg import (
+    RationalMatrix,
+    apply_linear_change,
+    matrix_product,
+    permutation_rows,
+    transformed_supports,
+)
 from .local_analysis import LocalData
 from .polynomials import Exponent, HomogeneousPoly
 from .torus import torus_destabilize
@@ -128,26 +134,29 @@ class SearchOutcome:
         return len(self.frames)
 
 
-def _random_unipotent(rng: random.Random, size: int, bound: int, upper: bool) -> RationalMatrix:
+def _random_unipotent(rng: random.Random, size: int, bound: int, upper: bool) -> list[list[int]]:
+    """The integer rows of a random unitriangular matrix."""
     rows = [[int(i == j) for j in range(size)] for i in range(size)]
     for i in range(size):
         rng_range = range(i + 1, size) if upper else range(0, i)
         for j in rng_range:
             rows[i][j] = rng.randint(-bound, bound)
-    return RationalMatrix(1, tuple(map(tuple, rows)))
+    return rows
 
 
-def _random_permutation(rng: random.Random, size: int) -> RationalMatrix:
+def _random_permutation(rng: random.Random, size: int) -> tuple[tuple[int, ...], ...]:
+    """The integer rows of a random coordinate permutation."""
     images = list(range(size))
     rng.shuffle(images)
-    return RationalMatrix.permutation(images)
+    return permutation_rows(images)
 
 
 def _frames(cfg: SearchConfig, f: HomogeneousPoly, points: tuple[LocalData, ...]):
     """Endless deterministic frame stream: (strategy, matrix), identity first,
     then each point's frame sigma_P, the structured frames and the random
     rounds.  The search pairs the first 1 + len(points) frames with f and
-    the points' ``moved`` forms, which are f∘sigma for them."""
+    the points' ``moved`` forms, which are f∘sigma for them.  A random
+    frame is built from its factors' integer rows as one matrix."""
     size = f.n + 1
     rng = random.Random(cfg.seed)
     point_frames = [p.frame for p in points]
@@ -156,15 +165,15 @@ def _frames(cfg: SearchConfig, f: HomogeneousPoly, points: tuple[LocalData, ...]
         yield "singular-point-to-Q", frame
     yield from frames.structured_frames(f, points)
     while True:
-        yield "permutations", _random_permutation(rng, size)
+        yield "permutations", RationalMatrix(1, _random_permutation(rng, size))
         tau = _random_unipotent(rng, size, cfg.bound, upper=True)
         if point_frames:
             base = point_frames[rng.randrange(len(point_frames))]
-            yield "random-unipotent", tau @ base
+            yield "random-unipotent", matrix_product(tau, base.ints, base.scale)
         else:
-            yield "random-unipotent", tau @ _random_permutation(rng, size)
+            yield "random-unipotent", matrix_product(tau, _random_permutation(rng, size))
         lower = _random_unipotent(rng, size, cfg.bound, upper=False)
-        yield "random-unipotent", lower @ _random_permutation(rng, size)
+        yield "random-unipotent", matrix_product(lower, _random_permutation(rng, size))
 
 
 @dataclass

@@ -31,7 +31,10 @@ The decision stays in Python integers from the simplex tableau on: the LP
 returns numerators over one denominator, the weights ``w`` and their sum
 ``total`` are integers, the witness is a primitive integer vector, and the
 certificate is checked in integers.  Fractions are made only for the
-returned certificate, as ``w / total``.
+returned certificate, as ``w / total``.  Before the LP, a support holding
+every pure power x_j^d is refuted by uniform weights on them; the pure
+powers depend only on the shape (n, d) and are built once per shape, so a
+call runs only the support test.
 
 A brute-force enumeration oracle over a box of integer vectors is provided
 as an independent cross-check; it shares no code path with the LP.  The
@@ -124,7 +127,13 @@ def _certificate(support, weights, n: int, d: int, positive: bool) -> Barycentri
     return tuple((exp, Fraction(w, total)) for exp, w in zip(support, weights) if w)
 
 
-def _corners(support, n: int, d: int) -> list[Exponent] | None:
+@lru_cache(maxsize=32)
+def _pure_powers(n: int, d: int) -> tuple[Exponent, ...]:
+    """The pure powers x_j^d in n + 1 variables, built once per shape."""
+    return tuple(tuple(d if k == j else 0 for k in range(n + 1)) for j in range(n + 1))
+
+
+def _corners(support, n: int, d: int) -> tuple[Exponent, ...] | None:
     """The pure powers x_j^d, when every one is in the support.  Uniform
     weights on them certify infeasibility in both modes: any nonzero
     zero-sum vector has a negative coordinate, hence a negative corner
@@ -132,7 +141,7 @@ def _corners(support, n: int, d: int) -> list[Exponent] | None:
     fails, so the LP decides."""
     if d < 1:
         return None
-    corners = [tuple(d if k == j else 0 for k in range(n + 1)) for j in range(n + 1)]
+    corners = _pure_powers(n, d)
     present = set(support)
     return corners if all(c in present for c in corners) else None
 

@@ -7,7 +7,7 @@ from itertools import combinations_with_replacement
 
 import pytest
 
-from hypstab import HomogeneousPoly, WeightVector, parse_poly
+from hypstab import HomogeneousPoly, RationalMatrix, WeightVector, parse_poly
 from hypstab.weights import weight_of
 
 
@@ -27,6 +27,18 @@ def reference_is_invertible(rows) -> bool:
             factor = m[r][col] / m[col][col]
             m[r] = [a - factor * b for a, b in zip(m[r], m[col])]
     return True
+
+
+def reference_matmul(a, b):
+    """The product of two matrices given by rows, entry by entry."""
+    cols = list(zip(*b))
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in cols) for row in a)
+
+
+def reference_product(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
+    """The coordinate change ``a @ b``, multiplied in Fractions and built
+    from its rows, sharing no code with ``linalg.matrix_product``."""
+    return RationalMatrix.from_rows(reference_matmul(a.rows, b.rows))
 
 
 def degree_monomials(n: int, d: int) -> list[tuple[int, ...]]:

@@ -14,6 +14,7 @@ from hypstab import (
     parse_poly,
     verify_certificate,
 )
+from hypstab.linalg import permutation_rows
 
 
 def identity_cert(r, strict):
@@ -36,7 +37,7 @@ class TestVerify:
 
     def test_swap_certificate_nonstrict(self):
         f = parse_poly("x0*x2*x3 + x1^3", 3)
-        cert = Certificate(RationalMatrix.permutation([0, 2, 1, 3]), WeightVector((1, 1, 0, -2)), False)
+        cert = Certificate(RationalMatrix(1, permutation_rows([0, 2, 1, 3])), WeightVector((1, 1, 0, -2)), False)
         assert verify_certificate(f, cert).status == Status.NOT_STABLE
 
     def test_strict_fails_on_zero_weight(self, corpus):

@@ -28,12 +28,12 @@ from hypstab import (
     verify_certificate,
 )
 from hypstab import frames, linalg, search
-from hypstab.linalg import nullspace_vector, transformed_supports
+from hypstab.linalg import nullspace_vector, permutation_rows, transformed_supports
 from hypstab.local_analysis import ProjectivePoint
 from hypstab.search import FrameRecord, SearchOutcome
 from hypstab.torus import torus_destabilize
 
-from conftest import degree_monomials, reference_is_invertible
+from conftest import degree_monomials, reference_is_invertible, reference_product
 
 
 # gn2 and fn3 under integer changes of coordinates.
@@ -213,7 +213,7 @@ def disguised_bases():
         upper = [[int(i == j) if j <= i else rng.randint(-1, 1) for j in range(size)] for i in range(size)]
         images = list(range(size))
         rng.shuffle(images)
-        sigma = RationalMatrix.from_rows(upper) @ RationalMatrix.permutation(images)
+        sigma = reference_product(RationalMatrix.from_rows(upper), RationalMatrix(1, permutation_rows(images)))
         g = apply_linear_change(f, sigma)
         out.append((g, analyzed_points(g)))
     return out
@@ -454,6 +454,23 @@ class TestSingleElimination:
         certificates = [c for c in (outcome.strict, outcome.nonstrict) if c is not None]
         assert len(during_verification) == len(certificates) > 0
         assert during_verification == [0] * len(certificates)
+
+    def test_at_most_one_matrix_per_frame_drawn(self):
+        # A frame composed of factors is built from their integer rows: the
+        # factors are never matrices of their own.
+        f, points = disguised_bases()[5]
+        drawn = []
+        real_frames = search._frames
+
+        def frames_drawn(*args):
+            for frame in real_frames(*args):
+                drawn.append(frame)
+                yield frame
+
+        with mock.patch.object(search, "_frames", frames_drawn):
+            outcome, _, built, _ = counted_search(f, SearchConfig(budget=50), points)
+        assert outcome.frames_tried == 50
+        assert 0 < len(built) <= len(drawn)
 
 
 @st.composite

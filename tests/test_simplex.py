@@ -9,7 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hypstab import simplex
 from hypstab.simplex import SimplexError, solve_lp
+
+from conftest import degree_monomials
 
 
 def rational(values, den):
@@ -166,10 +169,9 @@ def lp_problems(draw):
     return A, b
 
 
-@given(lp_problems())
-@settings(max_examples=400, deadline=None)
-def test_matches_fraction_tableau(problem):
-    A, b = problem
+def check_against_reference(A, b):
+    """The solver's x or Farkas vector equals the Fraction tableau's, and
+    is a point or an infeasibility certificate."""
     x, farkas = solve_rational(A, b)
     assert (x, farkas) == reference_solve_lp(A, b)
     assert (x is None) != (farkas is None)
@@ -179,3 +181,66 @@ def test_matches_fraction_tableau(problem):
     else:
         assert all(v >= 0 for v in x)
         assert all(sum(a * v for a, v in zip(row, x)) == bi for row, bi in zip(A, b))
+
+
+@given(lp_problems())
+@settings(max_examples=400, deadline=None)
+def test_matches_fraction_tableau(problem):
+    check_against_reference(*problem)
+
+
+@st.composite
+def torus_systems(draw):
+    """(A, b) as ``torus_destabilize`` builds them for a support of degree
+    d in n + 1 variables: columns ``(n + 1) * i - d`` for the monomials i,
+    strict (a row of ones, b = e_0) or non-strict (b = -A 1)."""
+    n = draw(st.sampled_from([2, 3]))
+    d = draw(st.sampled_from([3, 4, 5]))
+    monomials = st.sampled_from(degree_monomials(n, d))
+    support = sorted(draw(st.lists(monomials, min_size=1, max_size=12, unique=True)), reverse=True)
+    rows = [[(n + 1) * exp[j] - d for exp in support] for j in range(n + 1)]
+    if draw(st.booleans()):
+        return [[1] * len(support)] + rows, [1] + [0] * (n + 1)
+    return rows, [-sum(row) for row in rows]
+
+
+@given(torus_systems())
+@settings(max_examples=150, deadline=None)
+def test_torus_systems_match_fraction_tableau(problem):
+    check_against_reference(*problem)
+
+
+def test_bland_reads_labels_not_columns():
+    # The first pivot enters x0 and moves the artificial of row 0 (label 3)
+    # to column 0, ahead of the lower labels 0 to 2.  At the fourth pivot
+    # column 0 (label 3) and column 1 (x0, label 0) both have a negative
+    # reduced cost: Bland's rule enters x0, the lowest column the
+    # artificial, which ends at the Farkas vector (1, 1, -2) instead.
+    A = [[3, 1, 0], [1, -1, 1], [2, 3, 3]]
+    b = [0, 2, 0]
+    result = solve_lp(A, b)
+    assert (result.den, result.x, result.farkas) == (9, None, [-1, 9, -3])
+    check_against_reference(A, b)
+
+
+def test_pivot_keeps_the_full_tableaus_nonbasic_columns():
+    # Full tableau over x0, x1, a0, a1 and the right-hand side, D = 1:
+    #   [2, 1, 1, 0, 4], [1, 3, 0, 1, 5], cost [-3, -4, 0, 0, -9].
+    # The pivot on (0, 0) gives, with D = 2,
+    #   [2, 1, 1, 0, 4], [0, 5, -1, 2, 6], cost [0, -5, 3, 0, -6],
+    # whose nonbasic columns are a0 (in x0's place) and x1.
+    rows = [[2, 1, 4], [1, 3, 5], [-3, -4, -9]]
+    assert simplex._pivot(rows, 0, 0, 1) == 2
+    assert rows == [[1, 1, 4], [-1, 5, 6], [3, -5, -6]]
+
+
+def test_farkas_reads_a_basic_artificial_as_zero():
+    # The first pivot moves the artificial of row 0 to column 0, and the
+    # third enters it again, moving the artificial of row 1 into column 0.
+    # The Farkas vector must read the first as basic (reduced cost 0), not
+    # from the column it left.
+    A = [[-1, 1], [0, -3], [-1, 0]]
+    b = [-1, -1, -1]
+    result = solve_lp(A, b)
+    assert (result.den, result.x, result.farkas) == (3, None, [-3, -1, 3])
+    check_against_reference(A, b)

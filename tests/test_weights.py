@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from hypstab import RationalMatrix, WeightVector, apply_linear_change, membership, parse_poly
+from hypstab.linalg import permutation_rows
 from hypstab.weights import WeightError, first_violation, weight_of
 
 
@@ -68,7 +69,7 @@ class TestMembership:
         f = corpus["f2"]
         r = WeightVector((3, 1, -4))
         for images in [(1, 0, 2), (2, 1, 0), (1, 2, 0)]:
-            sigma = RationalMatrix.permutation(images)
+            sigma = RationalMatrix(1, permutation_rows(images))
             g = apply_linear_change(f, sigma)
             permuted = [0] * 3
             for j, k in enumerate(images):
